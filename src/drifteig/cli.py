@@ -530,8 +530,21 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
         xs = np.linspace(0.0, 0.5 * (1.0 - dstar), 16)
         vals = [transcend.transcendental_root(float(x), bcrit, tp) for x in xs]
         flat = (max(vals) - min(vals)) / min(vals)
-        ok = worst <= 1e-6 and flat <= 1e-8
-        return max(worst, flat), ok, "xi* placement at 0.5/2.0 beta_crit and flatness at beta_crit"
+        # lambda* against the root over the full range of xi, which does not
+        # go through the placement rule
+        excess = -math.inf
+        for opt in (low, high):
+            tp_opt = transcend.TranscendParams(params=params, delta=dstar, beta=opt.beta)
+            for x in np.linspace(0.0, 1.0 - dstar, 33):
+                root = transcend.transcendental_root(float(x), opt.beta, tp_opt)
+                excess = max(excess, opt.lambda_star / root - 1.0)
+        ok = worst <= 1e-6 and flat <= 1e-8 and excess <= 1e-12
+        return (
+            max(worst, flat, excess),
+            ok,
+            "xi* placement at 0.5/2.0 beta_crit, flatness at beta_crit, "
+            "lambda* <= root on a 33-point xi scan",
+        )
 
     def mollify():
         opt = optimize.locate_optimal_interval(1.0, dstar, params, grid_n=n)

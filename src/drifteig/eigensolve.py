@@ -91,7 +91,6 @@ class Forms:
     """
 
     nodes: np.ndarray
-    elem_values: np.ndarray  # weight value m per element
     diffusion: np.ndarray  # diffusion coefficient per element
     weight: np.ndarray  # weighted-mass coefficient per element
     beta: float
@@ -161,9 +160,7 @@ def _assemble_on_nodes(
     if not dirichlet and beta > 0.0:
         kd[0] += beta
         kd[-1] += beta
-    return Forms(
-        nodes, weight, diffusion, weight, beta, kd, ke, bd, be, md, me, dirichlet
-    )
+    return Forms(nodes, diffusion, weight, beta, kd, ke, bd, be, md, me, dirichlet)
 
 
 def assemble(
@@ -178,9 +175,7 @@ def assemble(
     v = m.eval_many(mid)
     diffusion = np.exp(params.alpha * v)
     weight = v * diffusion
-    forms = _assemble_on_nodes(nodes, diffusion, weight, bc.beta)
-    forms.elem_values = v
-    return forms
+    return _assemble_on_nodes(nodes, diffusion, weight, bc.beta)
 
 
 def _tri_mv(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -458,7 +453,6 @@ def eigen_cov(
     v = mt.eval_many(mid)
     weight = v * np.exp(2.0 * params.alpha * v)
     forms = _assemble_on_nodes(ynodes, np.ones_like(v), weight, bc.beta)
-    forms.elem_values = v
     lam = _bracket_and_bisect(forms, 1e-8)
     u = _eigenvector(forms, lam)
     if np.min(u[1:-1]) <= 0.0:

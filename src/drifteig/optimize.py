@@ -4,10 +4,13 @@ Among bang-bang interval weights of fixed length delta, the principal
 eigenvalue as a function of the left endpoint xi is minimized either at the
 boundary (xi = 0, small Robin coefficient) or at the center (large Robin
 coefficient); at the critical coefficient every location is optimal.  This
-module locates the optimum, sweeps the critical curve beta -> lambda*,
-evaluates the first-order switch function psi0 used in optimality checks,
-and demonstrates non-attainment among smoothed weights by mollifying the
-optimal jumps.
+module places the optimum by that trichotomy around the closed-form
+beta_crit and evaluates the eigenvalue there once, sweeps the critical
+curve beta -> lambda*, evaluates the first-order switch function psi0 used
+in optimality checks, and demonstrates non-attainment among smoothed
+weights by mollifying the optimal jumps.  The placement is cross-checked
+against xi scans of the transcendental root (and of the grid solver under
+Dirichlet conditions) in the tests and in the CLI's verify battery.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .weights import (
     mass,
 )
 
-XI_GRID_POINTS = 64
-XI_TOL = 1e-8
 DEGENERATE_BAND = 1e-9  # beta_crit is closed form; the band only absorbs float error
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -105,74 +106,64 @@ def _xi_center(delta: float) -> float:
     return 0.5 * (1.0 - delta)
 
 
+def _optimal_xi(beta: float, bcrit: float, delta: float) -> float:
+    """The paper's trichotomy: boundary below beta_crit, center above it.
+
+    beta = inf (Dirichlet) lies above every beta_crit.  At beta = beta_crit
+    every location is optimal.
+    """
+    return 0.0 if beta < bcrit else _xi_center(delta)
+
+
+def _interval_lambda(xi: float, tp: transcend.TranscendParams, grid_n: int) -> float:
+    """Principal eigenvalue of the interval weight at xi.
+
+    The transcendental root for finite beta; the discretized solver for
+    Dirichlet conditions, where only xi = 0 has a closed form.
+    """
+    if math.isinf(tp.beta):
+        w = BangBangInterval(xi, tp.delta, tp.params).weight()
+        disc = eigensolve.make_discretization(grid_n, w)
+        return eigensolve.principal_lambda(w, tp.params, Boundary.dirichlet(), disc)
+    return transcend.transcendental_root(xi, tp.beta, tp)
+
+
 def locate_optimal_interval(
     beta: float,
     delta: float,
     params: ModelParams,
     grid_n: int = eigensolve.DEFAULT_N,
 ) -> DesignOptimum:
-    """Minimize the interval eigenvalue over xi in [0, (1-delta)/2].
+    """Optimal interval location for length delta, by the trichotomy.
 
-    A 64-point grid scan followed by golden-section refinement; the regime
-    label comes from comparing beta against the closed-form critical value
-    (Degenerate inside a tight band, where the objective is flat).  For
-    Dirichlet conditions the objective is evaluated with the discretized
-    solver, anchored at xi = 0 against the closed-form Dirichlet root.
+    xi* is 0 below the closed-form critical coefficient and the center
+    (1 - delta)/2 above it (and for Dirichlet conditions); the eigenvalue is
+    evaluated once, there.  Inside a tight band around beta_crit the
+    objective is flat and the regime is Degenerate with xi* = 0.  For
+    Dirichlet conditions the discretized solver is anchored at xi = 0
+    against the closed-form Dirichlet root.
     """
     tp = transcend.TranscendParams(params=params, delta=delta, beta=beta)
     bcrit = transcend.beta_crit(tp)
-    xi_max = _xi_center(delta)
-    dirichlet = math.isinf(beta)
+    mass_active = abs(delta - _delta_star(params)) <= 1e-12
 
-    if dirichlet:
-        def objective(xi: float) -> float:
-            w = BangBangInterval(xi, delta, params).weight()
-            disc = eigensolve.make_discretization(grid_n, w)
-            return eigensolve.principal_lambda(w, params, Boundary.dirichlet(), disc)
-
+    if math.isinf(beta):
         anchor = transcend.dirichlet_root(tp)
-        got = objective(0.0)
+        got = _interval_lambda(0.0, tp, grid_n)
         if abs(got - anchor) > 1e-3 * anchor:
             raise eigensolve.SolverError(
                 f"Dirichlet anchor mismatch at xi=0: grid {got} vs closed form {anchor}"
             )
+
+    if abs(beta - bcrit) <= DEGENERATE_BAND:
+        regime, xi_star = Regime.DEGENERATE, 0.0
     else:
-        def objective(xi: float) -> float:
-            return transcend.transcendental_root(xi, beta, tp)
-
-    mass_active = abs(delta - _delta_star(params)) <= 1e-12
-
-    if not dirichlet and abs(beta - bcrit) <= DEGENERATE_BAND:
-        lam = objective(0.0)
-        return DesignOptimum(
-            xi_star=0.0,
-            delta=delta,
-            lambda_star=lam,
-            regime=Regime.DEGENERATE,
-            mass_active=mass_active,
-            beta=beta,
-            beta_crit=bcrit,
-        )
-
-    xs = np.linspace(0.0, xi_max, XI_GRID_POINTS)
-    vals = [objective(float(x)) for x in xs]
-    i = int(np.argmin(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, XI_GRID_POINTS - 1)]
-    xi_star, lam = _golden_min(objective, float(lo), float(hi), XI_TOL)
-    # snap to the exact edge or center when golden converged onto it
-    if xi_star < 10.0 * XI_TOL:
-        xi_star, lam = 0.0, objective(0.0)
-    elif xi_max - xi_star < 10.0 * XI_TOL:
-        xi_star, lam = xi_max, objective(xi_max)
-    if dirichlet:
-        regime = Regime.CENTERED
-    else:
-        regime = Regime.BOUNDARY_LEFT if beta < bcrit else Regime.CENTERED
+        xi_star = _optimal_xi(beta, bcrit, delta)
+        regime = Regime.BOUNDARY_LEFT if xi_star == 0.0 else Regime.CENTERED
     return DesignOptimum(
         xi_star=xi_star,
         delta=delta,
-        lambda_star=lam,
+        lambda_star=_interval_lambda(xi_star, tp, grid_n),
         regime=regime,
         mass_active=mass_active,
         beta=beta,
@@ -204,19 +195,10 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
 def _best_lambda_for_delta(
     beta: float, delta: float, params: ModelParams, grid_n: int
 ) -> float:
-    """min over xi of the interval eigenvalue, via the location trichotomy.
-
-    The minimum over xi is attained at the boundary or the center, so two
-    evaluations suffice; Dirichlet needs only the center.
-    """
-    if math.isinf(beta):
-        w = BangBangInterval(_xi_center(delta), delta, params).weight()
-        disc = eigensolve.make_discretization(grid_n, w)
-        return eigensolve.principal_lambda(w, params, Boundary.dirichlet(), disc)
+    """min over xi of the interval eigenvalue, at the trichotomy's xi."""
     tp = transcend.TranscendParams(params=params, delta=delta, beta=beta)
-    at_edge = transcend.transcendental_root(0.0, beta, tp)
-    at_center = transcend.transcendental_root(_xi_center(delta), beta, tp)
-    return min(at_edge, at_center)
+    xi = _optimal_xi(beta, transcend.beta_crit(tp), delta)
+    return _interval_lambda(xi, tp, grid_n)
 
 
 def choose_delta(

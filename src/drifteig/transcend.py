@@ -47,7 +47,7 @@ class TranscendParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.beta >= 0.0 or math.isinf(self.beta)):
+        if not self.beta >= 0.0:  # false for NaN; +inf is the Dirichlet limit
             raise ValueError(f"beta must be >= 0 or inf, got {self.beta}")
 
 

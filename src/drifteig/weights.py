@@ -37,10 +37,10 @@ class ModelParams:
     m0: float
 
     def __post_init__(self):
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
         if not 0.0 < self.m0 < 1.0:
             raise ValueError(f"m0 must lie in (0, 1), got {self.m0}")
 
@@ -52,7 +52,7 @@ class Boundary:
     beta: float
 
     def __post_init__(self):
-        if not (self.beta >= 0.0 or math.isinf(self.beta)):
+        if not self.beta >= 0.0:  # false for NaN; +inf is the Dirichlet limit
             raise ValueError(f"beta must be >= 0 or inf, got {self.beta}")
 
     @classmethod
@@ -94,6 +94,8 @@ class PiecewiseWeight:
         object.__setattr__(self, "values", vals)
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
+        if not all(map(math.isfinite, bp + vals)):
+            raise ValueError("breakpoints and values must be finite")
         if len(vals) != len(bp) - 1:
             raise ValueError(
                 f"{len(bp)} breakpoints require {len(bp) - 1} values, got {len(vals)}"

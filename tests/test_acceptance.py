@@ -201,6 +201,7 @@ def test_criterion_7_trichotomy():
     combos = 0
     worst_xi = 0.0
     worst_flat = 0.0
+    worst_excess = -math.inf
     for kappa in (0.5, 1.0, 2.0):
         for m0 in (0.2, 0.4, 0.6):
             for frac in (0.2, 0.45, 0.7):
@@ -218,6 +219,13 @@ def test_criterion_7_trichotomy():
                     abs(low.xi_star),
                     abs(high.xi_star - 0.5 * (1.0 - dstar)),
                 )
+                # independent of the placement rule: lambda* is no higher
+                # than the root anywhere on the full range of xi
+                for opt in (low, high):
+                    tp_opt = TranscendParams(params=p, delta=dstar, beta=opt.beta)
+                    for x in np.linspace(0.0, 1.0 - dstar, 33):
+                        root = transcendental_root(float(x), opt.beta, tp_opt)
+                        worst_excess = max(worst_excess, opt.lambda_star / root - 1.0)
                 vals = [
                     transcendental_root(float(x), bc, tp)
                     for x in np.linspace(0.0, 0.5 * (1.0 - dstar), 33)
@@ -227,6 +235,10 @@ def test_criterion_7_trichotomy():
     checks = [
         (combos >= 27, f"{combos} parameter combinations >= 27"),
         (worst_xi <= 1e-7, f"worst xi* placement error {worst_xi:.2e} <= 1e-7"),
+        (
+            worst_excess <= 1e-12,
+            f"worst lambda*/root(xi) - 1 over a 33-point xi scan {worst_excess:.2e} <= 1e-12",
+        ),
         (
             worst_flat <= 1e-8,
             f"objective variation across xi at beta_crit {worst_flat:.2e} <= 1e-8",

@@ -24,6 +24,7 @@ from drifteig import (
     switch_function,
     transcendental_root,
 )
+from drifteig.eigensolve import principal_lambda
 
 DSTAR = 0.3  # (1 - m0) / (kappa + 1) for the default constants
 
@@ -61,6 +62,12 @@ class TestLocate:
         opt = locate_optimal_interval(math.inf, DSTAR, params, grid_n=1000)
         assert opt.regime == Regime.CENTERED
         assert opt.xi_star == pytest.approx(0.35, abs=1e-4)
+        for xi in (0.0, 0.1, 0.2):
+            w = BangBangInterval(xi, DSTAR, params).weight()
+            lam = principal_lambda(
+                w, params, Boundary.dirichlet(), make_discretization(1000, w)
+            )
+            assert opt.lambda_star <= lam, xi
 
     def test_objective_symmetry_full_range(self, params):
         tp = TranscendParams(params=params, delta=DSTAR, beta=2.0)
@@ -92,6 +99,12 @@ class TestTrichotomyLattice:
                 assert low.regime == Regime.BOUNDARY_LEFT and low.xi_star == 0.0
                 assert high.regime == Regime.CENTERED
                 assert high.xi_star == pytest.approx(0.5 * (1.0 - dstar), abs=1e-7)
+                # independent of the placement rule: no xi has a lower root
+                for opt in (low, high):
+                    tp_opt = TranscendParams(params=p, delta=dstar, beta=opt.beta)
+                    for x in np.linspace(0.0, 1.0 - dstar, 33):
+                        root = transcendental_root(float(x), opt.beta, tp_opt)
+                        assert opt.lambda_star <= root * (1.0 + 1e-12), (opt.beta, x)
 
 
 class TestActiveConstraint:

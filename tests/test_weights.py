@@ -12,6 +12,7 @@ from drifteig import (
     Boundary,
     ModelParams,
     PiecewiseWeight,
+    TranscendParams,
     abar,
     alpha_star,
     brute_force_expmass_max,
@@ -241,6 +242,27 @@ class TestClassProperties:
             ModelParams(0.1, 1.0, 1.4)
         with pytest.raises(ValueError):
             BangBangInterval(0.9, 0.3, ModelParams(0.1, 1.0, 0.4))
+
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (PiecewiseWeight, ((0.0, math.nan, 1.0), (1.0, -1.0))),
+            (PiecewiseWeight, ((0.0, 0.5, 1.0), (math.inf, -1.0))),
+            (PiecewiseWeight, ((0.0, 0.5, 1.0), (1.0, math.nan))),
+            (PiecewiseWeight, ((0.0, 0.5, 1.0), (1.0, -math.inf))),
+            (ModelParams, (math.inf, 1.0, 0.4)),
+            (ModelParams, (math.nan, 1.0, 0.4)),
+            (ModelParams, (0.2, math.inf, 0.4)),
+            (ModelParams, (0.2, math.nan, 0.4)),
+            (Boundary, (-math.inf,)),
+            (Boundary, (math.nan,)),
+            (TranscendParams, (ModelParams(0.2, 1.0, 0.4), 0.3, -math.inf)),
+            (TranscendParams, (ModelParams(0.2, 1.0, 0.4), 0.3, math.nan)),
+        ],
+    )
+    def test_non_finite_input_rejected(self, cls, args):
+        with pytest.raises(ValueError):
+            cls(*args)
 
     def test_boundary_kinds(self):
         assert Boundary.neumann().is_neumann
