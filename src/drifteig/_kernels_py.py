@@ -1,8 +1,9 @@
-"""Pure-Python fallback for the tridiagonal pencil kernels.
+"""The tridiagonal pencil kernels: LDL^T pivot-sign counts and bisection.
 
-Same contract as the compiled module ``_tridiag``; used when the extension
-is not built (see ``kernels``).  Plain loops, so roughly two orders of
-magnitude slower -- fine for small grids and as a reference implementation.
+Plain Python loops over the diagonals, O(n) per pivot count.  The solver
+reaches them through ``kernels``, which adds the breakdown retry.  Their
+cost per workload is in the benchmark's ``kernels.*`` metrics
+(``perfbench/run.py --trace 1``).
 """
 
 from __future__ import annotations

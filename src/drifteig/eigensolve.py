@@ -17,6 +17,13 @@ sign of mu equals the sign predicate "K - lambda*B has no negative
 eigenvalue", which a single LDL^T pivot count answers in O(n).  Root
 location therefore bisects on that count instead of resolving mu at every
 probe.
+
+All entry points share one core: ``_zero_regime`` validates the weight and
+detects the Neumann zero regime, ``_bracket_and_bisect`` locates lambda,
+and ``_inverse_iteration`` serves both the Rayleigh polish of mu and the
+eigenfunction that ``_eigenpair`` normalizes and checks.  ``eigen_cov``
+runs the same core on the drift-free forms of the change of variable.  The
+pivot counts are the pure-Python loops in ``kernels``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from . import kernels
 from .weights import Boundary, ModelParams, PiecewiseWeight, exp_mass
 
 LAMBDA_REL_TOL = 1e-10
+LAMBDA_FLOOR = 1e-8  # smallest eigenvalue the bracket resolves
 MU_ATOL = 1e-8  # bisection floor; the Rayleigh polish takes it to ~1e-12
 MU_RTOL = 1e-12
 BRACKET_LIMIT = 1e8
@@ -107,6 +115,14 @@ class Forms:
         if not self.dirichlet:
             return d, e
         return d[1:-1], e[1:-1]
+
+    def interior(self) -> tuple:
+        """(kd, ke, bd, be, md, me) restricted to the unknowns."""
+        return (
+            *self.reduced(self.kd, self.ke),
+            *self.reduced(self.bd, self.be),
+            *self.reduced(self.md, self.me),
+        )
 
     def embed(self, v: np.ndarray) -> np.ndarray:
         """Extend a reduced vector by the eliminated boundary zeros."""
@@ -226,6 +242,37 @@ class MuCurvePoint:
     mu: float
 
 
+def _zero_regime(m: PiecewiseWeight, params: ModelParams, bc: Boundary) -> bool:
+    """Reject a weight with no positive part; True in the Neumann zero regime."""
+    if not any(v > 0.0 for v in m.values):
+        raise ValueError("weight has no positive part: no positive principal eigenvalue")
+    return bc.is_neumann and exp_mass(m, params.alpha) >= 0.0
+
+
+def _inverse_iteration(forms: Forms, lam: float, sigma: float, steps: int):
+    """Inverse iteration on K - lam*B - sigma*M0 over the unknowns.
+
+    Starts from the ones vector; each step solves against M0 times the
+    iterate and rescales to unit max norm.  Returns the reduced iterate, or
+    None when a solve is singular or a norm is not finite and positive.
+    """
+    kd, ke, bd, be, md, me = forms.interior()
+    ab = np.zeros((3, kd.size))
+    ab[0, 1:] = ab[2, :-1] = ke - lam * be - sigma * me
+    ab[1, :] = kd - lam * bd - sigma * md
+    v = np.ones(kd.size)
+    try:
+        for _ in range(steps):
+            v = solve_banded((1, 1), ab, _tri_mv(md, me, v))
+            nrm = np.max(np.abs(v))
+            if not np.isfinite(nrm) or nrm == 0.0:
+                return None
+            v = v / nrm
+    except np.linalg.LinAlgError:
+        return None
+    return v
+
+
 def _rayleigh_polish(forms: Forms, lam: float, sigma: float) -> float:
     """Refine the pencil eigenvalue estimate sigma of (K - lam*B, M0).
 
@@ -235,25 +282,8 @@ def _rayleigh_polish(forms: Forms, lam: float, sigma: float) -> float:
     is accurate to the residual squared: every quadratic form is a sum over
     elements with no large cancellations.
     """
-    kd, ke = forms.reduced(forms.kd, forms.ke)
-    bd, be = forms.reduced(forms.bd, forms.be)
-    md, me = forms.reduced(forms.md, forms.me)
-    sd = kd - lam * bd - sigma * md
-    se = ke - lam * be - sigma * me
-    n = sd.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = se
-    ab[1, :] = sd
-    ab[2, :-1] = se
-    v = np.ones(n)
-    try:
-        for _ in range(2):
-            v = solve_banded((1, 1), ab, _tri_mv(md, me, v))
-            nrm = np.max(np.abs(v))
-            if not np.isfinite(nrm) or nrm == 0.0:
-                return sigma
-            v = v / nrm
-    except np.linalg.LinAlgError:
+    v = _inverse_iteration(forms, lam, sigma, 2)
+    if v is None:
         return sigma
     kq, bq, mq = forms.quadratics(forms.embed(v))
     if mq <= 0.0:
@@ -266,9 +296,7 @@ def _rayleigh_polish(forms: Forms, lam: float, sigma: float) -> float:
 
 
 def _mu_from_forms(forms: Forms, lam: float) -> float:
-    kd, ke = forms.reduced(forms.kd, forms.ke)
-    bd, be = forms.reduced(forms.bd, forms.be)
-    md, me = forms.reduced(forms.md, forms.me)
+    kd, ke, bd, be, md, me = forms.interior()
     ad = kd - lam * bd
     ae = ke - lam * be
     lo, hi = _pencil_bracket(ad, ae, md, me)
@@ -300,29 +328,23 @@ def mu_curve(
     return [MuCurvePoint(float(l), _mu_from_forms(forms, float(l))) for l in lams]
 
 
-def _root_predicate(forms: Forms):
-    kd, ke = forms.reduced(forms.kd, forms.ke)
-    bd, be = forms.reduced(forms.bd, forms.be)
+def _bracket_and_bisect(forms: Forms) -> float:
+    kd, ke, bd, be, _, _ = forms.interior()
 
     def pred(lam: float) -> bool:
         # mu(lam) < 0 iff K - lam*B has a negative eigenvalue
         return kernels.inertia_with_retry(kd, ke, bd, be, lam) >= 1
 
-    return pred
-
-
-def _bracket_and_bisect(forms: Forms, lam_lo: float) -> float:
-    pred = _root_predicate(forms)
-    if pred(lam_lo):
+    if pred(LAMBDA_FLOOR):
         # Near lambda = 0 the Neumann pencil is within pivot noise of
         # singular and the raw count can fire falsely; trust the polished
         # mu evaluation before declaring the eigenvalue unresolvable.
-        if _mu_from_forms(forms, lam_lo) <= 0.0:
+        if _mu_from_forms(forms, LAMBDA_FLOOR) <= 0.0:
             raise BracketError(
-                f"sign predicate already true at lambda = {lam_lo}: "
+                f"sign predicate already true at lambda = {LAMBDA_FLOOR}: "
                 "eigenvalue below the resolvable floor"
             )
-    lo, hi = lam_lo, 1.0
+    lo, hi = LAMBDA_FLOOR, 1.0
     while not pred(hi):
         lo = hi
         hi *= 2.0
@@ -338,52 +360,35 @@ def _bracket_and_bisect(forms: Forms, lam_lo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _eigenvector(forms: Forms, lam: float) -> np.ndarray:
-    kd, ke = forms.reduced(forms.kd, forms.ke)
-    bd, be = forms.reduced(forms.bd, forms.be)
-    md, me = forms.reduced(forms.md, forms.me)
-    lam_shift = lam * (1.0 + SHIFT_REL)
-    sd = kd - lam_shift * bd
-    se = ke - lam_shift * be
-    n = sd.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = se
-    ab[1, :] = sd
-    ab[2, :-1] = se
-    x = np.ones(n)
-    for _ in range(3):
-        rhs = _tri_mv(md, me, x)
-        x = solve_banded((1, 1), ab, rhs)
-        x = x / np.max(np.abs(x))
+def _eigenpair(forms: Forms, lam: float, norm_forms: Forms) -> EigenPair:
+    """Positive eigenfunction of the eigenvalue lam of ``forms``.
+
+    Three inverse iterations just above lam give the vector.  It is scaled
+    to int m e^{alpha m} phi^2 = 1 by the weighted mass of ``norm_forms``,
+    the forms of the x variable on the same node count (``forms`` itself
+    unless the solve ran in another variable), and returned on its nodes
+    with the relative residual of the pencil.
+    """
+    x = _inverse_iteration(forms, lam * (1.0 + SHIFT_REL), 0.0, 3)
+    if x is None:
+        raise SolverError("inverse iteration for the eigenfunction broke down")
     if x.sum() < 0.0:
         x = -x
-    if forms.dirichlet:
-        full = np.zeros(forms.nodes.size)
-        full[1:-1] = x
-        return full
-    return x
-
-
-def _finalize_pair(forms: Forms, lam: float) -> EigenPair:
-    phi = _eigenvector(forms, lam)
-    interior = phi[1:-1]
+    phi = forms.embed(x)
     # strictly positive up to the noise floor; values below resolution may
     # underflow to zero when the eigenfunction decays over many e-foldings
-    if np.min(interior) < -1e-10 * np.max(phi):
+    if np.min(phi[1:-1]) < -1e-10 * np.max(phi):
         raise SolverError("recovered eigenfunction is not positive")
-    quad = float(np.dot(phi, _tri_mv(forms.bd, forms.be, phi)))
+    quad = float(np.dot(phi, _tri_mv(norm_forms.bd, norm_forms.be, phi)))
     if quad <= 0.0:
         raise SolverError("weighted norm of eigenfunction not positive")
-    phi = phi / math.sqrt(quad)
-    kphi_d, kphi_e = forms.reduced(forms.kd, forms.ke)
-    bphi_d, bphi_e = forms.reduced(forms.bd, forms.be)
-    phir = phi[1:-1] if forms.dirichlet else phi
-    r = _tri_mv(kphi_d, kphi_e, phir) - lam * _tri_mv(bphi_d, bphi_e, phir)
-    scale = np.linalg.norm(_tri_mv(kphi_d, kphi_e, phir)) + abs(lam) * np.linalg.norm(
-        _tri_mv(bphi_d, bphi_e, phir)
-    )
-    residual = float(np.linalg.norm(r) / max(scale, 1e-300))
-    return EigenPair(lam=lam, nodes=forms.nodes, phi=phi, residual=residual)
+    x = x / math.sqrt(quad)
+    kd, ke, bd, be, _, _ = forms.interior()
+    kx = _tri_mv(kd, ke, x)
+    bx = _tri_mv(bd, be, x)
+    scale = np.linalg.norm(kx) + abs(lam) * np.linalg.norm(bx)
+    residual = float(np.linalg.norm(kx - lam * bx) / max(scale, 1e-300))
+    return EigenPair(lam=lam, nodes=norm_forms.nodes, phi=forms.embed(x), residual=residual)
 
 
 def principal_eigenvalue(
@@ -399,13 +404,10 @@ def principal_eigenvalue(
     positive values somewhere; the mass bound itself is not required here
     (it matters for the design problem, not for solvability).
     """
-    if not any(v > 0.0 for v in m.values):
-        raise ValueError("weight has no positive part: no positive principal eigenvalue")
-    if bc.is_neumann and exp_mass(m, params.alpha) >= 0.0:
+    if _zero_regime(m, params, bc):
         return ZeroRegime()
     forms = assemble(m, params, bc, disc)
-    lam = _bracket_and_bisect(forms, 1e-8)
-    return _finalize_pair(forms, lam)
+    return _eigenpair(forms, _bracket_and_bisect(forms), forms)
 
 
 def principal_lambda(
@@ -419,12 +421,9 @@ def principal_lambda(
     Used by scans that evaluate many candidate weights; returns 0.0 in the
     Neumann zero regime.
     """
-    if not any(v > 0.0 for v in m.values):
-        raise ValueError("weight has no positive part: no positive principal eigenvalue")
-    if bc.is_neumann and exp_mass(m, params.alpha) >= 0.0:
+    if _zero_regime(m, params, bc):
         return 0.0
-    forms = assemble(m, params, bc, disc)
-    return _bracket_and_bisect(forms, 1e-8)
+    return _bracket_and_bisect(assemble(m, params, bc, disc))
 
 
 def eigen_cov(
@@ -442,40 +441,16 @@ def eigen_cov(
     """
     from .rearrange import change_of_variable_forward
 
-    if not any(v > 0.0 for v in m.values):
-        raise ValueError("weight has no positive part: no positive principal eigenvalue")
-    if bc.is_neumann and exp_mass(m, params.alpha) >= 0.0:
+    if _zero_regime(m, params, bc):
         return ZeroRegime()
     cov, mt = change_of_variable_forward(m, params.alpha)
-    total = cov.total
-    ynodes = _merge_nodes(disc.n, mt.breakpoints, total)
-    mid = 0.5 * (ynodes[:-1] + ynodes[1:])
-    v = mt.eval_many(mid)
+    ynodes = _merge_nodes(disc.n, mt.breakpoints, cov.total)
+    v = mt.eval_many(0.5 * (ynodes[:-1] + ynodes[1:]))
     weight = v * np.exp(2.0 * params.alpha * v)
     forms = _assemble_on_nodes(ynodes, np.ones_like(v), weight, bc.beta)
-    lam = _bracket_and_bisect(forms, 1e-8)
-    u = _eigenvector(forms, lam)
-    if np.min(u[1:-1]) <= 0.0:
-        raise SolverError("recovered eigenfunction is not positive")
-    xnodes = cov.y_to_x(ynodes)
     # normalize in the x variable, where the convention lives
-    xmid = 0.5 * (xnodes[:-1] + xnodes[1:])
-    vx = m.eval_many(xmid)
-    bforms = _assemble_on_nodes(xnodes, np.exp(params.alpha * vx), vx * np.exp(params.alpha * vx), 0.0)
-    quad = float(np.dot(u, _tri_mv(bforms.bd, bforms.be, u)))
-    if quad <= 0.0:
-        raise SolverError("weighted norm of eigenfunction not positive")
-    phi = u / math.sqrt(quad)
-    kd, ke = forms.reduced(forms.kd, forms.ke)
-    bd, be = forms.reduced(forms.bd, forms.be)
-    ur = u[1:-1] if forms.dirichlet else u
-    r = _tri_mv(kd, ke, ur) - lam * _tri_mv(bd, be, ur)
-    scale = np.linalg.norm(_tri_mv(kd, ke, ur)) + abs(lam) * np.linalg.norm(
-        _tri_mv(bd, be, ur)
-    )
-    return EigenPair(
-        lam=lam,
-        nodes=xnodes,
-        phi=phi,
-        residual=float(np.linalg.norm(r) / max(scale, 1e-300)),
-    )
+    xnodes = cov.y_to_x(ynodes)
+    vx = m.eval_many(0.5 * (xnodes[:-1] + xnodes[1:]))
+    ex = np.exp(params.alpha * vx)
+    xforms = _assemble_on_nodes(xnodes, ex, vx * ex, 0.0)
+    return _eigenpair(forms, _bracket_and_bisect(forms), xforms)

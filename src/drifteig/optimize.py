@@ -227,8 +227,8 @@ def choose_delta(
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, scan_points - 1)]
-    mt_opt, _ = _golden_min(lam_of_mtilde, float(lo), float(hi), 1e-7)
-    if lam_of_mtilde(params.m0) <= lam_of_mtilde(mt_opt) + 1e-12:
+    mt_opt, lam_opt = _golden_min(lam_of_mtilde, float(lo), float(hi), 1e-7)
+    if vals[0] <= lam_opt + 1e-12:  # grid[0] is m0 itself
         mt_opt = params.m0
     active = abs(mt_opt - params.m0) <= 1e-6
     return (1.0 - mt_opt) / (params.kappa + 1.0), active

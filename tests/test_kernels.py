@@ -1,18 +1,10 @@
-"""Kernel correctness against dense linear algebra, on both backends."""
+"""Kernel correctness against dense linear algebra."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from drifteig import _kernels_py
-
-BACKENDS = [("pure", _kernels_py)]
-try:
-    from drifteig import _tridiag
-
-    BACKENDS.append(("compiled", _tridiag))
-except ImportError:  # pragma: no cover
-    pass
 
 
 def _dense(d, e):
@@ -29,20 +21,18 @@ def _random_pencil(rng, n):
     return ad, ae, md, me
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_inertia_matches_dense_eig_count(name, impl, rng):
+def test_inertia_matches_dense_eig_count(rng):
     for trial in range(20):
         n = int(rng.integers(3, 40))
         ad, ae, md, me = _random_pencil(rng, n)
         sigma = float(rng.normal() * 3.0)
-        count, substituted = impl.pencil_inertia(ad, ae, md, me, sigma)
+        count, substituted = _kernels_py.pencil_inertia(ad, ae, md, me, sigma)
         evals = np.linalg.eigvalsh(_dense(ad, ae) - sigma * _dense(md, me))
         assert count == int(np.sum(evals < 0.0))
         assert not substituted
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_smallest_pencil_eigenvalue_matches_scipy(name, impl, rng):
+def test_smallest_pencil_eigenvalue_matches_scipy(rng):
     for trial in range(10):
         n = int(rng.integers(4, 60))
         ad, ae, md, me = _random_pencil(rng, n)
@@ -50,33 +40,20 @@ def test_smallest_pencil_eigenvalue_matches_scipy(name, impl, rng):
             _dense(ad, ae), _dense(md, me), eigvals_only=True
         )[0]
         lo, hi = target - 50.0, target + 50.0
-        got = impl.smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, 1e-12, 1e-12, 200)
+        got = _kernels_py.smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, 1e-12, 1e-12, 200)
         assert got == pytest.approx(target, abs=1e-9, rel=1e-9)
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_zero_pivot_is_flagged_and_substituted(name, impl):
+def test_zero_pivot_is_flagged_and_substituted():
     # leading 1x1 minor singular at sigma = 0: first pivot is exactly zero
     ad = np.array([0.0, 1.0, 1.0])
     ae = np.array([1.0, 0.5])
     md = np.ones(3)
     me = np.zeros(2)
-    count, substituted = impl.pencil_inertia(ad, ae, md, me, 0.0)
+    count, substituted = _kernels_py.pencil_inertia(ad, ae, md, me, 0.0)
     assert substituted
     evals = np.linalg.eigvalsh(_dense(ad, ae))
     assert count == int(np.sum(evals < 0.0))
-
-
-def test_backends_agree(rng):
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled backend not built")
-    for trial in range(10):
-        n = int(rng.integers(3, 50))
-        ad, ae, md, me = _random_pencil(rng, n)
-        sigma = float(rng.normal())
-        assert _kernels_py.pencil_inertia(ad, ae, md, me, sigma) == BACKENDS[1][1].pencil_inertia(
-            ad, ae, md, me, sigma
-        )
 
 
 def test_retry_wrapper_returns_plain_count(rng):

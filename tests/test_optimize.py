@@ -127,6 +127,22 @@ class TestActiveConstraint:
         assert delta == pytest.approx(DSTAR, abs=1e-6)
         assert active
 
+    def test_scan_evaluates_each_point_once(self, params, monkeypatch):
+        # the scan already holds the value at m0 and the golden search the
+        # value at its minimizer; neither is solved again
+        from drifteig import transcend
+
+        seen = []
+        root = transcend.transcendental_root
+
+        def counting(xi, beta, tp):
+            seen.append((xi, beta, tp.delta))
+            return root(xi, beta, tp)
+
+        monkeypatch.setattr(transcend, "transcendental_root", counting)
+        choose_delta(params, 10.0)
+        assert seen and len(seen) == len(set(seen)), len(seen) - len(set(seen))
+
 
 class TestSweep:
     def test_rows_and_asymptote(self, params):
