@@ -1,43 +1,30 @@
-"""The tridiagonal pencil kernels: LDL^T pivot-sign counts and bisection.
+"""The tridiagonal pencil kernels: a definiteness test and bisection.
 
-Plain Python loops over the diagonals, O(n) per pivot count.  The solver
-reaches them through ``kernels``, which adds the breakdown retry.  Their
-cost per workload is in the benchmark's ``kernels.*`` metrics
-(``perfbench/run.py --trace 1``).
+``pencil_inertia`` asks LAPACK's ``dpttrf`` (through scipy) whether
+A - sigma*B is positive definite; the LDL^T factorization stops at the
+first non-positive pivot, and that stop is the answer.  The solver reaches
+both kernels through ``kernels``.  Their cost per workload is in the
+benchmark's ``kernels.*`` metrics (``perfbench/run.py --trace 1``).
 """
 
 from __future__ import annotations
 
-
-def _pivot_floor(ae, be, sigma):
-    mx = 1.0
-    for a, b in zip(ae, be):
-        w = abs(a - sigma * b)
-        if w > mx:
-            mx = w
-    return 1e-290 * mx * mx
+from scipy.linalg.lapack import dpttrf
 
 
 def pencil_inertia(ad, ae, bd, be, sigma):
-    """Count eigenvalues of A - sigma*B below zero (LDL^T pivot signs)."""
-    floor = _pivot_floor(ae, be, sigma)
-    substituted = False
-    count = 0
-    d = ad[0] - sigma * bd[0]
-    if abs(d) < floor:
-        d = -floor
-        substituted = True
-    if d < 0.0:
-        count += 1
-    for i in range(1, len(ad)):
-        off = ae[i - 1] - sigma * be[i - 1]
-        d = ad[i] - sigma * bd[i] - off * off / d
-        if abs(d) < floor:
-            d = -floor
-            substituted = True
-        if d < 0.0:
-            count += 1
-    return count, substituted
+    """(1 if A - sigma*B is not positive definite else 0, False).
+
+    Both callers only test the first item, the sign of the smallest pencil
+    eigenvalue relative to sigma.  The second item is always False; it
+    stays as the slot the benchmark's tracer reads.
+    """
+    d = ad - sigma * bd
+    if d.size == 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
+        return int(d[0] <= 0.0), False
+    e = ae - sigma * be
+    info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
+    return int(info != 0), False
 
 
 def smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, atol, rtol, max_iter):
@@ -47,13 +34,8 @@ def smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, atol, rtol, max_iter):
         mid = lo + 0.5 * width
         if width <= atol + rtol * abs(mid):
             break
-        probe = mid
-        count, subst = pencil_inertia(ad, ae, md, me, probe)
-        if subst:
-            probe = mid + 1e-3 * width + 1e-13 * abs(mid)
-            count, _ = pencil_inertia(ad, ae, md, me, probe)
-        if count >= 1:
-            hi = probe
+        if pencil_inertia(ad, ae, md, me, mid)[0]:
+            hi = mid
         else:
-            lo = probe
+            lo = mid
     return lo + 0.5 * (hi - lo)

@@ -34,7 +34,7 @@ from .weights import (
 )
 
 DEFAULT_SEED = 0xE16E
-KNOWN_KEYS = {"params", "boundary", "weight", "sweep", "grid_n", "tolerances", "output", "seed"}
+KNOWN_KEYS = {"params", "boundary", "weight", "sweep", "grid_n", "output", "seed"}
 PARAM_KEYS = {"alpha", "kappa", "m0"}
 
 EXIT_OK = 0
@@ -604,11 +604,11 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ main --
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, grid: bool = True) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output directory (default out/)")
-    p.add_argument("--n", type=int, help="grid cells for the discretized solver")
-    p.add_argument("--seed", help="hex seed for randomized checks")
+    if grid:
+        p.add_argument("--n", type=int, help="grid cells for the discretized solver")
     p.add_argument("--params", help="override constants, e.g. alpha=0.2,kappa=1,m0=0.4")
 
 
@@ -635,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eig)
 
     p = sub.add_parser("root", help="transcendental root for an interval weight")
-    _add_common(p)
+    _add_common(p, grid=False)
     _add_boundary_flags(p)
     p.add_argument("--xi", type=float, help="interval left endpoint (default 0)")
     p.add_argument("--delta", type=float, help="interval length (default delta*)")
@@ -660,6 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the built-in property battery")
     _add_common(p)
+    p.add_argument("--seed", help="hex seed for randomized checks")
     p.set_defaults(func=cmd_verify)
 
     return parser

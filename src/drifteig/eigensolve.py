@@ -13,9 +13,9 @@ forms are symmetric tridiagonal.
 The positive principal eigenvalue is characterized through the auxiliary
 curve mu(lambda) = smallest eigenvalue of the pencil (K - lambda*B, M0):
 mu is concave, mu(lambda) = 0 exactly at principal eigenvalues, and the
-sign of mu equals the sign predicate "K - lambda*B has no negative
-eigenvalue", which a single LDL^T pivot count answers in O(n).  Root
-location therefore bisects on that count instead of resolving mu at every
+sign of mu equals the sign predicate "K - lambda*B is positive definite",
+which one LDL^T factorization (LAPACK ``dpttrf``) answers in O(n).  Root
+location therefore bisects on that test instead of resolving mu at every
 probe.
 
 All entry points share one core: ``_zero_regime`` validates the weight and
@@ -23,7 +23,7 @@ detects the Neumann zero regime, ``_bracket_and_bisect`` locates lambda,
 and ``_inverse_iteration`` serves both the Rayleigh polish of mu and the
 eigenfunction that ``_eigenpair`` normalizes and checks.  ``eigen_cov``
 runs the same core on the drift-free forms of the change of variable.  The
-pivot counts are the pure-Python loops in ``kernels``.
+definiteness test and the mu bisection are in ``kernels``.
 """
 
 from __future__ import annotations
@@ -276,8 +276,8 @@ def _inverse_iteration(forms: Forms, lam: float, sigma: float, steps: int):
 def _rayleigh_polish(forms: Forms, lam: float, sigma: float) -> float:
     """Refine the pencil eigenvalue estimate sigma of (K - lam*B, M0).
 
-    The bisection estimate is limited by the rounding of the pivot
-    recurrence (about eps * matrix scale).  Two inverse iterations give the
+    The bisection estimate is limited by the rounding of the LDL^T
+    pivots (about eps * matrix scale).  Two inverse iterations give the
     eigenvector, and its elementwise Rayleigh quotient (kq - lam*bq) / mq
     is accurate to the residual squared: every quadratic form is a sum over
     elements with no large cancellations.
@@ -332,12 +332,12 @@ def _bracket_and_bisect(forms: Forms) -> float:
     kd, ke, bd, be, _, _ = forms.interior()
 
     def pred(lam: float) -> bool:
-        # mu(lam) < 0 iff K - lam*B has a negative eigenvalue
-        return kernels.inertia_with_retry(kd, ke, bd, be, lam) >= 1
+        # mu(lam) <= 0 iff K - lam*B is not positive definite
+        return kernels.pencil_inertia(kd, ke, bd, be, lam)[0] >= 1
 
     if pred(LAMBDA_FLOOR):
         # Near lambda = 0 the Neumann pencil is within pivot noise of
-        # singular and the raw count can fire falsely; trust the polished
+        # singular and the raw test can fire falsely; trust the polished
         # mu evaluation before declaring the eigenvalue unresolvable.
         if _mu_from_forms(forms, LAMBDA_FLOOR) <= 0.0:
             raise BracketError(

@@ -2,8 +2,9 @@
 
 perfbench/run.py imports drifteig, drifteig._kernels_py and drifteig.cli and
 refuses to run unless KERNEL_BACKEND is "pure"; with --trace 1 it wraps
-every (module, attribute) that perfbench/tracing.py lists in TARGETS.
-These tests fail when a change to the package would break either.
+every (module, attribute) that perfbench/tracing.py lists in TARGETS and
+reads the wrapped functions' outputs.  These tests fail when a change to
+the package would break any of that.
 """
 
 import importlib.util
@@ -12,9 +13,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import drifteig
 import drifteig._kernels_py  # noqa: F401
 import drifteig.cli  # noqa: F401
+from drifteig import Boundary, ModelParams, make_discretization, random_admissible
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +52,24 @@ def test_backend_is_pure_in_a_clean_environment():
     )
     assert done.stdout.split() == ["pure"]
     assert drifteig.KERNEL_BACKEND == "pure"
+
+
+def test_tracer_runs_end_to_end():
+    # drifteig.cli and drifteig._kernels_py are imported above, as run.py does
+    # before it installs the tracer
+    tracer = _load_tracing().Tracer(drifteig)
+    params = ModelParams(0.2, 1.0, 0.4)
+    m = random_admissible(params, np.random.default_rng(3))
+    disc = make_discretization(200, m)
+    bc = Boundary.robin(1.0)
+    tracer.install()
+    try:
+        drifteig.eigensolve.principal_eigenvalue(m, params, bc, disc)
+        drifteig.eigensolve.mu_of_lambda(m, params, bc, disc, 5.0)
+    finally:
+        tracer.uninstall()
+    got = {k: v for k, (v, _) in tracer.summary(0, len(tracer.spans)).items()}
+    assert got["kernels.pencil_inertia.calls"] > 0
+    assert got["kernels.smallest_pencil_eigenvalue.calls"] == 1
+    assert got["eigensolve.principal_eigenvalue.calls"] == 1
+    assert got["kernels.pivot_substituted"] == 0

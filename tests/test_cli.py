@@ -199,8 +199,9 @@ class TestConfig:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"params": {}, "mystery": 1}))
-        assert cli.main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        for bad in ({"params": {}, "mystery": 1}, {"tolerances": {}}):
+            cfg.write_text(json.dumps(bad))
+            assert cli.main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_params_flag_rejected(self, tmp_path):
         assert cli.main(["eig", "--params", "alpha=oops", "--out", str(tmp_path / "o")]) == 2

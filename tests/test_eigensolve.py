@@ -22,7 +22,7 @@ from drifteig import (
     random_admissible,
     transcendental_root,
 )
-from drifteig.eigensolve import AssemblyError, Discretization, assemble
+from drifteig.eigensolve import AssemblyError, Discretization, assemble, principal_lambda
 
 ONE = PiecewiseWeight((0.0, 1.0), (1.0,))
 PI2 = math.pi**2
@@ -126,6 +126,15 @@ class TestPrincipalEigenvalue:
             p = ModelParams(alpha, 1.0, 0.4)
             pair = principal_eigenvalue(ONE, p, Boundary.dirichlet(), disc)
             assert pair.lam == pytest.approx(PI2, rel=1e-3)
+
+    def test_one_unknown_dirichlet(self):
+        # n = 2 leaves one interior node: K = 4 e^{0.1}, B = e^{0.1} / 6
+        m = PiecewiseWeight((0.0, 1.0), (0.5,))
+        p = ModelParams(0.2, 1.0, 0.4)
+        disc = make_discretization(2, m)
+        bc = Boundary.dirichlet()
+        assert principal_eigenvalue(m, p, bc, disc).lam == pytest.approx(24.0, rel=1e-9)
+        assert principal_lambda(m, p, bc, disc) == pytest.approx(24.0, rel=1e-9)
 
     def test_neumann_constant_kappa_zero_regime(self, params):
         disc = make_discretization(100, ONE)
