@@ -129,11 +129,11 @@ def _build_weight(cfg: dict, args, params: ModelParams) -> PiecewiseWeight:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read weight file: {exc}") from exc
     if getattr(args, "xi", None) is not None or getattr(args, "delta", None) is not None:
-        delta = args.delta if args.delta is not None else (1.0 - params.m0) / (params.kappa + 1.0)
+        delta = args.delta if args.delta is not None else optimize.delta_star(params)
         xi = args.xi if args.xi is not None else 0.0
         spec = {"bangbang": {"xi": xi, "delta": delta}}
     if spec is None:
-        spec = {"bangbang": {"xi": 0.0, "delta": (1.0 - params.m0) / (params.kappa + 1.0)}}
+        spec = {"bangbang": {"xi": 0.0, "delta": optimize.delta_star(params)}}
     if not isinstance(spec, dict):
         raise ConfigError(f"weight must be a JSON object, got {spec!r}")
     try:
@@ -269,10 +269,10 @@ def cmd_root(args) -> int:
     params = _build_params(cfg, args)
     bc = _build_boundary(cfg, args)
     out = _out_dir(cfg, args)
-    delta = args.delta if args.delta is not None else (1.0 - params.m0) / (params.kappa + 1.0)
+    delta = args.delta if args.delta is not None else optimize.delta_star(params)
     xi = args.xi if args.xi is not None else 0.0
     try:
-        tp = transcend.TranscendParams(params=params, delta=delta, beta=bc.beta)
+        tp = transcend.TranscendParams(params=params, delta=delta)
         bcrit = transcend.beta_crit(tp)
         if bc.is_dirichlet:
             lam = transcend.dirichlet_root(tp, xi=xi)
@@ -378,9 +378,7 @@ def cmd_sweep(args) -> int:
     )
     plot_lines = [f"{_jsonable(r.beta)} {r.lambda_star!r}" for r in rows]
     _atomic_write(os.path.join(out, "sweep_plot.dat"), "\n".join(plot_lines) + "\n")
-    tp = transcend.TranscendParams(
-        params=params, delta=(1.0 - params.m0) / (params.kappa + 1.0), beta=0.0
-    )
+    tp = transcend.TranscendParams(params=params, delta=optimize.delta_star(params))
     _write_json(
         os.path.join(out, "sweep.json"),
         {
@@ -519,10 +517,10 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
             worst = min(worst, mus[2].mu - chord)
         return worst, worst >= -1e-9, "min(mu(mid) - chord) over 20 triples"
 
-    dstar = (1.0 - params.m0) / (params.kappa + 1.0)
+    dstar = optimize.delta_star(params)
+    tp = transcend.TranscendParams(params=params, delta=dstar)
 
     def trichotomy():
-        tp = transcend.TranscendParams(params=params, delta=dstar, beta=0.0)
         bcrit = transcend.beta_crit(tp)
         low = optimize.locate_optimal_interval(0.5 * bcrit, dstar, params, grid_n=n)
         high = optimize.locate_optimal_interval(2.0 * bcrit, dstar, params, grid_n=n)
@@ -534,9 +532,8 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
         # go through the placement rule
         excess = -math.inf
         for opt in (low, high):
-            tp_opt = transcend.TranscendParams(params=params, delta=dstar, beta=opt.beta)
             for x in np.linspace(0.0, 1.0 - dstar, 33):
-                root = transcend.transcendental_root(float(x), opt.beta, tp_opt)
+                root = transcend.transcendental_root(float(x), opt.beta, tp)
                 excess = max(excess, opt.lambda_star / root - 1.0)
         ok = worst <= 1e-6 and flat <= 1e-8 and excess <= 1e-12
         return (
@@ -562,9 +559,7 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
         w = BangBangInterval(0.0, dstar, params).weight()
         disc = eigensolve.make_discretization(n, w)
         lam_grid = eigensolve.principal_eigenvalue(w, params, Boundary.robin(1.0), disc).lam
-        lam_root = transcend.transcendental_root(
-            0.0, 1.0, transcend.TranscendParams(params=params, delta=dstar, beta=1.0)
-        )
+        lam_root = transcend.transcendental_root(0.0, 1.0, tp)
         rel = abs(lam_grid - lam_root) / lam_root
         return rel, rel <= 1e-4, f"grid n={n} vs transcendental root at beta=1"
 
@@ -628,37 +623,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="drifteig", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eig", help="principal eigenvalue of one configuration")
+    p = sub.add_parser("eig", help="principal eigenvalue of one configuration", allow_abbrev=False)
     _add_common(p)
     _add_boundary_flags(p)
     _add_weight_flags(p)
     p.set_defaults(func=cmd_eig)
 
-    p = sub.add_parser("root", help="transcendental root for an interval weight")
+    p = sub.add_parser(
+        "root", help="transcendental root for an interval weight", allow_abbrev=False
+    )
     _add_common(p, grid=False)
     _add_boundary_flags(p)
     p.add_argument("--xi", type=float, help="interval left endpoint (default 0)")
     p.add_argument("--delta", type=float, help="interval length (default delta*)")
     p.set_defaults(func=cmd_root)
 
-    p = sub.add_parser("locate", help="optimal interval location")
+    p = sub.add_parser("locate", help="optimal interval location", allow_abbrev=False)
     _add_common(p)
     _add_boundary_flags(p)
     p.add_argument("--delta", type=float, help="interval length (default: policy)")
     p.set_defaults(func=cmd_locate)
 
-    p = sub.add_parser("sweep", help="beta sweep of the optimal eigenvalue")
+    p = sub.add_parser("sweep", help="beta sweep of the optimal eigenvalue", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--sweep", help="start:stop:points[:scale]")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("rearrange", help="unimodal rearrangement of a weight")
+    p = sub.add_parser("rearrange", help="unimodal rearrangement of a weight", allow_abbrev=False)
     _add_common(p)
     _add_boundary_flags(p)
     _add_weight_flags(p)
     p.set_defaults(func=cmd_rearrange)
 
-    p = sub.add_parser("verify", help="run the built-in property battery")
+    p = sub.add_parser("verify", help="run the built-in property battery", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--seed", help="hex seed for randomized checks")
     p.set_defaults(func=cmd_verify)

@@ -98,7 +98,8 @@ def _golden_min(f, a: float, b: float, tol: float):
     return x, f(x)
 
 
-def _delta_star(params: ModelParams) -> float:
+def delta_star(params: ModelParams) -> float:
+    """Interval length delta* = (1 - m0)/(kappa + 1) that saturates the mass bound."""
     return (1.0 - params.m0) / (params.kappa + 1.0)
 
 
@@ -115,17 +116,17 @@ def _optimal_xi(beta: float, bcrit: float, delta: float) -> float:
     return 0.0 if beta < bcrit else _xi_center(delta)
 
 
-def _interval_lambda(xi: float, tp: transcend.TranscendParams, grid_n: int) -> float:
+def _interval_lambda(xi: float, beta: float, tp: transcend.TranscendParams, grid_n: int) -> float:
     """Principal eigenvalue of the interval weight at xi.
 
     The transcendental root for finite beta; the discretized solver for
-    Dirichlet conditions, where only xi = 0 has a closed form.
+    Dirichlet conditions (beta = +inf), where only xi = 0 has a closed form.
     """
-    if math.isinf(tp.beta):
+    if beta == math.inf:
         w = BangBangInterval(xi, tp.delta, tp.params).weight()
         disc = eigensolve.make_discretization(grid_n, w)
         return eigensolve.principal_lambda(w, tp.params, Boundary.dirichlet(), disc)
-    return transcend.transcendental_root(xi, tp.beta, tp)
+    return transcend.transcendental_root(xi, beta, tp)
 
 
 def locate_optimal_interval(
@@ -143,13 +144,13 @@ def locate_optimal_interval(
     Dirichlet conditions the discretized solver is anchored at xi = 0
     against the closed-form Dirichlet root.
     """
-    tp = transcend.TranscendParams(params=params, delta=delta, beta=beta)
+    tp = transcend.TranscendParams(params=params, delta=delta)
     bcrit = transcend.beta_crit(tp)
-    mass_active = abs(delta - _delta_star(params)) <= 1e-12
+    mass_active = abs(delta - delta_star(params)) <= 1e-12
 
-    if math.isinf(beta):
+    if beta == math.inf:
         anchor = transcend.dirichlet_root(tp)
-        got = _interval_lambda(0.0, tp, grid_n)
+        got = _interval_lambda(0.0, beta, tp, grid_n)
         if abs(got - anchor) > 1e-3 * anchor:
             raise eigensolve.SolverError(
                 f"Dirichlet anchor mismatch at xi=0: grid {got} vs closed form {anchor}"
@@ -163,7 +164,7 @@ def locate_optimal_interval(
     return DesignOptimum(
         xi_star=xi_star,
         delta=delta,
-        lambda_star=_interval_lambda(xi_star, tp, grid_n),
+        lambda_star=_interval_lambda(xi_star, beta, tp, grid_n),
         regime=regime,
         mass_active=mass_active,
         beta=beta,
@@ -179,15 +180,13 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
     applies, with b* the critical coefficient at advection 1/2 and xi* the
     centered left endpoint.
     """
-    dstar = _delta_star(params)
+    dstar = delta_star(params)
     xi_star = (params.kappa + params.m0) / (2.0 * (1.0 + params.kappa))
-    tp = transcend.TranscendParams(params=params, delta=dstar, beta=0.0)
+    tp = transcend.TranscendParams(params=params, delta=dstar)
     if not math.isinf(beta) and beta < transcend.beta_crit(tp) - DEGENERATE_BAND:
         return True
     half = ModelParams(alpha=0.5, kappa=params.kappa, m0=params.m0)
-    beta_half = transcend.beta_crit(
-        transcend.TranscendParams(params=half, delta=dstar, beta=0.0)
-    )
+    beta_half = transcend.beta_crit(transcend.TranscendParams(params=half, delta=dstar))
     s2 = math.sinh(beta_half * xi_star) ** 2
     return params.alpha < s2 / (1.0 + 2.0 * s2)
 
@@ -196,9 +195,9 @@ def _best_lambda_for_delta(
     beta: float, delta: float, params: ModelParams, grid_n: int
 ) -> float:
     """min over xi of the interval eigenvalue, at the trichotomy's xi."""
-    tp = transcend.TranscendParams(params=params, delta=delta, beta=beta)
+    tp = transcend.TranscendParams(params=params, delta=delta)
     xi = _optimal_xi(beta, transcend.beta_crit(tp), delta)
-    return _interval_lambda(xi, tp, grid_n)
+    return _interval_lambda(xi, beta, tp, grid_n)
 
 
 def choose_delta(
@@ -214,7 +213,7 @@ def choose_delta(
     amount is scanned over [m0, 1) with refinement, and the constraint is
     reported active when the scan returns to the bound.
     """
-    dstar = _delta_star(params)
+    dstar = delta_star(params)
     if active_constraint_condition(params, beta):
         return dstar, True
 

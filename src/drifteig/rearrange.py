@@ -61,18 +61,10 @@ class ChangeOfVariable:
         return float(self.y_breakpoints[-1])
 
     def x_to_y(self, x):
-        return self._interp(np.asarray(x, dtype=float), self.x_breakpoints, self.y_breakpoints)
+        return np.interp(x, self.x_breakpoints, self.y_breakpoints)
 
     def y_to_x(self, y):
-        return self._interp(np.asarray(y, dtype=float), self.y_breakpoints, self.x_breakpoints)
-
-    @staticmethod
-    def _interp(t, src, dst):
-        idx = np.searchsorted(src, t, side="right") - 1
-        idx = np.clip(idx, 0, src.size - 2)
-        frac = (t - src[idx]) / (src[idx + 1] - src[idx])
-        out = dst[idx] + frac * (dst[idx + 1] - dst[idx])
-        return out if out.ndim else float(out)
+        return np.interp(y, self.y_breakpoints, self.x_breakpoints)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,11 +4,10 @@ For m = (kappa+1) * chi_(xi, xi+delta) - 1 with Robin coefficient beta, the
 principal eigenvalue is the first positive root of a scalar transcendental
 equation F(xi, beta, lambda) = 0 built from trigonometric terms inside the
 resource interval and hyperbolic terms outside.  This module evaluates F
-and its pieces, locates the first admissible root (the one with
-sin(sqrt(lambda*kappa)*delta) > 0), computes the critical Robin coefficient
-at which the optimal interval location switches from the boundary to the
-center, and reconstructs the closed-form eigenfunction for cross-checks
-against the discretized solver.
+and its pieces, locates the first positive root, computes the critical
+Robin coefficient at which the optimal interval location switches from the
+boundary to the center, and reconstructs the closed-form eigenfunction for
+cross-checks against the discretized solver.
 """
 
 from __future__ import annotations
@@ -42,13 +41,10 @@ class TranscendParams:
 
     params: ModelParams
     delta: float
-    beta: float
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.beta >= 0.0:  # false for NaN; +inf is the Dirichlet limit
-            raise ValueError(f"beta must be >= 0 or inf, got {self.beta}")
 
 
 def _shorthands(tp: TranscendParams, beta: float):
@@ -82,17 +78,18 @@ def F_components(xi: float, beta: float, lam: float, tp: TranscendParams):
     return f_s, f_c, f
 
 
-def _f_scaled(xi: float, beta: float, lam: float, tp: TranscendParams) -> float:
+def _f_scaled(xi: float, beta: float, lam, tp: TranscendParams):
     """F multiplied by 2 e^{-sqrt(lam)(1-d)}: same roots, no overflow.
 
     All hyperbolic terms are rewritten with non-positive exponents, so the
-    function stays finite for arbitrarily large lambda.
+    function stays finite for arbitrarily large lambda.  lam may be an
+    array; the result then has its shape.
     """
     a, k, d, big_k, b = _shorthands(tp, beta)
-    s = math.sqrt(lam)
+    s = np.sqrt(lam)
     t = s * (1.0 - d)
-    e2 = math.exp(-2.0 * t)
-    ch_mid = math.exp(-2.0 * s * xi) + math.exp(-2.0 * s * (1.0 - xi - d))
+    e2 = np.exp(-2.0 * t)
+    ch_mid = np.exp(-2.0 * s * xi) + np.exp(-2.0 * s * (1.0 - xi - d))
     f_s = (
         b * s * (big_k - 1.0) * (1.0 - e2)
         + 0.5 * (1.0 + big_k) * (lam - b * b) * ch_mid
@@ -100,7 +97,7 @@ def _f_scaled(xi: float, beta: float, lam: float, tp: TranscendParams) -> float:
     )
     f_c = (lam + b * b) * (1.0 - e2) + 2.0 * b * s * (1.0 + e2)
     theta = s * math.sqrt(k) * d
-    return -f_s * math.sin(theta) + math.sqrt(k) * math.exp(a * (k + 1.0)) * f_c * math.cos(theta)
+    return -f_s * np.sin(theta) + math.sqrt(k) * math.exp(a * (k + 1.0)) * f_c * np.cos(theta)
 
 
 def _interval_exp_mass(tp: TranscendParams) -> float:
@@ -111,16 +108,15 @@ def _interval_exp_mass(tp: TranscendParams) -> float:
 def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     """First positive root of F(xi, beta, .), i.e. the principal eigenvalue.
 
-    The scan runs in the sqrt(lambda) variable over the first period where
-    sin(sqrt(lam k) d) > 0; the step keeps every bracket free of zeros of
-    the sin guard, and candidates failing the guard are rejected as
-    spurious.
+    F is sampled once, in the sqrt(lambda) variable, on geometrically
+    growing steps s_j = (1 + 1e-4)(1 + step)^j - 1 up to just below
+    pi / (sqrt(k) d).  Every sample keeps sqrt(lam k) d inside (0, pi), the
+    first period of sin, so the first sign change is the principal root;
+    Brent's method refines it.
     """
     k, d = tp.params.kappa, tp.delta
-    if math.isinf(beta):
-        raise ValueError("finite beta required; use dirichlet_root for beta = inf")
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:  # false for NaN
+        raise ValueError(f"beta must lie in [0, inf), got {beta}; use dirichlet_root for inf")
     if not -1e-12 <= xi <= 1.0 - d + 1e-12:
         raise ValueError(f"xi = {xi} outside [0, 1 - delta]")
     if beta == 0.0 and _interval_exp_mass(tp) >= 0.0:
@@ -130,34 +126,24 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
         )
     sk = math.sqrt(k)
     s_max = math.pi / (sk * d) * (1.0 - 1e-12)
-    step_base = min(0.01, math.pi / (8.0 * sk * d))
-
-    def g(s: float) -> float:
-        return _f_scaled(xi, beta, s * s, tp)
-
-    s_prev = 1e-4
-    g_prev = g(s_prev)
-    samples = [(s_prev, g_prev)]
-    while s_prev < s_max:
-        s_next = min(s_prev + step_base * (1.0 + s_prev), s_max)
-        g_next = g(s_next)
-        samples.append((s_next, g_next))
-        if g_prev == 0.0:
-            s_root = s_prev
-        elif g_prev * g_next < 0.0:
-            s_root = brentq(g, s_prev, s_next, xtol=1e-15, rtol=8.9e-16)
-        else:
-            s_prev, g_prev = s_next, g_next
-            if s_prev >= s_max:
-                break
-            continue
-        if math.sin(s_root * sk * d) > 0.0:
-            return s_root * s_root
-        s_prev, g_prev = s_next, g_next  # spurious root: keep scanning
-    raise RootNotFoundError(
-        f"no admissible root in (0, {s_max**2:.6g}); "
-        f"first/last samples {samples[:2]} ... {samples[-2:]}"
+    step = min(0.01, math.pi / (8.0 * sk * d))
+    j_end = max(math.ceil(math.log((1.0 + s_max) / (1.0 + 1e-4)) / math.log1p(step)), 0)
+    s = np.minimum((1.0 + 1e-4) * (1.0 + step) ** np.arange(j_end + 1) - 1.0, s_max)
+    g = _f_scaled(xi, beta, s * s, tp)
+    change = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
+    if change.size == 0:
+        samples = list(zip(s.tolist(), g.tolist()))
+        raise RootNotFoundError(
+            f"no admissible root in (0, {s_max**2:.6g}); "
+            f"first/last samples {samples[:2]} ... {samples[-2:]}"
+        )
+    j = change[0]
+    if g[j] == 0.0:
+        return float(s[j] * s[j])
+    s_root = brentq(
+        lambda x: _f_scaled(xi, beta, x * x, tp), s[j], s[j + 1], xtol=1e-15, rtol=8.9e-16
     )
+    return s_root * s_root
 
 
 def dirichlet_root(tp: TranscendParams, xi: float = 0.0) -> float:
@@ -337,8 +323,8 @@ def closed_form_eigenfunction(
     xi: float, beta: float, lam: float, tp: TranscendParams
 ) -> ClosedFormEigenfunction:
     """Assemble the closed-form eigenfunction at a converged root lam."""
-    if math.isinf(beta):
-        raise ValueError("closed-form eigenfunction is for finite beta only")
+    if not 0.0 <= beta < math.inf:  # false for NaN
+        raise ValueError(f"closed-form eigenfunction needs beta in [0, inf), got {beta}")
     k, d = tp.params.kappa, tp.delta
     m11, m12, m21, m22 = _matching_matrix(xi, beta, lam, tp)
     det = m11 * m22 - m12 * m21

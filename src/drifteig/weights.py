@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 MASS_SLACK = 1e-12  # absolute slack on the mass constraint (float summation)
 
@@ -213,43 +214,22 @@ def exp_mass(m: PiecewiseWeight, alpha: float) -> float:
     return float(np.dot(v * np.exp(alpha * v), m.lengths))
 
 
-def _exp_mass_slope(m: PiecewiseWeight, alpha: float) -> float:
-    # d/dalpha int m e^{alpha m} = int m^2 e^{alpha m} > 0 for m != 0
-    v = np.asarray(m.values)
-    return float(np.dot(v * v * np.exp(alpha * v), m.lengths))
-
-
 def alpha_star(m: PiecewiseWeight) -> float:
     """Advection threshold: the unique root of alpha -> int m e^{alpha m}.
 
     Returns 0 when the integral is already nonnegative at alpha = 0, and
     +inf when m <= 0 everywhere or no root exists below the overflow
-    bracket.  The map is strictly increasing in alpha, so a safeguarded
-    Newton iteration with a shrinking bracket is enough.
+    bracket.  The map is strictly increasing in alpha, so Brent's method on
+    [0, ALPHA_STAR_BRACKET] finds the root.
     """
     lengths = m.lengths
     if not any(v > 0.0 and ell > 0.0 for v, ell in zip(m.values, lengths)):
         return math.inf
     if exp_mass(m, 0.0) >= 0.0:
         return 0.0
-    lo, hi = 0.0, ALPHA_STAR_BRACKET
-    if exp_mass(m, hi) < 0.0:
+    if exp_mass(m, ALPHA_STAR_BRACKET) < 0.0:
         return math.inf
-    a = min(1.0, hi)
-    for _ in range(200):
-        f = exp_mass(m, a)
-        if f < 0.0:
-            lo = a
-        else:
-            hi = a
-        step = f / _exp_mass_slope(m, a)
-        a_new = a - step
-        if not lo < a_new < hi:
-            a_new = 0.5 * (lo + hi)
-        if abs(a_new - a) <= 1e-15 * max(1.0, a):
-            return a_new
-        a = a_new
-    return a
+    return brentq(lambda a: exp_mass(m, a), 0.0, ALPHA_STAR_BRACKET, xtol=1e-15, rtol=8.9e-16)
 
 
 def abar(params: ModelParams) -> float:

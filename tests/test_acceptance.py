@@ -55,7 +55,7 @@ def _finish(name, t0, budget, checks):
 
 
 def test_criterion_1_critical_robin_coefficient():
-    tp = TranscendParams(params=FIG_PARAMS, delta=DSTAR, beta=0.0)
+    tp = TranscendParams(params=FIG_PARAMS, delta=DSTAR)
     best = math.inf
     for _ in range(3):
         tick = time.perf_counter()
@@ -105,7 +105,7 @@ def test_criterion_3_oracle_agreement():
         xi = float(rng.uniform(0.0, 0.5 * (1.0 - delta)))
         beta = float(np.exp(rng.uniform(math.log(0.2), math.log(20.0))))
         p = ModelParams(alpha, kappa, 0.4)
-        tp = TranscendParams(params=p, delta=delta, beta=beta)
+        tp = TranscendParams(params=p, delta=delta)
         lam_root = transcendental_root(xi, beta, tp)
         w = BangBangInterval(xi, delta, p).weight()
         pair = principal_eigenvalue(w, p, Boundary.robin(beta), make_discretization(4000, w))
@@ -208,7 +208,7 @@ def test_criterion_7_trichotomy():
                 alpha = frac * min(0.5, abar(ModelParams(0.0, kappa, m0)))
                 p = ModelParams(alpha, kappa, m0)
                 dstar = (1.0 - m0) / (kappa + 1.0)
-                tp = TranscendParams(params=p, delta=dstar, beta=0.0)
+                tp = TranscendParams(params=p, delta=dstar)
                 bc = beta_crit(tp)
                 low = locate_optimal_interval(0.6 * bc, dstar, p)
                 high = locate_optimal_interval(1.7 * bc, dstar, p)
@@ -222,9 +222,8 @@ def test_criterion_7_trichotomy():
                 # independent of the placement rule: lambda* is no higher
                 # than the root anywhere on the full range of xi
                 for opt in (low, high):
-                    tp_opt = TranscendParams(params=p, delta=dstar, beta=opt.beta)
                     for x in np.linspace(0.0, 1.0 - dstar, 33):
-                        root = transcendental_root(float(x), opt.beta, tp_opt)
+                        root = transcendental_root(float(x), opt.beta, tp)
                         worst_excess = max(worst_excess, opt.lambda_star / root - 1.0)
                 vals = [
                     transcendental_root(float(x), bc, tp)
@@ -265,7 +264,7 @@ def test_criterion_8_sweep_reproduction(dirichlet_gap_coefficient):
 
     # refine the regime switch by the non-circular ordering flip of the
     # two candidate locations, then check the bracket sits on 3.2232
-    tp = TranscendParams(params=FIG_PARAMS, delta=DSTAR, beta=0.0)
+    tp = TranscendParams(params=FIG_PARAMS, delta=DSTAR)
 
     def boundary_wins(beta):
         return transcendental_root(0.0, beta, tp) < transcendental_root(0.35, beta, tp)

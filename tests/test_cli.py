@@ -77,9 +77,17 @@ class TestRoot:
         rc = cli.main(["root", "--beta", "1.0", "--out", str(tmp_path / "o")])
         assert rc == 0
         lam = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
-        tp = TranscendParams(params=ModelParams(0.2, 1.0, 0.4), delta=0.3, beta=1.0)
+        tp = TranscendParams(params=ModelParams(0.2, 1.0, 0.4), delta=0.3)
         lhs, rhs = regime_equations(1.0, lam, tp)
         assert abs(lhs - rhs) <= 1e-8
+
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys):
+        # "--n" must not be read as a prefix of "--neumann"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["root", "--n", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweep:

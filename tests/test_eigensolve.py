@@ -146,7 +146,7 @@ class TestPrincipalEigenvalue:
         w = BangBangInterval(0.0, 0.3, params).weight()
         disc = make_discretization(4000, w)
         pair = principal_eigenvalue(w, params, Boundary.robin(1.0), disc)
-        tp = TranscendParams(params=params, delta=0.3, beta=1.0)
+        tp = TranscendParams(params=params, delta=0.3)
         assert pair.lam == pytest.approx(transcendental_root(0.0, 1.0, tp), rel=1e-4)
 
     def test_rejects_nonpositive_weight(self, params):

@@ -42,7 +42,7 @@ class TestLocate:
         assert opt.xi_star == pytest.approx(0.35, abs=1e-7)
 
     def test_degenerate_at_critical(self, params):
-        tp = TranscendParams(params=params, delta=DSTAR, beta=0.0)
+        tp = TranscendParams(params=params, delta=DSTAR)
         bc = beta_crit(tp)
         opt = locate_optimal_interval(bc, DSTAR, params)
         assert opt.regime == Regime.DEGENERATE
@@ -53,7 +53,7 @@ class TestLocate:
 
     def test_lambda_consistent_with_root(self, params):
         opt = locate_optimal_interval(1.0, DSTAR, params)
-        tp = TranscendParams(params=params, delta=DSTAR, beta=1.0)
+        tp = TranscendParams(params=params, delta=DSTAR)
         assert opt.lambda_star == pytest.approx(
             transcendental_root(opt.xi_star, 1.0, tp), rel=1e-10
         )
@@ -70,7 +70,7 @@ class TestLocate:
             assert opt.lambda_star <= lam, xi
 
     def test_objective_symmetry_full_range(self, params):
-        tp = TranscendParams(params=params, delta=DSTAR, beta=2.0)
+        tp = TranscendParams(params=params, delta=DSTAR)
         xs = np.linspace(0.0, 1.0 - DSTAR, 64)
         vals = np.array([transcendental_root(float(x), 2.0, tp) for x in xs])
         assert np.max(np.abs(vals - vals[::-1]) / vals) <= 1e-10
@@ -92,7 +92,7 @@ class TestTrichotomyLattice:
                 alpha = 0.4 * min(0.5, abar(ModelParams(0.0, kappa, m0)))
                 p = ModelParams(alpha, kappa, m0)
                 dstar = (1.0 - m0) / (kappa + 1.0)
-                tp = TranscendParams(params=p, delta=dstar, beta=0.0)
+                tp = TranscendParams(params=p, delta=dstar)
                 bc = beta_crit(tp)
                 low = locate_optimal_interval(0.6 * bc, dstar, p)
                 high = locate_optimal_interval(1.7 * bc, dstar, p)
@@ -101,9 +101,8 @@ class TestTrichotomyLattice:
                 assert high.xi_star == pytest.approx(0.5 * (1.0 - dstar), abs=1e-7)
                 # independent of the placement rule: no xi has a lower root
                 for opt in (low, high):
-                    tp_opt = TranscendParams(params=p, delta=dstar, beta=opt.beta)
                     for x in np.linspace(0.0, 1.0 - dstar, 33):
-                        root = transcendental_root(float(x), opt.beta, tp_opt)
+                        root = transcendental_root(float(x), opt.beta, tp)
                         assert opt.lambda_star <= root * (1.0 + 1e-12), (opt.beta, x)
 
 

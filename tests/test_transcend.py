@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from drifteig import (
     BangBangInterval,
@@ -20,12 +21,12 @@ from drifteig import (
     regime_equations,
     transcendental_root,
 )
-from drifteig.transcend import _f_scaled
+from drifteig.transcend import RootNotFoundError, _f_scaled
 
 
 @pytest.fixture
 def tp(params):
-    return TranscendParams(params=params, delta=0.3, beta=1.0)
+    return TranscendParams(params=params, delta=0.3)
 
 
 class TestF:
@@ -116,15 +117,44 @@ class TestTranscendentalRoot:
 
     def test_neumann_zero_regime_guard(self, params):
         # interval long enough that the exponential mass is nonnegative
-        tp = TranscendParams(params=params, delta=0.9, beta=0.0)
+        tp = TranscendParams(params=params, delta=0.9)
         with pytest.raises(ValueError):
             transcendental_root(0.0, 0.0, tp)
 
     def test_validation(self, tp):
         with pytest.raises(ValueError):
             transcendental_root(0.8, 1.0, tp)  # xi beyond 1 - delta
-        with pytest.raises(ValueError):
-            transcendental_root(0.0, math.inf, tp)
+        for beta in (math.inf, math.nan, -math.inf, -1.0):
+            with pytest.raises(ValueError):
+                transcendental_root(0.0, beta, tp)
+
+    def test_empty_range_raises(self):
+        # pi / (sqrt(kappa) delta) < 1e-4: the scan has no interval to search
+        tp = TranscendParams(params=ModelParams(0.0, 1e10, 0.4), delta=0.5)
+        with pytest.raises(RootNotFoundError, match="first/last samples"):
+            transcendental_root(0.0, 1.0, tp)
+
+    @pytest.mark.parametrize("kappa, delta", [(2e4, 0.3), (1e5, 0.2)])
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("beta", [0.5, 5.0])
+    def test_fine_step_branch_matches_dense_scan(self, kappa, delta, centered, beta):
+        # sqrt(kappa) delta > 39.3, so the scan step is pi / (8 sqrt(kappa) delta)
+        # rather than 0.01; the reference is a dense uniform scan of the
+        # literal F over the first period of sin, refined by brentq
+        tp = TranscendParams(params=ModelParams(0.0, kappa, 0.4), delta=delta)
+        xi = 0.5 * (1.0 - delta) if centered else 0.0
+        s_top = math.pi / (math.sqrt(kappa) * delta)
+        s = np.linspace(0.0, s_top, 4001)[1:-1]
+        f = np.array([F_components(xi, beta, x * x, tp)[2] for x in s])
+        i = int(np.flatnonzero(f[:-1] * f[1:] <= 0.0)[0])
+        s_ref = brentq(
+            lambda x: F_components(xi, beta, x * x, tp)[2],
+            s[i],
+            s[i + 1],
+            xtol=1e-16,
+            rtol=8.9e-16,
+        )
+        assert transcendental_root(xi, beta, tp) == pytest.approx(s_ref * s_ref, rel=1e-11)
 
 
 class TestDirichletRoot:
@@ -142,7 +172,7 @@ class TestDirichletRoot:
         assert low < lam < high
 
     def test_full_interval_limit(self, params):
-        tp = TranscendParams(params=params, delta=0.999, beta=0.0)
+        tp = TranscendParams(params=params, delta=0.999)
         lam = dirichlet_root(tp)
         assert lam == pytest.approx(math.pi**2 / params.kappa, rel=0.01)
 
@@ -203,13 +233,13 @@ class TestBetaCrit:
         k = 0.5
         a = math.log(1.0 / k) / (2.0 * (k + 1.0))
         p = ModelParams(a, k, 0.4)
-        tp = TranscendParams(params=p, delta=0.25, beta=0.0)
+        tp = TranscendParams(params=p, delta=0.25)
         expected = math.pi * math.exp(-a) / (2.0 * math.sqrt(k) * 0.25)
         assert beta_crit(tp) == pytest.approx(expected, rel=1e-14)
 
     def test_low_branch_self_consistency(self):
         p = ModelParams(0.05, 0.3, 0.4)
-        tp = TranscendParams(params=p, delta=0.25, beta=0.0)
+        tp = TranscendParams(params=p, delta=0.25)
         bc = beta_crit(tp)
         lam = transcendental_root(0.0, bc, tp)
         assert lam == pytest.approx(bc**2 * math.exp(2.0 * p.alpha), rel=1e-8)
@@ -274,3 +304,7 @@ class TestClosedFormEigenfunction:
     def test_dirichlet_rejected(self, tp):
         with pytest.raises(ValueError):
             closed_form_eigenfunction(0.0, math.inf, 10.0, tp)
+
+    def test_nan_beta_rejected(self, tp):
+        with pytest.raises(ValueError):
+            closed_form_eigenfunction(0.0, math.nan, 8.0, tp)

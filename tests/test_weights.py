@@ -256,8 +256,8 @@ class TestClassProperties:
             (ModelParams, (0.2, math.nan, 0.4)),
             (Boundary, (-math.inf,)),
             (Boundary, (math.nan,)),
-            (TranscendParams, (ModelParams(0.2, 1.0, 0.4), 0.3, -math.inf)),
-            (TranscendParams, (ModelParams(0.2, 1.0, 0.4), 0.3, math.nan)),
+            (TranscendParams, (ModelParams(0.2, 1.0, 0.4), math.nan)),
+            (TranscendParams, (ModelParams(0.2, 1.0, 0.4), math.inf)),
         ],
     )
     def test_non_finite_input_rejected(self, cls, args):
