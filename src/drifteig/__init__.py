@@ -9,7 +9,8 @@ with Robin coefficient beta at both ends (beta = 0 reflecting, beta = inf
 absorbing) and a sign-changing piecewise-constant weight m.  The package
 computes the positive principal eigenvalue, rearranges weights without
 increasing it, evaluates the closed-form machinery for bang-bang interval
-weights, and solves the optimal design problem at desk scale.
+weights, and solves the optimal design problem at desk scale.  Every typed
+error it raises derives from DriftEigError.
 """
 
 from .eigensolve import (
@@ -57,6 +58,7 @@ from .weights import (
     Admissibility,
     BangBangInterval,
     Boundary,
+    DriftEigError,
     ModelParams,
     PiecewiseWeight,
     abar,
@@ -78,6 +80,7 @@ __all__ = [
     "ClosedFormEigenfunction",
     "DesignOptimum",
     "Discretization",
+    "DriftEigError",
     "EigenPair",
     "F_components",
     "KERNEL_BACKEND",

@@ -12,6 +12,10 @@ verify     built-in property battery with a machine-readable report
 Configuration comes from an optional JSON file (--config) overridden by
 flags; unknown config keys are rejected.  All randomized checks derive from
 a fixed seed so reruns are byte-identical.
+
+Exit codes, mapped in ``main`` alone: 0 success; 1 a verify property
+failed; 2 input rejected (ConfigError); 3 any other DriftEigError or
+ValueError, with error.json in the output directory; 4 failed sweep rows.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from . import eigensolve, kernels, optimize, rearrange, transcend
 from .weights import (
     BangBangInterval,
     Boundary,
+    DriftEigError,
     ModelParams,
     PiecewiseWeight,
     random_admissible,
@@ -44,8 +49,8 @@ EXIT_SOLVER = 3
 EXIT_PARTIAL = 4
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(DriftEigError, ValueError):
+    """Input rejected before any solve: flags, config or parameters."""
 
 
 # ---------------------------------------------------------------- config --
@@ -128,12 +133,8 @@ def _build_weight(cfg: dict, args, params: ModelParams) -> PiecewiseWeight:
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read weight file: {exc}") from exc
-    if getattr(args, "xi", None) is not None or getattr(args, "delta", None) is not None:
-        delta = args.delta if args.delta is not None else optimize.delta_star(params)
-        xi = args.xi if args.xi is not None else 0.0
-        spec = {"bangbang": {"xi": xi, "delta": delta}}
-    if spec is None:
-        spec = {"bangbang": {"xi": 0.0, "delta": optimize.delta_star(params)}}
+    if spec is None or args.xi is not None or args.delta is not None:
+        return _interval(args, params).weight()
     if not isinstance(spec, dict):
         raise ConfigError(f"weight must be a JSON object, got {spec!r}")
     try:
@@ -149,6 +150,19 @@ def _build_weight(cfg: dict, args, params: ModelParams) -> PiecewiseWeight:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad weight: {exc}") from exc
     raise ConfigError("weight must have breakpoints/values or a bangbang entry")
+
+
+def _interval(args, params: ModelParams) -> BangBangInterval:
+    """The --xi/--delta interval, defaults 0 and delta*, checked."""
+    xi = getattr(args, "xi", None)
+    try:
+        return BangBangInterval(
+            0.0 if xi is None else xi,
+            optimize.delta_star(params) if args.delta is None else args.delta,
+            params,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad interval: {exc}") from exc
 
 
 def _grid_n(cfg: dict, args) -> int:
@@ -207,27 +221,17 @@ def _write_csv(path: str, header: list, rows: list) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _solver_error(out: str, exc: Exception) -> int:
-    _write_json(os.path.join(out, "error.json"), {"error": type(exc).__name__, "detail": str(exc)})
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_SOLVER
-
-
 # -------------------------------------------------------------- commands --
 
 
-def cmd_eig(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_eig(args, cfg: dict) -> int:
     params = _build_params(cfg, args)
     bc = _build_boundary(cfg, args)
     m = _build_weight(cfg, args, params)
     n = _grid_n(cfg, args)
     out = _out_dir(cfg, args)
     disc = eigensolve.make_discretization(n, m)
-    try:
-        pair = eigensolve.principal_eigenvalue(m, params, bc, disc)
-    except (eigensolve.BracketError, eigensolve.SolverError, ValueError) as exc:
-        return _solver_error(out, exc)
+    pair = eigensolve.principal_eigenvalue(m, params, bc, disc)
     if isinstance(pair, eigensolve.ZeroRegime):
         print("lambda=0 (zero regime)")
         _write_json(
@@ -264,22 +268,18 @@ def cmd_eig(args) -> int:
     return EXIT_OK
 
 
-def cmd_root(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_root(args, cfg: dict) -> int:
     params = _build_params(cfg, args)
     bc = _build_boundary(cfg, args)
+    iv = _interval(args, params)
+    xi, delta = iv.xi, iv.delta
     out = _out_dir(cfg, args)
-    delta = args.delta if args.delta is not None else optimize.delta_star(params)
-    xi = args.xi if args.xi is not None else 0.0
-    try:
-        tp = transcend.TranscendParams(params=params, delta=delta)
-        bcrit = transcend.beta_crit(tp)
-        if bc.is_dirichlet:
-            lam = transcend.dirichlet_root(tp, xi=xi)
-        else:
-            lam = transcend.transcendental_root(xi, bc.beta, tp)
-    except (ValueError, transcend.RootNotFoundError) as exc:
-        return _solver_error(out, exc)
+    tp = transcend.TranscendParams(params=params, delta=delta)
+    bcrit = transcend.beta_crit(tp)
+    if bc.is_dirichlet:
+        lam = transcend.dirichlet_root(tp, xi=xi)
+    else:
+        lam = transcend.transcendental_root(xi, bc.beta, tp)
     _write_json(
         os.path.join(out, "root.json"),
         {
@@ -297,21 +297,17 @@ def cmd_root(args) -> int:
     return EXIT_OK
 
 
-def cmd_locate(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_locate(args, cfg: dict) -> int:
     params = _build_params(cfg, args)
     bc = _build_boundary(cfg, args)
     n = _grid_n(cfg, args)
+    if args.delta is not None:
+        delta, active = _interval(args, params).delta, None
+    else:
+        delta, active = optimize.choose_delta(params, bc.beta, grid_n=n)
     out = _out_dir(cfg, args)
-    try:
-        if args.delta is not None:
-            delta, active = args.delta, None
-        else:
-            delta, active = optimize.choose_delta(params, bc.beta, grid_n=n)
-        opt = optimize.locate_optimal_interval(bc.beta, delta, params, grid_n=n)
-        mass_active = opt.mass_active if active is None else active
-    except (eigensolve.BracketError, eigensolve.SolverError, transcend.RootNotFoundError, ValueError) as exc:
-        return _solver_error(out, exc)
+    opt = optimize.locate_optimal_interval(bc.beta, delta, params, grid_n=n)
+    mass_active = opt.mass_active if active is None else active
     _write_json(
         os.path.join(out, "optimum.json"),
         {
@@ -334,20 +330,18 @@ def _parse_sweep(cfg: dict, args):
         parts = args.sweep.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError("--sweep takes start:stop:points[:scale]")
-        spec = {
-            "start": float(parts[0]),
-            "stop": float(parts[1]),
-            "points": int(parts[2]),
-            "scale": parts[3] if len(parts) == 4 else "log",
-        }
+        spec = dict(zip(("start", "stop", "points", "scale"), parts))
     if spec is None:
         spec = {"start": 0.1, "stop": 30.0, "points": 60, "scale": "log"}
     if set(spec) - {"start", "stop", "points", "scale"}:
         raise ConfigError(f"unknown sweep keys in {spec!r}")
-    points = int(spec["points"])
+    try:
+        points = int(spec["points"])
+        start, stop = float(spec["start"]), float(spec["stop"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep {spec!r}: {exc}") from exc
     if points < 1:
         raise ConfigError("sweep needs at least one point")
-    start, stop = float(spec["start"]), float(spec["stop"])
     if start <= 0.0 or stop < start:
         raise ConfigError("sweep range must satisfy 0 < start <= stop")
     scale = spec.get("scale", "log")
@@ -360,8 +354,7 @@ def _parse_sweep(cfg: dict, args):
     return grid.tolist()
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_sweep(args, cfg: dict) -> int:
     params = _build_params(cfg, args)
     n = _grid_n(cfg, args)
     out = _out_dir(cfg, args)
@@ -385,7 +378,7 @@ def cmd_sweep(args) -> int:
             "params": {"alpha": params.alpha, "kappa": params.kappa, "m0": params.m0},
             "beta_crit": transcend.beta_crit(tp),
             "rows": len(rows),
-            "failures": [{"beta": b, "detail": d} for b, d in failures],
+            "failures": [{"beta": _jsonable(b), "detail": d} for b, d in failures],
         },
     )
     print(f"wrote {len(rows)} rows to {out}/sweep.csv")
@@ -395,24 +388,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_rearrange(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_rearrange(args, cfg: dict) -> int:
     params = _build_params(cfg, args)
     bc = _build_boundary(cfg, args)
     m = _build_weight(cfg, args, params)
     n = _grid_n(cfg, args)
     out = _out_dir(cfg, args)
     disc = eigensolve.make_discretization(n, m)
-    try:
-        before = eigensolve.principal_eigenvalue(m, params, bc, disc)
-        if isinstance(before, eigensolve.ZeroRegime):
-            print("lambda=0 (zero regime)")
-            return EXIT_OK
-        pair = rearrange.unimodal_rearrangement(m, params, bc, disc)
-        disc_r = eigensolve.make_discretization(n, pair.m_R)
-        after = eigensolve.principal_eigenvalue(pair.m_R, params, bc, disc_r)
-    except (eigensolve.BracketError, eigensolve.SolverError, ValueError) as exc:
-        return _solver_error(out, exc)
+    before = eigensolve.principal_eigenvalue(m, params, bc, disc)
+    if isinstance(before, eigensolve.ZeroRegime):
+        print("lambda=0 (zero regime)")
+        return EXIT_OK
+    pair = rearrange.unimodal_rearrangement(m, params, bc, disc)
+    disc_r = eigensolve.make_discretization(n, pair.m_R)
+    after = eigensolve.principal_eigenvalue(pair.m_R, params, bc, disc_r)
     _atomic_write(os.path.join(out, "rearranged.json"), pair.m_R.to_json() + "\n")
     _write_json(
         os.path.join(out, "rearrange_summary.json"),
@@ -572,8 +561,7 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
     return results
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_verify(args, cfg: dict) -> int:
     params = _build_params(cfg, args)
     n = _grid_n(cfg, args)
     seed = _seed(cfg, args)
@@ -667,10 +655,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args.config)
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (DriftEigError, ValueError) as exc:
+        # cfg is bound: _load_config raises ConfigError only
+        error = {"error": type(exc).__name__, "detail": str(exc)}
+        _write_json(os.path.join(_out_dir(cfg, args), "error.json"), error)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

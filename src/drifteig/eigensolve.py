@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import kernels
-from .weights import Boundary, ModelParams, PiecewiseWeight, exp_mass
+from .weights import Boundary, DriftEigError, ModelParams, PiecewiseWeight, exp_mass
 
 LAMBDA_REL_TOL = 1e-10
 LAMBDA_FLOOR = 1e-8  # smallest eigenvalue the bracket resolves
@@ -47,15 +47,15 @@ SHIFT_REL = 1e-10  # inverse-iteration shift off the converged eigenvalue
 DEFAULT_N = 2000
 
 
-class AssemblyError(RuntimeError):
+class AssemblyError(DriftEigError, RuntimeError):
     """Discretization nodes do not match the weight's breakpoints."""
 
 
-class BracketError(RuntimeError):
+class BracketError(DriftEigError, RuntimeError):
     """No sign change found while bracketing the eigenvalue."""
 
 
-class SolverError(RuntimeError):
+class SolverError(DriftEigError, RuntimeError):
     """Eigen-solve failed downstream of a successful bracket."""
 
 
@@ -215,13 +215,13 @@ def _pencil_bracket(ad, ae, md, me) -> tuple:
 
 @dataclass
 class EigenPair:
-    """Converged eigenvalue with its positive discrete eigenfunction."""
+    """Converged eigenvalue with its positive discrete eigenfunction,
+    normalized to int m e^{alpha m} phi^2 = 1 in the x variable."""
 
     lam: float
     nodes: np.ndarray
     phi: np.ndarray
     residual: float
-    normalization: str = "int m e^{alpha m} phi^2 = 1"
 
     @property
     def max_phi(self) -> float:
@@ -360,13 +360,13 @@ def _bracket_and_bisect(forms: Forms) -> float:
     return 0.5 * (lo + hi)
 
 
-def _eigenpair(forms: Forms, lam: float, norm_forms: Forms) -> EigenPair:
+def _eigenpair(forms: Forms, lam: float, nodes: np.ndarray) -> EigenPair:
     """Positive eigenfunction of the eigenvalue lam of ``forms``.
 
     Three inverse iterations just above lam give the vector.  It is scaled
-    to int m e^{alpha m} phi^2 = 1 by the weighted mass of ``norm_forms``,
-    the forms of the x variable on the same node count (``forms`` itself
-    unless the solve ran in another variable), and returned on its nodes
+    to unit weighted mass under ``forms``, which is int m e^{alpha m} phi^2
+    = 1 in either variable, and returned on ``nodes`` (the x-variable
+    nodes: those of ``forms`` unless the solve ran in another variable)
     with the relative residual of the pencil.
     """
     x = _inverse_iteration(forms, lam * (1.0 + SHIFT_REL), 0.0, 3)
@@ -379,7 +379,7 @@ def _eigenpair(forms: Forms, lam: float, norm_forms: Forms) -> EigenPair:
     # underflow to zero when the eigenfunction decays over many e-foldings
     if np.min(phi[1:-1]) < -1e-10 * np.max(phi):
         raise SolverError("recovered eigenfunction is not positive")
-    quad = float(np.dot(phi, _tri_mv(norm_forms.bd, norm_forms.be, phi)))
+    quad = float(np.dot(phi, _tri_mv(forms.bd, forms.be, phi)))
     if quad <= 0.0:
         raise SolverError("weighted norm of eigenfunction not positive")
     x = x / math.sqrt(quad)
@@ -388,7 +388,7 @@ def _eigenpair(forms: Forms, lam: float, norm_forms: Forms) -> EigenPair:
     bx = _tri_mv(bd, be, x)
     scale = np.linalg.norm(kx) + abs(lam) * np.linalg.norm(bx)
     residual = float(np.linalg.norm(kx - lam * bx) / max(scale, 1e-300))
-    return EigenPair(lam=lam, nodes=norm_forms.nodes, phi=forms.embed(x), residual=residual)
+    return EigenPair(lam=lam, nodes=nodes, phi=forms.embed(x), residual=residual)
 
 
 def principal_eigenvalue(
@@ -407,7 +407,7 @@ def principal_eigenvalue(
     if _zero_regime(m, params, bc):
         return ZeroRegime()
     forms = assemble(m, params, bc, disc)
-    return _eigenpair(forms, _bracket_and_bisect(forms), forms)
+    return _eigenpair(forms, _bracket_and_bisect(forms), forms.nodes)
 
 
 def principal_lambda(
@@ -448,9 +448,6 @@ def eigen_cov(
     v = mt.eval_many(0.5 * (ynodes[:-1] + ynodes[1:]))
     weight = v * np.exp(2.0 * params.alpha * v)
     forms = _assemble_on_nodes(ynodes, np.ones_like(v), weight, bc.beta)
-    # normalize in the x variable, where the convention lives
-    xnodes = cov.y_to_x(ynodes)
-    vx = m.eval_many(0.5 * (xnodes[:-1] + xnodes[1:]))
-    ex = np.exp(params.alpha * vx)
-    xforms = _assemble_on_nodes(xnodes, ex, vx * ex, 0.0)
-    return _eigenpair(forms, _bracket_and_bisect(forms), xforms)
+    # c is affine on each element (the y-nodes hold m~'s breakpoints) and
+    # m~ e^{2 alpha m~} dy = m e^{alpha m} dx, so these forms give the x norm
+    return _eigenpair(forms, _bracket_and_bisect(forms), cov.y_to_x(ynodes))

@@ -26,6 +26,7 @@ from . import eigensolve, transcend
 from .weights import (
     BangBangInterval,
     Boundary,
+    DriftEigError,
     ModelParams,
     PiecewiseWeight,
     from_pieces,
@@ -33,6 +34,7 @@ from .weights import (
 )
 
 DEGENERATE_BAND = 1e-9  # beta_crit is closed form; the band only absorbs float error
+DELTA_SCAN_POINTS = 32  # resource amounts in choose_delta's coarse scan
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -204,7 +206,6 @@ def choose_delta(
     params: ModelParams,
     beta: float,
     grid_n: int = eigensolve.DEFAULT_N,
-    scan_points: int = 32,
 ) -> tuple:
     """Interval length for the design problem: pinned or scanned.
 
@@ -221,11 +222,11 @@ def choose_delta(
         return _best_lambda_for_delta(beta, (1.0 - mt) / (params.kappa + 1.0), params, grid_n)
 
     hi_mt = 1.0 - 1e-3
-    grid = np.linspace(params.m0, hi_mt, scan_points)
+    grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)
     vals = [lam_of_mtilde(float(t)) for t in grid]
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, scan_points - 1)]
+    hi = grid[min(i + 1, DELTA_SCAN_POINTS - 1)]
     mt_opt, lam_opt = _golden_min(lam_of_mtilde, float(lo), float(hi), 1e-7)
     if vals[0] <= lam_opt + 1e-12:  # grid[0] is m0 itself
         mt_opt = params.m0
@@ -241,7 +242,8 @@ def sweep_beta(
     """One located optimum per beta, plus the Dirichlet asymptote row.
 
     Returns (rows, failures); failures hold (beta, message) for rows whose
-    solve raised, and the sweep continues past them.
+    solve raised a DriftEigError, the Dirichlet row (beta = inf) included,
+    and the sweep continues past them.
     """
     betas = [float(b) for b in beta_grid]
     if not betas:
@@ -250,20 +252,14 @@ def sweep_beta(
         raise ValueError("beta grid must be sorted and positive")
     rows: list[SweepRow] = []
     failures: list[tuple] = []
-    for beta in betas:
+    for beta in betas + [math.inf]:
         try:
             delta, active = choose_delta(params, beta, grid_n=grid_n)
             opt = locate_optimal_interval(beta, delta, params, grid_n=grid_n)
-            rows.append(
-                SweepRow(beta, opt.lambda_star, opt.xi_star, opt.regime, active)
-            )
-        except (eigensolve.BracketError, eigensolve.SolverError, transcend.RootNotFoundError) as exc:
+        except DriftEigError as exc:
             failures.append((beta, str(exc)))
-    delta_inf, active_inf = choose_delta(params, math.inf, grid_n=grid_n)
-    opt_inf = locate_optimal_interval(math.inf, delta_inf, params, grid_n=grid_n)
-    rows.append(
-        SweepRow(math.inf, opt_inf.lambda_star, opt_inf.xi_star, opt_inf.regime, active_inf)
-    )
+            continue
+        rows.append(SweepRow(beta, opt.lambda_star, opt.xi_star, opt.regime, active))
     return rows, failures
 
 

@@ -18,20 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .weights import ModelParams
+from .weights import DriftEigError, ModelParams
 
 ROOT_RTOL = 1e-12
 
 
-class RootNotFoundError(RuntimeError):
+class RootNotFoundError(DriftEigError, RuntimeError):
     """Scan exhausted without an admissible sign change."""
 
 
-class RankDeficientError(RuntimeError):
+class RankDeficientError(DriftEigError, RuntimeError):
     """Both kernel candidates of the 2x2 matching matrix degenerate."""
 
 
-class TanPoleError(ValueError):
+class TanPoleError(DriftEigError, ValueError):
     """Probe too close to a pole of tan for a meaningful evaluation."""
 
 

@@ -24,8 +24,15 @@ MASS_SLACK = 1e-12  # absolute slack on the mass constraint (float summation)
 # realistic resource bound, so a root beyond this is reported as +inf
 ALPHA_STAR_BRACKET = 64.0
 
+# e^{2 alpha (kappa+1)} is the largest exponential the package forms
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
-class SearchSpaceError(ValueError):
+
+class DriftEigError(Exception):
+    """Root of every typed error the package raises."""
+
+
+class SearchSpaceError(DriftEigError, ValueError):
     """Exhaustive search would not terminate at desk scale."""
 
 
@@ -44,6 +51,8 @@ class ModelParams:
             raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
         if not 0.0 < self.m0 < 1.0:
             raise ValueError(f"m0 must lie in (0, 1), got {self.m0}")
+        if 2.0 * self.alpha * (self.kappa + 1.0) > LOG_FLOAT_MAX:
+            raise ValueError(f"2 alpha (kappa + 1) must be <= {LOG_FLOAT_MAX:.2f}, ln of float max")
 
 
 @dataclass(frozen=True)
@@ -298,15 +307,10 @@ def brute_force_expmass_max(
     return PiecewiseWeight(bp, tuple(ordered)), best_value
 
 
-def random_admissible(
-    params: ModelParams,
-    rng: np.random.Generator,
-    min_pieces: int = 3,
-    max_pieces: int = 8,
-) -> PiecewiseWeight:
-    """Draw a random member of the admissible class (for property tests)."""
+def random_admissible(params: ModelParams, rng: np.random.Generator) -> PiecewiseWeight:
+    """Draw a random member of the admissible class with 3 to 8 pieces (for property tests)."""
     for _ in range(200):
-        k = int(rng.integers(min_pieces, max_pieces + 1))
+        k = int(rng.integers(3, 9))
         cuts = np.sort(rng.uniform(0.02, 0.98, size=k - 1))
         bp = np.concatenate(([0.0], cuts, [1.0]))
         if np.min(np.diff(bp)) < 5e-3:

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from drifteig import cli
+from drifteig import DriftEigError, cli, eigensolve, transcend, weights
 
 PI2 = math.pi**2
 
@@ -109,6 +109,7 @@ class TestSweep:
 
     def test_bad_spec_rejected(self, tmp_path):
         assert cli.main(["sweep", "--sweep", "oops", "--out", str(tmp_path / "o")]) == 2
+        assert cli.main(["sweep", "--sweep", "a:b:3", "--out", str(tmp_path / "o")]) == 2
 
     def test_regime_switch_appears(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--sweep", "0.5:8.0:6", "--out", str(tmp_path / "o")])
@@ -238,3 +239,50 @@ class TestConfig:
         rc = cli.main(["root", "--beta", "1.0", "--out", str(tmp_path / "o")])
         assert rc == 0
         assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path / "o"))
+
+
+class TestFailurePolicy:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["root", "--xi", "0.9"], 2),
+            (["root", "--delta", "0"], 2),
+            (["locate", "--delta", "1.5"], 2),
+            (["root", "--params", "kappa=1800"], 2),
+            (["sweep", "--sweep", "1:1:1", "--n", "2"], 4),
+            (["eig", "--xi", "0.9"], 2),
+            (["root", "--neumann", "--params", "alpha=1"], 3),
+            (["root", "--dirichlet", "--xi", "0.2"], 3),
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == code
+        assert (out / "error.json").exists() == (code == 3)
+
+    def test_failed_dirichlet_row_in_sweep_json(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--sweep", "1:1:1", "--n", "2", "--out", str(out)]) == 4
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        summary = json.loads((out / "sweep.json").read_text(), parse_constant=reject)
+        assert [f["beta"] for f in summary["failures"]] == ["inf"]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "cls, base",
+        [
+            (weights.SearchSpaceError, ValueError),
+            (eigensolve.AssemblyError, RuntimeError),
+            (eigensolve.BracketError, RuntimeError),
+            (eigensolve.SolverError, RuntimeError),
+            (transcend.RootNotFoundError, RuntimeError),
+            (transcend.RankDeficientError, RuntimeError),
+            (transcend.TanPoleError, ValueError),
+            (cli.ConfigError, ValueError),
+        ],
+    )
+    def test_one_error_root(self, cls, base):
+        assert issubclass(cls, DriftEigError) and issubclass(cls, base)

@@ -161,6 +161,13 @@ class TestSweep:
         opt = locate_optimal_interval(1.0, DSTAR, params)
         assert rows[0].lambda_star == pytest.approx(opt.lambda_star, rel=1e-12)
 
+    def test_failed_dirichlet_row_is_recorded(self, params):
+        # two cells cannot bracket the Dirichlet eigenvalue; the finite row
+        # needs no grid and survives
+        rows, failures = sweep_beta([1.0], params, grid_n=2)
+        assert [r.beta for r in rows] == [1.0]
+        assert len(failures) == 1 and math.isinf(failures[0][0])
+
     def test_grid_validation(self, params):
         with pytest.raises(ValueError):
             sweep_beta([], params)

@@ -241,6 +241,8 @@ class TestClassProperties:
         with pytest.raises(ValueError):
             ModelParams(0.1, 1.0, 1.4)
         with pytest.raises(ValueError):
+            ModelParams(0.2, 1800.0, 0.4)  # e^{2 alpha (kappa+1)} overflows
+        with pytest.raises(ValueError):
             BangBangInterval(0.9, 0.3, ModelParams(0.1, 1.0, 0.4))
 
     @pytest.mark.parametrize(
