@@ -11,6 +11,14 @@ in optimality checks, and demonstrates non-attainment among smoothed
 weights by mollifying the optimal jumps.  The placement is cross-checked
 against xi scans of the transcendental root (and of the grid solver under
 Dirichlet conditions) in the tests and in the CLI's verify battery.
+
+The interval length comes from choose_delta: pinned to delta* where the
+paper's sufficient condition makes the mass bound active, and otherwise
+scanned over the resource amount.  The bound is usually active at the
+optimum, so a scan whose minimum is at the bound is settled by one probe
+just inside it rather than by a golden-section search that only creeps
+back to the bound; that is exact whenever the golden search itself is,
+since both assume lambda unimodal on the scan's first cell.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .weights import (
 
 DEGENERATE_BAND = 1e-9  # beta_crit is closed form; the band only absorbs float error
 DELTA_SCAN_POINTS = 32  # resource amounts in choose_delta's coarse scan
+ACTIVE_TOL = 1e-6  # resource amounts this close to m0 count as the active bound
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -184,12 +193,12 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
     """
     dstar = delta_star(params)
     xi_star = (params.kappa + params.m0) / (2.0 * (1.0 + params.kappa))
-    tp = transcend.TranscendParams(params=params, delta=dstar)
-    if not math.isinf(beta) and beta < transcend.beta_crit(tp) - DEGENERATE_BAND:
+    bcrit = transcend.critical_beta(params.alpha, params.kappa, dstar)
+    if not math.isinf(beta) and beta < bcrit - DEGENERATE_BAND:
         return True
-    half = ModelParams(alpha=0.5, kappa=params.kappa, m0=params.m0)
-    beta_half = transcend.beta_crit(transcend.TranscendParams(params=half, delta=dstar))
-    s2 = math.sinh(beta_half * xi_star) ** 2
+    beta_half = transcend.critical_beta(0.5, params.kappa, dstar)
+    # beyond 20 the bound s2 / (1 + 2 s2) is 1/2 to the last bit; sinh^2 would overflow
+    s2 = math.sinh(min(beta_half * xi_star, 20.0)) ** 2
     return params.alpha < s2 / (1.0 + 2.0 * s2)
 
 
@@ -211,8 +220,15 @@ def choose_delta(
 
     When the active-constraint condition guarantees activeness the length
     is pinned to delta* = (1 - m0)/(kappa + 1); otherwise the resource
-    amount is scanned over [m0, 1) with refinement, and the constraint is
-    reported active when the scan returns to the bound.
+    amount m~ is scanned over [m0, 1), and the constraint is reported
+    active when the minimizer lies within ACTIVE_TOL of the bound m0.
+
+    When the scan's smallest value is at m0 itself, one probe settles it:
+    the golden refinement assumes lambda unimodal on [m0, grid[1]], and
+    under that assumption lambda(m0 + ACTIVE_TOL) > lambda(m0) puts the
+    minimizer inside [m0, m0 + ACTIVE_TOL], so (delta*, True) is returned
+    without refining.  Otherwise (an interior scan minimum, or a flat or
+    falling start) golden-section search refines the bracket around it.
     """
     dstar = delta_star(params)
     if active_constraint_condition(params, beta):
@@ -225,12 +241,14 @@ def choose_delta(
     grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)
     vals = [lam_of_mtilde(float(t)) for t in grid]
     i = int(np.argmin(vals))
+    if i == 0 and lam_of_mtilde(params.m0 + ACTIVE_TOL) > vals[0]:
+        return dstar, True  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, DELTA_SCAN_POINTS - 1)]
     mt_opt, lam_opt = _golden_min(lam_of_mtilde, float(lo), float(hi), 1e-7)
     if vals[0] <= lam_opt + 1e-12:  # grid[0] is m0 itself
         mt_opt = params.m0
-    active = abs(mt_opt - params.m0) <= 1e-6
+    active = abs(mt_opt - params.m0) <= ACTIVE_TOL
     return (1.0 - mt_opt) / (params.kappa + 1.0), active
 
 

@@ -130,7 +130,8 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     j_end = max(math.ceil(math.log((1.0 + s_max) / (1.0 + 1e-4)) / math.log1p(step)), 0)
     s = np.minimum((1.0 + 1e-4) * (1.0 + step) ** np.arange(j_end + 1) - 1.0, s_max)
     g = _f_scaled(xi, beta, s * s, tp)
-    change = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
+    sign = np.sign(g)  # signs, not g itself: g_j g_{j+1} overflows once |g| > 1e154
+    change = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
     if change.size == 0:
         samples = list(zip(s.tolist(), g.tolist()))
         raise RootNotFoundError(
@@ -170,24 +171,29 @@ def dirichlet_root(tp: TranscendParams, xi: float = 0.0) -> float:
     return s * s
 
 
+def critical_beta(alpha: float, kappa: float, delta: float) -> float:
+    """beta_crit from the raw constants, for any alpha >= 0.
+
+    With K = kappa e^{2 alpha (kappa+1)} the closed form is
+    e^{-alpha}/(sqrt(kappa) delta) times the angle atan(2 sqrt(kappa)
+    e^{alpha(kappa+1)} / (K - 1)) taken in (0, pi): below pi/2 for K > 1,
+    pi/2 at K = 1 and above it for K < 1.  Dividing both arguments of atan2
+    by e^{2 alpha (kappa+1)} keeps every exponent non-positive, so the three
+    branches are one expression and nothing overflows.
+    """
+    e = math.exp(-alpha * (kappa + 1.0))
+    sk = math.sqrt(kappa)
+    return math.exp(-alpha) / (sk * delta) * math.atan2(2.0 * sk * e, kappa - e * e)
+
+
 def beta_crit(tp: TranscendParams) -> float:
     """Critical Robin coefficient separating boundary and centered optima.
 
-    Closed form keyed on the sign of kappa e^{2 alpha (kappa+1)} - 1; it is
-    the unique beta at which the optimal eigenvalue equals beta^2 e^{2 alpha}
-    and the transcendental equation loses its xi dependence.
+    It is the unique beta at which the optimal eigenvalue equals
+    beta^2 e^{2 alpha} and the transcendental equation loses its xi
+    dependence; see critical_beta for the closed form.
     """
-    a, k, d, big_k, _ = _shorthands(tp, 0.0)
-    sk = math.sqrt(k)
-    if big_k > 1.0:
-        return math.exp(-a) / (sk * d) * math.atan(
-            2.0 * sk * math.exp(a * (k + 1.0)) / (big_k - 1.0)
-        )
-    if big_k == 1.0:
-        return math.pi * math.exp(-a) / (2.0 * sk * d)
-    return math.exp(-a) / (sk * d) * (
-        math.atan(2.0 * sk * math.exp(a * (k + 1.0)) / (big_k - 1.0)) + math.pi
-    )
+    return critical_beta(tp.params.alpha, tp.params.kappa, tp.delta)
 
 
 def regime_equations(beta: float, lam: float, tp: TranscendParams):

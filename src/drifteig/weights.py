@@ -20,8 +20,8 @@ from scipy.optimize import brentq
 
 MASS_SLACK = 1e-12  # absolute slack on the mass constraint (float summation)
 
-# bracket for the advection-threshold root: exp(64*kappa) overflows any
-# realistic resource bound, so a root beyond this is reported as +inf
+# bracket for the advection-threshold root, shortened by alpha_star for
+# weights whose e^{64 v} would overflow; a root beyond it is reported as +inf
 ALPHA_STAR_BRACKET = 64.0
 
 # e^{2 alpha (kappa+1)} is the largest exponential the package forms
@@ -229,16 +229,20 @@ def alpha_star(m: PiecewiseWeight) -> float:
     Returns 0 when the integral is already nonnegative at alpha = 0, and
     +inf when m <= 0 everywhere or no root exists below the overflow
     bracket.  The map is strictly increasing in alpha, so Brent's method on
-    [0, ALPHA_STAR_BRACKET] finds the root.
+    [0, ALPHA_STAR_BRACKET] finds the root; for a weight whose largest
+    value v exceeds about 11 the bracket stops where v e^{alpha v} reaches
+    half the largest float, so exp_mass never overflows.
     """
     lengths = m.lengths
     if not any(v > 0.0 and ell > 0.0 for v, ell in zip(m.values, lengths)):
         return math.inf
     if exp_mass(m, 0.0) >= 0.0:
         return 0.0
-    if exp_mass(m, ALPHA_STAR_BRACKET) < 0.0:
+    top = max(m.values)
+    hi = min(ALPHA_STAR_BRACKET, (LOG_FLOAT_MAX - math.log(2.0 * top)) / top)
+    if exp_mass(m, hi) < 0.0:
         return math.inf
-    return brentq(lambda a: exp_mass(m, a), 0.0, ALPHA_STAR_BRACKET, xtol=1e-15, rtol=8.9e-16)
+    return brentq(lambda a: exp_mass(m, a), 0.0, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def abar(params: ModelParams) -> float:

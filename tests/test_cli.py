@@ -146,6 +146,15 @@ class TestLocate:
         assert data["xi_star"] == pytest.approx(0.35, abs=1e-6)
         assert data["mass_active"] is True
 
+    def test_large_kappa_above_critical(self, tmp_path):
+        # the sufficient condition evaluates beta_crit at alpha = 1/2, where
+        # 2 alpha (kappa + 1) = 801 is beyond what ModelParams accepts
+        rc = cli.main(["locate", "--beta", "1000", "--params", "alpha=0.01,kappa=800", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        data = json.loads((tmp_path / "o" / "optimum.json").read_text())
+        assert data["regime"] == "Centered"
+        assert data["mass_active"] is True
+
 
 class TestRearrange:
     def test_reports_both_eigenvalues(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from drifteig import optimize
 from drifteig import (
     BangBangInterval,
     Boundary,
@@ -118,6 +119,12 @@ class TestActiveConstraint:
         p = ModelParams(0.45, 0.05, 0.05)
         assert not active_constraint_condition(p, 1e6)
 
+    def test_huge_critical_product_does_not_overflow(self):
+        # b* xi* ~ 3441 here, where sinh^2 overflows; the bound is 1/2
+        p = ModelParams(0.0, 0.05, 0.999)
+        assert active_constraint_condition(p, 1e9)
+        assert not active_constraint_condition(ModelParams(0.5, 0.05, 0.999), 1e9)
+
     def test_figure_parameters_above_critical(self, params):
         # the sufficient condition fails here, so the scan decides; it
         # lands back on delta* with the constraint active
@@ -141,6 +148,57 @@ class TestActiveConstraint:
         monkeypatch.setattr(transcend, "transcendental_root", counting)
         choose_delta(params, 10.0)
         assert seen and len(seen) == len(set(seen)), len(seen) - len(set(seen))
+
+    def test_scan_minimum_at_bound_settled_by_one_probe(self, params, monkeypatch):
+        # 32 scan points plus the probe at m0 + ACTIVE_TOL, no golden search
+        from drifteig import transcend
+
+        calls = []
+        root = transcend.transcendental_root
+
+        def counting(xi, beta, tp):
+            calls.append(tp.delta)
+            return root(xi, beta, tp)
+
+        monkeypatch.setattr(transcend, "transcendental_root", counting)
+        assert choose_delta(params, 10.0) == (DSTAR, True)
+        assert len(calls) == optimize.DELTA_SCAN_POINTS + 1
+
+    @pytest.mark.parametrize(
+        "alpha, kappa, m0, beta_ratio",
+        [
+            (0.2, 1.0, 0.4, 10.0 / 3.2232),  # the figure's design at beta ~ 10
+            (0.2, 1.0, 0.4, 30.0),
+            (0.45, 0.05, 0.05, 5.0),
+            (1.0, 0.1, 0.05, 5.0),  # inactive: delta ~ 0.8270
+            (2.0, 0.08, 0.03, 4.0),  # inactive: delta ~ 0.7803
+            (0.2, 1.0, 0.4, math.inf),  # Dirichlet: grid solves
+        ],
+    )
+    def test_matches_scan_and_golden_search(self, alpha, kappa, m0, beta_ratio):
+        p = ModelParams(alpha, kappa, m0)
+        dstar = optimize.delta_star(p)
+        beta = beta_ratio * beta_crit(TranscendParams(params=p, delta=dstar))
+        assert not active_constraint_condition(p, beta)  # the scan decides
+        assert choose_delta(p, beta) == _scan_and_golden_delta(p, beta)
+
+
+def _scan_and_golden_delta(params, beta, grid_n=2000):
+    """choose_delta's scanned decision without the bound probe: the coarse
+    scan over m~ in [m0, 1 - 1e-3], golden refinement around its minimum,
+    and activity when the refined minimizer is within 1e-6 of m0."""
+    def lam_of_mtilde(mt):
+        delta = (1.0 - mt) / (params.kappa + 1.0)
+        return optimize._best_lambda_for_delta(beta, delta, params, grid_n)
+
+    grid = np.linspace(params.m0, 1.0 - 1e-3, 32)
+    vals = [lam_of_mtilde(float(t)) for t in grid]
+    i = int(np.argmin(vals))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 31)])
+    mt_opt, lam_opt = optimize._golden_min(lam_of_mtilde, lo, hi, 1e-7)
+    if vals[0] <= lam_opt + 1e-12:
+        mt_opt = params.m0
+    return (1.0 - mt_opt) / (params.kappa + 1.0), abs(mt_opt - params.m0) <= 1e-6
 
 
 class TestSweep:

@@ -134,6 +134,13 @@ class TestTranscendentalRoot:
         with pytest.raises(RootNotFoundError, match="first/last samples"):
             transcendental_root(0.0, 1.0, tp)
 
+    def test_huge_samples_raise_typed_error(self):
+        # kappa e^{2 alpha (kappa+1)} ~ 1e217 makes |F| exceed 1e154, where a
+        # product of two samples overflows; the sign test must not warn
+        tp = TranscendParams(ModelParams(8.0, 30.0, 0.05), 0.03064516129032258)
+        with pytest.raises(RootNotFoundError):
+            transcendental_root(0.4846774193548387, 7.196634833613826e-110, tp)
+
     @pytest.mark.parametrize("kappa, delta", [(2e4, 0.3), (1e5, 0.2)])
     @pytest.mark.parametrize("centered", [False, True])
     @pytest.mark.parametrize("beta", [0.5, 5.0])

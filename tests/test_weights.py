@@ -138,6 +138,12 @@ class TestAlphaStar:
         assert exp_mass(m, 0.0) > 0.0
         assert alpha_star(m) == 0.0
 
+    def test_large_weight_value_does_not_overflow(self):
+        # e^{64 * 20} overflows; the bracket stops short of float max
+        m = PiecewiseWeight((0.0, 0.01, 1.0), (20.0, -1.0))
+        assert alpha_star(m) == pytest.approx(0.0761613131705, abs=1e-12)
+        assert exp_mass(m, alpha_star(m)) == pytest.approx(0.0, abs=1e-12)
+
     def test_agrees_with_bisection_oracle(self, params, rng):
         for _ in range(10):
             m = random_admissible(params, rng)
