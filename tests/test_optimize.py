@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from drifteig import optimize
 from drifteig import (
     BangBangInterval,
     Boundary,
@@ -19,6 +18,7 @@ from drifteig import (
     locate_optimal_interval,
     make_discretization,
     mollify_demo,
+    optimize,
     principal_eigenvalue,
     random_admissible,
     sweep_beta,
