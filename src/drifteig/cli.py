@@ -276,10 +276,7 @@ def cmd_root(args, cfg: dict) -> int:
     out = _out_dir(cfg, args)
     tp = transcend.TranscendParams(params=params, delta=delta)
     bcrit = transcend.beta_crit(tp)
-    if bc.is_dirichlet:
-        lam = transcend.dirichlet_root(tp, xi=xi)
-    else:
-        lam = transcend.transcendental_root(xi, bc.beta, tp)
+    lam = transcend.transcendental_root(xi, bc.beta, tp)
     _write_json(
         os.path.join(out, "root.json"),
         {
@@ -304,7 +301,7 @@ def cmd_locate(args, cfg: dict) -> int:
     if args.delta is not None:
         delta, active = _interval(args, params).delta, None
     else:
-        delta, active = optimize.choose_delta(params, bc.beta, grid_n=n)
+        delta, active = optimize.choose_delta(params, bc.beta)
     out = _out_dir(cfg, args)
     opt = optimize.locate_optimal_interval(bc.beta, delta, params, grid_n=n)
     mass_active = opt.mass_active if active is None else active
@@ -545,12 +542,14 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
         return min(dec, above), ok, "widths 0.1/0.05/0.02 strictly decreasing and above the optimum"
 
     def discretization_agreement():
-        w = BangBangInterval(0.0, dstar, params).weight()
-        disc = eigensolve.make_discretization(n, w)
-        lam_grid = eigensolve.principal_eigenvalue(w, params, Boundary.robin(1.0), disc).lam
-        lam_root = transcend.transcendental_root(0.0, 1.0, tp)
-        rel = abs(lam_grid - lam_root) / lam_root
-        return rel, rel <= 1e-4, f"grid n={n} vs transcendental root at beta=1"
+        worst = 0.0
+        for xi, bc in ((0.0, Boundary.robin(1.0)), (0.5 * (1.0 - dstar), Boundary.dirichlet())):
+            w = BangBangInterval(xi, dstar, params).weight()
+            disc = eigensolve.make_discretization(n, w)
+            lam_grid = eigensolve.principal_eigenvalue(w, params, bc, disc).lam
+            lam_root = transcend.transcendental_root(xi, bc.beta, tp)
+            worst = max(worst, abs(lam_grid - lam_root) / lam_root)
+        return worst, worst <= 1e-4, f"grid n={n} vs transcendental root (beta=1 edge, inf center)"
 
     run("rearrangement_monotonicity", 1e-6, rearrangement_monotonicity)
     run("equimeasurability", 1e-14, equimeasurability)

@@ -5,11 +5,12 @@ eigenvalue as a function of the left endpoint xi is minimized either at the
 boundary (xi = 0, small Robin coefficient) or at the center (large Robin
 coefficient); at the critical coefficient every location is optimal.  This
 module places the optimum by that trichotomy around the closed-form
-beta_crit and evaluates the eigenvalue there once, sweeps the critical
-curve beta -> lambda*, evaluates the first-order switch function psi0 used
-in optimality checks, and demonstrates non-attainment among smoothed
-weights by mollifying the optimal jumps.  The placement is cross-checked
-against xi scans of the transcendental root (and of the grid solver under
+beta_crit and evaluates the eigenvalue there once, by the transcendental
+root for every beta (Dirichlet included), sweeps the critical curve
+beta -> lambda*, evaluates the first-order switch function psi0 used in
+optimality checks, and demonstrates non-attainment among smoothed weights
+by mollifying the optimal jumps.  The placement is cross-checked against
+xi scans of the transcendental root (and of the grid solver under
 Dirichlet conditions) in the tests and in the CLI's verify battery.
 
 The interval length comes from choose_delta: pinned to delta* where the
@@ -127,19 +128,6 @@ def _optimal_xi(beta: float, bcrit: float, delta: float) -> float:
     return 0.0 if beta < bcrit else _xi_center(delta)
 
 
-def _interval_lambda(xi: float, beta: float, tp: transcend.TranscendParams, grid_n: int) -> float:
-    """Principal eigenvalue of the interval weight at xi.
-
-    The transcendental root for finite beta; the discretized solver for
-    Dirichlet conditions (beta = +inf), where only xi = 0 has a closed form.
-    """
-    if beta == math.inf:
-        w = BangBangInterval(xi, tp.delta, tp.params).weight()
-        disc = eigensolve.make_discretization(grid_n, w)
-        return eigensolve.principal_lambda(w, tp.params, Boundary.dirichlet(), disc)
-    return transcend.transcendental_root(xi, beta, tp)
-
-
 def locate_optimal_interval(
     beta: float,
     delta: float,
@@ -150,32 +138,35 @@ def locate_optimal_interval(
 
     xi* is 0 below the closed-form critical coefficient and the center
     (1 - delta)/2 above it (and for Dirichlet conditions); the eigenvalue is
-    evaluated once, there.  Inside a tight band around beta_crit the
-    objective is flat and the regime is Degenerate with xi* = 0.  For
-    Dirichlet conditions the discretized solver is anchored at xi = 0
-    against the closed-form Dirichlet root.
+    the transcendental root there.  Inside a tight band around beta_crit
+    the objective is flat and the regime is Degenerate with xi* = 0.  For
+    Dirichlet conditions the reported eigenvalue is one grid solve at xi*
+    with grid_n cells, which must agree with the closed form to 1e-3
+    relative or SolverError is raised.
     """
     tp = transcend.TranscendParams(params=params, delta=delta)
     bcrit = transcend.beta_crit(tp)
     mass_active = abs(delta - delta_star(params)) <= 1e-12
-
-    if beta == math.inf:
-        anchor = transcend.dirichlet_root(tp)
-        got = _interval_lambda(0.0, beta, tp, grid_n)
-        if abs(got - anchor) > 1e-3 * anchor:
-            raise eigensolve.SolverError(
-                f"Dirichlet anchor mismatch at xi=0: grid {got} vs closed form {anchor}"
-            )
 
     if abs(beta - bcrit) <= DEGENERATE_BAND:
         regime, xi_star = Regime.DEGENERATE, 0.0
     else:
         xi_star = _optimal_xi(beta, bcrit, delta)
         regime = Regime.BOUNDARY_LEFT if xi_star == 0.0 else Regime.CENTERED
+    lam = transcend.transcendental_root(xi_star, beta, tp)
+    if beta == math.inf:
+        w = BangBangInterval(xi_star, delta, params).weight()
+        disc = eigensolve.make_discretization(grid_n, w)
+        grid = eigensolve.principal_lambda(w, params, Boundary.dirichlet(), disc)
+        if abs(grid - lam) > 1e-3 * lam:
+            raise eigensolve.SolverError(
+                f"Dirichlet grid mismatch at xi={xi_star:.6g}: grid {grid} vs closed form {lam}"
+            )
+        lam = grid
     return DesignOptimum(
         xi_star=xi_star,
         delta=delta,
-        lambda_star=_interval_lambda(xi_star, beta, tp, grid_n),
+        lambda_star=lam,
         regime=regime,
         mass_active=mass_active,
         beta=beta,
@@ -202,20 +193,14 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
     return params.alpha < s2 / (1.0 + 2.0 * s2)
 
 
-def _best_lambda_for_delta(
-    beta: float, delta: float, params: ModelParams, grid_n: int
-) -> float:
+def _best_lambda_for_delta(beta: float, delta: float, params: ModelParams) -> float:
     """min over xi of the interval eigenvalue, at the trichotomy's xi."""
     tp = transcend.TranscendParams(params=params, delta=delta)
     xi = _optimal_xi(beta, transcend.beta_crit(tp), delta)
-    return _interval_lambda(xi, beta, tp, grid_n)
+    return transcend.transcendental_root(xi, beta, tp)
 
 
-def choose_delta(
-    params: ModelParams,
-    beta: float,
-    grid_n: int = eigensolve.DEFAULT_N,
-) -> tuple:
+def choose_delta(params: ModelParams, beta: float) -> tuple:
     """Interval length for the design problem: pinned or scanned.
 
     When the active-constraint condition guarantees activeness the length
@@ -235,7 +220,7 @@ def choose_delta(
         return dstar, True
 
     def lam_of_mtilde(mt: float) -> float:
-        return _best_lambda_for_delta(beta, (1.0 - mt) / (params.kappa + 1.0), params, grid_n)
+        return _best_lambda_for_delta(beta, (1.0 - mt) / (params.kappa + 1.0), params)
 
     hi_mt = 1.0 - 1e-3
     grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)
@@ -272,7 +257,7 @@ def sweep_beta(
     failures: list[tuple] = []
     for beta in betas + [math.inf]:
         try:
-            delta, active = choose_delta(params, beta, grid_n=grid_n)
+            delta, active = choose_delta(params, beta)
             opt = locate_optimal_interval(beta, delta, params, grid_n=grid_n)
         except DriftEigError as exc:
             failures.append((beta, str(exc)))

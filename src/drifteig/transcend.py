@@ -3,9 +3,11 @@
 For m = (kappa+1) * chi_(xi, xi+delta) - 1 with Robin coefficient beta, the
 principal eigenvalue is the first positive root of a scalar transcendental
 equation F(xi, beta, lambda) = 0 built from trigonometric terms inside the
-resource interval and hyperbolic terms outside.  This module evaluates F
-and its pieces, locates the first positive root, computes the critical
-Robin coefficient at which the optimal interval location switches from the
+resource interval and hyperbolic terms outside.  Under Dirichlet conditions
+(beta = inf) the equation is the limit F / b^2 = 0, with b = beta e^alpha,
+at every xi.  This module evaluates F and its pieces, locates the first
+positive root for every beta in [0, inf], computes the critical Robin
+coefficient at which the optimal interval location switches from the
 boundary to the center, and reconstructs the closed-form eigenfunction for
 cross-checks against the discretized solver.
 """
@@ -82,20 +84,30 @@ def _f_scaled(xi: float, beta: float, lam, tp: TranscendParams):
     """F multiplied by 2 e^{-sqrt(lam)(1-d)}: same roots, no overflow.
 
     All hyperbolic terms are rewritten with non-positive exponents, so the
-    function stays finite for arbitrarily large lambda.  lam may be an
-    array; the result then has its shape.
+    function stays finite for arbitrarily large lambda.  beta = inf gives
+    the limit of F / b^2, the Dirichlet equation.  lam may be an array; the
+    result then has its shape.
     """
     a, k, d, big_k, b = _shorthands(tp, beta)
     s = np.sqrt(lam)
     t = s * (1.0 - d)
     e2 = np.exp(-2.0 * t)
     ch_mid = np.exp(-2.0 * s * xi) + np.exp(-2.0 * s * (1.0 - xi - d))
-    f_s = (
-        b * s * (big_k - 1.0) * (1.0 - e2)
-        + 0.5 * (1.0 + big_k) * (lam - b * b) * ch_mid
-        + 0.5 * (big_k - 1.0) * (b * b + lam) * (1.0 + e2)
-    )
-    f_c = (lam + b * b) * (1.0 - e2) + 2.0 * b * s * (1.0 + e2)
+    if beta == math.inf:
+        # (K-1)(1+e2) - (K+1) ch_mid with 1 + e2 - ch_mid factored, so a large
+        # K multiplies a product instead of a difference of nearby terms; the
+        # right gap is (1-d) - xi, exactly 0 at xi = 1 - d
+        f_s = 0.5 * big_k * np.expm1(-2.0 * s * xi) * np.expm1(
+            -2.0 * s * ((1.0 - d) - xi)
+        ) - 0.5 * (1.0 + e2 + ch_mid)
+        f_c = 1.0 - e2
+    else:
+        f_s = (
+            b * s * (big_k - 1.0) * (1.0 - e2)
+            + 0.5 * (1.0 + big_k) * (lam - b * b) * ch_mid
+            + 0.5 * (big_k - 1.0) * (b * b + lam) * (1.0 + e2)
+        )
+        f_c = (lam + b * b) * (1.0 - e2) + 2.0 * b * s * (1.0 + e2)
     theta = s * math.sqrt(k) * d
     return -f_s * np.sin(theta) + math.sqrt(k) * math.exp(a * (k + 1.0)) * f_c * np.cos(theta)
 
@@ -108,15 +120,17 @@ def _interval_exp_mass(tp: TranscendParams) -> float:
 def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     """First positive root of F(xi, beta, .), i.e. the principal eigenvalue.
 
-    F is sampled once, in the sqrt(lambda) variable, on geometrically
-    growing steps s_j = (1 + 1e-4)(1 + step)^j - 1 up to just below
-    pi / (sqrt(k) d).  Every sample keeps sqrt(lam k) d inside (0, pi), the
-    first period of sin, so the first sign change is the principal root;
-    Brent's method refines it.
+    beta lies in [0, inf]: 0 is Neumann, inf is Dirichlet (the root of the
+    limit F / b^2), at any xi in [0, 1 - delta].  F is sampled once, in the
+    sqrt(lambda) variable, on geometrically growing steps
+    s_j = (1 + 1e-4)(1 + step)^j - 1 up to just below pi / (sqrt(k) d).
+    Every sample keeps sqrt(lam k) d inside (0, pi), the first period of
+    sin, so the first sign change is the principal root; Brent's method
+    refines it.
     """
     k, d = tp.params.kappa, tp.delta
-    if not 0.0 <= beta < math.inf:  # false for NaN
-        raise ValueError(f"beta must lie in [0, inf), got {beta}; use dirichlet_root for inf")
+    if not 0.0 <= beta <= math.inf:  # false for NaN
+        raise ValueError(f"beta must lie in [0, inf], got {beta}")
     if not -1e-12 <= xi <= 1.0 - d + 1e-12:
         raise ValueError(f"xi = {xi} outside [0, 1 - delta]")
     if beta == 0.0 and _interval_exp_mass(tp) >= 0.0:
@@ -148,27 +162,12 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
 
 
 def dirichlet_root(tp: TranscendParams, xi: float = 0.0) -> float:
-    """First positive eigenvalue for the Dirichlet boundary-interval case.
+    """First positive eigenvalue under Dirichlet conditions, at any xi.
 
-    Only xi = 0 has the printed closed form
-    tan(sqrt(lam k) d) = -sqrt(k) e^{a(k+1)} tanh(sqrt(lam)(1-d)); its first
-    root lies where sqrt(lam k) d is between pi/2 and pi.
+    The root of the beta -> inf limit of F / b^2; at xi = 0 that is the
+    printed tan(sqrt(lam k) d) = -sqrt(k) e^{a(k+1)} tanh(sqrt(lam)(1-d)).
     """
-    if xi != 0.0:
-        raise ValueError("closed-form Dirichlet root is only available at xi = 0")
-    a, k, d = tp.params.alpha, tp.params.kappa, tp.delta
-    sk = math.sqrt(k)
-    coef = sk * math.exp(a * (k + 1.0))
-
-    def f(theta: float) -> float:
-        s = theta / (sk * d)
-        return math.tan(theta) + coef * math.tanh(s * (1.0 - d))
-
-    lo = 0.5 * math.pi + 1e-9
-    hi = math.pi - 1e-12
-    theta_root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    s = theta_root / (sk * d)
-    return s * s
+    return transcendental_root(xi, math.inf, tp)
 
 
 def critical_beta(alpha: float, kappa: float, delta: float) -> float:

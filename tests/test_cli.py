@@ -71,6 +71,22 @@ class TestRoot:
         assert data["lambda_first"] == lam
         assert lam == pytest.approx(51.90541829, rel=1e-8)
 
+    def test_dirichlet_off_edge_interval(self, tmp_path, capsys):
+        rc = cli.main(["root", "--dirichlet", "--xi", "0.2", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        lam = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        assert lam == pytest.approx(20.32384177505033, rel=1e-12)
+
+    def test_dirichlet_huge_jump_coefficient(self, tmp_path, capsys):
+        # sqrt(kappa) e^{alpha (kappa + 1)} ~ 1e23: the root sits a hair above
+        # sqrt(lam kappa) delta = pi/2, where a tan bracket starting at
+        # pi/2 + 1e-9 has no sign change
+        argv = ["root", "--dirichlet", "--params", "alpha=1,kappa=50", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        lam = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        delta = 0.6 / 51.0  # delta* at the default m0 = 0.4
+        assert lam == pytest.approx((0.5 * math.pi / (math.sqrt(50.0) * delta)) ** 2, rel=1e-12)
+
     def test_root_satisfies_regime_equation(self, tmp_path, capsys):
         from drifteig import ModelParams, TranscendParams, regime_equations
 
@@ -145,6 +161,14 @@ class TestLocate:
         data = json.loads((tmp_path / "b" / "optimum.json").read_text())
         assert data["xi_star"] == pytest.approx(0.35, abs=1e-6)
         assert data["mass_active"] is True
+
+    def test_thin_interval_dirichlet_row(self, tmp_path, capsys):
+        # delta* = 7.5e-4 is 1.5 cells at n = 2000; the Dirichlet row's grid
+        # solve at the center still agrees with the closed form
+        argv = ["sweep", "--sweep", "1:1000:3", "--params", "alpha=0.01,kappa=800"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert len((tmp_path / "o" / "sweep.csv").read_text().splitlines()) == 5
 
     def test_large_kappa_above_critical(self, tmp_path):
         # the sufficient condition evaluates beta_crit at alpha = 1/2, where
@@ -261,7 +285,7 @@ class TestFailurePolicy:
             (["sweep", "--sweep", "1:1:1", "--n", "2"], 4),
             (["eig", "--xi", "0.9"], 2),
             (["root", "--neumann", "--params", "alpha=1"], 3),
-            (["root", "--dirichlet", "--xi", "0.2"], 3),
+            (["root", "--dirichlet", "--xi", "0.2"], 0),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, argv, code):

@@ -172,7 +172,7 @@ class TestActiveConstraint:
             (0.45, 0.05, 0.05, 5.0),
             (1.0, 0.1, 0.05, 5.0),  # inactive: delta ~ 0.8270
             (2.0, 0.08, 0.03, 4.0),  # inactive: delta ~ 0.7803
-            (0.2, 1.0, 0.4, math.inf),  # Dirichlet: grid solves
+            (0.2, 1.0, 0.4, math.inf),  # Dirichlet
         ],
     )
     def test_matches_scan_and_golden_search(self, alpha, kappa, m0, beta_ratio):
@@ -183,13 +183,13 @@ class TestActiveConstraint:
         assert choose_delta(p, beta) == _scan_and_golden_delta(p, beta)
 
 
-def _scan_and_golden_delta(params, beta, grid_n=2000):
+def _scan_and_golden_delta(params, beta):
     """choose_delta's scanned decision without the bound probe: the coarse
     scan over m~ in [m0, 1 - 1e-3], golden refinement around its minimum,
     and activity when the refined minimizer is within 1e-6 of m0."""
     def lam_of_mtilde(mt):
         delta = (1.0 - mt) / (params.kappa + 1.0)
-        return optimize._best_lambda_for_delta(beta, delta, params, grid_n)
+        return optimize._best_lambda_for_delta(beta, delta, params)
 
     grid = np.linspace(params.m0, 1.0 - 1e-3, 32)
     vals = [lam_of_mtilde(float(t)) for t in grid]
@@ -220,11 +220,29 @@ class TestSweep:
         assert rows[0].lambda_star == pytest.approx(opt.lambda_star, rel=1e-12)
 
     def test_failed_dirichlet_row_is_recorded(self, params):
-        # two cells cannot bracket the Dirichlet eigenvalue; the finite row
-        # needs no grid and survives
+        # at two cells the reported grid value is 14% above the closed-form
+        # Dirichlet root; the finite row needs no grid and survives
         rows, failures = sweep_beta([1.0], params, grid_n=2)
         assert [r.beta for r in rows] == [1.0]
         assert len(failures) == 1 and math.isinf(failures[0][0])
+
+    def test_dirichlet_grid_checked_against_closed_form(self, params):
+        # 16 cells put the grid 1% above the closed form: the row is refused
+        rows, failures = sweep_beta([1.0], params, grid_n=16)
+        assert [r.beta for r in rows] == [1.0]
+        ((beta, message),) = failures
+        assert math.isinf(beta)
+        assert "Dirichlet grid mismatch at xi=0.35" in message
+
+    def test_thin_interval_dirichlet_row(self):
+        # the length scan reaches delta = 9.5e-4, under two cells at
+        # n = 2000; the closed form does not need the grid there
+        rows, failures = sweep_beta([1.0], ModelParams(0.45, 0.05, 0.05))
+        assert not failures and len(rows) == 2
+        row = rows[-1]
+        assert math.isinf(row.beta) and not row.mass_active
+        assert 1.0 - 2.0 * row.xi_star == pytest.approx(0.8998, abs=1e-4)
+        assert row.lambda_star == pytest.approx(183.325, rel=1e-5)
 
     def test_grid_validation(self, params):
         with pytest.raises(ValueError):

@@ -124,7 +124,7 @@ class TestTranscendentalRoot:
     def test_validation(self, tp):
         with pytest.raises(ValueError):
             transcendental_root(0.8, 1.0, tp)  # xi beyond 1 - delta
-        for beta in (math.inf, math.nan, -math.inf, -1.0):
+        for beta in (math.nan, -math.inf, -1.0):
             with pytest.raises(ValueError):
                 transcendental_root(0.0, beta, tp)
 
@@ -183,9 +183,57 @@ class TestDirichletRoot:
         lam = dirichlet_root(tp)
         assert lam == pytest.approx(math.pi**2 / params.kappa, rel=0.01)
 
-    def test_only_edge_interval(self, tp):
-        with pytest.raises(ValueError):
-            dirichlet_root(tp, xi=0.1)
+    @pytest.mark.parametrize("xi", [0.1, 0.2, 0.35])
+    def test_grid_converges_off_edge(self, tp, params, xi):
+        # the P1 grid overestimates at second order: quadrupling n divides
+        # its error against the closed form by 16
+        lam = dirichlet_root(tp, xi=xi)
+        w = BangBangInterval(xi, 0.3, params).weight()
+        err = [
+            principal_eigenvalue(w, params, Boundary.dirichlet(), make_discretization(n, w)).lam
+            - lam
+            for n in (2000, 8000)
+        ]
+        assert err[1] > 0.0
+        assert 15.0 <= err[0] / err[1] <= 17.0
+
+    @pytest.mark.parametrize(
+        "alpha, kappa", [(0.0, 0.5), (0.2, 1.0), (0.5, 5.0), (1.0, 50.0), (0.01, 800.0)]
+    )
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.7])
+    def test_printed_edge_equation(self, alpha, kappa, delta):
+        # at xi = 0 the paper prints tan(theta) = -c tanh(sqrt(lam)(1 - d)),
+        # theta = sqrt(lam k) d and c = sqrt(k) e^{a(k+1)}; its residual
+        # sin(theta) + c tanh(.) cos(theta) changes sign within 1e-12 of the root
+        tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
+        c = math.sqrt(kappa) * math.exp(alpha * (kappa + 1.0))
+
+        def residual(lam):
+            theta = math.sqrt(lam * kappa) * delta
+            return math.sin(theta) + c * math.tanh(math.sqrt(lam) * (1.0 - delta)) * math.cos(theta)
+
+        lam = dirichlet_root(tp)
+        assert 0.5 * math.pi <= math.sqrt(lam * kappa) * delta < math.pi
+        assert residual(lam * (1.0 - 1e-12)) > 0.0 > residual(lam * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "alpha, kappa, xis",
+        [
+            (0.2, 1.0, np.linspace(0.0, 0.7, 9)),
+            (0.5, 5.0, np.linspace(0.0, 0.9, 9)),
+            (0.01, 800.0, np.linspace(0.0, 1.0 - 0.6 / 801.0, 9)),
+            # off the edges this design's root is about 5e-22, below the scan
+            (1.0, 50.0, [0.0]),
+        ],
+    )
+    def test_mirror_symmetry(self, alpha, kappa, xis):
+        # xi and 1 - delta - xi are the same problem reflected about x = 1/2
+        delta = 0.6 / (kappa + 1.0)
+        tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
+        for xi in xis:
+            left = transcendental_root(float(xi), math.inf, tp)
+            right = transcendental_root(float(1.0 - delta - xi), math.inf, tp)
+            assert left == pytest.approx(right, rel=1e-12), xi
 
     def test_robin_roots_close_at_one_over_beta(self, tp, params, dirichlet_gap_coefficient):
         # lambda_inf - lambda_beta = C / beta + O(beta^-2): the relative
