@@ -517,10 +517,10 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
         # lambda* against the root over the full range of xi, which does not
         # go through the placement rule
         excess = -math.inf
-        for opt in (low, high):
-            for x in np.linspace(0.0, 1.0 - dstar, 33):
-                root = transcend.transcendental_root(float(x), opt.beta, tp)
-                excess = max(excess, opt.lambda_star / root - 1.0)
+        for x in np.linspace(0.0, 1.0 - dstar, 33):
+            scan = transcend._RootScan(float(x), tp)  # one scan serves both beta
+            for opt in (low, high):
+                excess = max(excess, opt.lambda_star / scan.root(opt.beta) - 1.0)
         ok = worst <= 1e-6 and flat <= 1e-8 and excess <= 1e-12
         return (
             max(worst, flat, excess),

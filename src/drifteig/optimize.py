@@ -128,6 +128,19 @@ def _optimal_xi(beta: float, bcrit: float, delta: float) -> float:
     return 0.0 if beta < bcrit else _xi_center(delta)
 
 
+def _root(xi: float, beta: float, tp: transcend.TranscendParams, scans: dict) -> float:
+    """transcendental_root through scans, one _RootScan per (delta, xi).
+
+    The scan's terms do not depend on beta, so the rows of one sweep share
+    them; scans lives as long as the caller's sweep or design call.
+    """
+    key = (tp.delta, xi)
+    scan = scans.get(key)
+    if scan is None:
+        scan = scans[key] = transcend._RootScan(xi, tp)
+    return scan.root(beta)
+
+
 def locate_optimal_interval(
     beta: float,
     delta: float,
@@ -144,6 +157,12 @@ def locate_optimal_interval(
     with grid_n cells, which must agree with the closed form to 1e-3
     relative or SolverError is raised.
     """
+    return _locate(beta, delta, params, grid_n, {})
+
+
+def _locate(
+    beta: float, delta: float, params: ModelParams, grid_n: int, scans: dict
+) -> DesignOptimum:
     tp = transcend.TranscendParams(params=params, delta=delta)
     bcrit = transcend.beta_crit(tp)
     mass_active = abs(delta - delta_star(params)) <= 1e-12
@@ -153,7 +172,7 @@ def locate_optimal_interval(
     else:
         xi_star = _optimal_xi(beta, bcrit, delta)
         regime = Regime.BOUNDARY_LEFT if xi_star == 0.0 else Regime.CENTERED
-    lam = transcend.transcendental_root(xi_star, beta, tp)
+    lam = _root(xi_star, beta, tp, scans)
     if beta == math.inf:
         w = BangBangInterval(xi_star, delta, params).weight()
         disc = eigensolve.make_discretization(grid_n, w)
@@ -193,11 +212,13 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
     return params.alpha < s2 / (1.0 + 2.0 * s2)
 
 
-def _best_lambda_for_delta(beta: float, delta: float, params: ModelParams) -> float:
+def _best_lambda_for_delta(
+    beta: float, delta: float, params: ModelParams, scans: dict
+) -> float:
     """min over xi of the interval eigenvalue, at the trichotomy's xi."""
     tp = transcend.TranscendParams(params=params, delta=delta)
     xi = _optimal_xi(beta, transcend.beta_crit(tp), delta)
-    return transcend.transcendental_root(xi, beta, tp)
+    return _root(xi, beta, tp, scans)
 
 
 def choose_delta(params: ModelParams, beta: float) -> tuple:
@@ -215,12 +236,16 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     without refining.  Otherwise (an interior scan minimum, or a flat or
     falling start) golden-section search refines the bracket around it.
     """
+    return _choose_delta(params, beta, {})
+
+
+def _choose_delta(params: ModelParams, beta: float, scans: dict) -> tuple:
     dstar = delta_star(params)
     if active_constraint_condition(params, beta):
         return dstar, True
 
     def lam_of_mtilde(mt: float) -> float:
-        return _best_lambda_for_delta(beta, (1.0 - mt) / (params.kappa + 1.0), params)
+        return _best_lambda_for_delta(beta, (1.0 - mt) / (params.kappa + 1.0), params, scans)
 
     hi_mt = 1.0 - 1e-3
     grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)
@@ -246,7 +271,8 @@ def sweep_beta(
 
     Returns (rows, failures); failures hold (beta, message) for rows whose
     solve raised a DriftEigError, the Dirichlet row (beta = inf) included,
-    and the sweep continues past them.
+    and the sweep continues past them.  Every row scans the same interval
+    lengths, so the rows share one root scan per (delta, xi).
     """
     betas = [float(b) for b in beta_grid]
     if not betas:
@@ -255,10 +281,11 @@ def sweep_beta(
         raise ValueError("beta grid must be sorted and positive")
     rows: list[SweepRow] = []
     failures: list[tuple] = []
+    scans: dict = {}
     for beta in betas + [math.inf]:
         try:
-            delta, active = choose_delta(params, beta)
-            opt = locate_optimal_interval(beta, delta, params, grid_n=grid_n)
+            delta, active = _choose_delta(params, beta, scans)
+            opt = _locate(beta, delta, params, grid_n, scans)
         except DriftEigError as exc:
             failures.append((beta, str(exc)))
             continue

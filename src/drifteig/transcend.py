@@ -3,13 +3,16 @@
 For m = (kappa+1) * chi_(xi, xi+delta) - 1 with Robin coefficient beta, the
 principal eigenvalue is the first positive root of a scalar transcendental
 equation F(xi, beta, lambda) = 0 built from trigonometric terms inside the
-resource interval and hyperbolic terms outside.  Under Dirichlet conditions
-(beta = inf) the equation is the limit F / b^2 = 0, with b = beta e^alpha,
-at every xi.  This module evaluates F and its pieces, locates the first
-positive root for every beta in [0, inf], computes the critical Robin
-coefficient at which the optimal interval location switches from the
-boundary to the center, and reconstructs the closed-form eigenfunction for
-cross-checks against the discretized solver.
+resource interval and hyperbolic terms outside.  F is a quadratic in
+b = beta e^alpha, so F 2 e^{-sqrt(lam)(1-delta)} / (1 + b)^2 is one
+expression for every beta in [0, inf]: three beta-free terms R0, R1, R2
+weighted by (1, b, b^2) / (1 + b)^2, which is (0, 0, 1) under Dirichlet
+conditions (beta = inf, the limit F / b^2).  This module evaluates F and
+its pieces, locates the first positive root (one scan of the terms per
+interval serves every beta), computes the critical Robin coefficient at
+which the optimal interval location switches from the boundary to the
+center, and reconstructs the closed-form eigenfunction for cross-checks
+against the discretized solver.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from scipy.optimize import brentq
 from .weights import DriftEigError, ModelParams
 
 ROOT_RTOL = 1e-12
+S_FLOOR = 1e-150  # lowest sqrt(lambda) the root scan steps down to
 
 
 class RootNotFoundError(DriftEigError, RuntimeError):
@@ -80,36 +84,71 @@ def F_components(xi: float, beta: float, lam: float, tp: TranscendParams):
     return f_s, f_c, f
 
 
-def _f_scaled(xi: float, beta: float, lam, tp: TranscendParams):
-    """F multiplied by 2 e^{-sqrt(lam)(1-d)}: same roots, no overflow.
+def _terms(xi: float, s, tp: TranscendParams, xp):
+    """The beta-free parts (R0, R1, R2) of F, at s = sqrt(lambda).
 
-    All hyperbolic terms are rewritten with non-positive exponents, so the
-    function stays finite for arbitrarily large lambda.  beta = inf gives
-    the limit of F / b^2, the Dirichlet equation.  lam may be an array; the
-    result then has its shape.
+    F is a quadratic in b = beta e^alpha, so with t = s(1 - d)
+
+        F 2 e^{-t} / (1 + b)^2 = w0 R0 + w1 R1 + w2 R2,
+
+    w = (1, b, b^2) / (1 + b)^2 from _weights, and
+    R_i = -P_i sin(theta) + sqrt(k) e^{a(k+1)} Q_i cos(theta), theta =
+    s sqrt(k) d.  With om = 1 - e^{-2t}, left = 1 - e^{-2 s xi},
+    right = 1 - e^{-2 s ((1-d) - xi)}, gap = left right and
+    sum3 = 4 - om - left - right (= 1 + e^{-2t} + e^{-2 s xi} + e^{-2 s ((1-d) - xi)}):
+
+        P0 = lam (K sum3 - gap) / 2   P1 = (K - 1) s om   P2 = (K gap - sum3) / 2
+        Q0 = lam om                   Q1 = 2 s (2 - om)   Q2 = om
+
+    Every exponent is non-positive and gap is a product of expm1 factors,
+    so nothing overflows and a large K = k e^{2a(k+1)} multiplies no
+    difference of nearby terms.  s is an array with xp = numpy (the scan)
+    or a float with xp = math (brentq's scalar calls).
     """
-    a, k, d, big_k, b = _shorthands(tp, beta)
-    s = np.sqrt(lam)
-    t = s * (1.0 - d)
-    e2 = np.exp(-2.0 * t)
-    ch_mid = np.exp(-2.0 * s * xi) + np.exp(-2.0 * s * (1.0 - xi - d))
-    if beta == math.inf:
-        # (K-1)(1+e2) - (K+1) ch_mid with 1 + e2 - ch_mid factored, so a large
-        # K multiplies a product instead of a difference of nearby terms; the
-        # right gap is (1-d) - xi, exactly 0 at xi = 1 - d
-        f_s = 0.5 * big_k * np.expm1(-2.0 * s * xi) * np.expm1(
-            -2.0 * s * ((1.0 - d) - xi)
-        ) - 0.5 * (1.0 + e2 + ch_mid)
-        f_c = 1.0 - e2
-    else:
-        f_s = (
-            b * s * (big_k - 1.0) * (1.0 - e2)
-            + 0.5 * (1.0 + big_k) * (lam - b * b) * ch_mid
-            + 0.5 * (big_k - 1.0) * (b * b + lam) * (1.0 + e2)
-        )
-        f_c = (lam + b * b) * (1.0 - e2) + 2.0 * b * s * (1.0 + e2)
-    theta = s * math.sqrt(k) * d
-    return -f_s * np.sin(theta) + math.sqrt(k) * math.exp(a * (k + 1.0)) * f_c * np.cos(theta)
+    a, k, d = tp.params.alpha, tp.params.kappa, tp.delta
+    big_k = k * math.exp(2.0 * a * (k + 1.0))
+    front = math.sqrt(k) * math.exp(a * (k + 1.0))
+    lam = s * s
+    om = -xp.expm1(s * (-2.0 * (1.0 - d)))
+    left = -xp.expm1(s * (-2.0 * xi))
+    right = -xp.expm1(s * (-2.0 * ((1.0 - d) - xi)))  # exactly 0 at xi = 1 - d
+    gap = left * right
+    sum3 = 4.0 - om - left - right
+    theta = s * (math.sqrt(k) * d)
+    sin = xp.sin(theta)
+    cos = front * xp.cos(theta)
+    r0 = cos * (lam * om) - sin * (0.5 * lam * (big_k * sum3 - gap))
+    r1 = cos * (2.0 * s * (2.0 - om)) - sin * ((big_k - 1.0) * s * om)
+    r2 = cos * om - sin * (0.5 * (big_k * gap - sum3))
+    return r0, r1, r2
+
+
+def _weights(beta: float, tp: TranscendParams):
+    """(p^2, p q, q^2) with p = 1/(1+b), q = b/(1+b): (1, b, b^2)/(1+b)^2.
+
+    Dirichlet conditions (beta = inf) give (0, 0, 1), the limit F / b^2.
+    """
+    b = beta * math.exp(tp.params.alpha)
+    if b == math.inf:
+        return 0.0, 0.0, 1.0
+    p = 1.0 / (1.0 + b)
+    q = b / (1.0 + b)
+    return p * p, p * q, q * q
+
+
+def _weighted(w, terms):
+    """w0 R0 + w1 R1 + w2 R2, skipping the zero weights of beta = 0 and inf."""
+    return sum(wi * ri for wi, ri in zip(w, terms) if wi != 0.0)
+
+
+def _f_scaled(xi: float, beta: float, lam, tp: TranscendParams):
+    """F times 2 e^{-sqrt(lam)(1-d)} / (1 + b)^2: same roots, no overflow.
+
+    The three-weight form of _terms, at every beta in [0, inf]; beta = inf
+    gives the limit of F / b^2, the Dirichlet equation.  lam may be an
+    array; the result then has its shape.
+    """
+    return _weighted(_weights(beta, tp), _terms(xi, np.sqrt(lam), tp, np))
 
 
 def _interval_exp_mass(tp: TranscendParams) -> float:
@@ -117,48 +156,89 @@ def _interval_exp_mass(tp: TranscendParams) -> float:
     return k * d * math.exp(a * k) - (1.0 - d) * math.exp(-a)
 
 
+class _RootScan:
+    """F's beta-free terms on the root scan of one interval (xi, delta).
+
+    The scan runs in the sqrt(lambda) variable on geometrically growing
+    steps s_j = (1 + 1e-4)(1 + step)^j - 1 up to just below
+    pi / (sqrt(k) d).  Every sample keeps sqrt(lam k) d inside (0, pi), the
+    first period of sin, so the first sign change is the principal root.
+    Only the weights of _terms depend on beta, so one scan serves every
+    beta: root(beta) costs a weighted sum, the sign scan and brentq.
+    """
+
+    def __init__(self, xi: float, tp: TranscendParams):
+        k, d = tp.params.kappa, tp.delta
+        if not -1e-12 <= xi <= 1.0 - d + 1e-12:
+            raise ValueError(f"xi = {xi} outside [0, 1 - delta]")
+        self.xi, self.tp = xi, tp
+        sk = math.sqrt(k)
+        self.s_max = math.pi / (sk * d) * (1.0 - 1e-12)
+        step = min(0.01, math.pi / (8.0 * sk * d))
+        j_end = max(
+            math.ceil(math.log((1.0 + self.s_max) / (1.0 + 1e-4)) / math.log1p(step)), 0
+        )
+        self.s = np.minimum(
+            (1.0 + 1e-4) * (1.0 + step) ** np.arange(j_end + 1) - 1.0, self.s_max
+        )
+        self.terms = _terms(xi, self.s, tp, np)
+
+    def root(self, beta: float) -> float:
+        """First positive root lambda of F(xi, beta, .), beta in [0, inf].
+
+        On every admissible design F > 0 as lambda -> 0+, so a first sample
+        that is not positive puts the root below the scan: s steps down by
+        16 to a positive sample, no lower than S_FLOOR, and brentq refines
+        that last step.
+        """
+        if not 0.0 <= beta <= math.inf:  # false for NaN
+            raise ValueError(f"beta must lie in [0, inf], got {beta}")
+        if beta == 0.0 and _interval_exp_mass(self.tp) >= 0.0:
+            raise ValueError(
+                "Neumann zero regime for this interval weight: "
+                "no positive principal eigenvalue"
+            )
+        w = _weights(beta, self.tp)
+        xi, tp, s = self.xi, self.tp, self.s
+
+        def f(x):
+            return _weighted(w, _terms(xi, x, tp, math))
+
+        g = _weighted(w, self.terms)
+        (stop,) = np.nonzero(g <= 0.0)
+        if stop.size == 0:
+            samples = list(zip(s.tolist(), g.tolist()))
+            raise RootNotFoundError(
+                f"no admissible root in (0, {self.s_max**2:.6g}); "
+                f"first/last samples {samples[:2]} ... {samples[-2:]}"
+            )
+        j = stop[0]
+        if j > 0:
+            lo, hi, xtol = s[j - 1], s[j], 1e-15
+        else:
+            hi = s[0]
+            while not f(hi / 16.0) > 0.0:
+                hi /= 16.0
+                if hi < S_FLOOR:
+                    raise RootNotFoundError(
+                        f"F is not positive at any s = sqrt(lambda) from {s[0]:.3g} "
+                        f"down to {hi:.3g}"
+                    )
+            lo = hi / 16.0
+            xtol = 1e-15 * lo
+        s_root = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
+        return s_root * s_root
+
+
 def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     """First positive root of F(xi, beta, .), i.e. the principal eigenvalue.
 
     beta lies in [0, inf]: 0 is Neumann, inf is Dirichlet (the root of the
-    limit F / b^2), at any xi in [0, 1 - delta].  F is sampled once, in the
-    sqrt(lambda) variable, on geometrically growing steps
-    s_j = (1 + 1e-4)(1 + step)^j - 1 up to just below pi / (sqrt(k) d).
-    Every sample keeps sqrt(lam k) d inside (0, pi), the first period of
-    sin, so the first sign change is the principal root; Brent's method
-    refines it.
+    limit F / b^2), at any xi in [0, 1 - delta].  One _RootScan of the
+    interval, then its root at beta; callers that need several beta at one
+    interval keep the scan instead.
     """
-    k, d = tp.params.kappa, tp.delta
-    if not 0.0 <= beta <= math.inf:  # false for NaN
-        raise ValueError(f"beta must lie in [0, inf], got {beta}")
-    if not -1e-12 <= xi <= 1.0 - d + 1e-12:
-        raise ValueError(f"xi = {xi} outside [0, 1 - delta]")
-    if beta == 0.0 and _interval_exp_mass(tp) >= 0.0:
-        raise ValueError(
-            "Neumann zero regime for this interval weight: "
-            "no positive principal eigenvalue"
-        )
-    sk = math.sqrt(k)
-    s_max = math.pi / (sk * d) * (1.0 - 1e-12)
-    step = min(0.01, math.pi / (8.0 * sk * d))
-    j_end = max(math.ceil(math.log((1.0 + s_max) / (1.0 + 1e-4)) / math.log1p(step)), 0)
-    s = np.minimum((1.0 + 1e-4) * (1.0 + step) ** np.arange(j_end + 1) - 1.0, s_max)
-    g = _f_scaled(xi, beta, s * s, tp)
-    sign = np.sign(g)  # signs, not g itself: g_j g_{j+1} overflows once |g| > 1e154
-    change = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
-    if change.size == 0:
-        samples = list(zip(s.tolist(), g.tolist()))
-        raise RootNotFoundError(
-            f"no admissible root in (0, {s_max**2:.6g}); "
-            f"first/last samples {samples[:2]} ... {samples[-2:]}"
-        )
-    j = change[0]
-    if g[j] == 0.0:
-        return float(s[j] * s[j])
-    s_root = brentq(
-        lambda x: _f_scaled(xi, beta, x * x, tp), s[j], s[j + 1], xtol=1e-15, rtol=8.9e-16
-    )
-    return s_root * s_root
+    return _RootScan(xi, tp).root(beta)
 
 
 def dirichlet_root(tp: TranscendParams, xi: float = 0.0) -> float:

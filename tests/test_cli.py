@@ -136,6 +136,24 @@ class TestSweep:
         assert "BoundaryLeft" in regimes and "Centered" in regimes
         assert regimes == sorted(regimes, key=lambda r: r != "BoundaryLeft")
 
+    def test_finite_rows_with_roots_below_lambda_1e8(self, tmp_path, capsys):
+        # a large jump e^{alpha (kappa+1)} puts the centered roots near 1e-22;
+        # the references are 80-digit mpmath roots of the literal F.  The
+        # Dirichlet row is a grid solve, which cannot resolve such a root
+        argv = ["sweep", "--sweep", "1:10:2", "--params", "alpha=1,kappa=50"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 4
+        capsys.readouterr()
+        lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        assert [(r[0], r[3], r[4]) for r in rows] == [
+            ("1.0", "Centered", "True"),
+            ("10.0", "Centered", "True"),
+        ]
+        assert float(rows[0][1]) == pytest.approx(2.798688357671525085386597e-22, rel=1e-12)
+        assert float(rows[1][1]) == pytest.approx(4.544049366353712490656865e-22, rel=1e-12)
+        failures = json.loads((tmp_path / "o" / "sweep.json").read_text())["failures"]
+        assert [f["beta"] for f in failures] == ["inf"]
+
     def test_deterministic_output(self, tmp_path, capsys):
         for sub in ("r1", "r2"):
             rc = cli.main(["sweep", "--sweep", "0.5:8.0:7", "--out", str(tmp_path / sub)])

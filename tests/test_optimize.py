@@ -133,36 +133,19 @@ class TestActiveConstraint:
         assert delta == pytest.approx(DSTAR, abs=1e-6)
         assert active
 
-    def test_scan_evaluates_each_point_once(self, params, monkeypatch):
+    def test_scan_evaluates_each_point_once(self, params, counted_scans):
         # the scan already holds the value at m0 and the golden search the
         # value at its minimizer; neither is solved again
-        from drifteig import transcend
-
-        seen = []
-        root = transcend.transcendental_root
-
-        def counting(xi, beta, tp):
-            seen.append((xi, beta, tp.delta))
-            return root(xi, beta, tp)
-
-        monkeypatch.setattr(transcend, "transcendental_root", counting)
+        builds, roots = counted_scans
         choose_delta(params, 10.0)
-        assert seen and len(seen) == len(set(seen)), len(seen) - len(set(seen))
+        assert roots and len(roots) == len(set(roots)), len(roots) - len(set(roots))
+        assert len(builds) == len(roots)
 
-    def test_scan_minimum_at_bound_settled_by_one_probe(self, params, monkeypatch):
+    def test_scan_minimum_at_bound_settled_by_one_probe(self, params, counted_scans):
         # 32 scan points plus the probe at m0 + ACTIVE_TOL, no golden search
-        from drifteig import transcend
-
-        calls = []
-        root = transcend.transcendental_root
-
-        def counting(xi, beta, tp):
-            calls.append(tp.delta)
-            return root(xi, beta, tp)
-
-        monkeypatch.setattr(transcend, "transcendental_root", counting)
+        _, roots = counted_scans
         assert choose_delta(params, 10.0) == (DSTAR, True)
-        assert len(calls) == optimize.DELTA_SCAN_POINTS + 1
+        assert len(roots) == optimize.DELTA_SCAN_POINTS + 1
 
     @pytest.mark.parametrize(
         "alpha, kappa, m0, beta_ratio",
@@ -189,7 +172,7 @@ def _scan_and_golden_delta(params, beta):
     and activity when the refined minimizer is within 1e-6 of m0."""
     def lam_of_mtilde(mt):
         delta = (1.0 - mt) / (params.kappa + 1.0)
-        return optimize._best_lambda_for_delta(beta, delta, params)
+        return optimize._best_lambda_for_delta(beta, delta, params, {})
 
     grid = np.linspace(params.m0, 1.0 - 1e-3, 32)
     vals = [lam_of_mtilde(float(t)) for t in grid]
@@ -201,7 +184,39 @@ def _scan_and_golden_delta(params, beta):
     return (1.0 - mt_opt) / (params.kappa + 1.0), abs(mt_opt - params.m0) <= 1e-6
 
 
+@pytest.fixture
+def counted_scans(monkeypatch):
+    """Record every root scan built, by (delta, xi), and every root taken
+    from one, by (xi, beta, delta)."""
+    from drifteig import transcend
+
+    builds, roots = [], []
+
+    class Counting(transcend._RootScan):
+        def __init__(self, xi, tp):
+            builds.append((tp.delta, xi))
+            super().__init__(xi, tp)
+
+        def root(self, beta):
+            roots.append((self.xi, beta, self.tp.delta))
+            return super().root(beta)
+
+    monkeypatch.setattr(transcend, "_RootScan", Counting)
+    return builds, roots
+
+
 class TestSweep:
+    def test_figure_sweep_builds_each_scan_once(self, params, counted_scans):
+        # the figure's 60 betas: every row scans the same 32 lengths (plus
+        # the bound probe) at the edge or the center, and only the weights
+        # of F change with beta, so no (delta, xi) scan is built twice
+        builds, roots = counted_scans
+        rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 60), params)
+        assert len(rows) == 61 and not failures
+        assert len(builds) == len(set(builds))
+        assert len(builds) <= 2 * optimize.DELTA_SCAN_POINTS + 2
+        assert len(roots) > 10 * len(builds)
+
     def test_rows_and_asymptote(self, params):
         rows, failures = sweep_beta([0.5, 1.0, 2.0, 10000.0], params)
         assert not failures

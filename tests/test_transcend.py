@@ -23,6 +23,18 @@ from drifteig import (
 )
 from drifteig.transcend import RootNotFoundError, _f_scaled
 
+# First roots of the literal F from an 80-digit mpmath bisection (a log scan
+# in s = sqrt(lambda) to the first sign change, then 300 halvings), pinned
+# because mpmath is not a dependency: (alpha, kappa, delta, xi, beta, lambda)
+DELTA_50 = 0.6 / 51.0  # delta* for (kappa, m0) = (50, 0.4)
+PINNED_ROOTS = [
+    # large K = kappa e^{2 alpha (kappa+1)}: the literal F's (K-1) and (K+1) sums cancel
+    (0.3, 50.0, 0.3, 0.0, 1e4, 2.038940991481598631259148e-4),
+    # roots below the scan's first sample s = 1e-4
+    (0.6, 50.0, 0.3, 0.0, 10.0, 6.69195887403221928182114e-14),
+    (1.0, 50.0, DELTA_50, 0.5 * (1.0 - DELTA_50), math.inf, 4.882361983095903629250345e-22),
+]
+
 
 @pytest.fixture
 def tp(params):
@@ -53,6 +65,49 @@ class TestF:
             lam = beta**2 * math.exp(2.0 * params.alpha)
             vals = [F_components(xi, beta, lam, tp)[2] for xi in np.linspace(0.0, 0.35, 9)]
             assert max(vals) - min(vals) <= 1e-10 * max(abs(v) for v in vals)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 30.0])
+    @pytest.mark.parametrize("alpha, kappa, delta", [(0.2, 1.0, 0.3), (0.5, 5.0, 0.1), (0.1, 20.0, 0.25)])
+    def test_three_weight_form_is_scaled_literal_f(self, alpha, kappa, delta, beta):
+        # F 2 e^{-t} / (1 + b)^2 against the printed F, on moderate K where
+        # the literal sums lose nothing; relative to the size of F's two
+        # summands, which is what rounding in either form scales with
+        tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
+        scale = 2.0 / (1.0 + beta * math.exp(alpha)) ** 2
+        s_top = math.pi / (math.sqrt(kappa) * delta)
+        for xi in (0.0, 0.3 * (1.0 - delta), 1.0 - delta):
+            for s in np.linspace(0.0, s_top, 23)[1:-1]:
+                lam = float(s * s)
+                f_s, f_c, f = F_components(xi, beta, lam, tp)
+                theta = s * math.sqrt(kappa) * delta
+                size = abs(f_s * math.sin(theta)) + abs(
+                    math.sqrt(kappa) * math.exp(alpha * (kappa + 1.0)) * f_c * math.cos(theta)
+                )
+                t = s * (1.0 - delta)
+                got = _f_scaled(xi, beta, lam, tp)
+                assert abs(got - f * scale * math.exp(-t)) <= 1e-12 * size * scale * math.exp(-t)
+
+    @pytest.mark.parametrize("alpha, kappa, delta", [(0.2, 1.0, 0.3), (1.0, 50.0, 0.1), (8.0, 30.0, 0.05)])
+    def test_dirichlet_weight_is_the_limit_of_f_over_b_squared(self, alpha, kappa, delta):
+        # at beta = inf the weights are (0, 0, 1): the closed-form limit F / b^2,
+        # 2 e^{-t} [-f_s sin + c f_c cos] with f_s = K/2 (1 - e^{-2 s xi})
+        # (1 - e^{-2 s ((1-d) - xi)}) - (1 + e^{-2t} + ch_mid)/2, f_c = 1 - e^{-2t}
+        tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
+        big_k = kappa * math.exp(2.0 * alpha * (kappa + 1.0))
+        c = math.sqrt(kappa) * math.exp(alpha * (kappa + 1.0))
+        s_top = math.pi / (math.sqrt(kappa) * delta)
+        for xi in (0.0, 0.5 * (1.0 - delta), 1.0 - delta):
+            for s in np.geomspace(1e-6 * s_top, s_top, 17)[:-1]:
+                e2 = math.exp(-2.0 * s * (1.0 - delta))
+                ch_mid = math.exp(-2.0 * s * xi) + math.exp(-2.0 * s * ((1.0 - delta) - xi))
+                f_s = 0.5 * big_k * math.expm1(-2.0 * s * xi) * math.expm1(
+                    -2.0 * s * ((1.0 - delta) - xi)
+                ) - 0.5 * (1.0 + e2 + ch_mid)
+                f_c = -math.expm1(-2.0 * s * (1.0 - delta))
+                theta = s * math.sqrt(kappa) * delta
+                parts = (-f_s * math.sin(theta), c * f_c * math.cos(theta))
+                got = _f_scaled(xi, math.inf, float(s * s), tp)
+                assert abs(got - sum(parts)) <= 1e-12 * (abs(parts[0]) + abs(parts[1]))
 
     def test_scaled_variant_shares_roots(self, tp):
         lam = transcendental_root(0.1, 2.0, tp)
@@ -128,18 +183,33 @@ class TestTranscendentalRoot:
             with pytest.raises(ValueError):
                 transcendental_root(0.0, beta, tp)
 
-    def test_empty_range_raises(self):
-        # pi / (sqrt(kappa) delta) < 1e-4: the scan has no interval to search
-        tp = TranscendParams(params=ModelParams(0.0, 1e10, 0.4), delta=0.5)
-        with pytest.raises(RootNotFoundError, match="first/last samples"):
-            transcendental_root(0.0, 1.0, tp)
+    @pytest.mark.parametrize("alpha, kappa, delta, xi, beta, lam", PINNED_ROOTS)
+    def test_pinned_high_precision_roots(self, alpha, kappa, delta, xi, beta, lam):
+        tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
+        assert transcendental_root(xi, beta, tp) == pytest.approx(lam, rel=1e-12)
 
-    def test_huge_samples_raise_typed_error(self):
-        # kappa e^{2 alpha (kappa+1)} ~ 1e217 makes |F| exceed 1e154, where a
-        # product of two samples overflows; the sign test must not warn
+    def test_one_sample_scan_root_below_it(self):
+        # pi / (sqrt(kappa) delta) < 1e-4: the scan is the single sample
+        # s_max, past the root, which is found below it.  Reference as for
+        # PINNED_ROOTS
+        tp = TranscendParams(params=ModelParams(0.0, 1e10, 0.4), delta=0.5)
+        lam = transcendental_root(0.0, 1.0, tp)
+        assert lam == pytest.approx(3.093006158959074575542022e-10, rel=1e-12)
+
+    def test_huge_samples_root_without_overflow(self):
+        # kappa e^{2 alpha (kappa+1)} ~ 1e217 makes |F| exceed 1e154 on the
+        # scan, and the root lies far below its first sample; the suite turns
+        # any overflow warning into a failure.  Reference as for PINNED_ROOTS.
         tp = TranscendParams(ModelParams(8.0, 30.0, 0.05), 0.03064516129032258)
-        with pytest.raises(RootNotFoundError):
-            transcendental_root(0.4846774193548387, 7.196634833613826e-110, tp)
+        lam = transcendental_root(0.4846774193548387, 7.196634833613826e-110, tp)
+        assert lam == pytest.approx(9.204509267007051028008857e-214, rel=1e-12)
+
+    def test_root_below_floor_raises(self):
+        # beta = 1e-300 moves that root to about 1e-404, under the floor
+        # s = 1e-150 of the downward steps
+        tp = TranscendParams(ModelParams(8.0, 30.0, 0.05), 0.03064516129032258)
+        with pytest.raises(RootNotFoundError, match="not positive"):
+            transcendental_root(0.4846774193548387, 1e-300, tp)
 
     @pytest.mark.parametrize("kappa, delta", [(2e4, 0.3), (1e5, 0.2)])
     @pytest.mark.parametrize("centered", [False, True])
@@ -222,8 +292,8 @@ class TestDirichletRoot:
             (0.2, 1.0, np.linspace(0.0, 0.7, 9)),
             (0.5, 5.0, np.linspace(0.0, 0.9, 9)),
             (0.01, 800.0, np.linspace(0.0, 1.0 - 0.6 / 801.0, 9)),
-            # off the edges this design's root is about 5e-22, below the scan
-            (1.0, 50.0, [0.0]),
+            # off the edges this design's roots lie far below lambda = 1e-8
+            (1.0, 50.0, np.linspace(0.0, 1.0 - 0.6 / 51.0, 9)),
         ],
     )
     def test_mirror_symmetry(self, alpha, kappa, xis):
