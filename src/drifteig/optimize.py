@@ -128,17 +128,18 @@ def _optimal_xi(beta: float, bcrit: float, delta: float) -> float:
     return 0.0 if beta < bcrit else _xi_center(delta)
 
 
-def _root(xi: float, beta: float, tp: transcend.TranscendParams, scans: dict) -> float:
-    """transcendental_root through scans, one _RootScan per (delta, xi).
+def _scan(xi: float, tp: transcend.TranscendParams, scans: dict) -> transcend._RootScan:
+    """The _RootScan of (delta, xi) in scans, built on first use.
 
     The scan's terms do not depend on beta, so the rows of one sweep share
-    them; scans lives as long as the caller's sweep or design call.
+    them, and each keeps the roots it has refined; scans lives as long as
+    the caller's sweep or design call.
     """
     key = (tp.delta, xi)
     scan = scans.get(key)
     if scan is None:
         scan = scans[key] = transcend._RootScan(xi, tp)
-    return scan.root(beta)
+    return scan
 
 
 def locate_optimal_interval(
@@ -172,7 +173,7 @@ def _locate(
     else:
         xi_star = _optimal_xi(beta, bcrit, delta)
         regime = Regime.BOUNDARY_LEFT if xi_star == 0.0 else Regime.CENTERED
-    lam = _root(xi_star, beta, tp, scans)
+    lam = _scan(xi_star, tp, scans).root(beta)
     if beta == math.inf:
         w = BangBangInterval(xi_star, delta, params).weight()
         disc = eigensolve.make_discretization(grid_n, w)
@@ -212,13 +213,19 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
     return params.alpha < s2 / (1.0 + 2.0 * s2)
 
 
+def _best_scan(
+    beta: float, delta: float, params: ModelParams, scans: dict
+) -> transcend._RootScan:
+    """The root scan at the trichotomy's xi for this length."""
+    tp = transcend.TranscendParams(params=params, delta=delta)
+    return _scan(_optimal_xi(beta, transcend.beta_crit(tp), delta), tp, scans)
+
+
 def _best_lambda_for_delta(
     beta: float, delta: float, params: ModelParams, scans: dict
 ) -> float:
     """min over xi of the interval eigenvalue, at the trichotomy's xi."""
-    tp = transcend.TranscendParams(params=params, delta=delta)
-    xi = _optimal_xi(beta, transcend.beta_crit(tp), delta)
-    return _root(xi, beta, tp, scans)
+    return _best_scan(beta, delta, params, scans).root(beta)
 
 
 def choose_delta(params: ModelParams, beta: float) -> tuple:
@@ -244,13 +251,24 @@ def _choose_delta(params: ModelParams, beta: float, scans: dict) -> tuple:
     if active_constraint_condition(params, beta):
         return dstar, True
 
+    def length(mt: float) -> float:
+        return (1.0 - mt) / (params.kappa + 1.0)
+
     def lam_of_mtilde(mt: float) -> float:
-        return _best_lambda_for_delta(beta, (1.0 - mt) / (params.kappa + 1.0), params, scans)
+        return _best_lambda_for_delta(beta, length(mt), params, scans)
 
     hi_mt = 1.0 - 1e-3
     grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)
-    vals = [lam_of_mtilde(float(t)) for t in grid]
-    i = int(np.argmin(vals))
+    grid_scans = [_best_scan(beta, length(float(t)), params, scans) for t in grid]
+    brackets = [scan.bracket(beta) for scan in grid_scans]
+    top = min(hi for _, hi in brackets)
+    # a point whose bracket starts above the lowest bracket top cannot be the minimum
+    vals = {
+        i: scan.root(beta)
+        for i, (scan, (lo, _)) in enumerate(zip(grid_scans, brackets))
+        if i == 0 or lo <= top
+    }
+    i = min(vals, key=vals.get)  # the lowest index with the smallest value
     if i == 0 and lam_of_mtilde(params.m0 + ACTIVE_TOL) > vals[0]:
         return dstar, True  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
     lo = grid[max(i - 1, 0)]

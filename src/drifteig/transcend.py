@@ -84,7 +84,23 @@ def F_components(xi: float, beta: float, lam: float, tp: TranscendParams):
     return f_s, f_c, f
 
 
-def _terms(xi: float, s, tp: TranscendParams, xp):
+def _consts(xi: float, tp: TranscendParams):
+    """The (delta, xi)-only factors of _terms, computed once per interval.
+
+    (K, sqrt(k) e^{a(k+1)}, -2(1-d), -2 xi, -2((1-d) - xi), sqrt(k) d).
+    """
+    a, k, d = tp.params.alpha, tp.params.kappa, tp.delta
+    return (
+        k * math.exp(2.0 * a * (k + 1.0)),
+        math.sqrt(k) * math.exp(a * (k + 1.0)),
+        -2.0 * (1.0 - d),
+        -2.0 * xi,
+        -2.0 * ((1.0 - d) - xi),  # exactly 0 at xi = 1 - d
+        math.sqrt(k) * d,
+    )
+
+
+def _terms(s, c, xp):
     """The beta-free parts (R0, R1, R2) of F, at s = sqrt(lambda).
 
     F is a quadratic in b = beta e^alpha, so with t = s(1 - d)
@@ -102,19 +118,17 @@ def _terms(xi: float, s, tp: TranscendParams, xp):
 
     Every exponent is non-positive and gap is a product of expm1 factors,
     so nothing overflows and a large K = k e^{2a(k+1)} multiplies no
-    difference of nearby terms.  s is an array with xp = numpy (the scan)
-    or a float with xp = math (brentq's scalar calls).
+    difference of nearby terms.  c is _consts(xi, tp); s is an array with
+    xp = numpy (the scan) or a float with xp = math (brentq's scalar calls).
     """
-    a, k, d = tp.params.alpha, tp.params.kappa, tp.delta
-    big_k = k * math.exp(2.0 * a * (k + 1.0))
-    front = math.sqrt(k) * math.exp(a * (k + 1.0))
+    big_k, front, c_om, c_left, c_right, c_theta = c
     lam = s * s
-    om = -xp.expm1(s * (-2.0 * (1.0 - d)))
-    left = -xp.expm1(s * (-2.0 * xi))
-    right = -xp.expm1(s * (-2.0 * ((1.0 - d) - xi)))  # exactly 0 at xi = 1 - d
+    om = -xp.expm1(s * c_om)
+    left = -xp.expm1(s * c_left)
+    right = -xp.expm1(s * c_right)
     gap = left * right
     sum3 = 4.0 - om - left - right
-    theta = s * (math.sqrt(k) * d)
+    theta = s * c_theta
     sin = xp.sin(theta)
     cos = front * xp.cos(theta)
     r0 = cos * (lam * om) - sin * (0.5 * lam * (big_k * sum3 - gap))
@@ -148,7 +162,7 @@ def _f_scaled(xi: float, beta: float, lam, tp: TranscendParams):
     gives the limit of F / b^2, the Dirichlet equation.  lam may be an
     array; the result then has its shape.
     """
-    return _weighted(_weights(beta, tp), _terms(xi, np.sqrt(lam), tp, np))
+    return _weighted(_weights(beta, tp), _terms(np.sqrt(lam), _consts(xi, tp), np))
 
 
 def _interval_exp_mass(tp: TranscendParams) -> float:
@@ -164,7 +178,11 @@ class _RootScan:
     pi / (sqrt(k) d).  Every sample keeps sqrt(lam k) d inside (0, pi), the
     first period of sin, so the first sign change is the principal root.
     Only the weights of _terms depend on beta, so one scan serves every
-    beta: root(beta) costs a weighted sum, the sign scan and brentq.
+    beta.  A root comes in two steps: bracket(beta), a weighted sum and the
+    sign scan, puts it in a lambda interval; root(beta) refines that
+    interval with brentq, once per beta, and keeps the result.  Callers
+    that compare roots can compare brackets first and refine only the ones
+    that can win.
     """
 
     def __init__(self, xi: float, tp: TranscendParams):
@@ -181,16 +199,12 @@ class _RootScan:
         self.s = np.minimum(
             (1.0 + 1e-4) * (1.0 + step) ** np.arange(j_end + 1) - 1.0, self.s_max
         )
-        self.terms = _terms(xi, self.s, tp, np)
+        self.consts = _consts(xi, tp)
+        self.terms = _terms(self.s, self.consts, np)
+        self.roots: dict = {}  # beta -> refined root
 
-    def root(self, beta: float) -> float:
-        """First positive root lambda of F(xi, beta, .), beta in [0, inf].
-
-        On every admissible design F > 0 as lambda -> 0+, so a first sample
-        that is not positive puts the root below the scan: s steps down by
-        16 to a positive sample, no lower than S_FLOOR, and brentq refines
-        that last step.
-        """
+    def _sign_scan(self, beta: float):
+        """(weights, j): j indexes the first sample where F is not positive."""
         if not 0.0 <= beta <= math.inf:  # false for NaN
             raise ValueError(f"beta must lie in [0, inf], got {beta}")
         if beta == 0.0 and _interval_exp_mass(self.tp) >= 0.0:
@@ -199,20 +213,46 @@ class _RootScan:
                 "no positive principal eigenvalue"
             )
         w = _weights(beta, self.tp)
-        xi, tp, s = self.xi, self.tp, self.s
-
-        def f(x):
-            return _weighted(w, _terms(xi, x, tp, math))
-
         g = _weighted(w, self.terms)
-        (stop,) = np.nonzero(g <= 0.0)
-        if stop.size == 0:
-            samples = list(zip(s.tolist(), g.tolist()))
+        stop = g <= 0.0
+        j = int(stop.argmax())
+        if not stop[j]:
+            samples = list(zip(self.s.tolist(), g.tolist()))
             raise RootNotFoundError(
                 f"no admissible root in (0, {self.s_max**2:.6g}); "
                 f"first/last samples {samples[:2]} ... {samples[-2:]}"
             )
-        j = stop[0]
+        return w, j
+
+    def bracket(self, beta: float) -> tuple:
+        """(lo, hi) in lambda holding the first root of F(xi, beta, .).
+
+        (s[j-1]^2, s[j]^2) around the first sample s[j] where F is not
+        positive, or (0, s[0]^2) when that is the first sample.
+        """
+        _, j = self._sign_scan(beta)
+        lo = float(self.s[j - 1]) if j > 0 else 0.0
+        hi = float(self.s[j])
+        return lo * lo, hi * hi
+
+    def root(self, beta: float) -> float:
+        """First positive root lambda of F(xi, beta, .), beta in [0, inf].
+
+        The bracket of _sign_scan, refined by brentq.  On every admissible
+        design F > 0 as lambda -> 0+, so a first sample that is not
+        positive puts the root below the scan: s steps down by 16 to a
+        positive sample, no lower than S_FLOOR, and brentq refines that
+        last step.
+        """
+        lam = self.roots.get(beta)
+        if lam is not None:
+            return lam
+        w, j = self._sign_scan(beta)
+        c, s = self.consts, self.s
+
+        def f(x):
+            return _weighted(w, _terms(x, c, math))
+
         if j > 0:
             lo, hi, xtol = s[j - 1], s[j], 1e-15
         else:
@@ -227,7 +267,8 @@ class _RootScan:
             lo = hi / 16.0
             xtol = 1e-15 * lo
         s_root = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
-        return s_root * s_root
+        lam = self.roots[beta] = s_root * s_root
+        return lam
 
 
 def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:

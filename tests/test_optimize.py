@@ -136,16 +136,31 @@ class TestActiveConstraint:
     def test_scan_evaluates_each_point_once(self, params, counted_scans):
         # the scan already holds the value at m0 and the golden search the
         # value at its minimizer; neither is solved again
-        builds, roots = counted_scans
+        builds, brackets, refined = counted_scans
         choose_delta(params, 10.0)
-        assert roots and len(roots) == len(set(roots)), len(roots) - len(set(roots))
-        assert len(builds) == len(roots)
+        assert refined and len(refined) == len(set(refined)), refined
+        assert len(brackets) == len(set(brackets))
+        assert len(builds) == len(set(builds))
 
     def test_scan_minimum_at_bound_settled_by_one_probe(self, params, counted_scans):
-        # 32 scan points plus the probe at m0 + ACTIVE_TOL, no golden search
-        _, roots = counted_scans
+        # 32 brackets; of their points only m0 can be the minimum, so m0 and
+        # the probe at m0 + ACTIVE_TOL are the only refinements, no golden search
+        _, brackets, refined = counted_scans
         assert choose_delta(params, 10.0) == (DSTAR, True)
-        assert len(roots) == optimize.DELTA_SCAN_POINTS + 1
+        assert len(brackets) == optimize.DELTA_SCAN_POINTS
+        assert len(refined) == 2
+
+    def test_overlapping_brackets_refine_every_candidate(self, counted_scans):
+        # here several brackets reach below the lowest bracket top, so more
+        # than one scan point is refined, and the pick is still the argmin
+        # over all 32 refined values
+        _, brackets, refined = counted_scans
+        p = ModelParams(0.45, 0.05, 0.05)
+        beta = 5.0 * beta_crit(TranscendParams(params=p, delta=optimize.delta_star(p)))
+        got = choose_delta(p, beta)
+        scanned = {key for key in refined if key in brackets}
+        assert len(scanned) > 1
+        assert got == _scan_and_golden_delta(p, beta)
 
     @pytest.mark.parametrize(
         "alpha, kappa, m0, beta_ratio",
@@ -186,36 +201,52 @@ def _scan_and_golden_delta(params, beta):
 
 @pytest.fixture
 def counted_scans(monkeypatch):
-    """Record every root scan built, by (delta, xi), and every root taken
-    from one, by (xi, beta, delta)."""
+    """Record every root scan built, by (delta, xi), and every bracket
+    taken from one and every root refined in one (a brentq call), by
+    (xi, beta, delta)."""
     from drifteig import transcend
 
-    builds, roots = [], []
+    builds, brackets, refined, solves = [], [], [], []
+    brentq = transcend.brentq
+
+    def counted_brentq(*args, **kwargs):
+        solves.append(1)
+        return brentq(*args, **kwargs)
 
     class Counting(transcend._RootScan):
         def __init__(self, xi, tp):
             builds.append((tp.delta, xi))
             super().__init__(xi, tp)
 
-        def root(self, beta):
-            roots.append((self.xi, beta, self.tp.delta))
-            return super().root(beta)
+        def bracket(self, beta):
+            brackets.append((self.xi, beta, self.tp.delta))
+            return super().bracket(beta)
 
+        def root(self, beta):
+            before = len(solves)
+            lam = super().root(beta)
+            refined.extend([(self.xi, beta, self.tp.delta)] * (len(solves) - before))
+            return lam
+
+    monkeypatch.setattr(transcend, "brentq", counted_brentq)
     monkeypatch.setattr(transcend, "_RootScan", Counting)
-    return builds, roots
+    return builds, brackets, refined
 
 
 class TestSweep:
     def test_figure_sweep_builds_each_scan_once(self, params, counted_scans):
         # the figure's 60 betas: every row scans the same 32 lengths (plus
         # the bound probe) at the edge or the center, and only the weights
-        # of F change with beta, so no (delta, xi) scan is built twice
-        builds, roots = counted_scans
+        # of F change with beta, so no (delta, xi) scan is built twice; the
+        # rows compare brackets and refine only the points that can be the
+        # minimum, and the located row reuses the root its scan refined
+        builds, brackets, refined = counted_scans
         rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 60), params)
         assert len(rows) == 61 and not failures
         assert len(builds) == len(set(builds))
         assert len(builds) <= 2 * optimize.DELTA_SCAN_POINTS + 2
-        assert len(roots) > 10 * len(builds)
+        assert len(brackets) > 10 * len(builds)
+        assert len(refined) == len(set(refined)) <= 86
 
     def test_rows_and_asymptote(self, params):
         rows, failures = sweep_beta([0.5, 1.0, 2.0, 10000.0], params)

@@ -21,7 +21,7 @@ from drifteig import (
     regime_equations,
     transcendental_root,
 )
-from drifteig.transcend import RootNotFoundError, _f_scaled
+from drifteig.transcend import RootNotFoundError, _f_scaled, _RootScan
 
 # First roots of the literal F from an 80-digit mpmath bisection (a log scan
 # in s = sqrt(lambda) to the first sign change, then 300 halvings), pinned
@@ -187,6 +187,31 @@ class TestTranscendentalRoot:
     def test_pinned_high_precision_roots(self, alpha, kappa, delta, xi, beta, lam):
         tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
         assert transcendental_root(xi, beta, tp) == pytest.approx(lam, rel=1e-12)
+
+    def test_root_lies_in_its_bracket(self):
+        # callers compare brackets before refining, so the refined root must
+        # never leave its bracket; the pinned designs put roots below the
+        # scan, where the bracket starts at 0
+        cases = [
+            (ModelParams(a, k, 0.4), d, xi_frac, beta)
+            for a in (0.0, 0.3, 1.0)
+            for k in (0.5, 5.0, 50.0)
+            for d in (0.05, 0.3, 0.7)
+            for xi_frac in (0.0, 0.5, 1.0)
+            for beta in (0.05, 1.0, 1e4, math.inf)
+        ]
+        cases += [
+            (ModelParams(a, k, 0.4), d, xi / (1.0 - d), beta)
+            for a, k, d, xi, beta, _ in PINNED_ROOTS
+        ]
+        below = 0
+        for p, d, xi_frac, beta in cases:
+            scan = _RootScan(xi_frac * (1.0 - d), TranscendParams(params=p, delta=d))
+            lo, hi = scan.bracket(beta)
+            lam = scan.root(beta)
+            assert lo <= lam <= hi, (p, d, xi_frac, beta)
+            below += lo == 0.0
+        assert below >= 2
 
     def test_one_sample_scan_root_below_it(self):
         # pi / (sqrt(kappa) delta) < 1e-4: the scan is the single sample
