@@ -4,10 +4,10 @@ For m = (kappa+1) * chi_(xi, xi+delta) - 1 with Robin coefficient beta, the
 principal eigenvalue is the first positive root of a scalar transcendental
 equation F(xi, beta, lambda) = 0 built from trigonometric terms inside the
 resource interval and hyperbolic terms outside.  F is a quadratic in
-b = beta e^alpha, so F 2 e^{-sqrt(lam)(1-delta)} / (1 + b)^2 is one
-expression for every beta in [0, inf]: three beta-free terms R0, R1, R2
-weighted by (1, b, b^2) / (1 + b)^2, which is (0, 0, 1) under Dirichlet
-conditions (beta = inf, the limit F / b^2).  This module evaluates F and
+b = beta e^alpha, so F 2 e^{-sqrt(lam)(1-delta)} / (K (1 + b)^2), with
+K = kappa e^{2 alpha (kappa+1)}, is one finite expression for every beta in
+[0, inf]: three beta-free terms R0, R1, R2 weighted by (1, b, b^2) / (1 + b)^2,
+which is (0, 0, 1) under Dirichlet conditions (beta = inf, the limit F / b^2).  This module evaluates F and
 its pieces, locates the first positive root (one scan of the terms per
 interval serves every beta), computes the critical Robin coefficient at
 which the optimal interval location switches from the boundary to the
@@ -25,7 +25,6 @@ from scipy.optimize import brentq
 
 from .weights import DriftEigError, ModelParams
 
-ROOT_RTOL = 1e-12
 S_FLOOR = 1e-150  # lowest sqrt(lambda) the root scan steps down to
 
 
@@ -87,12 +86,14 @@ def F_components(xi: float, beta: float, lam: float, tp: TranscendParams):
 def _consts(xi: float, tp: TranscendParams):
     """The (delta, xi)-only factors of _terms, computed once per interval.
 
-    (K, sqrt(k) e^{a(k+1)}, -2(1-d), -2 xi, -2((1-d) - xi), sqrt(k) d).
+    (1/K, sqrt(k) e^{a(k+1)} / K, -2(1-d), -2 xi, -2((1-d) - xi), sqrt(k) d)
+    with K = k e^{2a(k+1)}; the first two are e^{-2a(k+1)}/k and
+    e^{-a(k+1)}/sqrt(k), so no exponent is positive.
     """
     a, k, d = tp.params.alpha, tp.params.kappa, tp.delta
     return (
-        k * math.exp(2.0 * a * (k + 1.0)),
-        math.sqrt(k) * math.exp(a * (k + 1.0)),
+        math.exp(-2.0 * a * (k + 1.0)) / k,
+        math.exp(-a * (k + 1.0)) / math.sqrt(k),
         -2.0 * (1.0 - d),
         -2.0 * xi,
         -2.0 * ((1.0 - d) - xi),  # exactly 0 at xi = 1 - d
@@ -103,25 +104,27 @@ def _consts(xi: float, tp: TranscendParams):
 def _terms(s, c, xp):
     """The beta-free parts (R0, R1, R2) of F, at s = sqrt(lambda).
 
-    F is a quadratic in b = beta e^alpha, so with t = s(1 - d)
+    F is a quadratic in b = beta e^alpha, so with t = s(1 - d) and
+    K = k e^{2a(k+1)}
 
-        F 2 e^{-t} / (1 + b)^2 = w0 R0 + w1 R1 + w2 R2,
+        F 2 e^{-t} / (K (1 + b)^2) = w0 R0 + w1 R1 + w2 R2,
 
     w = (1, b, b^2) / (1 + b)^2 from _weights, and
-    R_i = -P_i sin(theta) + sqrt(k) e^{a(k+1)} Q_i cos(theta), theta =
+    R_i = -P_i sin(theta) + e^{-a(k+1)} / sqrt(k) Q_i cos(theta), theta =
     s sqrt(k) d.  With om = 1 - e^{-2t}, left = 1 - e^{-2 s xi},
     right = 1 - e^{-2 s ((1-d) - xi)}, gap = left right and
     sum3 = 4 - om - left - right (= 1 + e^{-2t} + e^{-2 s xi} + e^{-2 s ((1-d) - xi)}):
 
-        P0 = lam (K sum3 - gap) / 2   P1 = (K - 1) s om   P2 = (K gap - sum3) / 2
-        Q0 = lam om                   Q1 = 2 s (2 - om)   Q2 = om
+        P0 = lam (sum3 - gap / K) / 2   P1 = (1 - 1/K) s om   P2 = (gap - sum3 / K) / 2
+        Q0 = lam om                     Q1 = 2 s (2 - om)     Q2 = om
 
     Every exponent is non-positive and gap is a product of expm1 factors,
-    so nothing overflows and a large K = k e^{2a(k+1)} multiplies no
-    difference of nearby terms.  c is _consts(xi, tp); s is an array with
-    xp = numpy (the scan) or a float with xp = math (brentq's scalar calls).
+    so the R_i are finite on the whole admissible box and a large K
+    multiplies no difference of nearby terms.  c is _consts(xi, tp); s is
+    an array with xp = numpy (the scan) or a float with xp = math (brentq's
+    scalar calls).
     """
-    big_k, front, c_om, c_left, c_right, c_theta = c
+    inv_k, front, c_om, c_left, c_right, c_theta = c
     lam = s * s
     om = -xp.expm1(s * c_om)
     left = -xp.expm1(s * c_left)
@@ -131,9 +134,9 @@ def _terms(s, c, xp):
     theta = s * c_theta
     sin = xp.sin(theta)
     cos = front * xp.cos(theta)
-    r0 = cos * (lam * om) - sin * (0.5 * lam * (big_k * sum3 - gap))
-    r1 = cos * (2.0 * s * (2.0 - om)) - sin * ((big_k - 1.0) * s * om)
-    r2 = cos * om - sin * (0.5 * (big_k * gap - sum3))
+    r0 = cos * (lam * om) - sin * (0.5 * lam * (sum3 - inv_k * gap))
+    r1 = cos * (2.0 * s * (2.0 - om)) - sin * ((1.0 - inv_k) * s * om)
+    r2 = cos * om - sin * (0.5 * (gap - inv_k * sum3))
     return r0, r1, r2
 
 
@@ -150,19 +153,16 @@ def _weights(beta: float, tp: TranscendParams):
     return p * p, p * q, q * q
 
 
-def _weighted(w, terms):
-    """w0 R0 + w1 R1 + w2 R2, skipping the zero weights of beta = 0 and inf."""
-    return sum(wi * ri for wi, ri in zip(w, terms) if wi != 0.0)
-
-
 def _f_scaled(xi: float, beta: float, lam, tp: TranscendParams):
-    """F times 2 e^{-sqrt(lam)(1-d)} / (1 + b)^2: same roots, no overflow.
+    """F times 2 e^{-sqrt(lam)(1-d)} / (K (1 + b)^2): same roots, no overflow.
 
     The three-weight form of _terms, at every beta in [0, inf]; beta = inf
-    gives the limit of F / b^2, the Dirichlet equation.  lam may be an
+    gives the limit of F / (K b^2), the Dirichlet equation.  lam may be an
     array; the result then has its shape.
     """
-    return _weighted(_weights(beta, tp), _terms(np.sqrt(lam), _consts(xi, tp), np))
+    w0, w1, w2 = _weights(beta, tp)
+    r0, r1, r2 = _terms(np.sqrt(lam), _consts(xi, tp), np)
+    return w0 * r0 + w1 * r1 + w2 * r2
 
 
 def _interval_exp_mass(tp: TranscendParams) -> float:
@@ -212,8 +212,9 @@ class _RootScan:
                 "Neumann zero regime for this interval weight: "
                 "no positive principal eigenvalue"
             )
-        w = _weights(beta, self.tp)
-        g = _weighted(w, self.terms)
+        w0, w1, w2 = w = _weights(beta, self.tp)
+        r0, r1, r2 = self.terms
+        g = w0 * r0 + w1 * r1 + w2 * r2
         stop = g <= 0.0
         j = int(stop.argmax())
         if not stop[j]:
@@ -247,11 +248,12 @@ class _RootScan:
         lam = self.roots.get(beta)
         if lam is not None:
             return lam
-        w, j = self._sign_scan(beta)
+        (w0, w1, w2), j = self._sign_scan(beta)
         c, s = self.consts, self.s
 
         def f(x):
-            return _weighted(w, _terms(x, c, math))
+            r0, r1, r2 = _terms(x, c, math)
+            return w0 * r0 + w1 * r1 + w2 * r2
 
         if j > 0:
             lo, hi, xtol = s[j - 1], s[j], 1e-15

@@ -34,6 +34,14 @@ PINNED_ROOTS = [
     (0.6, 50.0, 0.3, 0.0, 10.0, 6.69195887403221928182114e-14),
     (1.0, 50.0, DELTA_50, 0.5 * (1.0 - DELTA_50), math.inf, 4.882361983095903629250345e-22),
 ]
+# At the top of the admissible box, 2 alpha (kappa + 1) = 708, where K times
+# the scan's terms would exceed float max; the suite turns any overflow
+# warning into a failure.  References from a 1200-digit bisection of the literal F.
+TOP_OF_BOX_ROOTS = [
+    (177.0, 1.0, 0.3, 0.0, math.inf, 27.415567780803777),
+    (177.0, 1.0, 0.3, 0.0, 1.0, 4.4952665476653488e-77),
+    (177.0, 1.0, 0.3, 0.35, 1.0, 3.4641293716387104e-153),
+]
 
 
 @pytest.fixture
@@ -69,11 +77,12 @@ class TestF:
     @pytest.mark.parametrize("beta", [0.0, 1.0, 30.0])
     @pytest.mark.parametrize("alpha, kappa, delta", [(0.2, 1.0, 0.3), (0.5, 5.0, 0.1), (0.1, 20.0, 0.25)])
     def test_three_weight_form_is_scaled_literal_f(self, alpha, kappa, delta, beta):
-        # F 2 e^{-t} / (1 + b)^2 against the printed F, on moderate K where
+        # F 2 e^{-t} / (K (1 + b)^2) against the printed F, on moderate K where
         # the literal sums lose nothing; relative to the size of F's two
         # summands, which is what rounding in either form scales with
         tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
-        scale = 2.0 / (1.0 + beta * math.exp(alpha)) ** 2
+        big_k = kappa * math.exp(2.0 * alpha * (kappa + 1.0))
+        scale = 2.0 / (1.0 + beta * math.exp(alpha)) ** 2 / big_k
         s_top = math.pi / (math.sqrt(kappa) * delta)
         for xi in (0.0, 0.3 * (1.0 - delta), 1.0 - delta):
             for s in np.linspace(0.0, s_top, 23)[1:-1]:
@@ -89,8 +98,8 @@ class TestF:
 
     @pytest.mark.parametrize("alpha, kappa, delta", [(0.2, 1.0, 0.3), (1.0, 50.0, 0.1), (8.0, 30.0, 0.05)])
     def test_dirichlet_weight_is_the_limit_of_f_over_b_squared(self, alpha, kappa, delta):
-        # at beta = inf the weights are (0, 0, 1): the closed-form limit F / b^2,
-        # 2 e^{-t} [-f_s sin + c f_c cos] with f_s = K/2 (1 - e^{-2 s xi})
+        # at beta = inf the weights are (0, 0, 1): the closed-form limit F / (K b^2),
+        # 2 e^{-t} [-f_s sin + c f_c cos] / K with f_s = K/2 (1 - e^{-2 s xi})
         # (1 - e^{-2 s ((1-d) - xi)}) - (1 + e^{-2t} + ch_mid)/2, f_c = 1 - e^{-2t}
         tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
         big_k = kappa * math.exp(2.0 * alpha * (kappa + 1.0))
@@ -107,7 +116,7 @@ class TestF:
                 theta = s * math.sqrt(kappa) * delta
                 parts = (-f_s * math.sin(theta), c * f_c * math.cos(theta))
                 got = _f_scaled(xi, math.inf, float(s * s), tp)
-                assert abs(got - sum(parts)) <= 1e-12 * (abs(parts[0]) + abs(parts[1]))
+                assert abs(got - sum(parts) / big_k) <= 1e-12 * (abs(parts[0]) + abs(parts[1])) / big_k
 
     def test_scaled_variant_shares_roots(self, tp):
         lam = transcendental_root(0.1, 2.0, tp)
@@ -183,7 +192,7 @@ class TestTranscendentalRoot:
             with pytest.raises(ValueError):
                 transcendental_root(0.0, beta, tp)
 
-    @pytest.mark.parametrize("alpha, kappa, delta, xi, beta, lam", PINNED_ROOTS)
+    @pytest.mark.parametrize("alpha, kappa, delta, xi, beta, lam", PINNED_ROOTS + TOP_OF_BOX_ROOTS)
     def test_pinned_high_precision_roots(self, alpha, kappa, delta, xi, beta, lam):
         tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
         assert transcendental_root(xi, beta, tp) == pytest.approx(lam, rel=1e-12)
