@@ -15,11 +15,14 @@ Dirichlet conditions) in the tests and in the CLI's verify battery.
 
 The interval length comes from choose_delta: pinned to delta* where the
 paper's sufficient condition makes the mass bound active, and otherwise
-scanned over the resource amount.  The bound is usually active at the
-optimum, so a scan whose minimum is at the bound is settled by one probe
-just inside it rather than by a golden-section search that only creeps
-back to the bound; that is exact whenever the golden search itself is,
-since both assume lambda unimodal on the scan's first cell.
+scanned over the resource amount.  The scan compares root brackets, which
+the sign scan alone gives, and refines only the candidates: a point whose
+bracket starts above another's top cannot hold the minimum.  The bound is
+usually active at the optimum, so a scan whose minimum is at the bound is
+settled by one probe just inside it rather than by a golden-section search
+that only creeps back to the bound; that is exact whenever the golden
+search itself is, since both assume lambda unimodal on the scan's first
+cell.
 """
 
 from __future__ import annotations
@@ -235,6 +238,12 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     is pinned to delta* = (1 - m0)/(kappa + 1); otherwise the resource
     amount m~ is scanned over [m0, 1), and the constraint is reported
     active when the minimizer lies within ACTIVE_TOL of the bound m0.
+
+    The scan brackets the root at every grid point and refines m0 (its
+    value is reused below) and every point whose bracket starts at or below
+    the lowest bracket top.  Each root lies in its bracket, so no other
+    point can hold the minimum, and the pick, the lowest index with the
+    smallest refined value, is the argmin over all grid points.
 
     When the scan's smallest value is at m0 itself, one probe settles it:
     the golden refinement assumes lambda unimodal on [m0, grid[1]], and

@@ -5,14 +5,15 @@ principal eigenvalue is the first positive root of a scalar transcendental
 equation F(xi, beta, lambda) = 0 built from trigonometric terms inside the
 resource interval and hyperbolic terms outside.  F is a quadratic in
 b = beta e^alpha, so F 2 e^{-sqrt(lam)(1-delta)} / (K (1 + b)^2), with
-K = kappa e^{2 alpha (kappa+1)}, is one finite expression for every beta in
-[0, inf]: three beta-free terms R0, R1, R2 weighted by (1, b, b^2) / (1 + b)^2,
-which is (0, 0, 1) under Dirichlet conditions (beta = inf, the limit F / b^2).  This module evaluates F and
-its pieces, locates the first positive root (one scan of the terms per
-interval serves every beta), computes the critical Robin coefficient at
-which the optimal interval location switches from the boundary to the
-center, and reconstructs the closed-form eigenfunction for cross-checks
-against the discretized solver.
+K = kappa e^{2 alpha (kappa+1)}, is one finite expression for every beta
+in [0, inf]: three beta-free terms R0, R1, R2 weighted by
+(1, b, b^2) / (1 + b)^2, which is (0, 0, 1) under Dirichlet conditions
+(beta = inf, the limit F / b^2).  This module evaluates F and its pieces,
+locates the first positive root (one scan of the terms per interval serves
+every beta), computes the critical Robin coefficient at which the optimal
+interval location switches from the boundary to the center, and
+reconstructs the closed-form eigenfunction for cross-checks against the
+discretized solver.
 """
 
 from __future__ import annotations

@@ -116,7 +116,8 @@ class TestF:
                 theta = s * math.sqrt(kappa) * delta
                 parts = (-f_s * math.sin(theta), c * f_c * math.cos(theta))
                 got = _f_scaled(xi, math.inf, float(s * s), tp)
-                assert abs(got - sum(parts) / big_k) <= 1e-12 * (abs(parts[0]) + abs(parts[1])) / big_k
+                size = abs(parts[0]) + abs(parts[1])
+                assert abs(got - sum(parts) / big_k) <= 1e-12 * size / big_k
 
     def test_scaled_variant_shares_roots(self, tp):
         lam = transcendental_root(0.1, 2.0, tp)
