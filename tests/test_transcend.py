@@ -203,23 +203,20 @@ class TestTranscendentalRoot:
         # never leave its bracket; the pinned designs put roots below the
         # scan, where the bracket starts at 0
         cases = [
-            (ModelParams(a, k, 0.4), d, xi_frac, beta)
+            (a, k, d, frac * (1.0 - d), beta)
             for a in (0.0, 0.3, 1.0)
             for k in (0.5, 5.0, 50.0)
             for d in (0.05, 0.3, 0.7)
-            for xi_frac in (0.0, 0.5, 1.0)
+            for frac in (0.0, 0.5, 1.0)
             for beta in (0.05, 1.0, 1e4, math.inf)
         ]
-        cases += [
-            (ModelParams(a, k, 0.4), d, xi / (1.0 - d), beta)
-            for a, k, d, xi, beta, _ in PINNED_ROOTS
-        ]
+        cases += [case[:5] for case in PINNED_ROOTS]
         below = 0
-        for p, d, xi_frac, beta in cases:
-            scan = _RootScan(xi_frac * (1.0 - d), TranscendParams(params=p, delta=d))
+        for a, k, d, xi, beta in cases:
+            scan = _RootScan(xi, TranscendParams(params=ModelParams(a, k, 0.4), delta=d))
             lo, hi = scan.bracket(beta)
             lam = scan.root(beta)
-            assert lo <= lam <= hi, (p, d, xi_frac, beta)
+            assert lo <= lam <= hi, (a, k, d, xi, beta)
             below += lo == 0.0
         assert below >= 2
 
