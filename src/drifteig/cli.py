@@ -9,13 +9,19 @@ sweep      beta sweep of the optimal eigenvalue (plot-ready CSV)
 rearrange  unimodal rearrangement of a weight and both eigenvalues
 verify     built-in property battery with a machine-readable report
 
-Configuration comes from an optional JSON file (--config) overridden by
-flags; unknown config keys are rejected.  All randomized checks derive from
-a fixed seed so reruns are byte-identical.
+Each setting is a key of an optional JSON config file (--config); unknown
+keys are rejected.  A flag is stored under the key it overrides: --n
+grid_n, --out output, --seed seed, --sweep sweep, --weight weight, and
+--beta X, --dirichlet or --neumann (mutually exclusive) boundary, as
+{"beta": X}, "dirichlet" or "neumann".  --params overrides the params key
+by key; --xi/--delta replace the weight.  seed is a non-negative integer
+or a hex string, and a sweep range needs 0 < start <= stop < inf.  All
+randomized checks derive from the seed, so reruns are byte-identical.
 
 Exit codes, mapped in ``main`` alone: 0 success; 1 a verify property
-failed; 2 input rejected (ConfigError); 3 any other DriftEigError or
-ValueError, with error.json in the output directory; 4 failed sweep rows.
+failed; 2 input rejected (ConfigError), malformed config values included;
+3 a solve raised any other DriftEigError or ValueError, with error.json in
+the output directory; 4 failed sweep rows.
 """
 
 from __future__ import annotations
@@ -38,15 +44,24 @@ from .weights import (
     random_admissible,
 )
 
-DEFAULT_SEED = 0xE16E
-KNOWN_KEYS = {"params", "boundary", "weight", "sweep", "grid_n", "output", "seed"}
-PARAM_KEYS = {"alpha", "kappa", "m0"}
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_PARTIAL = 4
+
+# every config key and its default; a flag is stored under the key it overrides
+DEFAULTS = {
+    "params": {"alpha": 0.2, "kappa": 1.0, "m0": 0.4},
+    "boundary": {"beta": 1.0},
+    "weight": None,  # the --xi/--delta interval, defaults 0 and delta*
+    "sweep": {"start": 0.1, "stop": 30.0, "points": 60, "scale": "log"},
+    "grid_n": eigensolve.DEFAULT_N,
+    "output": "out",
+    "seed": 0xE16E,
+}
+KNOWN_KEYS = frozenset(DEFAULTS)
+SWEEP_KEYS = ("start", "stop", "points", "scale")
 
 
 class ConfigError(DriftEigError, ValueError):
@@ -56,142 +71,130 @@ class ConfigError(DriftEigError, ValueError):
 # ---------------------------------------------------------------- config --
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+def _settings(args) -> dict:
+    """The raw value of every setting: the flag, else the config file, else the default."""
+    cfg = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
+        if set(cfg) - KNOWN_KEYS:
+            raise ConfigError(f"unknown config keys: {sorted(set(cfg) - KNOWN_KEYS)}")
+    flags = {key: val for key, val in vars(args).items() if key in KNOWN_KEYS and val is not None}
+    raw = {**DEFAULTS, **cfg, **flags}
+    # --params alpha=..,kappa=.. overrides the config's parameters key by key
+    items = flags["params"].split(",") if "params" in flags else []
+    if not all("=" in item for item in items):
+        raise ConfigError(f"--params entries must be key=value, got {flags['params']!r}")
+    pairs = [item.split("=", 1) for item in items]
+    raw["params"] = {
+        **DEFAULTS["params"],
+        **cfg.get("params", {}),
+        **{key.strip(): float(val) for key, val in pairs},
+    }
+    if "sweep" in flags:
+        parts = flags["sweep"].split(":")
+        if len(parts) not in (3, 4):
+            raise ConfigError("--sweep takes start:stop:points[:scale]")
+        raw["sweep"] = dict(zip(SWEEP_KEYS, parts))
+    if "weight" in flags:
+        with open(flags["weight"], "r", encoding="utf-8") as fh:
+            raw["weight"] = json.load(fh)
+    if getattr(args, "xi", None) is not None or getattr(args, "delta", None) is not None:
+        raw["weight"] = None
+    return raw
 
 
-def _parse_params_flag(text: str | None) -> dict:
-    if not text:
-        return {}
-    out = {}
-    for item in text.split(","):
-        if "=" not in item:
-            raise ConfigError(f"--params entries must be key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key not in PARAM_KEYS:
-            raise ConfigError(f"unknown parameter {key!r}; expected one of {sorted(PARAM_KEYS)}")
-        try:
-            out[key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"parameter {key} is not a number: {val!r}") from exc
-    return out
+def _params(raw) -> ModelParams:
+    return ModelParams(**raw)
 
 
-def _build_params(cfg: dict, args) -> ModelParams:
-    data = {"alpha": 0.2, "kappa": 1.0, "m0": 0.4}
-    file_params = cfg.get("params", {})
-    if not isinstance(file_params, dict) or set(file_params) - PARAM_KEYS:
-        raise ConfigError("config params must map alpha/kappa/m0 to numbers")
-    data.update(file_params)
-    data.update(_parse_params_flag(getattr(args, "params", None)))
-    try:
-        return ModelParams(**data)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_boundary(cfg: dict, args) -> Boundary:
-    spec = cfg.get("boundary")
-    if getattr(args, "dirichlet", False):
-        spec = "dirichlet"
-    elif getattr(args, "neumann", False):
-        spec = "neumann"
-    elif getattr(args, "beta", None) is not None:
-        spec = {"beta": args.beta}
-    if spec is None:
-        spec = {"beta": 1.0}
-    if spec == "dirichlet":
+def _boundary(raw) -> Boundary:
+    if raw == "dirichlet":
         return Boundary.dirichlet()
-    if spec == "neumann":
+    if raw == "neumann":
         return Boundary.neumann()
-    if isinstance(spec, dict) and set(spec) == {"beta"}:
-        try:
-            return Boundary.robin(float(spec["beta"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"boundary must be 'dirichlet', 'neumann' or {{'beta': x}}, got {spec!r}")
+    if isinstance(raw, dict) and set(raw) == {"beta"}:
+        return Boundary.robin(float(raw["beta"]))
+    raise ConfigError(f"boundary must be 'dirichlet', 'neumann' or {{'beta': x}}, got {raw!r}")
 
 
-def _build_weight(cfg: dict, args, params: ModelParams) -> PiecewiseWeight:
-    spec = cfg.get("weight")
-    if getattr(args, "weight", None):
-        try:
-            with open(args.weight, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read weight file: {exc}") from exc
-    if spec is None or args.xi is not None or args.delta is not None:
-        return _interval(args, params).weight()
-    if not isinstance(spec, dict):
-        raise ConfigError(f"weight must be a JSON object, got {spec!r}")
+def _weight(raw, params: ModelParams) -> PiecewiseWeight:
+    if isinstance(raw, dict) and set(raw) == {"breakpoints", "values"}:
+        return PiecewiseWeight(tuple(raw["breakpoints"]), tuple(raw["values"]))
+    bb = raw.get("bangbang") if isinstance(raw, dict) and len(raw) == 1 else None
+    if isinstance(bb, dict) and set(bb) <= {"xi", "delta"}:
+        return BangBangInterval(float(bb.get("xi", 0.0)), float(bb["delta"]), params).weight()
+    raise ConfigError("weight must have breakpoints/values or a bangbang entry with xi and delta")
+
+
+def _sweep(raw) -> list:
+    """The beta grid of a sweep spec."""
+    if set(raw) - set(SWEEP_KEYS):
+        raise ConfigError(f"unknown sweep keys in {raw!r}")
+    start, stop, points = float(raw["start"]), float(raw["stop"]), int(raw["points"])
+    if points < 1:
+        raise ConfigError("sweep needs at least one point")
+    if not 0.0 < start <= stop < math.inf:
+        raise ConfigError(f"sweep range must satisfy 0 < start <= stop < inf, got {start}:{stop}")
+    scale = raw.get("scale", "log")
+    if scale not in ("log", "linear"):
+        raise ConfigError(f"sweep scale must be log or linear, got {scale!r}")
+    return (np.geomspace if scale == "log" else np.linspace)(start, stop, points).tolist()
+
+
+def _grid_n(raw) -> int:
+    if not isinstance(raw, int) or raw < 2:
+        raise ConfigError(f"grid_n must be an integer >= 2, got {raw!r}")
+    return raw
+
+
+def _seed(raw) -> int:
+    seed = int(raw, 16) if isinstance(raw, str) else raw
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer or a hex string, got {raw!r}")
+    return seed
+
+
+def _out_dir(raw) -> str:
+    os.makedirs(raw, exist_ok=True)
+    return raw
+
+
+def _resolve(args) -> None:
+    """Replace each setting the command has a flag for by its checked value.
+
+    The one input boundary: any KeyError, TypeError, ValueError or OSError
+    raised while the inputs are read becomes a ConfigError, so no solve
+    starts on bad input.  The output directory is made last.
+    """
     try:
-        if "bangbang" in spec:
-            if set(spec) != {"bangbang"} or set(spec["bangbang"]) - {"xi", "delta"}:
-                raise ConfigError("bangbang weight takes keys xi and delta only")
-            bb = spec["bangbang"]
-            return BangBangInterval(
-                float(bb.get("xi", 0.0)), float(bb["delta"]), params
-            ).weight()
-        if set(spec) == {"breakpoints", "values"}:
-            return PiecewiseWeight(tuple(spec["breakpoints"]), tuple(spec["values"]))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad weight: {exc}") from exc
-    raise ConfigError("weight must have breakpoints/values or a bangbang entry")
-
-
-def _interval(args, params: ModelParams) -> BangBangInterval:
-    """The --xi/--delta interval, defaults 0 and delta*, checked."""
-    xi = getattr(args, "xi", None)
-    try:
-        return BangBangInterval(
-            0.0 if xi is None else xi,
-            optimize.delta_star(params) if args.delta is None else args.delta,
-            params,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad interval: {exc}") from exc
-
-
-def _grid_n(cfg: dict, args) -> int:
-    n = cfg.get("grid_n", eigensolve.DEFAULT_N)
-    if getattr(args, "n", None) is not None:
-        n = args.n
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError(f"grid_n must be an integer >= 2, got {n!r}")
-    return n
-
-
-def _seed(cfg: dict, args) -> int:
-    raw = cfg.get("seed", DEFAULT_SEED)
-    if getattr(args, "seed", None) is not None:
-        raw = args.seed
-    if isinstance(raw, str):
-        try:
-            raw = int(raw, 16)
-        except ValueError as exc:
-            raise ConfigError(f"seed must be hexadecimal, got {raw!r}") from exc
-    return int(raw)
-
-
-def _out_dir(cfg: dict, args) -> str:
-    out = cfg.get("output", "out")
-    if getattr(args, "out", None) is not None:
-        out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
+        raw, has = _settings(args), vars(args)
+        for key, convert in (
+            ("params", _params),
+            ("boundary", _boundary),
+            ("sweep", _sweep),
+            ("grid_n", _grid_n),
+            ("seed", _seed),
+        ):
+            if key in has:
+                setattr(args, key, convert(raw[key]))
+        if "delta" in has:  # the --xi/--delta interval, defaults 0 and delta*
+            xi, delta = has.get("xi"), args.delta
+            args.interval = BangBangInterval(
+                0.0 if xi is None else xi,
+                optimize.delta_star(args.params) if delta is None else delta,
+                args.params,
+            )
+        if "weight" in has:
+            raw_w = raw["weight"]
+            args.weight = args.interval.weight() if raw_w is None else _weight(raw_w, args.params)
+        args.output = _out_dir(raw["output"])
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- output --
@@ -224,56 +227,30 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 # -------------------------------------------------------------- commands --
 
 
-def cmd_eig(args, cfg: dict) -> int:
-    params = _build_params(cfg, args)
-    bc = _build_boundary(cfg, args)
-    m = _build_weight(cfg, args, params)
-    n = _grid_n(cfg, args)
-    out = _out_dir(cfg, args)
+def cmd_eig(args) -> int:
+    params, bc, m, n, out = args.params, args.boundary, args.weight, args.grid_n, args.output
     disc = eigensolve.make_discretization(n, m)
     pair = eigensolve.principal_eigenvalue(m, params, bc, disc)
+    meta = {"beta": _jsonable(bc.beta), "alpha": params.alpha, "kappa": params.kappa, "n": n}
+    path = os.path.join(out, "eigenpair.json")
     if isinstance(pair, eigensolve.ZeroRegime):
         print("lambda=0 (zero regime)")
-        _write_json(
-            os.path.join(out, "eigenpair.json"),
-            {
-                "lambda": 0.0,
-                "beta": _jsonable(bc.beta),
-                "alpha": params.alpha,
-                "kappa": params.kappa,
-                "n": n,
-                "residual": 0.0,
-                "zero_regime": True,
-            },
-        )
+        _write_json(path, {**meta, "lambda": 0.0, "residual": 0.0, "zero_regime": True})
         return EXIT_OK
     _write_csv(
         os.path.join(out, "eigenpair.csv"),
         ["x", "phi"],
         list(zip(pair.nodes.tolist(), pair.phi.tolist())),
     )
-    _write_json(
-        os.path.join(out, "eigenpair.json"),
-        {
-            "lambda": pair.lam,
-            "beta": _jsonable(bc.beta),
-            "alpha": params.alpha,
-            "kappa": params.kappa,
-            "n": n,
-            "residual": pair.residual,
-            "max_phi": pair.max_phi,
-        },
-    )
+    meta.update({"lambda": pair.lam, "residual": pair.residual, "max_phi": pair.max_phi})
+    _write_json(path, meta)
     print(f"lambda={pair.lam!r}")
     return EXIT_OK
 
 
-def cmd_root(args, cfg: dict) -> int:
-    params = _build_params(cfg, args)
-    bc = _build_boundary(cfg, args)
-    iv = _interval(args, params)
-    xi, delta = iv.xi, iv.delta
-    out = _out_dir(cfg, args)
+def cmd_root(args) -> int:
+    params, bc, out = args.params, args.boundary, args.output
+    xi, delta = args.interval.xi, args.interval.delta
     tp = transcend.TranscendParams(params=params, delta=delta)
     bcrit = transcend.beta_crit(tp)
     lam = transcend.transcendental_root(xi, bc.beta, tp)
@@ -294,19 +271,16 @@ def cmd_root(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_locate(args, cfg: dict) -> int:
-    params = _build_params(cfg, args)
-    bc = _build_boundary(cfg, args)
-    n = _grid_n(cfg, args)
+def cmd_locate(args) -> int:
+    params, bc = args.params, args.boundary
     if args.delta is not None:
-        delta, active = _interval(args, params).delta, None
+        delta, active = args.interval.delta, None
     else:
         delta, active = optimize.choose_delta(params, bc.beta)
-    out = _out_dir(cfg, args)
-    opt = optimize.locate_optimal_interval(bc.beta, delta, params, grid_n=n)
+    opt = optimize.locate_optimal_interval(bc.beta, delta, params, grid_n=args.grid_n)
     mass_active = opt.mass_active if active is None else active
     _write_json(
-        os.path.join(out, "optimum.json"),
+        os.path.join(args.output, "optimum.json"),
         {
             "beta": _jsonable(bc.beta),
             "beta_crit": opt.beta_crit,
@@ -321,42 +295,9 @@ def cmd_locate(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _parse_sweep(cfg: dict, args):
-    spec = cfg.get("sweep")
-    if getattr(args, "sweep", None):
-        parts = args.sweep.split(":")
-        if len(parts) not in (3, 4):
-            raise ConfigError("--sweep takes start:stop:points[:scale]")
-        spec = dict(zip(("start", "stop", "points", "scale"), parts))
-    if spec is None:
-        spec = {"start": 0.1, "stop": 30.0, "points": 60, "scale": "log"}
-    if set(spec) - {"start", "stop", "points", "scale"}:
-        raise ConfigError(f"unknown sweep keys in {spec!r}")
-    try:
-        points = int(spec["points"])
-        start, stop = float(spec["start"]), float(spec["stop"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep {spec!r}: {exc}") from exc
-    if points < 1:
-        raise ConfigError("sweep needs at least one point")
-    if start <= 0.0 or stop < start:
-        raise ConfigError("sweep range must satisfy 0 < start <= stop")
-    scale = spec.get("scale", "log")
-    if scale == "log":
-        grid = np.geomspace(start, stop, points)
-    elif scale == "linear":
-        grid = np.linspace(start, stop, points)
-    else:
-        raise ConfigError(f"sweep scale must be log or linear, got {scale!r}")
-    return grid.tolist()
-
-
-def cmd_sweep(args, cfg: dict) -> int:
-    params = _build_params(cfg, args)
-    n = _grid_n(cfg, args)
-    out = _out_dir(cfg, args)
-    grid = _parse_sweep(cfg, args)
-    rows, failures = optimize.sweep_beta(grid, params, grid_n=n)
+def cmd_sweep(args) -> int:
+    params, out = args.params, args.output
+    rows, failures = optimize.sweep_beta(args.sweep, params, grid_n=args.grid_n)
     csv_rows = [
         (_jsonable(r.beta), r.lambda_star, r.xi_star, r.regime.value, r.mass_active)
         for r in rows
@@ -385,12 +326,8 @@ def cmd_sweep(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_rearrange(args, cfg: dict) -> int:
-    params = _build_params(cfg, args)
-    bc = _build_boundary(cfg, args)
-    m = _build_weight(cfg, args, params)
-    n = _grid_n(cfg, args)
-    out = _out_dir(cfg, args)
+def cmd_rearrange(args) -> int:
+    params, bc, m, n, out = args.params, args.boundary, args.weight, args.grid_n, args.output
     disc = eigensolve.make_discretization(n, m)
     before = eigensolve.principal_eigenvalue(m, params, bc, disc)
     if isinstance(before, eigensolve.ZeroRegime):
@@ -560,12 +497,9 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
     return results
 
 
-def cmd_verify(args, cfg: dict) -> int:
-    params = _build_params(cfg, args)
-    n = _grid_n(cfg, args)
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    results = _verify_properties(params, n, seed)
+def cmd_verify(args) -> int:
+    seed, n = args.seed, args.grid_n
+    results = _verify_properties(args.params, n, seed)
     all_passed = all(r["passed"] for r in results)
     report = {
         "seed": hex(seed),
@@ -574,7 +508,7 @@ def cmd_verify(args, cfg: dict) -> int:
         "properties": results,
         "all_passed": all_passed,
     }
-    _write_json(os.path.join(out, "verify_report.json"), report)
+    _write_json(os.path.join(args.output, "verify_report.json"), report)
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
         margin = r["margin"]
@@ -588,16 +522,26 @@ def cmd_verify(args, cfg: dict) -> int:
 
 def _add_common(p: argparse.ArgumentParser, grid: bool = True) -> None:
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output directory (default out/)")
+    p.add_argument("--out", dest="output", metavar="OUT", help="output directory (default out/)")
     if grid:
-        p.add_argument("--n", type=int, help="grid cells for the discretized solver")
+        p.add_argument(
+            "--n", dest="grid_n", metavar="N", type=int, help="grid cells for the discretized solver"
+        )
     p.add_argument("--params", help="override constants, e.g. alpha=0.2,kappa=1,m0=0.4")
 
 
 def _add_boundary_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, help="Robin coefficient")
-    p.add_argument("--dirichlet", action="store_true", help="Dirichlet boundary")
-    p.add_argument("--neumann", action="store_true", help="Neumann boundary")
+    def beta(text: str) -> dict:  # the config's form of a Robin boundary
+        return {"beta": float(text)}
+
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--beta", dest="boundary", metavar="BETA", type=beta, help="Robin coefficient")
+    g.add_argument(
+        "--dirichlet", dest="boundary", action="store_const", const="dirichlet", help="Dirichlet boundary"
+    )
+    g.add_argument(
+        "--neumann", dest="boundary", action="store_const", const="neumann", help="Neumann boundary"
+    )
 
 
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
@@ -651,18 +595,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        _resolve(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DriftEigError, ValueError) as exc:
-        # cfg is bound: _load_config raises ConfigError only
+        # args.output is checked and made: input errors are ConfigErrors
         error = {"error": type(exc).__name__, "detail": str(exc)}
-        _write_json(os.path.join(_out_dir(cfg, args), "error.json"), error)
+        _write_json(os.path.join(args.output, "error.json"), error)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

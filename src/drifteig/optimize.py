@@ -304,8 +304,8 @@ def sweep_beta(
     betas = [float(b) for b in beta_grid]
     if not betas:
         raise ValueError("empty beta grid")
-    if any(b <= 0.0 for b in betas) or sorted(betas) != betas:
-        raise ValueError("beta grid must be sorted and positive")
+    if not all(0.0 < b < math.inf for b in betas) or sorted(betas) != betas:
+        raise ValueError("beta grid must be sorted, positive and finite")
     rows: list[SweepRow] = []
     failures: list[tuple] = []
     scans: dict = {}

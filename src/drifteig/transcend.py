@@ -18,6 +18,7 @@ discretized solver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,31 @@ class TanPoleError(DriftEigError, ValueError):
     """Probe too close to a pole of tan for a meaningful evaluation."""
 
 
+class NonFiniteError(DriftEigError, ValueError):
+    """A literal (unscaled) expression of F is not finite at these inputs."""
+
+
+def _finite(fn):
+    """Return fn's results when all are finite, else raise NonFiniteError.
+
+    The literal expressions carry K = kappa e^{2 alpha (kappa+1)} unscaled,
+    so they overflow on parts of the admissible box where the scaled root
+    scan is fine.
+    """
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NonFiniteError(f"{fn.__name__}{args}: {exc}") from exc
+        if not all(map(math.isfinite, out if isinstance(out, tuple) else (out,))):
+            raise NonFiniteError(f"{fn.__name__}{args} = {out} is not finite")
+        return out
+
+    return checked
+
+
 @dataclass(frozen=True)
 class TranscendParams:
     """Bang-bang interval problem data: constants plus interval length."""
@@ -62,13 +88,14 @@ def _shorthands(tp: TranscendParams, beta: float):
     return a, k, d, big_k, b
 
 
+@_finite
 def F_components(xi: float, beta: float, lam: float, tp: TranscendParams):
     """The two building blocks and the full transcendental function.
 
     Returns (F_s, F_c, F) with
       F = -F_s * sin(sqrt(lam k) d) + sqrt(k) e^{a(k+1)} F_c * cos(sqrt(lam k) d).
-    Values are the literal (unscaled) expressions; for root scanning use the
-    overflow-safe internal variant.
+    Values are the literal (unscaled) expressions, NonFiniteError where they
+    overflow; for root scanning use the overflow-safe internal variant.
     """
     a, k, d, big_k, b = _shorthands(tp, beta)
     s = math.sqrt(lam)
@@ -319,6 +346,7 @@ def beta_crit(tp: TranscendParams) -> float:
     return critical_beta(tp.params.alpha, tp.params.kappa, tp.delta)
 
 
+@_finite
 def regime_equations(beta: float, lam: float, tp: TranscendParams):
     """(lhs, rhs) of the explicit optimal-eigenvalue equation for this regime.
 
@@ -355,6 +383,7 @@ def regime_equations(beta: float, lam: float, tp: TranscendParams):
     return lhs, front * num / dal
 
 
+@_finite
 def delta_diag(beta: float, lam: float, tp: TranscendParams) -> float:
     """Diagnostic Delta(lam): its sign at the optimal eigenvalue decides
     whether the boundary or the centered interval wins."""

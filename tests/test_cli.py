@@ -9,6 +9,7 @@ import pytest
 from drifteig import DriftEigError, cli, eigensolve, transcend, weights
 
 PI2 = math.pi**2
+COMMANDS = ("eig", "root", "locate", "sweep", "rearrange", "verify")
 
 
 def _weight_file(tmp_path, breakpoints, values):
@@ -47,6 +48,15 @@ class TestEig:
         assert rc == 0
         lam_root = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         assert lam_grid == pytest.approx(lam_root, rel=1e-4)
+
+    def test_config_bangbang_weight_matches_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weight": {"bangbang": {"xi": 0.1, "delta": 0.3}}}))
+        lams = []
+        for argv in (["--config", str(cfg)], ["--xi", "0.1", "--delta", "0.3"]):
+            assert cli.main(["eig", *argv, "--out", str(tmp_path / "o")]) == 0
+            lams.append(float(capsys.readouterr().out.split("lambda=")[1]))
+        assert lams == [10.546258832793683, 10.546258832793683]
 
     def test_solver_error_exit_code(self, tmp_path, capsys):
         wf = _weight_file(tmp_path, [0.0, 1.0], [-0.5])
@@ -154,6 +164,25 @@ class TestSweep:
         failures = json.loads((tmp_path / "o" / "sweep.json").read_text())["failures"]
         assert [f["beta"] for f in failures] == ["inf"]
 
+    def test_config_linear_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"sweep": {"start": 1.0, "stop": 3.0, "points": 3, "scale": "linear"}})
+        )
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == ["1.0", "2.0", "3.0", "inf"]
+
+    def test_default_sweep_spec(self, tmp_path, capsys):
+        # 0.1:30:60:log plus the Dirichlet row
+        assert cli.main(["sweep", "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(lines) == 61
+        assert float(lines[0].split(",")[0]) == pytest.approx(0.1, rel=1e-12)
+        assert float(lines[59].split(",")[0]) == pytest.approx(30.0, rel=1e-12)
+
     def test_deterministic_output(self, tmp_path, capsys):
         for sub in ("r1", "r2"):
             rc = cli.main(["sweep", "--sweep", "0.5:8.0:7", "--out", str(tmp_path / sub)])
@@ -179,6 +208,14 @@ class TestLocate:
         data = json.loads((tmp_path / "b" / "optimum.json").read_text())
         assert data["xi_star"] == pytest.approx(0.35, abs=1e-6)
         assert data["mass_active"] is True
+
+    def test_given_delta(self, tmp_path, capsys):
+        rc = cli.main(["locate", "--neumann", "--delta", "0.3", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "regime=BoundaryLeft" in capsys.readouterr().out
+        data = json.loads((tmp_path / "o" / "optimum.json").read_text())
+        assert (data["beta"], data["delta"], data["xi_star"]) == (0.0, 0.3, 0.0)
+        assert data["lambda_star"] == pytest.approx(2.8542159597419503, rel=1e-12)
 
     def test_thin_interval_dirichlet_row(self, tmp_path, capsys):
         # delta* = 7.5e-4 is 1.5 cells at n = 2000; the Dirichlet row's grid
@@ -212,6 +249,13 @@ class TestRearrange:
         assert (tmp_path / "o" / "rearranged.json").exists()
 
 
+    def test_neumann_zero_regime_message(self, tmp_path, capsys):
+        wf = _weight_file(tmp_path, [0.0, 1.0], [1.0])
+        rc = cli.main(["rearrange", "--neumann", "--weight", wf, "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "lambda=0 (zero regime)" in capsys.readouterr().out
+
+
 class TestVerify:
     def test_default_run_passes(self, tmp_path, capsys):
         rc = cli.main(["verify", "--out", str(tmp_path / "o")])
@@ -236,6 +280,19 @@ class TestVerify:
         for prop in report["properties"]:
             assert sorted(prop) == ["detail", "margin", "name", "passed", "tolerance"]
         assert report["seed"] == hex(0xE16E)
+
+
+    def test_hex_seed_flag_and_integer_config_seed(self, tmp_path, capsys):
+        assert cli.main(["verify", "--n", "200", "--seed", "ff", "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "verify_report.json").read_text())
+        assert report["seed"] == "0xff"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 255, "grid_n": 200}))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "b" / "verify_report.json").read_bytes() == (
+            tmp_path / "a" / "verify_report.json"
+        ).read_bytes()
 
 
 class TestConfig:
@@ -292,6 +349,23 @@ class TestConfig:
         assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path / "o"))
 
 
+class TestParser:
+    def test_every_flag_is_stored_under_its_config_key(self):
+        # a flag either overrides the config key it is stored under or is
+        # one of the few with no config counterpart
+        flag_only = {"config", "xi", "delta", "func", "command"}
+        for command in COMMANDS:
+            dests = set(vars(cli.build_parser().parse_args([command])))
+            assert dests <= set(cli.DEFAULTS) | flag_only, command
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_cleanly(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
 class TestFailurePolicy:
     @pytest.mark.parametrize(
         "argv, code",
@@ -310,6 +384,50 @@ class TestFailurePolicy:
         out = tmp_path / "o"
         assert cli.main(argv + ["--out", str(out)]) == code
         assert (out / "error.json").exists() == (code == 3)
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            *[pytest.param([c], {"params": {"alpha": "x"}}, id=f"{c}-params") for c in COMMANDS],
+            pytest.param(["eig"], {"boundary": {"beta": [1]}}, id="boundary-list"),
+            pytest.param(["sweep"], {"sweep": 5}, id="sweep-number"),
+            pytest.param(["verify"], {"seed": [1]}, id="seed-list"),
+            pytest.param(["verify"], {"seed": 1.7}, id="seed-float"),
+            pytest.param(["verify", "--seed", "-1"], None, id="seed-negative"),
+            pytest.param(["sweep", "--sweep", "1:inf:3"], None, id="sweep-inf"),
+            pytest.param(["sweep", "--sweep", "1:nan:3"], None, id="sweep-nan"),
+            pytest.param(["sweep", "--sweep", "1:2:3:cubic"], None, id="sweep-scale"),
+            pytest.param(["sweep"], {"sweep": {"start": 1, "stop": 2, "step": 1}}, id="sweep-key"),
+            pytest.param(["eig"], [1], id="config-list"),
+            pytest.param(["eig", "--params", "alpha"], None, id="params-flag"),
+            pytest.param(["eig"], {"boundary": "robin"}, id="boundary-name"),
+            pytest.param(["eig"], {"weight": {"bangbang": [1]}}, id="weight-shape"),
+            pytest.param(["eig"], {"grid_n": "500"}, id="grid-text"),
+        ],
+    )
+    def test_malformed_input_rejected(self, tmp_path, capsys, argv, config):
+        # exit 2 from the one input boundary: no traceback, no error.json
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (out / "error.json").exists()
+
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert cli.main(["root", "--beta", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_boundary_flags_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["root", "--beta", "1", "--dirichlet", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_failed_dirichlet_row_in_sweep_json(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -332,6 +450,7 @@ class TestFailurePolicy:
             (transcend.RootNotFoundError, RuntimeError),
             (transcend.RankDeficientError, RuntimeError),
             (transcend.TanPoleError, ValueError),
+            (transcend.NonFiniteError, ValueError),
             (cli.ConfigError, ValueError),
         ],
     )

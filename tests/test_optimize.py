@@ -298,6 +298,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_beta([-1.0, 2.0], params)
 
+    @pytest.mark.parametrize("grid", [[1.0, math.inf], [math.nan]])
+    def test_non_finite_beta_rejected(self, params, grid):
+        # the sweep appends the Dirichlet row (beta = inf) itself
+        with pytest.raises(ValueError, match="finite"):
+            sweep_beta(grid, params)
+
 
 class TestSwitchFunction:
     def test_negative_everywhere_at_alpha_zero(self):

@@ -21,7 +21,7 @@ from drifteig import (
     regime_equations,
     transcendental_root,
 )
-from drifteig.transcend import RootNotFoundError, _f_scaled, _RootScan
+from drifteig.transcend import NonFiniteError, RootNotFoundError, _f_scaled, _RootScan
 
 # First roots of the literal F from an 80-digit mpmath bisection (a log scan
 # in s = sqrt(lambda) to the first sign change, then 300 halvings), pinned
@@ -420,6 +420,38 @@ class TestDeltaDiag:
     def test_sign_above_critical_beta(self, tp):
         lam = transcendental_root(0.35, 10.0, tp)
         assert delta_diag(10.0, lam, tp) > 0.0
+
+
+class TestLiteralOverflow:
+    # 2 alpha (kappa + 1) = 704 is admissible, but the literal expressions
+    # carry K = kappa e^{704} unscaled and overflow; the scaled scan does not
+    TP_TOP = TranscendParams(ModelParams(32.0, 10.0, 0.4), 0.05)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (F_components, (0.0, 1.0, 5.0)),
+            (regime_equations, (1.0, 5.0)),
+            (delta_diag, (1.0, 5.0)),
+        ],
+    )
+    def test_non_finite_result_raises(self, fn, args):
+        with pytest.raises(NonFiniteError):
+            fn(*args, self.TP_TOP)
+
+    def test_math_overflow_raises(self, tp):
+        # cosh(sqrt(lam)(1 - delta)) is beyond float max
+        with pytest.raises(NonFiniteError):
+            F_components(0.0, 1.0, 1e7, tp)
+
+    def test_pole_raises(self):
+        # alpha = 0, kappa = 1: K = 1 and the tanh form's denominator is
+        # lam - beta^2, zero at lam = beta^2 = 1
+        with pytest.raises(NonFiniteError):
+            regime_equations(1.0, 1.0, TranscendParams(ModelParams(0.0, 1.0, 0.4), 0.3))
+
+    def test_root_is_finite_there(self):
+        assert transcendental_root(0.0, 1.0, self.TP_TOP) == pytest.approx(2.12e-139, rel=1e-2)
 
 
 class TestClosedFormEigenfunction:
