@@ -28,7 +28,6 @@ from .kernels import BACKEND as KERNEL_BACKEND
 from .optimize import (
     DesignOptimum,
     Regime,
-    SweepRow,
     active_constraint_condition,
     choose_delta,
     locate_optimal_interval,
@@ -89,7 +88,6 @@ __all__ = [
     "PiecewiseWeight",
     "RearrangedPair",
     "Regime",
-    "SweepRow",
     "TranscendParams",
     "ZeroRegime",
     "abar",

@@ -272,13 +272,8 @@ def cmd_root(args) -> int:
 
 
 def cmd_locate(args) -> int:
-    params, bc = args.params, args.boundary
-    if args.delta is not None:
-        delta, active = args.interval.delta, None
-    else:
-        delta, active = optimize.choose_delta(params, bc.beta)
-    opt = optimize.locate_optimal_interval(bc.beta, delta, params, grid_n=args.grid_n)
-    mass_active = opt.mass_active if active is None else active
+    bc = args.boundary
+    opt = optimize.locate_optimal_interval(bc.beta, args.delta, args.params, grid_n=args.grid_n)
     _write_json(
         os.path.join(args.output, "optimum.json"),
         {
@@ -288,7 +283,7 @@ def cmd_locate(args) -> int:
             "delta": opt.delta,
             "lambda_star": opt.lambda_star,
             "regime": opt.regime.value,
-            "mass_active": mass_active,
+            "mass_active": opt.mass_active,
         },
     )
     print(f"xi_star={opt.xi_star!r} lambda_star={opt.lambda_star!r} regime={opt.regime.value}")

@@ -28,7 +28,7 @@ cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -70,29 +70,9 @@ class DesignOptimum:
 
     def mirrored(self) -> "DesignOptimum":
         """The symmetric twin xi -> 1 - delta - xi (same eigenvalue)."""
-        regime = self.regime
-        if regime == Regime.BOUNDARY_LEFT:
-            regime = Regime.BOUNDARY_RIGHT
-        elif regime == Regime.BOUNDARY_RIGHT:
-            regime = Regime.BOUNDARY_LEFT
-        return DesignOptimum(
-            xi_star=1.0 - self.delta - self.xi_star,
-            delta=self.delta,
-            lambda_star=self.lambda_star,
-            regime=regime,
-            mass_active=self.mass_active,
-            beta=self.beta,
-            beta_crit=self.beta_crit,
-        )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    beta: float
-    lambda_star: float
-    xi_star: float
-    regime: Regime
-    mass_active: bool
+        left, right = Regime.BOUNDARY_LEFT, Regime.BOUNDARY_RIGHT
+        regime = {left: right, right: left}.get(self.regime, self.regime)
+        return replace(self, xi_star=1.0 - self.delta - self.xi_star, regime=regime)
 
 
 def _golden_min(f, a: float, b: float, tol: float):
@@ -118,65 +98,55 @@ def delta_star(params: ModelParams) -> float:
     return (1.0 - params.m0) / (params.kappa + 1.0)
 
 
-def _xi_center(delta: float) -> float:
-    return 0.5 * (1.0 - delta)
+def _placed(beta: float, delta: float, params: ModelParams, scans: dict) -> tuple:
+    """(scan, regime, beta_crit) of locate_optimal_interval's placement rule.
 
-
-def _optimal_xi(beta: float, bcrit: float, delta: float) -> float:
-    """The paper's trichotomy: boundary below beta_crit, center above it.
-
-    beta = inf (Dirichlet) lies above every beta_crit.  At beta = beta_crit
-    every location is optimal.
+    scan is the _RootScan of (delta, xi*) in scans, built on first use: its
+    terms do not depend on beta, so a sweep's rows share it and the roots it
+    has refined; scans lives as long as the caller's sweep or design call.
     """
-    return 0.0 if beta < bcrit else _xi_center(delta)
-
-
-def _scan(xi: float, tp: transcend.TranscendParams, scans: dict) -> transcend._RootScan:
-    """The _RootScan of (delta, xi) in scans, built on first use.
-
-    The scan's terms do not depend on beta, so the rows of one sweep share
-    them, and each keeps the roots it has refined; scans lives as long as
-    the caller's sweep or design call.
-    """
-    key = (tp.delta, xi)
-    scan = scans.get(key)
+    tp = transcend.TranscendParams(params=params, delta=delta)
+    bcrit = transcend.beta_crit(tp)
+    if abs(beta - bcrit) <= DEGENERATE_BAND:
+        regime, xi = Regime.DEGENERATE, 0.0
+    elif beta < bcrit:
+        regime, xi = Regime.BOUNDARY_LEFT, 0.0
+    else:
+        regime, xi = Regime.CENTERED, 0.5 * (1.0 - delta)
+    scan = scans.get((delta, xi))
     if scan is None:
-        scan = scans[key] = transcend._RootScan(xi, tp)
-    return scan
+        scan = scans[(delta, xi)] = transcend._RootScan(xi, tp)
+    return scan, regime, bcrit
 
 
 def locate_optimal_interval(
     beta: float,
-    delta: float,
+    delta: float | None,
     params: ModelParams,
     grid_n: int = eigensolve.DEFAULT_N,
 ) -> DesignOptimum:
     """Optimal interval location for length delta, by the trichotomy.
 
-    xi* is 0 below the closed-form critical coefficient and the center
+    delta = None chooses the length by choose_delta's rule first.  xi* is 0
+    below the closed-form critical coefficient and the center
     (1 - delta)/2 above it (and for Dirichlet conditions); the eigenvalue is
     the transcendental root there.  Inside a tight band around beta_crit
-    the objective is flat and the regime is Degenerate with xi* = 0.  For
-    Dirichlet conditions the reported eigenvalue is one grid solve at xi*
-    with grid_n cells, which must agree with the closed form to 1e-3
-    relative or SolverError is raised.
+    the objective is flat and the regime is Degenerate with xi* = 0.  The
+    mass bound is reported active when delta is delta*.  For Dirichlet
+    conditions the reported eigenvalue is one grid solve at xi* with grid_n
+    cells, which must agree with the closed form to 1e-3 relative or
+    SolverError is raised.
     """
     return _locate(beta, delta, params, grid_n, {})
 
 
 def _locate(
-    beta: float, delta: float, params: ModelParams, grid_n: int, scans: dict
+    beta: float, delta: float | None, params: ModelParams, grid_n: int, scans: dict
 ) -> DesignOptimum:
-    tp = transcend.TranscendParams(params=params, delta=delta)
-    bcrit = transcend.beta_crit(tp)
-    mass_active = abs(delta - delta_star(params)) <= 1e-12
-
-    if abs(beta - bcrit) <= DEGENERATE_BAND:
-        regime, xi_star = Regime.DEGENERATE, 0.0
-    else:
-        xi_star = _optimal_xi(beta, bcrit, delta)
-        regime = Regime.BOUNDARY_LEFT if xi_star == 0.0 else Regime.CENTERED
-    lam = _scan(xi_star, tp, scans).root(beta)
+    if delta is None:
+        delta = _choose_delta(params, beta, scans)
+    scan, regime, bcrit = _placed(beta, delta, params, scans)
+    xi_star, lam = scan.xi, scan.root(beta)
     if beta == math.inf:
         w = BangBangInterval(xi_star, delta, params).weight()
         disc = eigensolve.make_discretization(grid_n, w)
@@ -191,7 +161,7 @@ def _locate(
         delta=delta,
         lambda_star=lam,
         regime=regime,
-        mass_active=mass_active,
+        mass_active=abs(delta - delta_star(params)) <= 1e-12,
         beta=beta,
         beta_crit=bcrit,
     )
@@ -216,28 +186,14 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
     return params.alpha < s2 / (1.0 + 2.0 * s2)
 
 
-def _best_scan(
-    beta: float, delta: float, params: ModelParams, scans: dict
-) -> transcend._RootScan:
-    """The root scan at the trichotomy's xi for this length."""
-    tp = transcend.TranscendParams(params=params, delta=delta)
-    return _scan(_optimal_xi(beta, transcend.beta_crit(tp), delta), tp, scans)
-
-
-def _best_lambda_for_delta(
-    beta: float, delta: float, params: ModelParams, scans: dict
-) -> float:
-    """min over xi of the interval eigenvalue, at the trichotomy's xi."""
-    return _best_scan(beta, delta, params, scans).root(beta)
-
-
 def choose_delta(params: ModelParams, beta: float) -> tuple:
-    """Interval length for the design problem: pinned or scanned.
+    """(delta, active): the interval length for the design problem.
 
     When the active-constraint condition guarantees activeness the length
     is pinned to delta* = (1 - m0)/(kappa + 1); otherwise the resource
-    amount m~ is scanned over [m0, 1), and the constraint is reported
-    active when the minimizer lies within ACTIVE_TOL of the bound m0.
+    amount m~ is scanned over [m0, 1), and the bound counts as active, with
+    delta = delta* exactly, when the minimizer lies within ACTIVE_TOL of the
+    bound m0.  So active is always delta == delta_star(params).
 
     The scan brackets the root at every grid point and refines m0 (its
     value is reused below) and every point whose bracket starts at or below
@@ -248,27 +204,28 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     When the scan's smallest value is at m0 itself, one probe settles it:
     the golden refinement assumes lambda unimodal on [m0, grid[1]], and
     under that assumption lambda(m0 + ACTIVE_TOL) > lambda(m0) puts the
-    minimizer inside [m0, m0 + ACTIVE_TOL], so (delta*, True) is returned
-    without refining.  Otherwise (an interior scan minimum, or a flat or
-    falling start) golden-section search refines the bracket around it.
+    minimizer inside [m0, m0 + ACTIVE_TOL], so delta* is returned without
+    refining.  Otherwise (an interior scan minimum, or a flat or falling
+    start) golden-section search refines the bracket around it.
     """
-    return _choose_delta(params, beta, {})
+    delta = _choose_delta(params, beta, {})
+    return delta, delta == delta_star(params)
 
 
-def _choose_delta(params: ModelParams, beta: float, scans: dict) -> tuple:
+def _choose_delta(params: ModelParams, beta: float, scans: dict) -> float:
     dstar = delta_star(params)
     if active_constraint_condition(params, beta):
-        return dstar, True
+        return dstar
 
     def length(mt: float) -> float:
         return (1.0 - mt) / (params.kappa + 1.0)
 
-    def lam_of_mtilde(mt: float) -> float:
-        return _best_lambda_for_delta(beta, length(mt), params, scans)
+    def scan_at(mt: float) -> transcend._RootScan:
+        return _placed(beta, length(mt), params, scans)[0]
 
     hi_mt = 1.0 - 1e-3
     grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)
-    grid_scans = [_best_scan(beta, length(float(t)), params, scans) for t in grid]
+    grid_scans = [scan_at(float(t)) for t in grid]
     brackets = [scan.bracket(beta) for scan in grid_scans]
     top = min(hi for _, hi in brackets)
     # a point whose bracket starts above the lowest bracket top cannot be the minimum
@@ -278,15 +235,14 @@ def _choose_delta(params: ModelParams, beta: float, scans: dict) -> tuple:
         if i == 0 or lo <= top
     }
     i = min(vals, key=vals.get)  # the lowest index with the smallest value
-    if i == 0 and lam_of_mtilde(params.m0 + ACTIVE_TOL) > vals[0]:
-        return dstar, True  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
+    if i == 0 and scan_at(params.m0 + ACTIVE_TOL).root(beta) > vals[0]:
+        return dstar  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, DELTA_SCAN_POINTS - 1)]
-    mt_opt, lam_opt = _golden_min(lam_of_mtilde, float(lo), float(hi), 1e-7)
-    if vals[0] <= lam_opt + 1e-12:  # grid[0] is m0 itself
-        mt_opt = params.m0
-    active = abs(mt_opt - params.m0) <= ACTIVE_TOL
-    return (1.0 - mt_opt) / (params.kappa + 1.0), active
+    mt_opt, lam_opt = _golden_min(lambda mt: scan_at(mt).root(beta), float(lo), float(hi), 1e-7)
+    if vals[0] <= lam_opt + 1e-12 or abs(mt_opt - params.m0) <= ACTIVE_TOL:
+        return dstar  # grid[0] is m0 itself
+    return length(mt_opt)
 
 
 def sweep_beta(
@@ -296,27 +252,25 @@ def sweep_beta(
 ) -> tuple:
     """One located optimum per beta, plus the Dirichlet asymptote row.
 
-    Returns (rows, failures); failures hold (beta, message) for rows whose
-    solve raised a DriftEigError, the Dirichlet row (beta = inf) included,
-    and the sweep continues past them.  Every row scans the same interval
-    lengths, so the rows share one root scan per (delta, xi).
+    Returns (rows, failures); rows are DesignOptimum with choose_delta's
+    length, and failures hold (beta, message) for rows whose solve raised a
+    DriftEigError, the Dirichlet row (beta = inf) included, and the sweep
+    continues past them.  Every row scans the same interval lengths, so the
+    rows share one root scan per (delta, xi).
     """
     betas = [float(b) for b in beta_grid]
     if not betas:
         raise ValueError("empty beta grid")
     if not all(0.0 < b < math.inf for b in betas) or sorted(betas) != betas:
         raise ValueError("beta grid must be sorted, positive and finite")
-    rows: list[SweepRow] = []
+    rows: list[DesignOptimum] = []
     failures: list[tuple] = []
     scans: dict = {}
     for beta in betas + [math.inf]:
         try:
-            delta, active = _choose_delta(params, beta, scans)
-            opt = _locate(beta, delta, params, grid_n, scans)
+            rows.append(_locate(beta, None, params, grid_n, scans))
         except DriftEigError as exc:
             failures.append((beta, str(exc)))
-            continue
-        rows.append(SweepRow(beta, opt.lambda_star, opt.xi_star, opt.regime, active))
     return rows, failures
 
 

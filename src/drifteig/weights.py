@@ -27,6 +27,11 @@ ALPHA_STAR_BRACKET = 64.0
 # e^{2 alpha (kappa+1)} is the largest exponential the package forms
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
+# the root scan's largest term, lambda / kappa at s_max^2, is pi^2 / (kappa d)^2;
+# above this floor it stays finite for every design length d >= 2^-53 / (kappa + 1)
+# (1 - m0 >= 2^-53 for a float m0 < 1)
+KAPPA_MIN = 1e-137
+
 
 class DriftEigError(Exception):
     """Root of every typed error the package raises."""
@@ -45,10 +50,12 @@ class ModelParams:
     m0: float
 
     def __post_init__(self):
+        for name in ("alpha", "kappa", "m0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not KAPPA_MIN <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= {KAPPA_MIN:g}, got {self.kappa}")
         if not 0.0 < self.m0 < 1.0:
             raise ValueError(f"m0 must lie in (0, 1), got {self.m0}")
         if 2.0 * self.alpha * (self.kappa + 1.0) > LOG_FLOAT_MAX:

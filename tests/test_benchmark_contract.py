@@ -7,6 +7,7 @@ reads the wrapped functions' outputs.  These tests fail when a change to
 the package would break any of that.
 """
 
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -31,6 +32,28 @@ def _load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_workloads(monkeypatch):
+    # workloads.py imports its sibling oracle.py by name, as run.py does
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("workloads")
+
+
+def test_design_grid_runs_and_checks(monkeypatch):
+    # its operations unpack choose_delta(p, beta) into two values and pass
+    # the length to locate_optimal_interval(beta, delta, p) positionally
+    grid = _load_workloads(monkeypatch).DesignGrid()
+    inputs = grid.make_inputs(drifteig, 1, None)
+    raw = [op() for op in grid.ops(drifteig, inputs)]
+    assert grid.check(inputs, grid.read(inputs, raw)) == []
+
+
+def test_figure_sweep_argv_parses(monkeypatch, tmp_path):
+    argv = _load_workloads(monkeypatch).FigureSweep().make_inputs(drifteig, 1, str(tmp_path))["argv"]
+    args = drifteig.cli.build_parser().parse_args(argv)
+    assert args.func is drifteig.cli.cmd_sweep
+    assert (args.sweep, args.grid_n) == ("0.1:30.0:60:log", 2000)
 
 
 def test_trace_targets_resolve():

@@ -325,6 +325,21 @@ class TestConfig:
         assert cli.main(["eig", "--params", "gamma=1", "--out", str(tmp_path / "o")]) == 2
         assert cli.main(["eig", "--params", "m0=1.7", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["root", "sweep"])
+    def test_integer_config_params_write_floats(self, tmp_path, capsys, command):
+        # the config's 0 and 1 are stored as floats, so the outputs match the flag run's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"alpha": 0, "kappa": 1, "m0": 0.4}}))
+        extra = ["--sweep", "0.5:2:2"] if command == "sweep" else []
+        runs = (["--config", str(cfg)], ["--params", "alpha=0,kappa=1,m0=0.4"])
+        for sub, argv in zip(("c", "f"), runs):
+            assert cli.main([command, *extra, *argv, "--out", str(tmp_path / sub)]) == 0
+        capsys.readouterr()
+        for name in os.listdir(tmp_path / "f"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "f" / name).read_bytes()
+        text = (tmp_path / "c" / f"{command}.json").read_text()
+        assert '"alpha": 0.0' in text and '"kappa": 1.0' in text
+
     def test_params_flag_applies(self, tmp_path, capsys):
         wf = _weight_file(tmp_path, [0.0, 1.0], [1.0])
         rc = cli.main(
@@ -378,6 +393,7 @@ class TestFailurePolicy:
             (["eig", "--xi", "0.9"], 2),
             (["root", "--neumann", "--params", "alpha=1"], 3),
             (["root", "--dirichlet", "--xi", "0.2"], 0),
+            (["root", "--params", "kappa=1e-300"], 2),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, argv, code):
@@ -415,6 +431,20 @@ class TestFailurePolicy:
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (out / "error.json").exists()
+
+    @pytest.mark.parametrize("m0", [0.4, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize(
+        "argv", [["root", "--beta", "1"], ["locate", "--beta", "1"], ["sweep", "--sweep", "0.1:30:5"]]
+    )
+    def test_smallest_kappa_finite_or_typed(self, tmp_path, capsys, argv, m0):
+        # at the floor the root scan's terms stay finite (the suite turns
+        # numpy's overflow warnings into errors): a result or a typed exit
+        out = tmp_path / "o"
+        params = f"kappa={weights.KAPPA_MIN!r},m0={m0!r}"
+        rc = cli.main(argv + ["--params", params, "--out", str(out)])
+        assert rc in (0, 3, 4)
+        written = "".join(path.read_text() for path in out.iterdir())
+        assert not any(bad in written for bad in ("nan", "NaN", "Infinity"))
 
     def test_output_path_is_a_file(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -8,6 +8,7 @@ import pytest
 from drifteig import (
     BangBangInterval,
     Boundary,
+    DesignOptimum,
     ModelParams,
     Regime,
     TranscendParams,
@@ -15,6 +16,7 @@ from drifteig import (
     active_constraint_condition,
     beta_crit,
     choose_delta,
+    cli,
     locate_optimal_interval,
     make_discretization,
     mollify_demo,
@@ -82,6 +84,20 @@ class TestLocate:
         assert twin.regime == Regime.BOUNDARY_RIGHT
         assert twin.xi_star == pytest.approx(1.0 - DSTAR)
         assert twin.lambda_star == opt.lambda_star
+
+    def test_none_delta_chooses_the_length(self, params):
+        opt = locate_optimal_interval(10.0, None, params)
+        delta, active = choose_delta(params, 10.0)
+        assert opt == locate_optimal_interval(10.0, delta, params)
+        assert opt.mass_active == active
+
+    def test_locate_command_builds_each_scan_once(self, tmp_path, capsys, counted_scans):
+        # choosing the length and locating the interval share one scan dict,
+        # so the (delta*, xi*) scan is built once and its root refined once
+        builds, _, refined = counted_scans
+        assert cli.main(["locate", "--beta", "10", "--out", str(tmp_path)]) == 0
+        assert builds and len(builds) == len(set(builds)), builds
+        assert refined and len(refined) == len(set(refined)), refined
 
 
 class TestTrichotomyLattice:
@@ -178,25 +194,45 @@ class TestActiveConstraint:
         dstar = optimize.delta_star(p)
         beta = beta_ratio * beta_crit(TranscendParams(params=p, delta=dstar))
         assert not active_constraint_condition(p, beta)  # the scan decides
-        assert choose_delta(p, beta) == _scan_and_golden_delta(p, beta)
+        delta, active = choose_delta(p, beta)
+        assert (delta, active) == _scan_and_golden_delta(p, beta)
+        assert active == (delta == dstar)
+
+    def test_golden_minimizer_near_bound_returns_delta_star(self, monkeypatch):
+        # a refined minimizer within ACTIVE_TOL of m0 counts as the active
+        # bound, so the length is delta* itself and "active" never pairs
+        # with a shorter interval
+        p = ModelParams(1.0, 0.1, 0.05)  # inactive: the scan minimum is interior
+        dstar = optimize.delta_star(p)
+        beta = 5.0 * beta_crit(TranscendParams(params=p, delta=dstar))
+        near = p.m0 + optimize.ACTIVE_TOL / 2.0
+        monkeypatch.setattr(optimize, "_golden_min", lambda f, a, b, tol: (near, 0.0))
+        assert choose_delta(p, beta) == (dstar, True)
+        opt = locate_optimal_interval(beta, None, p)
+        assert (opt.delta, opt.mass_active) == (dstar, True)
 
 
 def _scan_and_golden_delta(params, beta):
-    """choose_delta's scanned decision without the bound probe: the coarse
-    scan over m~ in [m0, 1 - 1e-3], golden refinement around its minimum,
-    and activity when the refined minimizer is within 1e-6 of m0."""
+    """choose_delta's scanned decision without the bound probe or the
+    bracket pruning: the coarse scan over m~ in [m0, 1 - 1e-3], golden
+    refinement around its minimum, and delta = delta* with the bound active
+    when the refined minimizer is within 1e-6 of m0.  Each lambda is the
+    transcendental root at the paper's xi: 0 below beta_crit, the center
+    above."""
     def lam_of_mtilde(mt):
         delta = (1.0 - mt) / (params.kappa + 1.0)
-        return optimize._best_lambda_for_delta(beta, delta, params, {})
+        tp = TranscendParams(params=params, delta=delta)
+        xi = 0.0 if beta < beta_crit(tp) else 0.5 * (1.0 - delta)
+        return transcendental_root(xi, beta, tp)
 
     grid = np.linspace(params.m0, 1.0 - 1e-3, 32)
     vals = [lam_of_mtilde(float(t)) for t in grid]
     i = int(np.argmin(vals))
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 31)])
     mt_opt, lam_opt = optimize._golden_min(lam_of_mtilde, lo, hi, 1e-7)
-    if vals[0] <= lam_opt + 1e-12:
+    if vals[0] <= lam_opt + 1e-12 or abs(mt_opt - params.m0) <= 1e-6:
         mt_opt = params.m0
-    return (1.0 - mt_opt) / (params.kappa + 1.0), abs(mt_opt - params.m0) <= 1e-6
+    return (1.0 - mt_opt) / (params.kappa + 1.0), mt_opt == params.m0
 
 
 @pytest.fixture
@@ -247,6 +283,13 @@ class TestSweep:
         assert len(builds) <= 2 * optimize.DELTA_SCAN_POINTS + 2
         assert len(brackets) > 10 * len(builds)
         assert len(refined) == len(set(refined)) <= 86
+
+    @pytest.mark.parametrize("p", [ModelParams(0.2, 1.0, 0.4), ModelParams(0.45, 0.05, 0.05)])
+    def test_rows_are_designs_active_at_delta_star(self, p):
+        rows, failures = sweep_beta([1.0, 10.0, 100.0], p)
+        assert not failures and all(isinstance(r, DesignOptimum) for r in rows)
+        assert [r.mass_active for r in rows] == [r.delta == optimize.delta_star(p) for r in rows]
+        assert rows == [locate_optimal_interval(r.beta, None, p) for r in rows]
 
     def test_rows_and_asymptote(self, params):
         rows, failures = sweep_beta([0.5, 1.0, 2.0, 10000.0], params)

@@ -248,8 +248,15 @@ class TestClassProperties:
             ModelParams(0.1, 1.0, 1.4)
         with pytest.raises(ValueError):
             ModelParams(0.2, 1800.0, 0.4)  # e^{2 alpha (kappa+1)} overflows
+        with pytest.raises(ValueError, match="kappa"):
+            ModelParams(0.2, 1e-300, 0.4)  # the root scan's pi^2 / (kappa d)^2 overflows
         with pytest.raises(ValueError):
             BangBangInterval(0.9, 0.3, ModelParams(0.1, 1.0, 0.4))
+
+    def test_model_params_store_floats(self):
+        p = ModelParams(0, 1, 0.4)
+        assert [type(v) for v in (p.alpha, p.kappa, p.m0)] == [float] * 3
+        assert p == ModelParams(0.0, 1.0, 0.4)
 
     @pytest.mark.parametrize(
         "cls, args",
