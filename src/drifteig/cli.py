@@ -187,6 +187,8 @@ def _resolve(args) -> None:
                 optimize.delta_star(args.params) if delta is None else delta,
                 args.params,
             )
+            # the interval's closed form: a length whose root scan stays finite
+            transcend.TranscendParams(args.params, args.interval.delta)
         if "weight" in has:
             raw_w = raw["weight"]
             args.weight = args.interval.weight() if raw_w is None else _weight(raw_w, args.params)

@@ -15,15 +15,24 @@ curve mu(lambda) = smallest eigenvalue of the pencil (K - lambda*B, M0):
 mu is concave, mu(lambda) = 0 exactly at principal eigenvalues, and the
 sign of mu equals the sign predicate "K - lambda*B is positive definite",
 which one LDL^T factorization (LAPACK ``dpttrf``) answers in O(n).  Root
-location therefore bisects on that test instead of resolving mu at every
-probe.
+location bisects on that test only to 1/64 relative.  The eigenvalue is a
+minimum of a Rayleigh quotient, so ``_refine`` then runs inverse iteration
+at the bracket's positive definite lower end and takes the elementwise
+Rayleigh quotient rho of the result; rho is returned when it lies in the
+bracket and the test reads "definite" just below it and "not" just above
+(1e-8 relative, plus 1e-8 absolute for mu).  When that certificate fails,
+the bisection goes on from the same bracket as if it had never stopped.
+mu takes the same path on the pencil (K - lambda*B, M0) from the bracket
+[-max(lambda*weight), Rayleigh quotient of the ones vector], with its
+coarse phase in the kernel bisection.
 
 All entry points share one core: ``_zero_regime`` validates the weight and
 detects the Neumann zero regime, ``_bracket_and_bisect`` locates lambda,
-and ``_inverse_iteration`` serves both the Rayleigh polish of mu and the
-eigenfunction that ``_eigenpair`` normalizes and checks.  ``eigen_cov``
-runs the same core on the drift-free forms of the change of variable.  The
-definiteness test and the mu bisection are in ``kernels``.
+``_refine`` certifies or bisects both lambda and mu, and
+``_inverse_iteration`` serves both the Rayleigh polish of an uncertified mu
+and the eigenfunction that ``_eigenpair`` normalizes and checks.
+``eigen_cov`` runs the same core on the drift-free forms of the change of
+variable.  The definiteness test and the mu bisection are in ``kernels``.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import kernels
 from .weights import Boundary, DriftEigError, ModelParams, PiecewiseWeight, exp_mass
@@ -44,6 +54,11 @@ MU_ATOL = 1e-8  # bisection floor; the Rayleigh polish takes it to ~1e-12
 MU_RTOL = 1e-12
 BRACKET_LIMIT = 1e8
 SHIFT_REL = 1e-10  # inverse-iteration shift off the converged eigenvalue
+COARSE_REL = 1.0 / 64.0  # relative bracket width handed to the Rayleigh refinement
+MU_COARSE_SHARE = 2.0 ** -12  # mu's coarse bracket: also this share of its start
+REFINE_STEPS = 8  # most inverse-iteration solves at the bracket's lower end
+REFINE_TOL = 1e-10  # agreement of two successive estimates, relative to the shift gap
+CERT_REL = 1e-8  # the two certificate probes sit at rho (1 -+ CERT_REL)
 DEFAULT_N = 2000
 
 
@@ -201,18 +216,6 @@ def _tri_mv(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _pencil_bracket(ad, ae, md, me) -> tuple:
-    """Gershgorin-type bound: all pencil eigenvalues lie in [-R, R]."""
-    row = np.abs(ad).copy()
-    row[:-1] += np.abs(ae)
-    row[1:] += np.abs(ae)
-    margin = md.copy()
-    margin[:-1] -= np.abs(me)
-    margin[1:] -= np.abs(me)
-    r = float(np.max(row / margin)) * 1.01 + 1.0
-    return -r, r
-
-
 @dataclass
 class EigenPair:
     """Converged eigenvalue with its positive discrete eigenfunction,
@@ -295,15 +298,117 @@ def _rayleigh_polish(forms: Forms, lam: float, sigma: float) -> float:
     return rho
 
 
+def _indefinite(pencil: tuple):
+    """The sign test of the pencil (A, C): sigma -> A - sigma*C is not
+    positive definite, i.e. sigma is at or above its smallest eigenvalue."""
+    ad, ae, cd, ce = pencil
+
+    def pred(sigma: float) -> bool:
+        return kernels.pencil_inertia(ad, ae, cd, ce, sigma)[0] >= 1
+
+    return pred
+
+
+def _bisect(pred, lo: float, hi: float, atol: float, rtol: float) -> tuple:
+    """Halve [lo, hi] on pred (true above the eigenvalue) to atol + rtol*|hi|."""
+    while hi - lo > atol + rtol * abs(hi):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _refine(
+    forms: Forms, pencil: tuple, quotient, lo: float, hi: float, atol: float, rtol: float
+):
+    """Smallest eigenvalue of the pencil (A, C) from a coarse bracket [lo, hi].
+
+    ``pencil`` is (A diagonal, A superdiagonal, C diagonal, C superdiagonal)
+    over the unknowns.  The Rayleigh quotient rho of inverse iteration at
+    lo (``_rayleigh_at``) is returned, with True, only when it lies in
+    [lo, hi] and two definiteness probes certify it: with t = CERT_REL*|rho|
+    + atol, A - (rho - t)*C is positive definite and A - (rho + t)*C is
+    not.  Otherwise the bisection goes on from [lo, hi] to atol + rtol*|hi|
+    and its midpoint is returned with False: the same bits as a bisection
+    that never stopped at the coarse bracket.
+    """
+    pred = _indefinite(pencil)
+    rho = _rayleigh_at(forms, pencil, quotient, lo)
+    if rho is not None and lo <= rho <= hi:
+        t = CERT_REL * abs(rho) + atol
+        if not pred(rho - t) and pred(rho + t):
+            return rho, True
+    lo, hi = _bisect(pred, lo, hi, atol, rtol)
+    return 0.5 * (lo + hi), False
+
+
+def _rayleigh_at(forms: Forms, pencil: tuple, quotient, shift: float):
+    """Rayleigh quotient of inverse iteration on the pencil at shift, or None.
+
+    The LDL^T factorization of S = A - shift*C (LAPACK ``dpttrf``) is itself
+    the definiteness test; each step solves S y = C x with it (``dpttrs``).
+    The first right-hand side is M0 times the ones vector, which is positive,
+    so its component along the positive eigenvector is positive (the ones
+    vector itself is the lambda = 0 eigenvector under Neumann conditions).
+    Each step's estimate shift + x'Cx / y'Cx is a Rayleigh quotient of S^-1
+    (y'Cx > 0 as S is positive definite); once two in a row agree to
+    REFINE_TOL times their distance to the shift, the elementwise
+    ``quotient(kq, bq, mq)`` of the last iterate is returned.  A failed
+    factorization or solve, no agreement within REFINE_STEPS solves, or a
+    quotient that is not finite gives None.
+    """
+    ad, ae, cd, ce = pencil
+    if ad.size < 2:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
+        return None
+    d, e, info = dpttrf(ad - shift * cd, ae - shift * ce)
+    if info != 0:
+        return None
+    _, _, _, _, md, me = forms.interior()
+    rhs = _tri_mv(md, me, np.ones(md.size))
+    x, last = None, math.nan
+    for _ in range(REFINE_STEPS):
+        y, info = dpttrs(d, e, rhs)
+        nrm = float(np.max(np.abs(y)))
+        if info != 0 or not math.isfinite(nrm) or nrm == 0.0:
+            return None
+        if x is not None:
+            den = float(y @ rhs)
+            if den <= 0.0:
+                return None
+            gap = float(x @ rhs) / den
+            if abs(shift + gap - last) <= REFINE_TOL * abs(gap):
+                break
+            last = shift + gap
+        x = y / nrm
+        rhs = _tri_mv(cd, ce, x)
+    else:
+        return None
+    rho = float(quotient(*forms.quadratics(forms.embed(y / nrm))))
+    return rho if math.isfinite(rho) else None
+
+
 def _mu_from_forms(forms: Forms, lam: float) -> float:
     kd, ke, bd, be, md, me = forms.interior()
-    ad = kd - lam * bd
-    ae = ke - lam * be
-    lo, hi = _pencil_bracket(ad, ae, md, me)
-    sigma = float(
-        kernels.smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, MU_ATOL, MU_RTOL, 200)
-    )
-    return _rayleigh_polish(forms, lam, sigma)
+    pencil = (kd - lam * bd, ke - lam * be, md, me)
+
+    def quotient(kq, bq, mq):
+        return (kq - lam * bq) / mq
+
+    # K is positive semidefinite and B sums the element weights times M0's
+    # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
+    # any vector, here the ones vector, bounds mu from above
+    lo = -float(np.max(lam * forms.weight))
+    hi = float(quotient(*forms.quadratics(forms.embed(np.ones(kd.size)))))
+    slack = 1e-3 * (hi - lo) + MU_ATOL
+    lo, hi = lo - slack, hi + slack
+    atol = (hi - lo) * MU_COARSE_SHARE
+    mid = float(kernels.smallest_pencil_eigenvalue(*pencil, lo, hi, atol, COARSE_REL, 200))
+    # the kernel stops once its bracket is no wider than tol
+    tol = atol + COARSE_REL * abs(mid)
+    mu, certified = _refine(forms, pencil, quotient, mid - tol, mid + tol, MU_ATOL, MU_RTOL)
+    return mu if certified else _rayleigh_polish(forms, lam, mu)
 
 
 def mu_of_lambda(
@@ -330,11 +435,8 @@ def mu_curve(
 
 def _bracket_and_bisect(forms: Forms) -> float:
     kd, ke, bd, be, _, _ = forms.interior()
-
-    def pred(lam: float) -> bool:
-        # mu(lam) <= 0 iff K - lam*B is not positive definite
-        return kernels.pencil_inertia(kd, ke, bd, be, lam)[0] >= 1
-
+    # mu(lam) <= 0 iff K - lam*B is not positive definite
+    pred = _indefinite((kd, ke, bd, be))
     if pred(LAMBDA_FLOOR):
         # Near lambda = 0 the Neumann pencil is within pivot noise of
         # singular and the raw test can fire falsely; trust the polished
@@ -351,13 +453,13 @@ def _bracket_and_bisect(forms: Forms) -> float:
         if hi > BRACKET_LIMIT:
             samples = [(l, _mu_from_forms(forms, l)) for l in (1.0, 1e2, 1e4, 1e6, 1e8)]
             raise BracketError(f"no sign change below {BRACKET_LIMIT}; mu samples {samples}")
-    while hi - lo > LAMBDA_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo, hi = _bisect(pred, lo, hi, 0.0, COARSE_REL)
+
+    def quotient(kq, bq, mq):
+        return kq / bq if bq > 0.0 else math.nan
+
+    lam, _ = _refine(forms, (kd, ke, bd, be), quotient, lo, hi, 0.0, LAMBDA_REL_TOL)
+    return lam
 
 
 def _eigenpair(forms: Forms, lam: float, nodes: np.ndarray) -> EigenPair:

@@ -191,7 +191,8 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
 
     When the active-constraint condition guarantees activeness the length
     is pinned to delta* = (1 - m0)/(kappa + 1); otherwise the resource
-    amount m~ is scanned over [m0, 1), and the bound counts as active, with
+    amount m~ is scanned over [m0, 1 - 1e-3] (delta* itself when m0 lies
+    above 1 - 1e-3, so delta <= delta* always), and the bound counts as active, with
     delta = delta* exactly, when the minimizer lies within ACTIVE_TOL of the
     bound m0.  So active is always delta == delta_star(params).
 
@@ -224,6 +225,8 @@ def _choose_delta(params: ModelParams, beta: float, scans: dict) -> float:
         return _placed(beta, length(mt), params, scans)[0]
 
     hi_mt = 1.0 - 1e-3
+    if params.m0 > hi_mt:
+        return dstar  # nothing to scan: every larger amount lies above the cap
     grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)
     grid_scans = [scan_at(float(t)) for t in grid]
     brackets = [scan.bracket(beta) for scan in grid_scans]

@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 from .weights import DriftEigError, ModelParams
 
 S_FLOOR = 1e-150  # lowest sqrt(lambda) the root scan steps down to
+SCAN_TERM_MAX = 1e308  # bound on the root scan's terms, below the float maximum
 
 
 class RootNotFoundError(DriftEigError, RuntimeError):
@@ -77,6 +78,14 @@ class TranscendParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        # the root scan's largest term is lambda max(1, 1/kappa) at its top,
+        # lambda = (pi / (sqrt(kappa) delta))^2; it must stay below SCAN_TERM_MAX
+        rk = math.sqrt(self.params.kappa)
+        if rk * min(1.0, rk) * self.delta * math.sqrt(SCAN_TERM_MAX) < math.pi:
+            raise ValueError(
+                f"delta = {self.delta} is too small for kappa = {self.params.kappa}: "
+                f"the root scan's terms would pass {SCAN_TERM_MAX:g}"
+            )
 
 
 def _shorthands(tp: TranscendParams, beta: float):

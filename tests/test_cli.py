@@ -56,7 +56,7 @@ class TestEig:
         for argv in (["--config", str(cfg)], ["--xi", "0.1", "--delta", "0.3"]):
             assert cli.main(["eig", *argv, "--out", str(tmp_path / "o")]) == 0
             lams.append(float(capsys.readouterr().out.split("lambda=")[1]))
-        assert lams == [10.546258832793683, 10.546258832793683]
+        assert lams == [10.546258833995697, 10.546258833995697]
 
     def test_solver_error_exit_code(self, tmp_path, capsys):
         wf = _weight_file(tmp_path, [0.0, 1.0], [-0.5])
@@ -394,6 +394,7 @@ class TestFailurePolicy:
             (["root", "--neumann", "--params", "alpha=1"], 3),
             (["root", "--dirichlet", "--xi", "0.2"], 0),
             (["root", "--params", "kappa=1e-300"], 2),
+            (["root", "--beta", "1", "--delta", "1e-170"], 2),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, argv, code):

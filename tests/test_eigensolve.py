@@ -12,6 +12,7 @@ from drifteig import (
     ModelParams,
     PiecewiseWeight,
     TranscendParams,
+    alpha_star,
     ZeroRegime,
     eigen_cov,
     exp_mass,
@@ -240,3 +241,142 @@ class TestEigenCov:
     def test_zero_regime_passthrough(self, params):
         disc = make_discretization(100, ONE)
         assert isinstance(eigen_cov(ONE, params, Boundary.neumann(), disc), ZeroRegime)
+
+
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _count_calls(monkeypatch):
+    """Count definiteness probes and mu bisections, wherever they are made."""
+    from drifteig import _kernels_py, kernels
+
+    calls = {"pencil_inertia": 0, "smallest_pencil_eigenvalue": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    probe = counted("pencil_inertia", _kernels_py.pencil_inertia)
+    # the kernel bisection calls its own module's pencil_inertia
+    monkeypatch.setattr(_kernels_py, "pencil_inertia", probe)
+    monkeypatch.setattr(kernels, "pencil_inertia", probe)
+    monkeypatch.setattr(
+        kernels,
+        "smallest_pencil_eigenvalue",
+        counted("smallest_pencil_eigenvalue", kernels.smallest_pencil_eigenvalue),
+    )
+    return calls
+
+
+class TestCertifiedRefinement:
+    """The Rayleigh refinement of lambda and mu, and its two-probe certificate."""
+
+    @pytest.mark.parametrize(
+        "bc", [Boundary.robin(1.0), Boundary.robin(10.0), Boundary.dirichlet()], ids=str
+    )
+    def test_lambda_matches_dense_reference(self, params, rng, bc):
+        # K is positive definite here, so 1/lambda is the largest eigenvalue
+        # of the dense pencil (B, K)
+        weights = [BangBangInterval(0.23, 0.29, params).weight()]
+        weights += [random_admissible(params, rng) for _ in range(3)]
+        for m in weights:
+            disc = make_discretization(400, m)
+            kd, ke, bd, be, _, _ = assemble(m, params, bc, disc).interior()
+            nu = scipy.linalg.eigh(_dense(bd, be), _dense(kd, ke), eigvals_only=True)
+            lam = principal_lambda(m, params, bc, disc)
+            assert type(lam) is float
+            assert abs(lam * nu[-1] - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "bc", [Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()], ids=str
+    )
+    def test_lambda_is_certified(self, params, bc):
+        from drifteig import kernels
+        from drifteig.eigensolve import CERT_REL
+
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        disc = make_discretization(2000, m)
+        kd, ke, bd, be, _, _ = assemble(m, params, bc, disc).interior()
+        lam = principal_lambda(m, params, bc, disc)
+        assert kernels.pencil_inertia(kd, ke, bd, be, lam * (1.0 - CERT_REL))[0] == 0
+        assert kernels.pencil_inertia(kd, ke, bd, be, lam * (1.0 + CERT_REL))[0] == 1
+
+    @pytest.mark.parametrize(
+        "bc",
+        [Boundary.neumann(), Boundary.robin(1.0), Boundary.robin(10.0), Boundary.dirichlet()],
+        ids=str,
+    )
+    def test_probe_count_at_n_2000(self, params, rng, monkeypatch, bc):
+        # a full bisection to LAMBDA_REL_TOL makes about 40 probes; the
+        # refinement needs the floor probe, the doubling bracket (about
+        # log2 lambda probes), a bisection to 1/64 (6) and the certificate (2)
+        calls = _count_calls(monkeypatch)
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        principal_eigenvalue(m, params, bc, make_discretization(2000, m))
+        assert calls["pencil_inertia"] <= 20
+        calls["pencil_inertia"] = 0
+        m = random_admissible(params, rng)
+        lam = principal_eigenvalue(m, params, bc, make_discretization(2000, m)).lam
+        assert calls["pencil_inertia"] <= 12 + math.log2(lam)
+        assert calls["smallest_pencil_eigenvalue"] == 0
+
+    def test_uncertifiable_near_alpha_star_keeps_bisection(self):
+        # within pivot noise of singular the definiteness test is not
+        # monotone, so no Rayleigh quotient is certified and the full
+        # bisection's values come back bit for bit
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
+        a_star = alpha_star(m)
+        disc = make_discretization(2000, m)
+        expected = {1e-4: 0.0012908705144678758, 1e-6: 8.410104088366616e-05,
+                    1e-8: 6.104539689199745e-05}
+        for eps, lam in expected.items():
+            p = ModelParams(a_star * (1.0 - eps), 1.0, 0.4)
+            assert principal_lambda(m, p, Boundary.neumann(), disc) == lam
+
+    def test_neumann_floor_misfire_is_decided_by_mu(self, params, monkeypatch):
+        # at n = 8000 the Neumann test fires falsely at LAMBDA_FLOOR; mu there
+        # is positive, so the solve goes on, and its lambda is the Rayleigh
+        # quotient of its own eigenfunction
+        from drifteig import kernels
+        from drifteig.eigensolve import LAMBDA_FLOOR
+
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        disc = make_discretization(8000, m)
+        forms = assemble(m, params, Boundary.neumann(), disc)
+        kd, ke, bd, be, _, _ = forms.interior()
+        assert kernels.pencil_inertia(kd, ke, bd, be, LAMBDA_FLOOR)[0] == 1
+        calls = _count_calls(monkeypatch)
+        pair = principal_eigenvalue(m, params, Boundary.neumann(), disc)
+        assert calls["smallest_pencil_eigenvalue"] == 1
+        assert calls["pencil_inertia"] <= 30
+        kq, bq, _ = forms.quadratics(pair.phi)
+        assert pair.lam == pytest.approx(kq / bq, rel=1e-12)
+
+    def test_eigenvalue_below_floor_still_raises(self):
+        from drifteig.eigensolve import BracketError
+
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
+        p = ModelParams(alpha_star(m) * (1.0 - 1e-10), 1.0, 0.4)
+        with pytest.raises(BracketError, match="resolvable floor"):
+            principal_lambda(m, p, Boundary.neumann(), make_discretization(2000, m))
+
+    @pytest.mark.parametrize(
+        "bc", [Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()], ids=str
+    )
+    def test_mu_matches_dense_with_one_bisection(self, params, rng, monkeypatch, bc):
+        m = random_admissible(params, rng)
+        disc = make_discretization(400, m)
+        kd, ke, bd, be, md, me = assemble(m, params, bc, disc).interior()
+        calls = _count_calls(monkeypatch)
+        for i, lam in enumerate((-20.0, 0.0, 7.5, 60.0, 120.0), start=1):
+            target = scipy.linalg.eigh(
+                _dense(kd - lam * bd, ke - lam * be), _dense(md, me), eigvals_only=True
+            )[0]
+            mu = mu_of_lambda(m, params, bc, disc, lam)
+            assert type(mu) is float
+            assert abs(mu - target) <= 1e-10 * max(1.0, abs(target))
+            assert calls["smallest_pencil_eigenvalue"] == i

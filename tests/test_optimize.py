@@ -211,6 +211,13 @@ class TestActiveConstraint:
         opt = locate_optimal_interval(beta, None, p)
         assert (opt.delta, opt.mass_active) == (dstar, True)
 
+    def test_m0_above_the_scan_cap_keeps_delta_at_most_delta_star(self):
+        # the scan caps the resource amount at 1 - 1e-3; a larger m0 has no
+        # amount to scan, and no length above delta* may come back
+        p = ModelParams(0.5, 0.05, 0.9999)
+        assert not active_constraint_condition(p, 1e6)
+        assert choose_delta(p, 1e6) == (optimize.delta_star(p), True)
+
 
 def _scan_and_golden_delta(params, beta):
     """choose_delta's scanned decision without the bound probe or the

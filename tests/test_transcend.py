@@ -193,6 +193,22 @@ class TestTranscendentalRoot:
             with pytest.raises(ValueError):
                 transcendental_root(0.0, beta, tp)
 
+    @pytest.mark.parametrize("kappa", [1e-137, 1e-20, 0.5, 1.0, 50.0])
+    def test_shortest_length_scans_finite(self, kappa):
+        # the scan's largest term, lambda max(1, 1/kappa) at its top, stays
+        # below SCAN_TERM_MAX at the shortest accepted length (the suite
+        # turns numpy's overflow warnings into errors); a shorter one is
+        # rejected where the length enters
+        from drifteig.transcend import SCAN_TERM_MAX
+
+        rk = math.sqrt(kappa)
+        shortest = math.pi / (rk * min(1.0, rk) * math.sqrt(SCAN_TERM_MAX)) * (1.0 + 1e-15)
+        params = ModelParams(0.01, kappa, 0.4)
+        tp = TranscendParams(params=params, delta=shortest)
+        assert math.isfinite(transcendental_root(0.0, 1.0, tp))
+        with pytest.raises(ValueError, match="too small"):
+            TranscendParams(params=params, delta=shortest / 2.0)
+
     @pytest.mark.parametrize("alpha, kappa, delta, xi, beta, lam", PINNED_ROOTS + TOP_OF_BOX_ROOTS)
     def test_pinned_high_precision_roots(self, alpha, kappa, delta, xi, beta, lam):
         tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
