@@ -192,9 +192,9 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     When the active-constraint condition guarantees activeness the length
     is pinned to delta* = (1 - m0)/(kappa + 1); otherwise the resource
     amount m~ is scanned over [m0, 1 - 1e-3] (delta* itself when m0 lies
-    above 1 - 1e-3, so delta <= delta* always), and the bound counts as active, with
-    delta = delta* exactly, when the minimizer lies within ACTIVE_TOL of the
-    bound m0.  So active is always delta == delta_star(params).
+    above 1 - 1e-3, so delta <= delta* always), and the bound counts as
+    active, with delta = delta* exactly, when the minimizer lies within
+    ACTIVE_TOL of the bound m0.  So active is always delta == delta_star(params).
 
     The scan brackets the root at every grid point and refines m0 (its
     value is reused below) and every point whose bracket starts at or below
