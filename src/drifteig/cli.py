@@ -17,6 +17,9 @@ grid_n, --out output, --seed seed, --sweep sweep, --weight weight, and
 by key; --xi/--delta replace the weight.  seed is a non-negative integer
 or a hex string, and a sweep range needs 0 < start <= stop < inf.  All
 randomized checks derive from the seed, so reruns are byte-identical.
+Only eig, rearrange and verify solve on a grid of grid_n cells; root,
+locate and sweep solve closed-form roots, and of these only sweep still
+accepts --n, which it does not use.
 
 Exit codes, mapped in ``main`` alone: 0 success; 1 a verify property
 failed; 2 input rejected (ConfigError), malformed config values included;
@@ -275,7 +278,7 @@ def cmd_root(args) -> int:
 
 def cmd_locate(args) -> int:
     bc = args.boundary
-    opt = optimize.locate_optimal_interval(bc.beta, args.delta, args.params, grid_n=args.grid_n)
+    opt = optimize.locate_optimal_interval(bc.beta, args.delta, args.params)
     _write_json(
         os.path.join(args.output, "optimum.json"),
         {
@@ -294,7 +297,7 @@ def cmd_locate(args) -> int:
 
 def cmd_sweep(args) -> int:
     params, out = args.params, args.output
-    rows, failures = optimize.sweep_beta(args.sweep, params, grid_n=args.grid_n)
+    rows, failures = optimize.sweep_beta(args.sweep, params)
     csv_rows = [
         (_jsonable(r.beta), r.lambda_star, r.xi_star, r.regime.value, r.mass_active)
         for r in rows
@@ -442,8 +445,8 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
 
     def trichotomy():
         bcrit = transcend.beta_crit(tp)
-        low = optimize.locate_optimal_interval(0.5 * bcrit, dstar, params, grid_n=n)
-        high = optimize.locate_optimal_interval(2.0 * bcrit, dstar, params, grid_n=n)
+        low = optimize.locate_optimal_interval(0.5 * bcrit, dstar, params)
+        high = optimize.locate_optimal_interval(2.0 * bcrit, dstar, params)
         worst = max(abs(low.xi_star), abs(high.xi_star - 0.5 * (1.0 - dstar)))
         xs = np.linspace(0.0, 0.5 * (1.0 - dstar), 16)
         vals = [transcend.transcendental_root(float(x), bcrit, tp) for x in xs]
@@ -464,7 +467,7 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
         )
 
     def mollify():
-        opt = optimize.locate_optimal_interval(1.0, dstar, params, grid_n=n)
+        opt = optimize.locate_optimal_interval(1.0, dstar, params)
         demo = optimize.mollify_demo(
             opt, [0.1, 0.05, 0.02], params, Boundary.robin(1.0), grid_n=n
         )
@@ -517,13 +520,13 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ main --
 
 
-def _add_common(p: argparse.ArgumentParser, grid: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, grid_help: str | None = "grid cells for the discretized solver"
+) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", dest="output", metavar="OUT", help="output directory (default out/)")
-    if grid:
-        p.add_argument(
-            "--n", dest="grid_n", metavar="N", type=int, help="grid cells for the discretized solver"
-        )
+    if grid_help is not None:
+        p.add_argument("--n", dest="grid_n", metavar="N", type=int, help=grid_help)
     p.add_argument("--params", help="override constants, e.g. alpha=0.2,kappa=1,m0=0.4")
 
 
@@ -560,20 +563,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "root", help="transcendental root for an interval weight", allow_abbrev=False
     )
-    _add_common(p, grid=False)
+    _add_common(p, grid_help=None)
     _add_boundary_flags(p)
     p.add_argument("--xi", type=float, help="interval left endpoint (default 0)")
     p.add_argument("--delta", type=float, help="interval length (default delta*)")
     p.set_defaults(func=cmd_root)
 
     p = sub.add_parser("locate", help="optimal interval location", allow_abbrev=False)
-    _add_common(p)
+    _add_common(p, grid_help=None)
     _add_boundary_flags(p)
     p.add_argument("--delta", type=float, help="interval length (default: policy)")
     p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("sweep", help="beta sweep of the optimal eigenvalue", allow_abbrev=False)
-    _add_common(p)
+    _add_common(p, grid_help="accepted and unused: every sweep row is a closed-form root")
     p.add_argument("--sweep", help="start:stop:points[:scale]")
     p.set_defaults(func=cmd_sweep)
 

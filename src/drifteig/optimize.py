@@ -10,8 +10,8 @@ root for every beta (Dirichlet included), sweeps the critical curve
 beta -> lambda*, evaluates the first-order switch function psi0 used in
 optimality checks, and demonstrates non-attainment among smoothed weights
 by mollifying the optimal jumps.  The placement is cross-checked against
-xi scans of the transcendental root (and of the grid solver under
-Dirichlet conditions) in the tests and in the CLI's verify battery.
+xi scans of the transcendental root, and the root against the grid solver,
+in the tests and in the CLI's verify battery.
 
 The interval length comes from choose_delta: pinned to delta* where the
 paper's sufficient condition makes the mass bound active, and otherwise
@@ -49,6 +49,7 @@ DEGENERATE_BAND = 1e-9  # beta_crit is closed form; the band only absorbs float 
 DELTA_SCAN_POINTS = 32  # resource amounts in choose_delta's coarse scan
 ACTIVE_TOL = 1e-6  # resource amounts this close to m0 count as the active bound
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+RAMP_STEPS = 32  # staircase steps across each of _mollified_weight's ramps
 
 
 class Regime(str, Enum):
@@ -119,12 +120,7 @@ def _placed(beta: float, delta: float, params: ModelParams, scans: dict) -> tupl
     return scan, regime, bcrit
 
 
-def locate_optimal_interval(
-    beta: float,
-    delta: float | None,
-    params: ModelParams,
-    grid_n: int = eigensolve.DEFAULT_N,
-) -> DesignOptimum:
+def locate_optimal_interval(beta: float, delta: float | None, params: ModelParams) -> DesignOptimum:
     """Optimal interval location for length delta, by the trichotomy.
 
     delta = None chooses the length by choose_delta's rule first.  xi* is 0
@@ -132,34 +128,21 @@ def locate_optimal_interval(
     (1 - delta)/2 above it (and for Dirichlet conditions); the eigenvalue is
     the transcendental root there.  Inside a tight band around beta_crit
     the objective is flat and the regime is Degenerate with xi* = 0.  The
-    mass bound is reported active when delta is delta*.  For Dirichlet
-    conditions the reported eigenvalue is one grid solve at xi* with grid_n
-    cells, which must agree with the closed form to 1e-3 relative or
-    SolverError is raised.
+    mass bound is reported active when delta is delta*.  Every beta in
+    [0, inf], Dirichlet included, takes its eigenvalue from that root, so
+    no grid is solved.
     """
-    return _locate(beta, delta, params, grid_n, {})
+    return _locate(beta, delta, params, {})
 
 
-def _locate(
-    beta: float, delta: float | None, params: ModelParams, grid_n: int, scans: dict
-) -> DesignOptimum:
+def _locate(beta: float, delta: float | None, params: ModelParams, scans: dict) -> DesignOptimum:
     if delta is None:
         delta = _choose_delta(params, beta, scans)
     scan, regime, bcrit = _placed(beta, delta, params, scans)
-    xi_star, lam = scan.xi, scan.root(beta)
-    if beta == math.inf:
-        w = BangBangInterval(xi_star, delta, params).weight()
-        disc = eigensolve.make_discretization(grid_n, w)
-        grid = eigensolve.principal_lambda(w, params, Boundary.dirichlet(), disc)
-        if abs(grid - lam) > 1e-3 * lam:
-            raise eigensolve.SolverError(
-                f"Dirichlet grid mismatch at xi={xi_star:.6g}: grid {grid} vs closed form {lam}"
-            )
-        lam = grid
     return DesignOptimum(
-        xi_star=xi_star,
+        xi_star=scan.xi,
         delta=delta,
-        lambda_star=lam,
+        lambda_star=scan.root(beta),
         regime=regime,
         mass_active=abs(delta - delta_star(params)) <= 1e-12,
         beta=beta,
@@ -248,18 +231,15 @@ def _choose_delta(params: ModelParams, beta: float, scans: dict) -> float:
     return length(mt_opt)
 
 
-def sweep_beta(
-    beta_grid: Sequence[float],
-    params: ModelParams,
-    grid_n: int = eigensolve.DEFAULT_N,
-) -> tuple:
+def sweep_beta(beta_grid: Sequence[float], params: ModelParams) -> tuple:
     """One located optimum per beta, plus the Dirichlet asymptote row.
 
     Returns (rows, failures); rows are DesignOptimum with choose_delta's
-    length, and failures hold (beta, message) for rows whose solve raised a
-    DriftEigError, the Dirichlet row (beta = inf) included, and the sweep
-    continues past them.  Every row scans the same interval lengths, so the
-    rows share one root scan per (delta, xi).
+    length, in the grid's order and then at beta = inf, and failures hold
+    (beta, message) for rows whose solve raised a DriftEigError; the sweep
+    continues past them.  Every row, the Dirichlet one too, is a
+    transcendental root; the rows scan the same interval lengths, so they
+    share one root scan per (delta, xi).
     """
     betas = [float(b) for b in beta_grid]
     if not betas:
@@ -271,7 +251,7 @@ def sweep_beta(
     scans: dict = {}
     for beta in betas + [math.inf]:
         try:
-            rows.append(_locate(beta, None, params, grid_n, scans))
+            rows.append(_locate(beta, None, params, scans))
         except DriftEigError as exc:
             failures.append((beta, str(exc)))
     return rows, failures
@@ -297,9 +277,7 @@ def switch_function(
     return mid, psi0
 
 
-def _mollified_weight(
-    optimum: DesignOptimum, params: ModelParams, width: float, steps: int = 32
-) -> PiecewiseWeight:
+def _mollified_weight(optimum: DesignOptimum, params: ModelParams, width: float) -> PiecewiseWeight:
     """Replace interior jumps of the optimal weight by staircase ramps.
 
     The ramp is a linear transition of the given width centered at the
@@ -330,9 +308,9 @@ def _mollified_weight(
         left_edge = x_j - width / 2.0
         if left_edge > pos:
             pieces.append((flat_value(0.5 * (pos + left_edge)), left_edge - pos))
-        sub = width / steps
-        for s in range(steps):
-            frac = (s + 0.5) / steps
+        sub = width / RAMP_STEPS
+        for s in range(RAMP_STEPS):
+            frac = (s + 0.5) / RAMP_STEPS
             pieces.append((v_from + (v_to - v_from) * frac, sub))
         pos = x_j + width / 2.0
     if pos < 1.0:

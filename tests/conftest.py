@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from drifteig import ModelParams
+from drifteig import ModelParams, transcend
 
 
 @pytest.fixture
@@ -42,3 +44,20 @@ def _dirichlet_gap_coefficient(pair, m, alpha):
 @pytest.fixture
 def dirichlet_gap_coefficient():
     return _dirichlet_gap_coefficient
+
+
+@pytest.fixture
+def failing_dirichlet_root(monkeypatch):
+    """Every root scan raises RootNotFoundError at beta = inf.
+
+    The Dirichlet row is a closed-form root that no real input fails, so
+    the tests of a failed sweep row inject the failure.
+    """
+    root = transcend._RootScan.root
+
+    def root_or_raise(self, beta):
+        if beta == math.inf:
+            raise transcend.RootNotFoundError(f"no Dirichlet root at xi={self.xi:.6g}")
+        return root(self, beta)
+
+    monkeypatch.setattr(transcend._RootScan, "root", root_or_raise)

@@ -108,12 +108,13 @@ class TestRoot:
         assert abs(lhs - rhs) <= 1e-8
 
     def test_abbreviated_flag_rejected(self, tmp_path, capsys):
-        # "--n" must not be read as a prefix of "--neumann"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["root", "--n", "--out", str(tmp_path / "o")])
-        assert exc.value.code == 2
-        assert "--n" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        # neither command has --n, which must not be read as a prefix of "--neumann"
+        for command in ("root", "locate"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--n", "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2
+            assert "--n" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
 
 class TestSweep:
@@ -148,21 +149,22 @@ class TestSweep:
 
     def test_finite_rows_with_roots_below_lambda_1e8(self, tmp_path, capsys):
         # a large jump e^{alpha (kappa+1)} puts the centered roots near 1e-22;
-        # the references are 80-digit mpmath roots of the literal F.  The
-        # Dirichlet row is a grid solve, which cannot resolve such a root
+        # the references are 80-digit mpmath roots of the literal F, and of
+        # the literal F / beta^2 for the Dirichlet row, which no grid resolves
         argv = ["sweep", "--sweep", "1:10:2", "--params", "alpha=1,kappa=50"]
-        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 4
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
         lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
         rows = [line.split(",") for line in lines]
         assert [(r[0], r[3], r[4]) for r in rows] == [
             ("1.0", "Centered", "True"),
             ("10.0", "Centered", "True"),
+            ("inf", "Centered", "True"),
         ]
         assert float(rows[0][1]) == pytest.approx(2.798688357671525085386597e-22, rel=1e-12)
         assert float(rows[1][1]) == pytest.approx(4.544049366353712490656865e-22, rel=1e-12)
-        failures = json.loads((tmp_path / "o" / "sweep.json").read_text())["failures"]
-        assert [f["beta"] for f in failures] == ["inf"]
+        assert float(rows[2][1]) == pytest.approx(4.882361983095903629250345e-22, rel=1e-12)
+        assert json.loads((tmp_path / "o" / "sweep.json").read_text())["failures"] == []
 
     def test_config_linear_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -218,8 +220,8 @@ class TestLocate:
         assert data["lambda_star"] == pytest.approx(2.8542159597419503, rel=1e-12)
 
     def test_thin_interval_dirichlet_row(self, tmp_path, capsys):
-        # delta* = 7.5e-4 is 1.5 cells at n = 2000; the Dirichlet row's grid
-        # solve at the center still agrees with the closed form
+        # delta* = 7.5e-4 is 1.5 cells at n = 2000, which the closed-form
+        # Dirichlet row does not need
         argv = ["sweep", "--sweep", "1:1000:3", "--params", "alpha=0.01,kappa=800"]
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
@@ -389,7 +391,7 @@ class TestFailurePolicy:
             (["root", "--delta", "0"], 2),
             (["locate", "--delta", "1.5"], 2),
             (["root", "--params", "kappa=1800"], 2),
-            (["sweep", "--sweep", "1:1:1", "--n", "2"], 4),
+            (["sweep", "--sweep", "1:1:1"], 4),  # with a failing Dirichlet root
             (["eig", "--xi", "0.9"], 2),
             (["root", "--neumann", "--params", "alpha=1"], 3),
             (["root", "--dirichlet", "--xi", "0.2"], 0),
@@ -397,7 +399,9 @@ class TestFailurePolicy:
             (["root", "--beta", "1", "--delta", "1e-170"], 2),
         ],
     )
-    def test_exit_code(self, tmp_path, capsys, argv, code):
+    def test_exit_code(self, tmp_path, capsys, request, argv, code):
+        if code == cli.EXIT_PARTIAL:
+            request.getfixturevalue("failing_dirichlet_root")
         out = tmp_path / "o"
         assert cli.main(argv + ["--out", str(out)]) == code
         assert (out / "error.json").exists() == (code == 3)
@@ -460,9 +464,9 @@ class TestFailurePolicy:
         assert "not allowed with" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_failed_dirichlet_row_in_sweep_json(self, tmp_path, capsys):
+    def test_failed_dirichlet_row_in_sweep_json(self, tmp_path, capsys, failing_dirichlet_root):
         out = tmp_path / "o"
-        assert cli.main(["sweep", "--sweep", "1:1:1", "--n", "2", "--out", str(out)]) == 4
+        assert cli.main(["sweep", "--sweep", "1:1:1", "--out", str(out)]) == 4
 
         def reject(name):
             raise ValueError(f"not JSON: {name}")

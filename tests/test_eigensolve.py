@@ -337,6 +337,23 @@ class TestCertifiedRefinement:
             p = ModelParams(a_star * (1.0 - eps), 1.0, 0.4)
             assert principal_lambda(m, p, Boundary.neumann(), disc) == lam
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_eigenfunction_near_alpha_star_matches_dense(self, eps):
+        # as int m e^{alpha m} phi^2 -> 0 near alpha*, B x has almost no
+        # component along phi, so a vector converged against B at a shift
+        # below lambda loses digits; phi must stay the dense eigenvector of
+        # mu(lambda) = 0, the smallest of the pencil (K - lambda B, M0)
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
+        p = ModelParams(alpha_star(m) * (1.0 - eps), 1.0, 0.4)
+        disc = make_discretization(800, m)
+        pair = principal_eigenvalue(m, p, Boundary.neumann(), disc)
+        kd, ke, bd, be, md, me = assemble(m, p, Boundary.neumann(), disc).interior()
+        _, vec = scipy.linalg.eigh(
+            _dense(kd - pair.lam * bd, ke - pair.lam * be), _dense(md, me), subset_by_index=[0, 0]
+        )
+        v = vec[:, 0] * (vec[:, 0] @ pair.phi) / (vec[:, 0] @ vec[:, 0])
+        assert np.max(np.abs(v - pair.phi)) <= 1e-9 * np.max(np.abs(pair.phi))
+
     def test_neumann_floor_misfire_is_decided_by_mu(self, params, monkeypatch):
         # at n = 8000 the Neumann test fires falsely at LAMBDA_FLOOR; mu there
         # is positive, so the solve goes on, and its lambda is the Rayleigh

@@ -17,6 +17,7 @@ from drifteig import (
     beta_crit,
     choose_delta,
     cli,
+    eigensolve,
     locate_optimal_interval,
     make_discretization,
     mollify_demo,
@@ -62,10 +63,12 @@ class TestLocate:
         )
 
     def test_dirichlet_uses_grid_solver(self, params):
-        opt = locate_optimal_interval(math.inf, DSTAR, params, grid_n=1000)
+        # the Dirichlet optimum is the closed-form root at the center; a P1
+        # grid overestimates, so each grid solve, the center's too, lies above it
+        opt = locate_optimal_interval(math.inf, DSTAR, params)
         assert opt.regime == Regime.CENTERED
         assert opt.xi_star == pytest.approx(0.35, abs=1e-4)
-        for xi in (0.0, 0.1, 0.2):
+        for xi in (0.0, 0.1, 0.2, opt.xi_star):
             w = BangBangInterval(xi, DSTAR, params).weight()
             lam = principal_lambda(
                 w, params, Boundary.dirichlet(), make_discretization(1000, w)
@@ -315,20 +318,20 @@ class TestSweep:
         opt = locate_optimal_interval(1.0, DSTAR, params)
         assert rows[0].lambda_star == pytest.approx(opt.lambda_star, rel=1e-12)
 
-    def test_failed_dirichlet_row_is_recorded(self, params):
-        # at two cells the reported grid value is 14% above the closed-form
-        # Dirichlet root; the finite row needs no grid and survives
-        rows, failures = sweep_beta([1.0], params, grid_n=2)
+    def test_failed_dirichlet_row_is_recorded(self, params, failing_dirichlet_root):
+        # a Dirichlet root that raises loses its row only; the finite row survives
+        rows, failures = sweep_beta([1.0], params)
         assert [r.beta for r in rows] == [1.0]
         assert len(failures) == 1 and math.isinf(failures[0][0])
 
-    def test_dirichlet_grid_checked_against_closed_form(self, params):
-        # 16 cells put the grid 1% above the closed form: the row is refused
-        rows, failures = sweep_beta([1.0], params, grid_n=16)
-        assert [r.beta for r in rows] == [1.0]
+    def test_dirichlet_grid_checked_against_closed_form(self, params, failing_dirichlet_root):
+        # the failed row carries the root finder's message, and the rows
+        # before it are the ones an unbroken sweep gives
+        rows, failures = sweep_beta([1.0, 10.0], params)
         ((beta, message),) = failures
         assert math.isinf(beta)
-        assert "Dirichlet grid mismatch at xi=0.35" in message
+        assert message == "no Dirichlet root at xi=0.35"
+        assert rows == [locate_optimal_interval(b, None, params) for b in (1.0, 10.0)]
 
     def test_thin_interval_dirichlet_row(self):
         # the length scan reaches delta = 9.5e-4, under two cells at
@@ -353,6 +356,18 @@ class TestSweep:
         # the sweep appends the Dirichlet row (beta = inf) itself
         with pytest.raises(ValueError, match="finite"):
             sweep_beta(grid, params)
+
+    def test_sweep_and_locate_solve_no_grid(self, params, tmp_path, capsys, monkeypatch):
+        # every design row, the Dirichlet one included, is a transcendental root
+        def no_grid(*args):
+            raise AssertionError("a design path assembled a grid")
+
+        monkeypatch.setattr(eigensolve, "assemble", no_grid)
+        rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 60).tolist(), params)
+        assert not failures and len(rows) == 61
+        assert locate_optimal_interval(math.inf, None, params).regime == Regime.CENTERED
+        assert cli.main(["sweep", "--out", str(tmp_path / "s")]) == 0
+        assert cli.main(["locate", "--dirichlet", "--out", str(tmp_path / "l")]) == 0
 
 
 class TestSwitchFunction:
