@@ -181,7 +181,8 @@ def _resolve(args) -> None:
             ("grid_n", _grid_n),
             ("seed", _seed),
         ):
-            if key in has:
+            # sweep parses --n only so that figure_sweep's argv stays valid
+            if key in has and not (key == "grid_n" and args.command == "sweep"):
                 setattr(args, key, convert(raw[key]))
         if "delta" in has:  # the --xi/--delta interval, defaults 0 and delta*
             xi, delta = has.get("xi"), args.delta

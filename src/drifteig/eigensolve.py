@@ -22,15 +22,19 @@ Rayleigh quotient rho of the result; rho is returned when it lies in the
 bracket and the test reads "definite" just below it and "not" just above
 (1e-8 relative, plus 1e-8 absolute for mu).  When that certificate fails,
 the bisection goes on from the same bracket as if it had never stopped.
+Either way ``_refine`` also returns a shift it has proved definite.
 mu takes the same path on the pencil (K - lambda*B, M0) from the bracket
 [-max(lambda*weight), Rayleigh quotient of the ones vector], with its
 coarse phase in the kernel bisection.
 
 All entry points share one core: ``_zero_regime`` validates the weight and
 detects the Neumann zero regime, ``_bracket_and_bisect`` locates lambda,
-``_refine`` certifies or bisects both lambda and mu, and
-``_inverse_iteration`` serves both the Rayleigh polish of an uncertified mu
-and the eigenfunction that ``_eigenpair`` normalizes and checks.
+``_refine`` certifies or bisects both lambda and mu, and ``_rayleigh_at``
+is the one inverse iteration: one ``dpttrf`` factorization and a few
+``dpttrs`` solves at a definite shift.  Besides the refinement it polishes
+an uncertified mu at the shift ``_refine`` proved, and it gives the
+eigenfunction that ``_eigenpair`` normalizes and checks, as the vector of
+mu(lambda) = 0 on the pencil (K - lambda*B, M0).
 ``eigen_cov`` runs the same core on the drift-free forms of the change of
 variable.  The definiteness test and the mu bisection are in ``kernels``.
 """
@@ -42,7 +46,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import kernels
@@ -50,10 +53,9 @@ from .weights import Boundary, DriftEigError, ModelParams, PiecewiseWeight, exp_
 
 LAMBDA_REL_TOL = 1e-10
 LAMBDA_FLOOR = 1e-8  # smallest eigenvalue the bracket resolves
-MU_ATOL = 1e-8  # bisection floor; the Rayleigh polish takes it to ~1e-12
+MU_ATOL = 1e-8  # mu's bisection floor and certificate slack; also pads the eigenfunction's shift
 MU_RTOL = 1e-12
 BRACKET_LIMIT = 1e8
-SHIFT_REL = 1e-10  # inverse-iteration shift off the converged eigenvalue
 COARSE_REL = 1.0 / 64.0  # relative bracket width handed to the Rayleigh refinement
 MU_COARSE_SHARE = 2.0 ** -12  # mu's coarse bracket: also this share of its start
 REFINE_STEPS = 8  # most inverse-iteration solves at the bracket's lower end
@@ -252,52 +254,6 @@ def _zero_regime(m: PiecewiseWeight, params: ModelParams, bc: Boundary) -> bool:
     return bc.is_neumann and exp_mass(m, params.alpha) >= 0.0
 
 
-def _inverse_iteration(forms: Forms, lam: float, sigma: float, steps: int):
-    """Inverse iteration on K - lam*B - sigma*M0 over the unknowns.
-
-    Starts from the ones vector; each step solves against M0 times the
-    iterate and rescales to unit max norm.  Returns the reduced iterate, or
-    None when a solve is singular or a norm is not finite and positive.
-    """
-    kd, ke, bd, be, md, me = forms.interior()
-    ab = np.zeros((3, kd.size))
-    ab[0, 1:] = ab[2, :-1] = ke - lam * be - sigma * me
-    ab[1, :] = kd - lam * bd - sigma * md
-    v = np.ones(kd.size)
-    try:
-        for _ in range(steps):
-            v = solve_banded((1, 1), ab, _tri_mv(md, me, v))
-            nrm = np.max(np.abs(v))
-            if not np.isfinite(nrm) or nrm == 0.0:
-                return None
-            v = v / nrm
-    except np.linalg.LinAlgError:
-        return None
-    return v
-
-
-def _rayleigh_polish(forms: Forms, lam: float, sigma: float) -> float:
-    """Refine the pencil eigenvalue estimate sigma of (K - lam*B, M0).
-
-    The bisection estimate is limited by the rounding of the LDL^T
-    pivots (about eps * matrix scale).  Two inverse iterations give the
-    eigenvector, and its elementwise Rayleigh quotient (kq - lam*bq) / mq
-    is accurate to the residual squared: every quadratic form is a sum over
-    elements with no large cancellations.
-    """
-    v = _inverse_iteration(forms, lam, sigma, 2)
-    if v is None:
-        return sigma
-    kq, bq, mq = forms.quadratics(forms.embed(v))
-    if mq <= 0.0:
-        return sigma
-    rho = (kq - lam * bq) / mq
-    # reject a polish that escaped the bisection neighborhood (wrong vector)
-    if abs(rho - sigma) > 1e-4 * max(1.0, abs(sigma)):
-        return sigma
-    return rho
-
-
 def _indefinite(pencil: tuple):
     """The sign test of the pencil (A, C): sigma -> A - sigma*C is not
     positive definite, i.e. sigma is at or above its smallest eigenvalue."""
@@ -326,89 +282,99 @@ def _refine(
     """Smallest eigenvalue of the pencil (A, C) from a coarse bracket [lo, hi].
 
     ``pencil`` is (A diagonal, A superdiagonal, C diagonal, C superdiagonal)
-    over the unknowns.  The Rayleigh quotient rho of inverse iteration at
-    lo (``_rayleigh_at``) is returned, with True, only when it lies in
-    [lo, hi] and two definiteness probes certify it: with t = CERT_REL*|rho|
-    + atol, A - (rho - t)*C is positive definite and A - (rho + t)*C is
-    not.  Otherwise the bisection goes on from [lo, hi] to atol + rtol*|hi|
-    and its midpoint is returned with False: the same bits as a bisection
-    that never stopped at the coarse bracket.
+    over the unknowns.  Returns (value, certified, below), where below is a
+    shift at which A - below*C has been found positive definite.  The
+    Rayleigh quotient rho of inverse iteration at lo (``_rayleigh_at``) is
+    the value, with True and below = rho - t, only when it lies in [lo, hi]
+    and two definiteness probes certify it: with t = CERT_REL*|rho| + atol,
+    A - (rho - t)*C is positive definite and A - (rho + t)*C is not.
+    Otherwise the bisection goes on from [lo, hi] to atol + rtol*|hi|, and
+    its midpoint is the value, with False and below its final lower end: the
+    same bits as a bisection that never stopped at the coarse bracket.
     """
     pred = _indefinite(pencil)
-    rho = _rayleigh_at(forms, pencil, quotient, lo)
-    if rho is not None and lo <= rho <= hi:
+    found = _rayleigh_at(forms, pencil, quotient, lo)
+    if found is not None and lo <= found[0] <= hi:
+        rho = found[0]
         t = CERT_REL * abs(rho) + atol
         if not pred(rho - t) and pred(rho + t):
-            return rho, True
+            return rho, True, rho - t
     lo, hi = _bisect(pred, lo, hi, atol, rtol)
-    return 0.5 * (lo + hi), False
+    return 0.5 * (lo + hi), False, lo
 
 
 def _rayleigh_at(forms: Forms, pencil: tuple, quotient, shift: float):
-    """Rayleigh quotient of inverse iteration on the pencil at shift, or None.
+    """(rho, x): inverse iteration on the pencil at a definite shift, or None.
 
     The LDL^T factorization of S = A - shift*C (LAPACK ``dpttrf``) is itself
     the definiteness test; each step solves S y = C x with it (``dpttrs``).
     The first right-hand side is M0 times the ones vector, which is positive,
     so its component along the positive eigenvector is positive (the ones
     vector itself is the lambda = 0 eigenvector under Neumann conditions).
-    Each step's estimate shift + x'Cx / y'Cx is a Rayleigh quotient of S^-1
-    (y'Cx > 0 as S is positive definite); once two in a row agree to
-    REFINE_TOL times their distance to the shift, the elementwise
-    ``quotient(kq, bq, mq)`` of the last iterate is returned.  A failed
-    factorization or solve, no agreement within REFINE_STEPS solves, or a
-    quotient that is not finite gives None.
+    From the second step on, shift + x'Cx / y'Cx is a Rayleigh quotient of
+    S^-1 (y'Cx > 0 as S is positive definite); once two in a row agree to
+    REFINE_TOL times their distance to the shift, the last iterate x, scaled
+    to unit max norm over the unknowns, is returned with its elementwise
+    quotient rho = ``quotient(kq, bq, mq)``.  For one unknown the ones vector
+    is exact.  A failed factorization or solve, no agreement within
+    REFINE_STEPS solves, or a quotient that is not finite gives None.
     """
     ad, ae, cd, ce = pencil
-    if ad.size < 2:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
-        return None
-    d, e, info = dpttrf(ad - shift * cd, ae - shift * ce)
-    if info != 0:
-        return None
-    _, _, _, _, md, me = forms.interior()
-    rhs = _tri_mv(md, me, np.ones(md.size))
-    x, last = None, math.nan
-    for _ in range(REFINE_STEPS):
-        y, info = dpttrs(d, e, rhs)
-        nrm = float(np.max(np.abs(y)))
-        if info != 0 or not math.isfinite(nrm) or nrm == 0.0:
+    x = np.ones(ad.size)
+    if ad.size > 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
+        d, e, info = dpttrf(ad - shift * cd, ae - shift * ce)
+        if info != 0:
             return None
-        if x is not None:
-            den = float(y @ rhs)
-            if den <= 0.0:
+        _, _, _, _, md, me = forms.interior()
+        rhs = _tri_mv(md, me, x)
+        last = math.nan
+        for step in range(REFINE_STEPS):
+            y, info = dpttrs(d, e, rhs)
+            nrm, den = float(np.max(np.abs(y))), float(y @ rhs)
+            if info != 0 or not math.isfinite(nrm) or nrm == 0.0 or den <= 0.0:
                 return None
-            gap = float(x @ rhs) / den
+            gap, x = float(x @ rhs) / den, y / nrm
             if abs(shift + gap - last) <= REFINE_TOL * abs(gap):
                 break
-            last = shift + gap
-        x = y / nrm
-        rhs = _tri_mv(cd, ce, x)
-    else:
-        return None
-    rho = float(quotient(*forms.quadratics(forms.embed(y / nrm))))
-    return rho if math.isfinite(rho) else None
+            last = shift + gap if step else math.nan  # the first rhs is M0 x, not C x
+            rhs = _tri_mv(cd, ce, x)
+        else:
+            return None
+    rho = float(quotient(*forms.quadratics(forms.embed(x))))
+    return (rho, x) if math.isfinite(rho) else None
 
 
-def _mu_from_forms(forms: Forms, lam: float) -> float:
+def _mu_pencil(forms: Forms, lam: float) -> tuple:
+    """The pencil (K - lam*B, M0) over the unknowns and its elementwise quotient."""
     kd, ke, bd, be, md, me = forms.interior()
-    pencil = (kd - lam * bd, ke - lam * be, md, me)
 
     def quotient(kq, bq, mq):
         return (kq - lam * bq) / mq
 
+    return (kd - lam * bd, ke - lam * be, md, me), quotient
+
+
+def _mu_from_forms(forms: Forms, lam: float) -> float:
+    pencil, quotient = _mu_pencil(forms, lam)
     # K is positive semidefinite and B sums the element weights times M0's
     # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
     # any vector, here the ones vector, bounds mu from above
     lo = -float(np.max(lam * forms.weight))
-    hi = float(quotient(*forms.quadratics(forms.embed(np.ones(kd.size)))))
+    hi = float(quotient(*forms.quadratics(forms.embed(np.ones(pencil[0].size)))))
     slack = 1e-3 * (hi - lo) + MU_ATOL
     lo, hi = lo - slack, hi + slack
     atol = (hi - lo) * MU_COARSE_SHARE
     mid = float(kernels.smallest_pencil_eigenvalue(*pencil, lo, hi, atol, COARSE_REL, 200))
     # the kernel stops once its bracket is no wider than tol
     tol = atol + COARSE_REL * abs(mid)
-    mu, certified = _refine(forms, pencil, quotient, mid - tol, mid + tol, MU_ATOL, MU_RTOL)
-    return mu if certified else _rayleigh_polish(forms, lam, mu)
+    mu, certified, below = _refine(forms, pencil, quotient, mid - tol, mid + tol, MU_ATOL, MU_RTOL)
+    # a bisected mu is limited by the rounding of the LDL^T pivots; the
+    # elementwise quotient at its definite lower end is accurate to the
+    # residual squared, unless it escaped the bisection's neighborhood
+    found = None if certified else _rayleigh_at(forms, pencil, quotient, below)
+    if found is not None and abs(found[0] - mu) <= 1e-4 * max(1.0, abs(mu)):
+        return found[0]
+    return mu
 
 
 def mu_of_lambda(
@@ -433,7 +399,8 @@ def mu_curve(
     return [MuCurvePoint(float(l), _mu_from_forms(forms, float(l))) for l in lams]
 
 
-def _bracket_and_bisect(forms: Forms) -> float:
+def _bracket_and_bisect(forms: Forms) -> tuple:
+    """(lambda, below) of ``_refine`` on the pencil (K, B)."""
     kd, ke, bd, be, _, _ = forms.interior()
     # mu(lam) <= 0 iff K - lam*B is not positive definite
     pred = _indefinite((kd, ke, bd, be))
@@ -458,22 +425,33 @@ def _bracket_and_bisect(forms: Forms) -> float:
     def quotient(kq, bq, mq):
         return kq / bq if bq > 0.0 else math.nan
 
-    lam, _ = _refine(forms, (kd, ke, bd, be), quotient, lo, hi, 0.0, LAMBDA_REL_TOL)
-    return lam
+    lam, _, below = _refine(forms, (kd, ke, bd, be), quotient, lo, hi, 0.0, LAMBDA_REL_TOL)
+    return lam, below
 
 
-def _eigenpair(forms: Forms, lam: float, nodes: np.ndarray) -> EigenPair:
+def _eigenpair(forms: Forms, lam: float, below: float, nodes: np.ndarray) -> EigenPair:
     """Positive eigenfunction of the eigenvalue lam of ``forms``.
 
-    Three inverse iterations just above lam give the vector.  It is scaled
-    to unit weighted mass under ``forms``, which is int m e^{alpha m} phi^2
-    = 1 in either variable, and returned on ``nodes`` (the x-variable
-    nodes: those of ``forms`` unless the solve ran in another variable)
-    with the relative residual of the pencil.
+    The vector of mu(lam) = 0 on the pencil (K - lam*B, M0) comes from
+    ``_rayleigh_at`` at sigma = -((lam - below) max(weight) + MU_ATOL).  As
+    B <= max(weight) M0, K - lam*B - sigma*M0 >= K - below*B + MU_ATOL*M0 is
+    definite; the shift sets the rate, not the vector.  Should dpttrf fail
+    anyway within pivot rounding, sigma steps down by 16, at most 8 times.
+    The vector is scaled to unit weighted mass under ``forms``, which is
+    int m e^{alpha m} phi^2 = 1 in either variable, and returned on
+    ``nodes`` (the x-variable nodes: those of ``forms`` unless the solve
+    ran in another variable) with the relative residual of the pencil.
     """
-    x = _inverse_iteration(forms, lam * (1.0 + SHIFT_REL), 0.0, 3)
-    if x is None:
+    pencil, quotient = _mu_pencil(forms, lam)
+    sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
+    for _ in range(9):
+        found = _rayleigh_at(forms, pencil, quotient, sigma)
+        if found is not None:
+            break
+        sigma *= 16.0
+    else:
         raise SolverError("inverse iteration for the eigenfunction broke down")
+    x = found[1]
     if x.sum() < 0.0:
         x = -x
     phi = forms.embed(x)
@@ -509,7 +487,7 @@ def principal_eigenvalue(
     if _zero_regime(m, params, bc):
         return ZeroRegime()
     forms = assemble(m, params, bc, disc)
-    return _eigenpair(forms, _bracket_and_bisect(forms), forms.nodes)
+    return _eigenpair(forms, *_bracket_and_bisect(forms), forms.nodes)
 
 
 def principal_lambda(
@@ -525,7 +503,7 @@ def principal_lambda(
     """
     if _zero_regime(m, params, bc):
         return 0.0
-    return _bracket_and_bisect(assemble(m, params, bc, disc))
+    return _bracket_and_bisect(assemble(m, params, bc, disc))[0]
 
 
 def eigen_cov(
@@ -552,4 +530,4 @@ def eigen_cov(
     forms = _assemble_on_nodes(ynodes, np.ones_like(v), weight, bc.beta)
     # c is affine on each element (the y-nodes hold m~'s breakpoints) and
     # m~ e^{2 alpha m~} dy = m e^{alpha m} dx, so these forms give the x norm
-    return _eigenpair(forms, _bracket_and_bisect(forms), cov.y_to_x(ynodes))
+    return _eigenpair(forms, *_bracket_and_bisect(forms), cov.y_to_x(ynodes))

@@ -134,6 +134,10 @@ class TestSweep:
     def test_empty_grid_rejected(self, tmp_path):
         assert cli.main(["sweep", "--sweep", "1:2:0", "--out", str(tmp_path / "o")]) == 2
 
+    def test_unused_n_is_not_checked(self, tmp_path):
+        # sweep solves no grid, so its --n is parsed and never validated
+        assert cli.main(["sweep", "--sweep", "1:1:1", "--n", "1", "--out", str(tmp_path / "o")]) == 0
+
     def test_bad_spec_rejected(self, tmp_path):
         assert cli.main(["sweep", "--sweep", "oops", "--out", str(tmp_path / "o")]) == 2
         assert cli.main(["sweep", "--sweep", "a:b:3", "--out", str(tmp_path / "o")]) == 2

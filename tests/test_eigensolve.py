@@ -248,10 +248,11 @@ def _dense(d, e):
 
 
 def _count_calls(monkeypatch):
-    """Count definiteness probes and mu bisections, wherever they are made."""
-    from drifteig import _kernels_py, kernels
+    """Count definiteness probes, mu bisections and the factorizations of
+    ``eigensolve``'s inverse iteration, wherever they are made."""
+    from drifteig import _kernels_py, eigensolve, kernels
 
-    calls = {"pencil_inertia": 0, "smallest_pencil_eigenvalue": 0}
+    calls = {"pencil_inertia": 0, "smallest_pencil_eigenvalue": 0, "dpttrf": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -269,6 +270,9 @@ def _count_calls(monkeypatch):
         "smallest_pencil_eigenvalue",
         counted("smallest_pencil_eigenvalue", kernels.smallest_pencil_eigenvalue),
     )
+    # the probes factor through _kernels_py's own dpttrf, so this counts only
+    # the inverse iteration's factorizations
+    monkeypatch.setattr(eigensolve, "dpttrf", counted("dpttrf", eigensolve.dpttrf))
     return calls
 
 
@@ -313,16 +317,19 @@ class TestCertifiedRefinement:
     def test_probe_count_at_n_2000(self, params, rng, monkeypatch, bc):
         # a full bisection to LAMBDA_REL_TOL makes about 40 probes; the
         # refinement needs the floor probe, the doubling bracket (about
-        # log2 lambda probes), a bisection to 1/64 (6) and the certificate (2)
+        # log2 lambda probes), a bisection to 1/64 (6) and the certificate (2);
+        # one factorization refines lambda and one gives the eigenfunction
         calls = _count_calls(monkeypatch)
         m = BangBangInterval(0.1, 0.3, params).weight()
         principal_eigenvalue(m, params, bc, make_discretization(2000, m))
         assert calls["pencil_inertia"] <= 20
-        calls["pencil_inertia"] = 0
+        assert calls["dpttrf"] == 2
+        calls["pencil_inertia"] = calls["dpttrf"] = 0
         m = random_admissible(params, rng)
         lam = principal_eigenvalue(m, params, bc, make_discretization(2000, m)).lam
         assert calls["pencil_inertia"] <= 12 + math.log2(lam)
         assert calls["smallest_pencil_eigenvalue"] == 0
+        assert calls["dpttrf"] == 2
 
     def test_uncertifiable_near_alpha_star_keeps_bisection(self):
         # within pivot noise of singular the definiteness test is not
@@ -353,6 +360,30 @@ class TestCertifiedRefinement:
         )
         v = vec[:, 0] * (vec[:, 0] @ pair.phi) / (vec[:, 0] @ vec[:, 0])
         assert np.max(np.abs(v - pair.phi)) <= 1e-9 * np.max(np.abs(pair.phi))
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 10.0])
+    def test_eigenfunction_after_shift_steps_down(self, monkeypatch, beta):
+        # with e^{alpha (kappa + 1)} = e^9 the first shift below mu = 0 is
+        # within pivot rounding, dpttrf fails there, and the shift steps down
+        from drifteig.optimize import delta_star
+
+        p = ModelParams(1.5, 5.0, 0.2)
+        delta = delta_star(p)
+        m = BangBangInterval(0.5 * (1.0 - delta), delta, p).weight()
+        bc = Boundary.robin(beta)
+        disc = make_discretization(800, m)
+        calls = _count_calls(monkeypatch)
+        pair = principal_eigenvalue(m, p, bc, disc)
+        assert calls["dpttrf"] > 2
+        forms = assemble(m, p, bc, disc)
+        assert np.min(pair.phi) > 0.0
+        assert forms.quadratics(pair.phi)[1] == pytest.approx(1.0, rel=1e-12)
+        kd, ke, bd, be, md, me = forms.interior()
+        _, vec = scipy.linalg.eigh(
+            _dense(kd - pair.lam * bd, ke - pair.lam * be), _dense(md, me), subset_by_index=[0, 0]
+        )
+        v = vec[:, 0] * (vec[:, 0] @ pair.phi) / (vec[:, 0] @ vec[:, 0])
+        assert np.max(np.abs(v - pair.phi)) <= 1e-7 * np.max(pair.phi)
 
     def test_neumann_floor_misfire_is_decided_by_mu(self, params, monkeypatch):
         # at n = 8000 the Neumann test fires falsely at LAMBDA_FLOOR; mu there
