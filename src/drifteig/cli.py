@@ -248,7 +248,14 @@ def cmd_eig(args) -> int:
         ["x", "phi"],
         list(zip(pair.nodes.tolist(), pair.phi.tolist())),
     )
-    meta.update({"lambda": pair.lam, "residual": pair.residual, "max_phi": pair.max_phi})
+    meta.update(
+        {
+            "lambda": pair.lam,
+            "residual": pair.residual,
+            "max_phi": pair.max_phi,
+            "certified": pair.certified,
+        }
+    )
     _write_json(path, meta)
     print(f"lambda={pair.lam!r}")
     return EXIT_OK

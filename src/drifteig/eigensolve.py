@@ -221,12 +221,19 @@ def _tri_mv(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
 @dataclass
 class EigenPair:
     """Converged eigenvalue with its positive discrete eigenfunction,
-    normalized to int m e^{alpha m} phi^2 = 1 in the x variable."""
+    normalized to int m e^{alpha m} phi^2 = 1 in the x variable.
+
+    certified tells how ``_refine`` settled lam: True when two definiteness
+    probes bracket the Rayleigh quotient to CERT_REL, False when lam is the
+    midpoint of the bisection to LAMBDA_REL_TOL.  A pair built outside the
+    solver is not certified.
+    """
 
     lam: float
     nodes: np.ndarray
     phi: np.ndarray
     residual: float
+    certified: bool = False
 
     @property
     def max_phi(self) -> float:
@@ -400,7 +407,7 @@ def mu_curve(
 
 
 def _bracket_and_bisect(forms: Forms) -> tuple:
-    """(lambda, below) of ``_refine`` on the pencil (K, B)."""
+    """(lambda, below, certified) of ``_refine`` on the pencil (K, B)."""
     kd, ke, bd, be, _, _ = forms.interior()
     # mu(lam) <= 0 iff K - lam*B is not positive definite
     pred = _indefinite((kd, ke, bd, be))
@@ -425,11 +432,13 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
     def quotient(kq, bq, mq):
         return kq / bq if bq > 0.0 else math.nan
 
-    lam, _, below = _refine(forms, (kd, ke, bd, be), quotient, lo, hi, 0.0, LAMBDA_REL_TOL)
-    return lam, below
+    lam, certified, below = _refine(forms, (kd, ke, bd, be), quotient, lo, hi, 0.0, LAMBDA_REL_TOL)
+    return lam, below, certified
 
 
-def _eigenpair(forms: Forms, lam: float, below: float, nodes: np.ndarray) -> EigenPair:
+def _eigenpair(
+    forms: Forms, lam: float, below: float, certified: bool, nodes: np.ndarray
+) -> EigenPair:
     """Positive eigenfunction of the eigenvalue lam of ``forms``.
 
     The vector of mu(lam) = 0 on the pencil (K - lam*B, M0) comes from
@@ -440,7 +449,8 @@ def _eigenpair(forms: Forms, lam: float, below: float, nodes: np.ndarray) -> Eig
     The vector is scaled to unit weighted mass under ``forms``, which is
     int m e^{alpha m} phi^2 = 1 in either variable, and returned on
     ``nodes`` (the x-variable nodes: those of ``forms`` unless the solve
-    ran in another variable) with the relative residual of the pencil.
+    ran in another variable) with the relative residual of the pencil and
+    ``_refine``'s certified flag for lam.
     """
     pencil, quotient = _mu_pencil(forms, lam)
     sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
@@ -468,7 +478,9 @@ def _eigenpair(forms: Forms, lam: float, below: float, nodes: np.ndarray) -> Eig
     bx = _tri_mv(bd, be, x)
     scale = np.linalg.norm(kx) + abs(lam) * np.linalg.norm(bx)
     residual = float(np.linalg.norm(kx - lam * bx) / max(scale, 1e-300))
-    return EigenPair(lam=lam, nodes=nodes, phi=forms.embed(x), residual=residual)
+    return EigenPair(
+        lam=lam, nodes=nodes, phi=forms.embed(x), residual=residual, certified=certified
+    )
 
 
 def principal_eigenvalue(

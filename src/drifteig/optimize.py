@@ -15,9 +15,12 @@ in the tests and in the CLI's verify battery.
 
 The interval length comes from choose_delta: pinned to delta* where the
 paper's sufficient condition makes the mass bound active, and otherwise
-scanned over the resource amount.  The scan compares root brackets, which
-the sign scan alone gives, and refines only the candidates: a point whose
-bracket starts above another's top cannot hold the minimum.  The bound is
+scanned over the resource amount.  A point whose root bracket starts above
+another's top cannot hold the minimum, so the scan refines m0 first and
+prunes before it builds: one numpy evaluation of every other length's
+first samples, up to m0's bracket top, finds the few whose brackets can
+start at or below it.  Only those get a root scan, and only those whose
+bracket starts at or below the lowest top are refined.  The bound is
 usually active at the optimum, so a scan whose minimum is at the bound is
 settled by one probe just inside it rather than by a golden-section search
 that only creeps back to the bound; that is exact whenever the golden
@@ -179,11 +182,15 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     active, with delta = delta* exactly, when the minimizer lies within
     ACTIVE_TOL of the bound m0.  So active is always delta == delta_star(params).
 
-    The scan brackets the root at every grid point and refines m0 (its
-    value is reused below) and every point whose bracket starts at or below
-    the lowest bracket top.  Each root lies in its bracket, so no other
-    point can hold the minimum, and the pick, the lowest index with the
-    smallest refined value, is the argmin over all grid points.
+    The scan refines m0 first (its value is reused below).  Each root lies
+    in its bracket, so a point whose bracket starts above m0's top cannot
+    hold the minimum; one evaluation of the other 31 lengths' samples up to
+    that top (transcend._brackets_start_by, the same bits as their scans)
+    finds the points whose brackets can start at or below it, and only
+    those get a root scan.  Of them, the points whose brackets start at or
+    below the lowest bracket top are refined.  So the pick, the lowest
+    index with the smallest refined value, is the argmin over all grid
+    points, as if every point were refined.
 
     When the scan's smallest value is at m0 itself, one probe settles it:
     the golden refinement assumes lambda unimodal on [m0, grid[1]], and
@@ -201,7 +208,7 @@ def _choose_delta(params: ModelParams, beta: float, scans: dict) -> float:
     if active_constraint_condition(params, beta):
         return dstar
 
-    def length(mt: float) -> float:
+    def length(mt):
         return (1.0 - mt) / (params.kappa + 1.0)
 
     def scan_at(mt: float) -> transcend._RootScan:
@@ -210,16 +217,25 @@ def _choose_delta(params: ModelParams, beta: float, scans: dict) -> float:
     hi_mt = 1.0 - 1e-3
     if params.m0 > hi_mt:
         return dstar  # nothing to scan: every larger amount lies above the cap
-    grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)
-    grid_scans = [scan_at(float(t)) for t in grid]
-    brackets = [scan.bracket(beta) for scan in grid_scans]
-    top = min(hi for _, hi in brackets)
+    grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)  # grid[0] is m0 itself
+    first = scan_at(params.m0)
+    brackets = {0: first.bracket(beta)}
+    vals = {0: first.root(beta)}
+    # no bracket starting above m0's top can hold the minimum: find the lengths
+    # whose brackets may start lower in one evaluation, placed by _placed's
+    # rule, and build scans for those alone
+    lengths = length(grid[1:])
+    bcrit = transcend.critical_beta(params.alpha, params.kappa, lengths)
+    centered = (np.abs(beta - bcrit) > DEGENERATE_BAND) & (beta >= bcrit)
+    xis = np.where(centered, 0.5 * (1.0 - lengths), 0.0)
+    maybe = transcend._brackets_start_by(beta, brackets[0][1], params, lengths, xis)
+    candidates = {int(i): scan_at(float(grid[i])) for i in 1 + np.flatnonzero(maybe)}
+    brackets.update((i, scan.bracket(beta)) for i, scan in candidates.items())
+    top = min(hi for _, hi in brackets.values())
     # a point whose bracket starts above the lowest bracket top cannot be the minimum
-    vals = {
-        i: scan.root(beta)
-        for i, (scan, (lo, _)) in enumerate(zip(grid_scans, brackets))
-        if i == 0 or lo <= top
-    }
+    for i, scan in candidates.items():
+        if brackets[i][0] <= top:
+            vals[i] = scan.root(beta)
     i = min(vals, key=vals.get)  # the lowest index with the smallest value
     if i == 0 and scan_at(params.m0 + ACTIVE_TOL).root(beta) > vals[0]:
         return dstar  # lambda rises off the bound: the minimizer is within ACTIVE_TOL

@@ -10,10 +10,11 @@ in [0, inf]: three beta-free terms R0, R1, R2 weighted by
 (1, b, b^2) / (1 + b)^2, which is (0, 0, 1) under Dirichlet conditions
 (beta = inf, the limit F / b^2).  This module evaluates F and its pieces,
 locates the first positive root (one scan of the terms per interval serves
-every beta), computes the critical Robin coefficient at which the optimal
-interval location switches from the boundary to the center, and
-reconstructs the closed-form eigenfunction for cross-checks against the
-discretized solver.
+every beta), tells for many intervals in one evaluation which of their root
+brackets can start below a given bound, computes the critical Robin
+coefficient at which the optimal interval location switches from the
+boundary to the center, and reconstructs the closed-form eigenfunction for
+cross-checks against the discretized solver.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .weights import DriftEigError, ModelParams
 
 S_FLOOR = 1e-150  # lowest sqrt(lambda) the root scan steps down to
 SCAN_TERM_MAX = 1e308  # bound on the root scan's terms, below the float maximum
+SCAN_STEP = 0.01  # the root scan's growth rate of 1 + sqrt(lambda) per sample, at most
 
 
 class RootNotFoundError(DriftEigError, RuntimeError):
@@ -120,14 +122,15 @@ def F_components(xi: float, beta: float, lam: float, tp: TranscendParams):
     return f_s, f_c, f
 
 
-def _consts(xi: float, tp: TranscendParams):
+def _consts(xi, params: ModelParams, d):
     """The (delta, xi)-only factors of _terms, computed once per interval.
 
     (1/K, sqrt(k) e^{a(k+1)} / K, -2(1-d), -2 xi, -2((1-d) - xi), sqrt(k) d)
     with K = k e^{2a(k+1)}; the first two are e^{-2a(k+1)}/k and
-    e^{-a(k+1)}/sqrt(k), so no exponent is positive.
+    e^{-a(k+1)}/sqrt(k), so no exponent is positive.  xi and d are floats,
+    or arrays for several intervals at once.
     """
-    a, k, d = tp.params.alpha, tp.params.kappa, tp.delta
+    a, k = params.alpha, params.kappa
     return (
         math.exp(-2.0 * a * (k + 1.0)) / k,
         math.exp(-a * (k + 1.0)) / math.sqrt(k),
@@ -157,9 +160,9 @@ def _terms(s, c, xp):
 
     Every exponent is non-positive and gap is a product of expm1 factors,
     so the R_i are finite on the whole admissible box and a large K
-    multiplies no difference of nearby terms.  c is _consts(xi, tp); s is
-    an array with xp = numpy (the scan) or a float with xp = math (brentq's
-    scalar calls).
+    multiplies no difference of nearby terms.  c is _consts(xi, params, d);
+    s is an array with xp = numpy (the scan) or a float with xp = math
+    (brentq's scalar calls).
     """
     inv_k, front, c_om, c_left, c_right, c_theta = c
     lam = s * s
@@ -177,12 +180,13 @@ def _terms(s, c, xp):
     return r0, r1, r2
 
 
-def _weights(beta: float, tp: TranscendParams):
+def _weights(beta: float, alpha: float):
     """(p^2, p q, q^2) with p = 1/(1+b), q = b/(1+b): (1, b, b^2)/(1+b)^2.
 
-    Dirichlet conditions (beta = inf) give (0, 0, 1), the limit F / b^2.
+    b = beta e^alpha.  Dirichlet conditions (beta = inf) give (0, 0, 1), the
+    limit F / b^2.
     """
-    b = beta * math.exp(tp.params.alpha)
+    b = beta * math.exp(alpha)
     if b == math.inf:
         return 0.0, 0.0, 1.0
     p = 1.0 / (1.0 + b)
@@ -197,14 +201,38 @@ def _f_scaled(xi: float, beta: float, lam, tp: TranscendParams):
     gives the limit of F / (K b^2), the Dirichlet equation.  lam may be an
     array; the result then has its shape.
     """
-    w0, w1, w2 = _weights(beta, tp)
-    r0, r1, r2 = _terms(np.sqrt(lam), _consts(xi, tp), np)
+    w0, w1, w2 = _weights(beta, tp.params.alpha)
+    r0, r1, r2 = _terms(np.sqrt(lam), _consts(xi, tp.params, tp.delta), np)
     return w0 * r0 + w1 * r1 + w2 * r2
 
 
 def _interval_exp_mass(tp: TranscendParams) -> float:
     a, k, d = tp.params.alpha, tp.params.kappa, tp.delta
     return k * d * math.exp(a * k) - (1.0 - d) * math.exp(-a)
+
+
+def _scan_grid(sk, d):
+    """(s_max, step) of the root scan of an interval of length d.
+
+    s_max lies just below pi / (sqrt(k) d), where sqrt(lam k) d reaches pi,
+    and step is SCAN_STEP unless an eighth of that is less.  d may be an
+    array.
+    """
+    period = math.pi / (sk * d)
+    return period * (1.0 - 1e-12), np.minimum(SCAN_STEP, period / 8.0)
+
+
+def _sample_count(s_max: float, step: float) -> int:
+    """Number of root-scan samples up to s_max: j = 0 .. j_end, s_j_end >= s_max."""
+    return max(math.ceil(math.log((1.0 + s_max) / (1.0 + 1e-4)) / math.log1p(step)), 0) + 1
+
+
+def _samples(count: int, step: float) -> np.ndarray:
+    """The root scan's first count samples s_j = (1 + 1e-4)(1 + step)^j - 1.
+
+    Unclipped: a scan clips them at its own s_max.
+    """
+    return (1.0 + 1e-4) * (1.0 + step) ** np.arange(count) - 1.0
 
 
 class _RootScan:
@@ -228,15 +256,9 @@ class _RootScan:
             raise ValueError(f"xi = {xi} outside [0, 1 - delta]")
         self.xi, self.tp = xi, tp
         sk = math.sqrt(k)
-        self.s_max = math.pi / (sk * d) * (1.0 - 1e-12)
-        step = min(0.01, math.pi / (8.0 * sk * d))
-        j_end = max(
-            math.ceil(math.log((1.0 + self.s_max) / (1.0 + 1e-4)) / math.log1p(step)), 0
-        )
-        self.s = np.minimum(
-            (1.0 + 1e-4) * (1.0 + step) ** np.arange(j_end + 1) - 1.0, self.s_max
-        )
-        self.consts = _consts(xi, tp)
+        self.s_max, step = _scan_grid(sk, d)
+        self.s = np.minimum(_samples(_sample_count(self.s_max, step), step), self.s_max)
+        self.consts = _consts(xi, tp.params, d)
         self.terms = _terms(self.s, self.consts, np)
         self.roots: dict = {}  # beta -> refined root
 
@@ -249,7 +271,7 @@ class _RootScan:
                 "Neumann zero regime for this interval weight: "
                 "no positive principal eigenvalue"
             )
-        w0, w1, w2 = w = _weights(beta, self.tp)
+        w0, w1, w2 = w = _weights(beta, self.tp.params.alpha)
         r0, r1, r2 = self.terms
         g = w0 * r0 + w1 * r1 + w2 * r2
         stop = g <= 0.0
@@ -308,6 +330,36 @@ class _RootScan:
         s_root = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
         lam = self.roots[beta] = s_root * s_root
         return lam
+
+
+def _brackets_start_by(
+    beta: float, top: float, params: ModelParams, deltas: np.ndarray, xis: np.ndarray
+) -> np.ndarray:
+    """For each interval (deltas[i], xis[i]): may its bracket(beta) start at or below top?
+
+    False is exact: _RootScan(xis[i], TranscendParams(params, deltas[i]))
+    .bracket(beta)[0] > top.  True may not be, so the caller builds that scan
+    and compares its bracket.  No scan is built here: every interval whose
+    step is SCAN_STEP takes its samples from one row of _samples, clipped at
+    its own s_max, and only the samples up to the first one past sqrt(top)
+    are evaluated, all intervals in one numpy call of _terms with the same
+    operations as their scans, so the same bits.  An interval with a finer
+    step, or with samples left after that block while its last evaluated
+    sample is still at or below sqrt(top), answers True.  beta must be a
+    valid one; _RootScan's checks are not repeated.
+    """
+    s_max, steps = _scan_grid(math.sqrt(params.kappa), deltas)
+    counts = np.array([_sample_count(t, SCAN_STEP) for t in s_max.tolist()])
+    width = min(_sample_count(math.sqrt(top), SCAN_STEP) + 1, int(counts.max()))
+    s = np.minimum(_samples(width, SCAN_STEP), s_max[:, None])
+    w0, w1, w2 = _weights(beta, params.alpha)
+    r0, r1, r2 = _terms(s, _consts(xis[:, None], params, deltas[:, None]), np)
+    stop = (w0 * r0 + w1 * r1 + w2 * r2 <= 0.0) & (np.arange(width) < counts[:, None])
+    # the first stop j brackets from s[j-1]^2 (0 at j = 0), and later stops start higher
+    low = np.ones_like(stop)
+    low[:, 1:] = s[:, :-1] * s[:, :-1] <= top
+    unseen = (counts > width) & (s[:, -1] * s[:, -1] <= top)
+    return (stop & low).any(axis=1) | unseen | (steps < SCAN_STEP)
 
 
 def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:

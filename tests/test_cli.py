@@ -30,6 +30,7 @@ class TestEig:
         assert lam == pytest.approx(PI2, rel=1e-3)
         meta = json.loads((tmp_path / "o" / "eigenpair.json").read_text())
         assert set(meta) >= {"lambda", "beta", "alpha", "kappa", "n", "residual"}
+        assert meta["certified"] is True
         csv = (tmp_path / "o" / "eigenpair.csv").read_text()
         assert csv.startswith("x,phi\n")
 

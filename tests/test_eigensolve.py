@@ -308,6 +308,19 @@ class TestCertifiedRefinement:
         lam = principal_lambda(m, params, bc, disc)
         assert kernels.pencil_inertia(kd, ke, bd, be, lam * (1.0 - CERT_REL))[0] == 0
         assert kernels.pencil_inertia(kd, ke, bd, be, lam * (1.0 + CERT_REL))[0] == 1
+        assert principal_eigenvalue(m, params, bc, disc).certified
+
+    def test_uncertified_lambda_is_flagged(self):
+        # the two probes do not certify this Rayleigh quotient, so lambda is
+        # the bisection's midpoint, about 1.7e-7 relative below the quotient of
+        # its own eigenfunction; the pair says that it is not certified
+        p = ModelParams(1.0, 5.0, 0.2)
+        m = BangBangInterval(0.0, (1.0 - p.m0) / (p.kappa + 1.0), p).weight()
+        disc = make_discretization(8000, m)
+        pair = principal_eigenvalue(m, p, Boundary.robin(1.0), disc)
+        assert not pair.certified
+        assert pair.lam == pytest.approx(0.01313580786, rel=1e-9)
+        assert principal_eigenvalue(m, p, Boundary.robin(1.0), make_discretization(2000, m)).certified
 
     @pytest.mark.parametrize(
         "bc",

@@ -162,23 +162,26 @@ class TestActiveConstraint:
         assert len(builds) == len(set(builds))
 
     def test_scan_minimum_at_bound_settled_by_one_probe(self, params, counted_scans):
-        # 32 brackets; of their points only m0 can be the minimum, so m0 and
-        # the probe at m0 + ACTIVE_TOL are the only refinements, no golden search
-        _, brackets, refined = counted_scans
+        # of the 32 points only m0 can be the minimum, and the one evaluation
+        # of the other lengths' first samples shows it without building their
+        # scans; m0 and the probe at m0 + ACTIVE_TOL are the only refinements,
+        # no golden search
+        builds, _, refined = counted_scans
         assert choose_delta(params, 10.0) == (DSTAR, True)
-        assert len(brackets) == optimize.DELTA_SCAN_POINTS
+        assert len(builds) <= 3
         assert len(refined) == 2
 
     def test_overlapping_brackets_refine_every_candidate(self, counted_scans):
-        # here several brackets reach below the lowest bracket top, so more
-        # than one scan point is refined, and the pick is still the argmin
-        # over all 32 refined values
-        _, brackets, refined = counted_scans
+        # here another length's bracket reaches below the lowest bracket top,
+        # so more than one scan point is refined, and the pick is still the
+        # argmin over all 32 refined values; only the candidates get scans
+        builds, brackets, refined = counted_scans
         p = ModelParams(0.45, 0.05, 0.05)
         beta = 5.0 * beta_crit(TranscendParams(params=p, delta=optimize.delta_star(p)))
         got = choose_delta(p, beta)
         scanned = {key for key in refined if key in brackets}
-        assert len(scanned) > 1
+        assert len({delta for _, _, delta in scanned}) > 1
+        assert len(builds) < optimize.DELTA_SCAN_POINTS
         assert got == _scan_and_golden_delta(p, beta)
 
     @pytest.mark.parametrize(
@@ -190,6 +193,10 @@ class TestActiveConstraint:
             (1.0, 0.1, 0.05, 5.0),  # inactive: delta ~ 0.8270
             (2.0, 0.08, 0.03, 4.0),  # inactive: delta ~ 0.7803
             (0.2, 1.0, 0.4, math.inf),  # Dirichlet
+            (1.5, 0.3, 0.03, 10.0),  # inactive: delta ~ 0.6857
+            (0.8, 3.0, 0.4, 1.1),  # shorter lengths at the edge, longer ones centered
+            (2.0, 0.3, 0.2, math.inf),  # Dirichlet, inactive: delta ~ 0.5497
+            (0.45, 0.05, 0.05, math.nan),
         ],
     )
     def test_matches_scan_and_golden_search(self, alpha, kappa, m0, beta_ratio):
@@ -197,9 +204,13 @@ class TestActiveConstraint:
         dstar = optimize.delta_star(p)
         beta = beta_ratio * beta_crit(TranscendParams(params=p, delta=dstar))
         assert not active_constraint_condition(p, beta)  # the scan decides
-        delta, active = choose_delta(p, beta)
-        assert (delta, active) == _scan_and_golden_delta(p, beta)
-        assert active == (delta == dstar)
+        got = _outcome(choose_delta, p, beta)
+        assert got == _outcome(_scan_and_golden_delta, p, beta)
+        if math.isnan(beta):
+            assert got == "beta must lie in [0, inf], got nan"
+        else:
+            delta, active = got
+            assert active == (delta == dstar)
 
     def test_golden_minimizer_near_bound_returns_delta_star(self, monkeypatch):
         # a refined minimizer within ACTIVE_TOL of m0 counts as the active
@@ -220,6 +231,14 @@ class TestActiveConstraint:
         p = ModelParams(0.5, 0.05, 0.9999)
         assert not active_constraint_condition(p, 1e6)
         assert choose_delta(p, 1e6) == (optimize.delta_star(p), True)
+
+
+def _outcome(choose, params, beta):
+    """choose(params, beta), or the message of the ValueError it raises."""
+    try:
+        return choose(params, beta)
+    except ValueError as exc:
+        return str(exc)
 
 
 def _scan_and_golden_delta(params, beta):
@@ -281,17 +300,18 @@ def counted_scans(monkeypatch):
 
 class TestSweep:
     def test_figure_sweep_builds_each_scan_once(self, params, counted_scans):
-        # the figure's 60 betas: every row scans the same 32 lengths (plus
-        # the bound probe) at the edge or the center, and only the weights
-        # of F change with beta, so no (delta, xi) scan is built twice; the
-        # rows compare brackets and refine only the points that can be the
-        # minimum, and the located row reuses the root its scan refined
+        # the figure's 60 betas: every scanned row tries the same 32 lengths
+        # (plus the bound probe) at the edge or the center, and only the
+        # weights of F change with beta, so no (delta, xi) scan is built
+        # twice; the rows build scans only for the lengths whose brackets can
+        # start below m0's, refine only the points that can be the minimum,
+        # and the located row reuses the root its scan refined
         builds, brackets, refined = counted_scans
         rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 60), params)
         assert len(rows) == 61 and not failures
-        assert len(builds) == len(set(builds))
-        assert len(builds) <= 2 * optimize.DELTA_SCAN_POINTS + 2
-        assert len(brackets) > 10 * len(builds)
+        assert len(builds) == len(set(builds)) <= 3
+        # the scanned rows all bracket the scans they share
+        assert len(brackets) > 20 and {(d, xi) for xi, _, d in brackets} <= set(builds)
         assert len(refined) == len(set(refined)) <= 86
 
     @pytest.mark.parametrize("p", [ModelParams(0.2, 1.0, 0.4), ModelParams(0.45, 0.05, 0.05)])

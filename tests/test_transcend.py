@@ -236,6 +236,33 @@ class TestTranscendentalRoot:
             below += lo == 0.0
         assert below >= 2
 
+    @pytest.mark.parametrize(
+        "alpha, kappa, beta",
+        [(0.2, 1.0, 10.0), (1.0, 0.1, 0.5), (0.45, 0.05, math.inf), (0.0, 1e4, 1.0)],
+    )
+    def test_bracket_prune_matches_built_scans(self, alpha, kappa, beta):
+        # _brackets_start_by answers for many intervals from one evaluation of
+        # their first samples; it agrees with each built scan's bracket, except
+        # that an interval on a finer step than SCAN_STEP (kappa = 1e4 with
+        # delta > 0.39) always answers True
+        from drifteig import transcend
+
+        p = ModelParams(alpha, kappa, 0.4)
+        deltas = np.linspace(0.02, 0.9, 23)
+        xis = np.where(np.arange(23) % 3 == 0, 0.0, 0.5 * (1.0 - deltas))
+        starts = np.array(
+            [
+                _RootScan(float(x), TranscendParams(params=p, delta=float(d))).bracket(beta)[0]
+                for d, x in zip(deltas, xis)
+            ]
+        )
+        fine = math.pi / (8.0 * math.sqrt(kappa) * deltas) < transcend.SCAN_STEP
+        assert fine.any() == (kappa == 1e4)
+        for top in np.unique(starts)[[0, 5, 11, -1]]:
+            maybe = transcend._brackets_start_by(beta, float(top), p, deltas, xis)
+            assert maybe[fine].all()
+            assert np.array_equal(maybe[~fine], starts[~fine] <= top), top
+
     def test_one_sample_scan_root_below_it(self):
         # pi / (sqrt(kappa) delta) < 1e-4: the scan is the single sample
         # s_max, past the root, which is found below it.  Reference as for
