@@ -254,6 +254,7 @@ def cmd_eig(args) -> int:
             "residual": pair.residual,
             "max_phi": pair.max_phi,
             "certified": pair.certified,
+            "probes": pair.probes,
         }
     )
     _write_json(path, meta)

@@ -226,7 +226,9 @@ class EigenPair:
     certified tells how ``_refine`` settled lam: True when two definiteness
     probes bracket the Rayleigh quotient to CERT_REL, False when lam is the
     midpoint of the bisection to LAMBDA_REL_TOL.  A pair built outside the
-    solver is not certified.
+    solver is not certified.  probes counts the definiteness tests
+    (``kernels.pencil_inertia`` calls) that located and refined lam, 0 for
+    a pair built outside the solver.
     """
 
     lam: float
@@ -234,6 +236,7 @@ class EigenPair:
     phi: np.ndarray
     residual: float
     certified: bool = False
+    probes: int = 0
 
     @property
     def max_phi(self) -> float:
@@ -261,15 +264,21 @@ def _zero_regime(m: PiecewiseWeight, params: ModelParams, bc: Boundary) -> bool:
     return bc.is_neumann and exp_mass(m, params.alpha) >= 0.0
 
 
-def _indefinite(pencil: tuple):
+class _SignTest:
     """The sign test of the pencil (A, C): sigma -> A - sigma*C is not
-    positive definite, i.e. sigma is at or above its smallest eigenvalue."""
-    ad, ae, cd, ce = pencil
+    positive definite, i.e. sigma is at or above its smallest eigenvalue.
 
-    def pred(sigma: float) -> bool:
+    calls counts the tests made, one ``kernels.pencil_inertia`` call each.
+    """
+
+    def __init__(self, pencil: tuple):
+        self.pencil = pencil
+        self.calls = 0
+
+    def __call__(self, sigma: float) -> bool:
+        self.calls += 1
+        ad, ae, cd, ce = self.pencil
         return kernels.pencil_inertia(ad, ae, cd, ce, sigma)[0] >= 1
-
-    return pred
 
 
 def _bisect(pred, lo: float, hi: float, atol: float, rtol: float) -> tuple:
@@ -284,12 +293,13 @@ def _bisect(pred, lo: float, hi: float, atol: float, rtol: float) -> tuple:
 
 
 def _refine(
-    forms: Forms, pencil: tuple, quotient, lo: float, hi: float, atol: float, rtol: float
+    forms: Forms, pred: _SignTest, quotient, lo: float, hi: float, atol: float, rtol: float
 ):
     """Smallest eigenvalue of the pencil (A, C) from a coarse bracket [lo, hi].
 
-    ``pencil`` is (A diagonal, A superdiagonal, C diagonal, C superdiagonal)
-    over the unknowns.  Returns (value, certified, below), where below is a
+    ``pred`` is the sign test of the pencil, whose ``pencil`` is
+    (A diagonal, A superdiagonal, C diagonal, C superdiagonal) over the
+    unknowns.  Returns (value, certified, below), where below is a
     shift at which A - below*C has been found positive definite.  The
     Rayleigh quotient rho of inverse iteration at lo (``_rayleigh_at``) is
     the value, with True and below = rho - t, only when it lies in [lo, hi]
@@ -299,8 +309,7 @@ def _refine(
     its midpoint is the value, with False and below its final lower end: the
     same bits as a bisection that never stopped at the coarse bracket.
     """
-    pred = _indefinite(pencil)
-    found = _rayleigh_at(forms, pencil, quotient, lo)
+    found = _rayleigh_at(forms, pred.pencil, quotient, lo)
     if found is not None and lo <= found[0] <= hi:
         rho = found[0]
         t = CERT_REL * abs(rho) + atol
@@ -361,7 +370,8 @@ def _mu_pencil(forms: Forms, lam: float) -> tuple:
     return (kd - lam * bd, ke - lam * be, md, me), quotient
 
 
-def _mu_from_forms(forms: Forms, lam: float) -> float:
+def _mu_from_forms(forms: Forms, lam: float) -> tuple:
+    """(mu(lam), the sign tests its refinement made)."""
     pencil, quotient = _mu_pencil(forms, lam)
     # K is positive semidefinite and B sums the element weights times M0's
     # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
@@ -374,14 +384,15 @@ def _mu_from_forms(forms: Forms, lam: float) -> float:
     mid = float(kernels.smallest_pencil_eigenvalue(*pencil, lo, hi, atol, COARSE_REL, 200))
     # the kernel stops once its bracket is no wider than tol
     tol = atol + COARSE_REL * abs(mid)
-    mu, certified, below = _refine(forms, pencil, quotient, mid - tol, mid + tol, MU_ATOL, MU_RTOL)
+    pred = _SignTest(pencil)
+    mu, certified, below = _refine(forms, pred, quotient, mid - tol, mid + tol, MU_ATOL, MU_RTOL)
     # a bisected mu is limited by the rounding of the LDL^T pivots; the
     # elementwise quotient at its definite lower end is accurate to the
     # residual squared, unless it escaped the bisection's neighborhood
     found = None if certified else _rayleigh_at(forms, pencil, quotient, below)
     if found is not None and abs(found[0] - mu) <= 1e-4 * max(1.0, abs(mu)):
-        return found[0]
-    return mu
+        return found[0], pred.calls
+    return mu, pred.calls
 
 
 def mu_of_lambda(
@@ -392,7 +403,7 @@ def mu_of_lambda(
     lam: float,
 ) -> float:
     """Smallest eigenvalue of the shifted pencil at the given lambda."""
-    return _mu_from_forms(assemble(m, params, bc, disc), lam)
+    return _mu_from_forms(assemble(m, params, bc, disc), lam)[0]
 
 
 def mu_curve(
@@ -403,19 +414,22 @@ def mu_curve(
     lams: Sequence[float],
 ) -> list:
     forms = assemble(m, params, bc, disc)
-    return [MuCurvePoint(float(l), _mu_from_forms(forms, float(l))) for l in lams]
+    return [MuCurvePoint(float(l), _mu_from_forms(forms, float(l))[0]) for l in lams]
 
 
 def _bracket_and_bisect(forms: Forms) -> tuple:
-    """(lambda, below, certified) of ``_refine`` on the pencil (K, B)."""
+    """(lambda, below, certified) of ``_refine`` on the pencil (K, B), and
+    the number of sign tests (``kernels.pencil_inertia`` calls) made."""
     kd, ke, bd, be, _, _ = forms.interior()
     # mu(lam) <= 0 iff K - lam*B is not positive definite
-    pred = _indefinite((kd, ke, bd, be))
+    pred = _SignTest((kd, ke, bd, be))
+    floor_probes = 0
     if pred(LAMBDA_FLOOR):
         # Near lambda = 0 the Neumann pencil is within pivot noise of
         # singular and the raw test can fire falsely; trust the polished
         # mu evaluation before declaring the eigenvalue unresolvable.
-        if _mu_from_forms(forms, LAMBDA_FLOOR) <= 0.0:
+        mu, floor_probes = _mu_from_forms(forms, LAMBDA_FLOOR)
+        if mu <= 0.0:
             raise BracketError(
                 f"sign predicate already true at lambda = {LAMBDA_FLOOR}: "
                 "eigenvalue below the resolvable floor"
@@ -425,19 +439,19 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
         lo = hi
         hi *= 2.0
         if hi > BRACKET_LIMIT:
-            samples = [(l, _mu_from_forms(forms, l)) for l in (1.0, 1e2, 1e4, 1e6, 1e8)]
+            samples = [(l, _mu_from_forms(forms, l)[0]) for l in (1.0, 1e2, 1e4, 1e6, 1e8)]
             raise BracketError(f"no sign change below {BRACKET_LIMIT}; mu samples {samples}")
     lo, hi = _bisect(pred, lo, hi, 0.0, COARSE_REL)
 
     def quotient(kq, bq, mq):
         return kq / bq if bq > 0.0 else math.nan
 
-    lam, certified, below = _refine(forms, (kd, ke, bd, be), quotient, lo, hi, 0.0, LAMBDA_REL_TOL)
-    return lam, below, certified
+    lam, certified, below = _refine(forms, pred, quotient, lo, hi, 0.0, LAMBDA_REL_TOL)
+    return lam, below, certified, pred.calls + floor_probes
 
 
 def _eigenpair(
-    forms: Forms, lam: float, below: float, certified: bool, nodes: np.ndarray
+    forms: Forms, lam: float, below: float, certified: bool, probes: int, nodes: np.ndarray
 ) -> EigenPair:
     """Positive eigenfunction of the eigenvalue lam of ``forms``.
 
@@ -449,8 +463,8 @@ def _eigenpair(
     The vector is scaled to unit weighted mass under ``forms``, which is
     int m e^{alpha m} phi^2 = 1 in either variable, and returned on
     ``nodes`` (the x-variable nodes: those of ``forms`` unless the solve
-    ran in another variable) with the relative residual of the pencil and
-    ``_refine``'s certified flag for lam.
+    ran in another variable) with the relative residual of the pencil,
+    ``_refine``'s certified flag for lam and the sign tests that found it.
     """
     pencil, quotient = _mu_pencil(forms, lam)
     sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
@@ -479,7 +493,12 @@ def _eigenpair(
     scale = np.linalg.norm(kx) + abs(lam) * np.linalg.norm(bx)
     residual = float(np.linalg.norm(kx - lam * bx) / max(scale, 1e-300))
     return EigenPair(
-        lam=lam, nodes=nodes, phi=forms.embed(x), residual=residual, certified=certified
+        lam=lam,
+        nodes=nodes,
+        phi=forms.embed(x),
+        residual=residual,
+        certified=certified,
+        probes=probes,
     )
 
 

@@ -20,7 +20,9 @@ another's top cannot hold the minimum, so the scan refines m0 first and
 prunes before it builds: one numpy evaluation of every other length's
 first samples, up to m0's bracket top, finds the few whose brackets can
 start at or below it.  Only those get a root scan, and only those whose
-bracket starts at or below the lowest top are refined.  The bound is
+bracket starts at or below the lowest top are refined.  Those samples do
+not depend on beta either, so a sweep's rows evaluate each (length,
+placement) sample once and share it.  The bound is
 usually active at the optimum, so a scan whose minimum is at the bound is
 settled by one probe just inside it rather than by a golden-section search
 that only creeps back to the bound; that is exact whenever the golden
@@ -108,6 +110,8 @@ def _placed(beta: float, delta: float, params: ModelParams, scans: dict) -> tupl
     scan is the _RootScan of (delta, xi*) in scans, built on first use: its
     terms do not depend on beta, so a sweep's rows share it and the roots it
     has refined; scans lives as long as the caller's sweep or design call.
+    Under the key "prune", scans also holds choose_delta's
+    transcend._BracketPrune, whose terms the rows share the same way.
     """
     tp = transcend.TranscendParams(params=params, delta=delta)
     bcrit = transcend.beta_crit(tp)
@@ -190,7 +194,9 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     those get a root scan.  Of them, the points whose brackets start at or
     below the lowest bracket top are refined.  So the pick, the lowest
     index with the smallest refined value, is the argmin over all grid
-    points, as if every point were refined.
+    points, as if every point were refined.  The samples do not depend on
+    beta, so the rows of a sweep share them (transcend._BracketPrune, kept
+    in the sweep's scans) with the same answers.
 
     When the scan's smallest value is at m0 itself, one probe settles it:
     the golden refinement assumes lambda unimodal on [m0, grid[1]], and
@@ -227,8 +233,10 @@ def _choose_delta(params: ModelParams, beta: float, scans: dict) -> float:
     lengths = length(grid[1:])
     bcrit = transcend.critical_beta(params.alpha, params.kappa, lengths)
     centered = (np.abs(beta - bcrit) > DEGENERATE_BAND) & (beta >= bcrit)
-    xis = np.where(centered, 0.5 * (1.0 - lengths), 0.0)
-    maybe = transcend._brackets_start_by(beta, brackets[0][1], params, lengths, xis)
+    prune = scans.get("prune")  # the lengths depend on params alone, so a sweep shares it
+    if prune is None:
+        prune = scans["prune"] = transcend._BracketPrune(params, lengths, 0.5 * (1.0 - lengths))
+    maybe = prune(beta, brackets[0][1], centered)
     candidates = {int(i): scan_at(float(grid[i])) for i in 1 + np.flatnonzero(maybe)}
     brackets.update((i, scan.bracket(beta)) for i, scan in candidates.items())
     top = min(hi for _, hi in brackets.values())

@@ -10,8 +10,9 @@ in [0, inf]: three beta-free terms R0, R1, R2 weighted by
 (1, b, b^2) / (1 + b)^2, which is (0, 0, 1) under Dirichlet conditions
 (beta = inf, the limit F / b^2).  This module evaluates F and its pieces,
 locates the first positive root (one scan of the terms per interval serves
-every beta), tells for many intervals in one evaluation which of their root
-brackets can start below a given bound, computes the critical Robin
+every beta), tells for many intervals in one evaluation, shared by later
+calls on the same intervals, which of their root brackets can start below
+a given bound, computes the critical Robin
 coefficient at which the optimal interval location switches from the
 boundary to the center, and reconstructs the closed-form eigenfunction for
 cross-checks against the discretized solver.
@@ -327,7 +328,12 @@ class _RootScan:
                     )
             lo = hi / 16.0
             xtol = 1e-15 * lo
-        s_root = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
+        try:
+            s_root = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
+        except RuntimeError as exc:  # scipy's untyped "failed to converge"
+            raise RootNotFoundError(
+                f"root refinement on s = sqrt(lambda) in ({lo:.6g}, {hi:.6g}): {exc}"
+            ) from exc
         lam = self.roots[beta] = s_root * s_root
         return lam
 
@@ -346,20 +352,110 @@ def _brackets_start_by(
     operations as their scans, so the same bits.  An interval with a finer
     step, or with samples left after that block while its last evaluated
     sample is still at or below sqrt(top), answers True.  beta must be a
-    valid one; _RootScan's checks are not repeated.
+    valid one; _RootScan's checks are not repeated.  _BracketPrune answers
+    the same for many calls on the same lengths, sharing their terms.
     """
+    s_max, counts, fine = _prune_grid(params, deltas)
+    s = np.minimum(_samples(_prune_width(top, counts), SCAN_STEP), s_max[:, None])
+    terms = _terms(s, _consts(xis[:, None], params, deltas[:, None]), np)
+    return _prune_answer(beta, top, params.alpha, terms, _bracket_starts(s, counts)) | fine
+
+
+def _prune_grid(params: ModelParams, deltas: np.ndarray) -> tuple:
+    """(s_max, sample counts on SCAN_STEP, fine step) of each interval's root scan."""
     s_max, steps = _scan_grid(math.sqrt(params.kappa), deltas)
     counts = np.array([_sample_count(t, SCAN_STEP) for t in s_max.tolist()])
-    width = min(_sample_count(math.sqrt(top), SCAN_STEP) + 1, int(counts.max()))
-    s = np.minimum(_samples(width, SCAN_STEP), s_max[:, None])
-    w0, w1, w2 = _weights(beta, params.alpha)
-    r0, r1, r2 = _terms(s, _consts(xis[:, None], params, deltas[:, None]), np)
-    stop = (w0 * r0 + w1 * r1 + w2 * r2 <= 0.0) & (np.arange(width) < counts[:, None])
-    # the first stop j brackets from s[j-1]^2 (0 at j = 0), and later stops start higher
-    low = np.ones_like(stop)
-    low[:, 1:] = s[:, :-1] * s[:, :-1] <= top
-    unseen = (counts > width) & (s[:, -1] * s[:, -1] <= top)
-    return (stop & low).any(axis=1) | unseen | (steps < SCAN_STEP)
+    return s_max, counts, steps < SCAN_STEP
+
+
+def _prune_width(top: float, counts: np.ndarray) -> int:
+    """Samples per interval that _brackets_start_by evaluates: to one past sqrt(top)."""
+    return min(_sample_count(math.sqrt(top), SCAN_STEP) + 1, int(counts.max()))
+
+
+def _bracket_starts(s: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Where a bracket ending at each sample of s would start, plus one column.
+
+    Column j is s[:, j-1]^2 (0 at j = 0) while j is below the row's sample
+    count, and inf from there on: no bracket ends past a scan's last sample.
+    """
+    n, width = s.shape
+    starts = np.empty((n, width + 1))
+    starts[:, 0] = 0.0
+    np.multiply(s, s, out=starts[:, 1:])
+    for i in np.flatnonzero(counts <= width).tolist():  # the few rows that end inside
+        starts[i, counts[i] :] = np.inf
+    return starts
+
+
+def _prune_answer(beta: float, top: float, alpha: float, terms, starts: np.ndarray) -> np.ndarray:
+    """_brackets_start_by's answer, fine steps aside, from the terms on each row's first samples.
+
+    starts is _bracket_starts of those samples, or of more of them.
+    """
+    w0, w1, w2 = _weights(beta, alpha)
+    r0, r1, r2 = terms
+    stop = w0 * r0 + w1 * r1 + w2 * r2 <= 0.0
+    width = stop.shape[1]
+    # the first stop j brackets from starts[j], and later stops start higher.  A
+    # row with samples past the block answers True while the next sample's
+    # bracket would still start at or below top.
+    return (stop & (starts[:, :width] <= top)).any(axis=1) | (starts[:, width] <= top)
+
+
+class _BracketPrune:
+    """_brackets_start_by for the same n lengths over many (beta, top) calls.
+
+    Length i sits at the left end (xi = 0) or at centres[i], as the caller's
+    mask says on each call.  _terms depends on neither beta nor top, so the
+    calls can share it.  The first call is _brackets_start_by on the mixed
+    placements and nothing more, since a single design asks only once.
+    Later calls keep the terms in one (3, 2n, width) block, row i for length
+    i at the left end and row n + i for it centred, and evaluate only the
+    rows, and the samples in a row, that no earlier call has.  A row is
+    filled to the block's width, a quarter more than asked, so that the
+    rising tops of a sorted sweep seldom widen it.  Each answer is then a
+    gather, a weighted sum and the first-stop test, with the bits of
+    _brackets_start_by.
+    """
+
+    def __init__(self, params: ModelParams, deltas: np.ndarray, centres: np.ndarray):
+        self.params, self.deltas, self.centres = params, deltas, centres
+        self.asked = False
+        self.terms = None  # the (3, 2n, width) block, from the second call on
+
+    def __call__(self, beta: float, top: float, centred: np.ndarray) -> np.ndarray:
+        params, n = self.params, self.deltas.size
+        if not self.asked:
+            self.asked = True
+            xis = np.where(centred, self.centres, 0.0)
+            return _brackets_start_by(beta, top, params, self.deltas, xis)
+        if self.terms is None:
+            self.s_max, self.counts, self.fine = _prune_grid(params, self.deltas)
+            self.xis = np.concatenate([np.zeros(n), self.centres])
+            self.filled = np.zeros(2 * n, dtype=int)  # samples evaluated in each row
+        width = _prune_width(top, self.counts)
+        if self.terms is None or width > self.terms.shape[2]:
+            self._widen(min(width + width // 4, int(self.counts.max())))
+        rows = np.arange(n) + n * centred
+        todo = rows[self.filled[rows] < width]
+        if todo.size:
+            start, length = int(self.filled[todo].min()), todo % n
+            c = _consts(self.xis[todo, None], params, self.deltas[length, None])
+            for block, term in zip(self.terms, _terms(self.s[length, start:], c, np)):
+                block[todo, start:] = term
+            self.filled[todo] = self.terms.shape[2]
+        terms = self.terms[:, rows, :width]
+        return _prune_answer(beta, top, params.alpha, terms, self.starts) | self.fine
+
+    def _widen(self, width: int):
+        """Make the samples and the term block width wide, keeping the filled terms."""
+        self.s = np.minimum(_samples(width, SCAN_STEP), self.s_max[:, None])
+        self.starts = _bracket_starts(self.s, self.counts)
+        terms = np.empty((3, 2 * self.deltas.size, width))
+        if self.terms is not None:
+            terms[:, :, : self.terms.shape[2]] = self.terms
+        self.terms = terms
 
 
 def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:

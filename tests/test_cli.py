@@ -31,6 +31,7 @@ class TestEig:
         meta = json.loads((tmp_path / "o" / "eigenpair.json").read_text())
         assert set(meta) >= {"lambda", "beta", "alpha", "kappa", "n", "residual"}
         assert meta["certified"] is True
+        assert type(meta["probes"]) is int and meta["probes"] > 0
         csv = (tmp_path / "o" / "eigenpair.csv").read_text()
         assert csv.startswith("x,phi\n")
 
@@ -231,6 +232,16 @@ class TestLocate:
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
         assert len((tmp_path / "o" / "sweep.csv").read_text().splitlines()) == 5
+
+    def test_unconverged_root_exits_3(self, tmp_path, capsys):
+        # one length of the scan has a root that brentq does not converge on:
+        # a typed solver error, so exit 3 with error.json and no traceback
+        params = "alpha=4.094669370869853,kappa=44.04074808284618,m0=0.20318635971420004"
+        argv = ["locate", "--beta", "3.431750800025686e-82", "--params", params]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 3
+        assert "Failed to converge" in capsys.readouterr().err
+        error = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert error["error"] == "RootNotFoundError"
 
     def test_large_kappa_above_critical(self, tmp_path):
         # the sufficient condition evaluates beta_crit at alpha = 1/2, where

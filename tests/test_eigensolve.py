@@ -344,6 +344,36 @@ class TestCertifiedRefinement:
         assert calls["smallest_pencil_eigenvalue"] == 0
         assert calls["dpttrf"] == 2
 
+    @pytest.mark.parametrize(
+        "n, bc",
+        [
+            (2000, Boundary.neumann()),
+            (2000, Boundary.robin(1.0)),
+            (2000, Boundary.dirichlet()),
+            (8000, Boundary.neumann()),  # the floor's misfire adds mu's probes
+        ],
+        ids=str,
+    )
+    def test_probes_are_the_kernel_calls(self, params, monkeypatch, n, bc):
+        # EigenPair.probes is the number of kernels.pencil_inertia calls, all
+        # made by the lambda solve: the eigenfunction's solve makes none
+        from drifteig import kernels
+
+        calls = []
+        probe = kernels.pencil_inertia
+
+        def counted(*args):
+            calls.append(args[-1])
+            return probe(*args)
+
+        monkeypatch.setattr(kernels, "pencil_inertia", counted)
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        disc = make_discretization(n, m)
+        pair = principal_eigenvalue(m, params, bc, disc)
+        assert pair.probes == len(calls) > 0
+        calls.clear()
+        assert eigen_cov(m, params, bc, disc).probes == len(calls) > 0
+
     def test_uncertifiable_near_alpha_star_keeps_bisection(self):
         # within pivot noise of singular the definiteness test is not
         # monotone, so no Rayleigh quotient is certified and the full

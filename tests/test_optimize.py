@@ -314,6 +314,37 @@ class TestSweep:
         assert len(brackets) > 20 and {(d, xi) for xi, _, d in brackets} <= set(builds)
         assert len(refined) == len(set(refined)) <= 86
 
+    def test_figure_sweep_shares_prune_terms(self, params, monkeypatch):
+        # F's terms do not depend on beta, so the rows' length-scan prunes
+        # evaluate each (length, placement) sample once per sweep: 17,920
+        # samples with the scans' own, where a fresh prune per row takes
+        # 130,352.  The rows are those of one design call per beta, each of
+        # which prunes once on its own
+        from drifteig import transcend
+
+        samples = []
+        terms = transcend._terms
+
+        def counted(s, c, xp):
+            if xp is np:  # brentq's scalar calls aside
+                samples.append(s.size)
+            return terms(s, c, xp)
+
+        monkeypatch.setattr(transcend, "_terms", counted)
+        betas = np.geomspace(0.1, 30.0, 60).tolist()
+        rows, failures = sweep_beta(betas, params)
+        assert sum(samples) <= 20_000 and not failures
+        assert rows == [locate_optimal_interval(b, None, params) for b in betas + [math.inf]]
+
+    def test_unconverged_row_is_a_failure(self):
+        # brentq does not converge on one scanned length's root: the row is
+        # recorded with RootNotFoundError's message and the sweep goes on
+        p = ModelParams(4.094669370869853, 44.04074808284618, 0.20318635971420004)
+        rows, failures = sweep_beta([3.431750800025686e-82], p)
+        assert [beta for beta, _ in failures] == [3.431750800025686e-82]
+        assert "Failed to converge" in failures[0][1]
+        assert [r.beta for r in rows] == [math.inf]
+
     @pytest.mark.parametrize("p", [ModelParams(0.2, 1.0, 0.4), ModelParams(0.45, 0.05, 0.05)])
     def test_rows_are_designs_active_at_delta_star(self, p):
         rows, failures = sweep_beta([1.0, 10.0, 100.0], p)

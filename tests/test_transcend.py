@@ -263,6 +263,53 @@ class TestTranscendentalRoot:
             assert maybe[fine].all()
             assert np.array_equal(maybe[~fine], starts[~fine] <= top), top
 
+    @pytest.mark.parametrize("alpha, kappa", [(0.2, 1.0), (1.0, 0.1), (0.0, 1e4)])
+    def test_shared_prune_matches_built_scans(self, alpha, kappa):
+        # one _BracketPrune answers a sequence of (beta, top, placement) calls:
+        # the first is _brackets_start_by, later ones read a shared block of
+        # terms that switching placements fill and rising tops widen.  Every
+        # answer equals each built scan's bracket(beta)[0] <= top, and an
+        # interval on a finer step than SCAN_STEP answers True
+        from drifteig import transcend
+
+        p = ModelParams(alpha, kappa, 0.4)
+        deltas = np.linspace(0.02, 0.9, 23)
+        centres = 0.5 * (1.0 - deltas)
+        fine = math.pi / (8.0 * math.sqrt(kappa) * deltas) < transcend.SCAN_STEP
+        assert fine.any() == (kappa == 1e4)
+        scans = {}
+
+        def start(beta, d, xi):
+            scan = scans.get((d, xi))
+            if scan is None:
+                scan = scans[(d, xi)] = _RootScan(xi, TranscendParams(params=p, delta=d))
+            return scan.bracket(beta)[0]
+
+        left, mixed = np.zeros(23, dtype=bool), np.arange(23) % 3 == 1
+        calls = [
+            (10.0, mixed, 0), (0.5, left, 1), (0.5, ~left, 3), (10.0, mixed, 5),
+            (math.inf, ~mixed, 8), (2.0, left, 11), (10.0, ~left, -1), (0.5, mixed, -1),
+        ]
+        prune = transcend._BracketPrune(p, deltas, centres)
+        widths = []
+        for beta, centred, which in calls:
+            xis = np.where(centred, centres, 0.0)
+            starts = np.array([start(beta, float(d), float(x)) for d, x in zip(deltas, xis)])
+            top = float(np.unique(starts)[which])
+            maybe = prune(beta, top, centred)
+            assert maybe[fine].all()
+            assert np.array_equal(maybe[~fine], starts[~fine] <= top), (beta, top)
+            widths.append(0 if prune.terms is None else prune.terms.shape[2])
+        assert widths[0] == 0 and len(set(widths[1:])) >= 2  # built on call 2, widened later
+
+    def test_unconverged_refinement_raises_typed(self):
+        # brentq stops after 100 iterations on this design's tiny root (about
+        # 1e-79 in lambda); its untyped RuntimeError becomes RootNotFoundError
+        p = ModelParams(4.094669370869853, 44.04074808284618, 0.20318635971420004)
+        tp = TranscendParams(params=p, delta=0.015411111911472448)
+        with pytest.raises(RootNotFoundError, match="Failed to converge"):
+            transcendental_root(0.0, 3.431750800025686e-82, tp)
+
     def test_one_sample_scan_root_below_it(self):
         # pi / (sqrt(kappa) delta) < 1e-4: the scan is the single sample
         # s_max, past the root, which is found below it.  Reference as for
