@@ -9,6 +9,7 @@ benchmark's ``kernels.*`` metrics (``perfbench/run.py --trace 1``).
 
 from __future__ import annotations
 
+import numpy as np
 from scipy.linalg.lapack import dpttrf
 
 
@@ -19,23 +20,29 @@ def pencil_inertia(ad, ae, bd, be, sigma):
     eigenvalue relative to sigma.  The second item is always False; it
     stays as the slot the benchmark's tracer reads.
     """
-    d = ad - sigma * bd
+    # ad + (-sigma)*bd is ad - sigma*bd bit for bit, built in one buffer
+    d = np.multiply(bd, -sigma)
+    d += ad
     if d.size == 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
         return int(d[0] <= 0.0), False
-    e = ae - sigma * be
+    e = np.multiply(be, -sigma)
+    e += ae
     info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
     return int(info != 0), False
 
 
 def smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, atol, rtol, max_iter):
-    """Bisection for the smallest eigenvalue of the pencil (A, M)."""
-    for _ in range(max_iter):
+    """(midpoint, probes): bisection for the smallest eigenvalue of the
+    pencil (A, M), and the number of ``pencil_inertia`` calls it made."""
+    probes = 0
+    while probes < max_iter:
         width = hi - lo
         mid = lo + 0.5 * width
         if width <= atol + rtol * abs(mid):
             break
+        probes += 1
         if pencil_inertia(ad, ae, md, me, mid)[0]:
             hi = mid
         else:
             lo = mid
-    return lo + 0.5 * (hi - lo)
+    return lo + 0.5 * (hi - lo), probes

@@ -8,7 +8,9 @@ Weak form on (0, 1):
 with Neumann (beta = 0) and Dirichlet (beta = inf) as limit cases.  The
 discretization uses continuous piecewise-linear elements on a grid snapped
 to the weight's breakpoints, so every coefficient integral is exact and all
-forms are symmetric tridiagonal.
+forms are symmetric tridiagonal.  Assembly finds the breakpoints among the
+nodes by index and repeats each piece's value over its elements; ``Forms``
+keeps the element sizes for the elementwise quadratic forms.
 
 The positive principal eigenvalue is characterized through the auxiliary
 curve mu(lambda) = smallest eigenvalue of the pencil (K - lambda*B, M0):
@@ -92,12 +94,15 @@ def _merge_nodes(n: int, breakpoints: Sequence[float], length: float) -> np.ndar
     """
     bp = np.asarray(breakpoints, dtype=float)
     base = np.linspace(0.0, length, n + 1)
-    idx = np.searchsorted(bp, base)
-    left = bp[np.clip(idx - 1, 0, bp.size - 1)]
-    right = bp[np.clip(idx, 0, bp.size - 1)]
-    dist = np.minimum(np.abs(base - left), np.abs(base - right))
-    keep = dist > 0.25 * length / n
-    return np.union1d(bp, base[keep])
+    # a uniform node within a quarter cell of a breakpoint is the one nearest
+    # to it; its two neighbours are tested too, against rounding
+    near = np.rint(bp * (n / length)).astype(np.intp)[:, None] + np.arange(-1, 2)
+    near = np.minimum(np.maximum(near, 0), n)
+    keep = np.ones(n + 1, dtype=bool)
+    keep[near[np.abs(base[near] - bp[:, None]) <= 0.25 * length / n]] = False
+    kept = base[keep]
+    # no kept node equals a breakpoint, so inserting them in order is their union
+    return np.insert(kept, np.searchsorted(kept, bp), bp)
 
 
 def make_discretization(n: int, m: PiecewiseWeight) -> Discretization:
@@ -110,14 +115,17 @@ def make_discretization(n: int, m: PiecewiseWeight) -> Discretization:
 class Forms:
     """Assembled tridiagonal forms (diagonal + superdiagonal of each).
 
-    Element data (diffusion coefficient, weight, cell sizes) is kept so
-    quadratic forms can be evaluated elementwise, which avoids the
-    cancellation that plagues near-null vectors in assembled form.
+    Element data (diffusion coefficient, weight, the element sizes h and
+    h / 3 from assembly) is kept so quadratic forms can be evaluated
+    elementwise, which avoids the cancellation that plagues near-null
+    vectors in assembled form.
     """
 
     nodes: np.ndarray
     diffusion: np.ndarray  # diffusion coefficient per element
     weight: np.ndarray  # weighted-mass coefficient per element
+    h: np.ndarray  # element sizes
+    h3: np.ndarray  # h / 3
     beta: float
     kd: np.ndarray
     ke: np.ndarray
@@ -151,12 +159,11 @@ class Forms:
 
     def quadratics(self, v_full: np.ndarray) -> tuple:
         """(v'Kv, v'Bv, v'M0v) evaluated element by element."""
-        h = np.diff(self.nodes)
         dv = np.diff(v_full)
-        kq = float(np.sum(self.diffusion * dv * dv / h))
+        kq = float(np.sum(self.diffusion * dv * dv / self.h))
         if not self.dirichlet and self.beta > 0.0:
             kq += self.beta * (v_full[0] ** 2 + v_full[-1] ** 2)
-        cell = h / 3.0 * (
+        cell = self.h3 * (
             v_full[:-1] ** 2 + v_full[:-1] * v_full[1:] + v_full[1:] ** 2
         )
         bq = float(np.sum(self.weight * cell))
@@ -164,51 +171,65 @@ class Forms:
         return kq, bq, mq
 
 
+def _element_values(nodes: np.ndarray, breakpoints, values) -> tuple:
+    """(element sizes, value per element) of a piecewise constant on nodes.
+
+    Every breakpoint must be a node, so the elements between the nodes of
+    breakpoints k and k + 1 take values[k].
+    """
+    h = np.diff(nodes)
+    if not np.all(h > 0.0):
+        raise AssemblyError("nodes not strictly increasing")
+    bp = np.asarray(breakpoints, dtype=float)
+    index = np.searchsorted(nodes, bp)
+    hit = nodes[np.minimum(index, nodes.size - 1)] == bp
+    if not hit.all():
+        raise AssemblyError(f"discretization misses breakpoints {bp[~hit][:4]}")
+    if index[0] != 0 or index[-1] != nodes.size - 1:
+        raise ValueError(f"nodes outside [{bp[0]}, {bp[-1]}]")
+    return h, np.repeat(np.asarray(values, dtype=float), np.diff(index))
+
+
 def _assemble_on_nodes(
     nodes: np.ndarray,
+    h: np.ndarray,
     diffusion: np.ndarray,
     weight: np.ndarray,
     beta: float,
 ) -> Forms:
-    h = np.diff(nodes)
-    if np.any(h <= 0.0):
-        raise AssemblyError("nodes not strictly increasing")
     n1 = nodes.size
+    kq = diffusion / h
     kd = np.zeros(n1)
-    ke = -diffusion / h
-    kd[:-1] += diffusion / h
-    kd[1:] += diffusion / h
+    kd[:-1] = kq
+    kd[1:] += kq
 
+    wh = weight * h
+    bq = wh / 3.0
     bd = np.zeros(n1)
-    be = weight * h / 6.0
-    bd[:-1] += weight * h / 3.0
-    bd[1:] += weight * h / 3.0
+    bd[:-1] = bq
+    bd[1:] += bq
 
+    h3 = h / 3.0
     md = np.zeros(n1)
-    me = h / 6.0
-    md[:-1] += h / 3.0
-    md[1:] += h / 3.0
+    md[:-1] = h3
+    md[1:] += h3
 
     dirichlet = math.isinf(beta)
     if not dirichlet and beta > 0.0:
         kd[0] += beta
         kd[-1] += beta
-    return Forms(nodes, diffusion, weight, beta, kd, ke, bd, be, md, me, dirichlet)
+    return Forms(
+        nodes, diffusion, weight, h, h3, beta, kd, -kq, bd, wh / 6.0, md, h / 6.0, dirichlet
+    )
 
 
 def assemble(
     m: PiecewiseWeight, params: ModelParams, bc: Boundary, disc: Discretization
 ) -> Forms:
     """Stiffness, weighted-mass and plain-mass forms for the drift problem."""
-    nodes = disc.nodes
-    missing = np.setdiff1d(np.asarray(m.breakpoints), nodes)
-    if missing.size:
-        raise AssemblyError(f"discretization misses breakpoints {missing[:4]}")
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    v = m.eval_many(mid)
+    h, v = _element_values(disc.nodes, m.breakpoints, m.values)
     diffusion = np.exp(params.alpha * v)
-    weight = v * diffusion
-    return _assemble_on_nodes(nodes, diffusion, weight, bc.beta)
+    return _assemble_on_nodes(disc.nodes, h, diffusion, v * diffusion, bc.beta)
 
 
 def _tri_mv(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -227,8 +248,8 @@ class EigenPair:
     probes bracket the Rayleigh quotient to CERT_REL, False when lam is the
     midpoint of the bisection to LAMBDA_REL_TOL.  A pair built outside the
     solver is not certified.  probes counts the definiteness tests
-    (``kernels.pencil_inertia`` calls) that located and refined lam, 0 for
-    a pair built outside the solver.
+    (``pencil_inertia`` calls, those of the kernel's mu bisection included)
+    that located and refined lam, 0 for a pair built outside the solver.
     """
 
     lam: float
@@ -309,9 +330,8 @@ def _refine(
     its midpoint is the value, with False and below its final lower end: the
     same bits as a bisection that never stopped at the coarse bracket.
     """
-    found = _rayleigh_at(forms, pred.pencil, quotient, lo)
-    if found is not None and lo <= found[0] <= hi:
-        rho = found[0]
+    rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pred.pencil, lo))
+    if lo <= rho <= hi:
         t = CERT_REL * abs(rho) + atol
         if not pred(rho - t) and pred(rho + t):
             return rho, True, rho - t
@@ -319,8 +339,13 @@ def _refine(
     return 0.5 * (lo + hi), False, lo
 
 
-def _rayleigh_at(forms: Forms, pencil: tuple, quotient, shift: float):
-    """(rho, x): inverse iteration on the pencil at a definite shift, or None.
+def _quotient_of(forms: Forms, quotient, x) -> float:
+    """``quotient`` of x's elementwise quadratics, NaN for no x."""
+    return math.nan if x is None else float(quotient(*forms.quadratics(forms.embed(x))))
+
+
+def _rayleigh_at(forms: Forms, pencil: tuple, shift: float):
+    """x: inverse iteration on the pencil at a definite shift, or None.
 
     The LDL^T factorization of S = A - shift*C (LAPACK ``dpttrf``) is itself
     the definiteness test; each step solves S y = C x with it (``dpttrs``).
@@ -330,10 +355,10 @@ def _rayleigh_at(forms: Forms, pencil: tuple, quotient, shift: float):
     From the second step on, shift + x'Cx / y'Cx is a Rayleigh quotient of
     S^-1 (y'Cx > 0 as S is positive definite); once two in a row agree to
     REFINE_TOL times their distance to the shift, the last iterate x, scaled
-    to unit max norm over the unknowns, is returned with its elementwise
-    quotient rho = ``quotient(kq, bq, mq)``.  For one unknown the ones vector
-    is exact.  A failed factorization or solve, no agreement within
-    REFINE_STEPS solves, or a quotient that is not finite gives None.
+    to unit max norm over the unknowns, is returned; callers take its
+    elementwise quotient with ``_quotient_of``.  For one unknown the ones
+    vector is exact.  A failed factorization or solve, or no agreement
+    within REFINE_STEPS solves, gives None.
     """
     ad, ae, cd, ce = pencil
     x = np.ones(ad.size)
@@ -356,8 +381,7 @@ def _rayleigh_at(forms: Forms, pencil: tuple, quotient, shift: float):
             rhs = _tri_mv(cd, ce, x)
         else:
             return None
-    rho = float(quotient(*forms.quadratics(forms.embed(x))))
-    return (rho, x) if math.isfinite(rho) else None
+    return x
 
 
 def _mu_pencil(forms: Forms, lam: float) -> tuple:
@@ -371,7 +395,7 @@ def _mu_pencil(forms: Forms, lam: float) -> tuple:
 
 
 def _mu_from_forms(forms: Forms, lam: float) -> tuple:
-    """(mu(lam), the sign tests its refinement made)."""
+    """(mu(lam), the definiteness tests made, the kernel bisection's included)."""
     pencil, quotient = _mu_pencil(forms, lam)
     # K is positive semidefinite and B sums the element weights times M0's
     # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
@@ -381,18 +405,21 @@ def _mu_from_forms(forms: Forms, lam: float) -> tuple:
     slack = 1e-3 * (hi - lo) + MU_ATOL
     lo, hi = lo - slack, hi + slack
     atol = (hi - lo) * MU_COARSE_SHARE
-    mid = float(kernels.smallest_pencil_eigenvalue(*pencil, lo, hi, atol, COARSE_REL, 200))
+    mid, probes = kernels.smallest_pencil_eigenvalue(*pencil, lo, hi, atol, COARSE_REL, 200)
+    mid = float(mid)
     # the kernel stops once its bracket is no wider than tol
     tol = atol + COARSE_REL * abs(mid)
     pred = _SignTest(pencil)
     mu, certified, below = _refine(forms, pred, quotient, mid - tol, mid + tol, MU_ATOL, MU_RTOL)
+    probes += pred.calls
     # a bisected mu is limited by the rounding of the LDL^T pivots; the
     # elementwise quotient at its definite lower end is accurate to the
     # residual squared, unless it escaped the bisection's neighborhood
-    found = None if certified else _rayleigh_at(forms, pencil, quotient, below)
-    if found is not None and abs(found[0] - mu) <= 1e-4 * max(1.0, abs(mu)):
-        return found[0], pred.calls
-    return mu, pred.calls
+    if not certified:
+        rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pencil, below))
+        if abs(rho - mu) <= 1e-4 * max(1.0, abs(mu)):
+            return rho, probes
+    return mu, probes
 
 
 def mu_of_lambda(
@@ -419,7 +446,7 @@ def mu_curve(
 
 def _bracket_and_bisect(forms: Forms) -> tuple:
     """(lambda, below, certified) of ``_refine`` on the pencil (K, B), and
-    the number of sign tests (``kernels.pencil_inertia`` calls) made."""
+    the number of definiteness tests (``pencil_inertia`` calls) made."""
     kd, ke, bd, be, _, _ = forms.interior()
     # mu(lam) <= 0 iff K - lam*B is not positive definite
     pred = _SignTest((kd, ke, bd, be))
@@ -466,16 +493,15 @@ def _eigenpair(
     ran in another variable) with the relative residual of the pencil,
     ``_refine``'s certified flag for lam and the sign tests that found it.
     """
-    pencil, quotient = _mu_pencil(forms, lam)
+    pencil, _ = _mu_pencil(forms, lam)
     sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
     for _ in range(9):
-        found = _rayleigh_at(forms, pencil, quotient, sigma)
-        if found is not None:
+        x = _rayleigh_at(forms, pencil, sigma)
+        if x is not None:
             break
         sigma *= 16.0
     else:
         raise SolverError("inverse iteration for the eigenfunction broke down")
-    x = found[1]
     if x.sum() < 0.0:
         x = -x
     phi = forms.embed(x)
@@ -556,9 +582,9 @@ def eigen_cov(
         return ZeroRegime()
     cov, mt = change_of_variable_forward(m, params.alpha)
     ynodes = _merge_nodes(disc.n, mt.breakpoints, cov.total)
-    v = mt.eval_many(0.5 * (ynodes[:-1] + ynodes[1:]))
+    h, v = _element_values(ynodes, mt.breakpoints, mt.values)
     weight = v * np.exp(2.0 * params.alpha * v)
-    forms = _assemble_on_nodes(ynodes, np.ones_like(v), weight, bc.beta)
+    forms = _assemble_on_nodes(ynodes, h, np.ones_like(v), weight, bc.beta)
     # c is affine on each element (the y-nodes hold m~'s breakpoints) and
     # m~ e^{2 alpha m~} dy = m e^{alpha m} dx, so these forms give the x norm
     return _eigenpair(forms, *_bracket_and_bisect(forms), cov.y_to_x(ynodes))

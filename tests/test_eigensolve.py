@@ -71,6 +71,94 @@ def test_assemble_requires_breakpoint_nodes(params):
         assemble(m, params, Boundary.neumann(), disc)
 
 
+@pytest.mark.parametrize(
+    "nodes, error",
+    [
+        ([0.0, 0.6, 0.5, 1.0], AssemblyError),  # not increasing
+        ([0.0, 0.5, 0.5, 1.0], AssemblyError),  # a duplicated node
+        ([-0.25, 0.0, 0.5, 1.0], ValueError),  # reaches below 0
+        ([0.0, 0.5, 1.0, 1.25], ValueError),  # reaches above 1
+        ([0.0, 0.2, 0.45, 1.0], AssemblyError),  # misses the breakpoint 0.5
+    ],
+    ids=["decreasing", "duplicate", "below-0", "above-1", "missing"],
+)
+def test_assemble_rejects_bad_nodes(params, nodes, error):
+    m = PiecewiseWeight((0.0, 0.5, 1.0), (1.0, -1.0))
+    disc = Discretization(n=len(nodes) - 1, nodes=np.array(nodes))
+    with pytest.raises(error):
+        assemble(m, params, Boundary.neumann(), disc)
+
+
+def _old_forms(nodes, values_at, coefficients, beta):
+    """Forms arrays built as assembly once did: element values read at the
+    midpoints, every product computed where it is used."""
+    diffusion, weight = coefficients(values_at(0.5 * (nodes[:-1] + nodes[1:])))
+    h = np.diff(nodes)
+    kd, bd, md = np.zeros(nodes.size), np.zeros(nodes.size), np.zeros(nodes.size)
+    kd[:-1] += diffusion / h
+    kd[1:] += diffusion / h
+    bd[:-1] += weight * h / 3.0
+    bd[1:] += weight * h / 3.0
+    md[:-1] += h / 3.0
+    md[1:] += h / 3.0
+    if 0.0 < beta < math.inf:
+        kd[0] += beta
+        kd[-1] += beta
+    return {"diffusion": diffusion, "weight": weight, "h": h, "h3": h / 3.0,
+            "kd": kd, "ke": -diffusion / h, "bd": bd, "be": weight * h / 6.0,
+            "md": md, "me": h / 6.0}
+
+
+def _old_merge(n, breakpoints, length):
+    bp = np.asarray(breakpoints, dtype=float)
+    base = np.linspace(0.0, length, n + 1)
+    idx = np.searchsorted(bp, base)
+    left = bp[np.clip(idx - 1, 0, bp.size - 1)]
+    right = bp[np.clip(idx, 0, bp.size - 1)]
+    dist = np.minimum(np.abs(base - left), np.abs(base - right))
+    return np.union1d(bp, base[dist > 0.25 * length / n])
+
+
+def _assert_same_bits(forms, ref):
+    for name, want in ref.items():
+        got = getattr(forms, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 500, 2000])
+def test_assembly_is_bit_identical_to_midpoint_reference(params, rng, n):
+    # nodes from a sorted union, element values read at the midpoints:
+    # the index-based merge and assembly must reproduce them bit for bit,
+    # on the x grid of assemble and the y grid of eigen_cov
+    from drifteig.eigensolve import _assemble_on_nodes, _element_values, _merge_nodes
+    from drifteig.rearrange import change_of_variable_forward
+
+    def drift(v):
+        diffusion = np.exp(params.alpha * v)
+        return diffusion, v * diffusion
+
+    def drift_free(v):
+        return np.ones_like(v), v * np.exp(2.0 * params.alpha * v)
+
+    for _ in range(4):
+        m = random_admissible(params, rng)
+        nodes = make_discretization(n, m).nodes
+        assert np.array_equal(nodes, _old_merge(n, m.breakpoints, 1.0))
+        for bc in (Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()):
+            ref = _old_forms(nodes, m.eval_many, drift, bc.beta)
+            _assert_same_bits(assemble(m, params, bc, Discretization(n, nodes)), ref)
+        # eigen_cov's forms: the drift-free problem on the y grid
+        cov, mt = change_of_variable_forward(m, params.alpha)
+        ynodes = _merge_nodes(n, mt.breakpoints, cov.total)
+        assert np.array_equal(ynodes, _old_merge(n, mt.breakpoints, cov.total))
+        h, v = _element_values(ynodes, mt.breakpoints, mt.values)
+        _assert_same_bits(
+            _assemble_on_nodes(ynodes, h, *drift_free(v), 1.0),
+            _old_forms(ynodes, mt.eval_many, drift_free, 1.0),
+        )
+
+
 class TestMuCurve:
     def test_dirichlet_mu0_is_pi_squared(self):
         p = ModelParams(0.0, 1.0, 0.4)
@@ -355,17 +443,19 @@ class TestCertifiedRefinement:
         ids=str,
     )
     def test_probes_are_the_kernel_calls(self, params, monkeypatch, n, bc):
-        # EigenPair.probes is the number of kernels.pencil_inertia calls, all
-        # made by the lambda solve: the eigenfunction's solve makes none
-        from drifteig import kernels
+        # EigenPair.probes is the number of definiteness tests, all made by
+        # the lambda solve: the eigenfunction's solve makes none.  The mu
+        # bisection of the floor's misfire calls _kernels_py's own test.
+        from drifteig import _kernels_py, kernels
 
         calls = []
-        probe = kernels.pencil_inertia
+        probe = _kernels_py.pencil_inertia
 
         def counted(*args):
             calls.append(args[-1])
             return probe(*args)
 
+        monkeypatch.setattr(_kernels_py, "pencil_inertia", counted)
         monkeypatch.setattr(kernels, "pencil_inertia", counted)
         m = BangBangInterval(0.1, 0.3, params).weight()
         disc = make_discretization(n, m)

@@ -45,7 +45,7 @@ def test_smallest_pencil_eigenvalue_matches_scipy(rng):
             _dense(ad, ae), _dense(md, me), eigvals_only=True
         )[0]
         lo, hi = target - 50.0, target + 50.0
-        got = _kernels_py.smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, 1e-12, 1e-12, 200)
+        got, _ = _kernels_py.smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, 1e-12, 1e-12, 200)
         assert got == pytest.approx(target, abs=1e-9, rel=1e-9)
 
 
