@@ -406,7 +406,6 @@ def _mu_from_forms(forms: Forms, lam: float) -> tuple:
     lo, hi = lo - slack, hi + slack
     atol = (hi - lo) * MU_COARSE_SHARE
     mid, probes = kernels.smallest_pencil_eigenvalue(*pencil, lo, hi, atol, COARSE_REL, 200)
-    mid = float(mid)
     # the kernel stops once its bracket is no wider than tol
     tol = atol + COARSE_REL * abs(mid)
     pred = _SignTest(pencil)

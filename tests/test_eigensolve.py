@@ -78,11 +78,12 @@ def test_assemble_requires_breakpoint_nodes(params):
         ([0.0, 0.5, 0.5, 1.0], AssemblyError),  # a duplicated node
         ([-0.25, 0.0, 0.5, 1.0], ValueError),  # reaches below 0
         ([0.0, 0.5, 1.0, 1.25], ValueError),  # reaches above 1
-        ([0.0, 0.2, 0.45, 1.0], AssemblyError),  # misses the breakpoint 0.5
+        ([0.0, 0.5, math.nan, 1.0], AssemblyError),  # once assembled into NaN forms
     ],
-    ids=["decreasing", "duplicate", "below-0", "above-1", "missing"],
+    ids=["decreasing", "duplicate", "below-0", "above-1", "nan"],
 )
 def test_assemble_rejects_bad_nodes(params, nodes, error):
+    # nodes that miss a breakpoint: test_assemble_requires_breakpoint_nodes
     m = PiecewiseWeight((0.0, 0.5, 1.0), (1.0, -1.0))
     disc = Discretization(n=len(nodes) - 1, nodes=np.array(nodes))
     with pytest.raises(error):
@@ -141,8 +142,9 @@ def test_assembly_is_bit_identical_to_midpoint_reference(params, rng, n):
     def drift_free(v):
         return np.ones_like(v), v * np.exp(2.0 * params.alpha * v)
 
-    for _ in range(4):
-        m = random_admissible(params, rng)
+    # ends on the uniform grid, as in the benchmark's battery, and random ones
+    weights = [BangBangInterval(0.1, 0.3, params).weight()]
+    for m in weights + [random_admissible(params, rng) for _ in range(4)]:
         nodes = make_discretization(n, m).nodes
         assert np.array_equal(nodes, _old_merge(n, m.breakpoints, 1.0))
         for bc in (Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()):
