@@ -94,15 +94,14 @@ def _merge_nodes(n: int, breakpoints: Sequence[float], length: float) -> np.ndar
     """
     bp = np.asarray(breakpoints, dtype=float)
     base = np.linspace(0.0, length, n + 1)
-    # a uniform node within a quarter cell of a breakpoint is the one nearest
-    # to it; its two neighbours are tested too, against rounding
-    near = np.rint(bp * (n / length)).astype(np.intp)[:, None] + np.arange(-1, 2)
-    near = np.minimum(np.maximum(near, 0), n)
-    keep = np.ones(n + 1, dtype=bool)
-    keep[near[np.abs(base[near] - bp[:, None]) <= 0.25 * length / n]] = False
-    kept = base[keep]
-    # no kept node equals a breakpoint, so inserting them in order is their union
-    return np.insert(kept, np.searchsorted(kept, bp), bp)
+    idx = np.searchsorted(bp, base)
+    left = bp[np.clip(idx - 1, 0, bp.size - 1)]
+    right = bp[np.clip(idx, 0, bp.size - 1)]
+    dist = np.minimum(np.abs(base - left), np.abs(base - right))
+    keep = dist > 0.25 * length / n
+    # the union also merges breakpoints that coincide in floating point, as
+    # the change of variable's y-breakpoints do after a thin, high piece
+    return np.union1d(bp, base[keep])
 
 
 def make_discretization(n: int, m: PiecewiseWeight) -> Discretization:
@@ -175,7 +174,8 @@ def _element_values(nodes: np.ndarray, breakpoints, values) -> tuple:
     """(element sizes, value per element) of a piecewise constant on nodes.
 
     Every breakpoint must be a node, so the elements between the nodes of
-    breakpoints k and k + 1 take values[k].
+    breakpoints k and k + 1 take values[k]; a piece whose two breakpoints
+    coincide in floating point takes none.
     """
     h = np.diff(nodes)
     if not np.all(h > 0.0):

@@ -127,31 +127,41 @@ def _assert_same_bits(forms, ref):
         assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
+# A thin, high piece after a negative one: its y-length 0.02 e^-40 is below
+# half an ulp of the y before it, so two of eigen_cov's y-breakpoints coincide.
+STIFF = ModelParams(1.0, 40.0, 0.4)
+THIN_HIGH = PiecewiseWeight((0.0, 0.5, 0.52, 0.8, 1.0), (-1.0, 40.0, 0.5, -1.0))
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 500, 2000])
 def test_assembly_is_bit_identical_to_midpoint_reference(params, rng, n):
     # nodes from a sorted union, element values read at the midpoints:
-    # the index-based merge and assembly must reproduce them bit for bit,
-    # on the x grid of assemble and the y grid of eigen_cov
+    # the index-based assembly must reproduce them bit for bit, on the x
+    # grid of assemble and the y grid of eigen_cov
     from drifteig.eigensolve import _assemble_on_nodes, _element_values, _merge_nodes
     from drifteig.rearrange import change_of_variable_forward
 
-    def drift(v):
-        diffusion = np.exp(params.alpha * v)
-        return diffusion, v * diffusion
+    # ends on the uniform grid, as in the benchmark's battery, random ones
+    # and a weight whose y-breakpoints coincide
+    cases = [(params, BangBangInterval(0.1, 0.3, params).weight())]
+    cases += [(params, random_admissible(params, rng)) for _ in range(4)]
+    cases += [(STIFF, THIN_HIGH)]
+    for p, m in cases:
 
-    def drift_free(v):
-        return np.ones_like(v), v * np.exp(2.0 * params.alpha * v)
+        def drift(v):
+            diffusion = np.exp(p.alpha * v)
+            return diffusion, v * diffusion
 
-    # ends on the uniform grid, as in the benchmark's battery, and random ones
-    weights = [BangBangInterval(0.1, 0.3, params).weight()]
-    for m in weights + [random_admissible(params, rng) for _ in range(4)]:
+        def drift_free(v):
+            return np.ones_like(v), v * np.exp(2.0 * p.alpha * v)
+
         nodes = make_discretization(n, m).nodes
         assert np.array_equal(nodes, _old_merge(n, m.breakpoints, 1.0))
         for bc in (Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()):
             ref = _old_forms(nodes, m.eval_many, drift, bc.beta)
-            _assert_same_bits(assemble(m, params, bc, Discretization(n, nodes)), ref)
+            _assert_same_bits(assemble(m, p, bc, Discretization(n, nodes)), ref)
         # eigen_cov's forms: the drift-free problem on the y grid
-        cov, mt = change_of_variable_forward(m, params.alpha)
+        cov, mt = change_of_variable_forward(m, p.alpha)
         ynodes = _merge_nodes(n, mt.breakpoints, cov.total)
         assert np.array_equal(ynodes, _old_merge(n, mt.breakpoints, cov.total))
         h, v = _element_values(ynodes, mt.breakpoints, mt.values)
@@ -331,6 +341,18 @@ class TestEigenCov:
     def test_zero_regime_passthrough(self, params):
         disc = make_discretization(100, ONE)
         assert isinstance(eigen_cov(ONE, params, Boundary.neumann(), disc), ZeroRegime)
+
+    @pytest.mark.parametrize("bc", [Boundary.robin(1.0), Boundary.dirichlet()], ids=str)
+    def test_coinciding_y_breakpoints(self, bc):
+        # the thin piece's y-length rounds to zero: the y grid merges its two
+        # breakpoints and the piece takes no element, as in the midpoint assembly
+        from drifteig.rearrange import change_of_variable_forward
+
+        _, mt = change_of_variable_forward(THIN_HIGH, STIFF.alpha)
+        assert np.any(np.diff(mt.breakpoints) == 0.0)
+        pair = eigen_cov(THIN_HIGH, STIFF, bc, make_discretization(200, THIN_HIGH))
+        assert math.isfinite(pair.lam) and pair.lam > 0.0
+        assert np.min(pair.phi[1:-1]) > 0.0
 
 
 def _dense(d, e):
