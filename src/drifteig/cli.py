@@ -30,6 +30,7 @@ the output directory; 4 failed sweep rows.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -364,38 +365,16 @@ def cmd_rearrange(args) -> int:
 
 
 def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    results = []
-
-    def run(name, tolerance, fn):
-        # a solver crash counts as a failed property, not a failed run
-        try:
-            margin, passed, detail = fn()
-        except Exception as exc:  # noqa: BLE001 - report, do not mask
-            results.append(
-                {
-                    "name": name,
-                    "passed": False,
-                    "margin": "nan",
-                    "tolerance": float(tolerance),
-                    "detail": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            return
-        results.append(
-            {
-                "name": name,
-                "passed": bool(passed),
-                "margin": float(margin),
-                "tolerance": float(tolerance),
-                "detail": detail,
-            }
-        )
+    """One row per property, passed when its margin, a violation, is at most its
+    tolerance.  The checks draw from one seeded rng in table order."""
+    rng, robin = np.random.default_rng(seed), Boundary.robin(1.0)
+    dstar = optimize.delta_star(params)
+    tp = transcend.TranscendParams(params=params, delta=dstar)
 
     def rearrangement_monotonicity():
         worst = -math.inf
         cases = 0
-        for bc in (Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()):
+        for bc in (Boundary.neumann(), robin, Boundary.dirichlet()):
             for _ in range(4):
                 m = random_admissible(params, rng)
                 disc = eigensolve.make_discretization(n, m)
@@ -408,101 +387,105 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
                 )
                 worst = max(worst, after.lam - before.lam)
                 cases += 1
-        return worst, worst <= 1e-6, f"max(lambda_R - lambda) over {cases} cases"
+        return worst, f"max(lambda_R - lambda) over {cases} cases"
 
     def equimeasurability():
-        worst = 0.0
+        worst, level = 0.0, rearrange.level_set_length
         for _ in range(6):
             m = random_admissible(params, rng)
             _, mt = rearrange.change_of_variable_forward(m, params.alpha)
-            ident = abs(
-                sum(v * math.exp(params.alpha * v) * ell for v, ell in mt.pieces())
-                - sum(v * ell for v, ell in m.pieces())
-            )
-            worst = max(worst, ident)
+            lhs = sum(v * math.exp(params.alpha * v) * ell for v, ell in mt.pieces())
+            worst = max(worst, abs(lhs - sum(v * ell for v, ell in m.pieces())))
             disc = eigensolve.make_discretization(n, m)
-            pair = rearrange.unimodal_rearrangement(m, params, Boundary.robin(1.0), disc)
+            pair = rearrange.unimodal_rearrangement(m, params, robin, disc)
             _, mtr = rearrange.change_of_variable_forward(pair.m_R, params.alpha)
             total = sum(math.exp(params.alpha * v) * ell for v, ell in mtr.pieces())
             worst = max(worst, abs(total - 1.0))
             for c in np.linspace(-1.0, params.kappa, 50):
-                worst = max(
-                    worst,
-                    abs(
-                        rearrange.level_set_length(mtr.pieces(), c)
-                        - rearrange.level_set_length(mt.pieces(), c)
-                    ),
-                )
-        return worst, worst <= 1e-14, "max identity defect over 6 weights"
+                gap = level(mtr.pieces(), c) - level(mt.pieces(), c)
+                worst = max(worst, abs(gap))
+        return worst, "max identity defect over 6 weights"
 
     def mu_concavity():
         m = random_admissible(params, rng)
         disc = eigensolve.make_discretization(n, m)
-        worst = math.inf
+        worst = -math.inf
         for _ in range(20):
             l1, l2 = sorted(rng.uniform(-20.0, 120.0, size=2))
             t = rng.uniform(0.05, 0.95)
-            mus = eigensolve.mu_curve(
-                m, params, Boundary.robin(1.0), disc, [l1, l2, t * l1 + (1.0 - t) * l2]
-            )
+            mus = eigensolve.mu_curve(m, params, robin, disc, [l1, l2, t * l1 + (1.0 - t) * l2])
             chord = t * mus[0].mu + (1.0 - t) * mus[1].mu
-            worst = min(worst, mus[2].mu - chord)
-        return worst, worst >= -1e-9, "min(mu(mid) - chord) over 20 triples"
+            worst = max(worst, chord - mus[2].mu)
+        return worst, "max(chord - mu(mid)) over 20 triples"
 
-    dstar = optimize.delta_star(params)
-    tp = transcend.TranscendParams(params=params, delta=dstar)
-
-    def trichotomy():
+    @functools.cache
+    def optima():  # the optimal intervals at 0.5 and 2 beta_crit
         bcrit = transcend.beta_crit(tp)
-        low = optimize.locate_optimal_interval(0.5 * bcrit, dstar, params)
-        high = optimize.locate_optimal_interval(2.0 * bcrit, dstar, params)
+        return tuple(optimize.locate_optimal_interval(f * bcrit, dstar, params) for f in (0.5, 2.0))
+
+    def trichotomy_placement():
+        low, high = optima()
         worst = max(abs(low.xi_star), abs(high.xi_star - 0.5 * (1.0 - dstar)))
+        return worst, "xi* offset from the edge at 0.5 beta_crit and the centre at 2 beta_crit"
+
+    def trichotomy_flatness():
+        bcrit = transcend.beta_crit(tp)
         xs = np.linspace(0.0, 0.5 * (1.0 - dstar), 16)
         vals = [transcend.transcendental_root(float(x), bcrit, tp) for x in xs]
-        flat = (max(vals) - min(vals)) / min(vals)
+        spread = (max(vals) - min(vals)) / min(vals)
+        return spread, "relative spread of the root over 16 xi at beta_crit"
+
+    def trichotomy_optimality():
         # lambda* against the root over the full range of xi, which does not
         # go through the placement rule
         excess = -math.inf
         for x in np.linspace(0.0, 1.0 - dstar, 33):
             scan = transcend._RootScan(float(x), tp)  # one scan serves both beta
-            for opt in (low, high):
+            for opt in optima():
                 excess = max(excess, opt.lambda_star / scan.root(opt.beta) - 1.0)
-        ok = worst <= 1e-6 and flat <= 1e-8 and excess <= 1e-12
-        return (
-            max(worst, flat, excess),
-            ok,
-            "xi* placement at 0.5/2.0 beta_crit, flatness at beta_crit, "
-            "lambda* <= root on a 33-point xi scan",
-        )
+        return excess, "max(lambda*/root - 1) on a 33-point xi scan at 0.5/2 beta_crit"
 
     def mollify():
         opt = optimize.locate_optimal_interval(1.0, dstar, params)
-        demo = optimize.mollify_demo(
-            opt, [0.1, 0.05, 0.02], params, Boundary.robin(1.0), grid_n=n
-        )
+        demo = optimize.mollify_demo(opt, [0.1, 0.05, 0.02], params, robin, grid_n=n)
         lams = [lam for _, lam in demo]
-        base = optimize.mollify_demo(opt, [0.0], params, Boundary.robin(1.0), grid_n=n)[0][1]
+        base = optimize.mollify_demo(opt, [0.0], params, robin, grid_n=n)[0][1]
         dec = min(l1 - l2 for l1, l2 in zip(lams, lams[1:]))
         above = min(l - base for l in lams)
-        ok = dec > 0.0 and above > 0.0
-        return min(dec, above), ok, "widths 0.1/0.05/0.02 strictly decreasing and above the optimum"
+        return -min(dec, above), "widths 0.1/0.05/0.02 strictly decreasing and above the optimum"
 
     def discretization_agreement():
         worst = 0.0
-        for xi, bc in ((0.0, Boundary.robin(1.0)), (0.5 * (1.0 - dstar), Boundary.dirichlet())):
+        for xi, bc in ((0.0, robin), (0.5 * (1.0 - dstar), Boundary.dirichlet())):
             w = BangBangInterval(xi, dstar, params).weight()
             disc = eigensolve.make_discretization(n, w)
             lam_grid = eigensolve.principal_eigenvalue(w, params, bc, disc).lam
             lam_root = transcend.transcendental_root(xi, bc.beta, tp)
             worst = max(worst, abs(lam_grid - lam_root) / lam_root)
-        return worst, worst <= 1e-4, f"grid n={n} vs transcendental root (beta=1 edge, inf center)"
+        return worst, f"grid n={n} vs transcendental root (beta=1 edge, inf center)"
 
-    run("rearrangement_monotonicity", 1e-6, rearrangement_monotonicity)
-    run("equimeasurability", 1e-14, equimeasurability)
-    run("mu_concavity", 1e-9, mu_concavity)
-    run("trichotomy", 1e-6, trichotomy)
-    run("mollify_demo", 0.0, mollify)
-    run("discretization_agreement", 1e-4, discretization_agreement)
+    table = (
+        ("rearrangement_monotonicity", 1e-6, rearrangement_monotonicity),
+        ("equimeasurability", 1e-14, equimeasurability),
+        ("mu_concavity", 1e-9, mu_concavity),
+        ("trichotomy_placement", 1e-6, trichotomy_placement),
+        ("trichotomy_flatness", 1e-8, trichotomy_flatness),
+        ("trichotomy_optimality", 1e-12, trichotomy_optimality),
+        # strict: -5e-324 is the negative float closest to 0, so margin < 0
+        ("mollify_demo", -math.ulp(0.0), mollify),
+        ("discretization_agreement", 1e-4, discretization_agreement),
+    )
+    results = []
+    for name, tolerance, check in table:
+        try:
+            margin, detail = check()
+            margin = float(margin)
+            passed = margin <= tolerance
+        except Exception as exc:  # noqa: BLE001 - a crash fails its row, not the run
+            margin, passed, detail = "nan", False, f"{type(exc).__name__}: {exc}"
+        results.append(
+            {"name": name, "passed": passed, "margin": margin, "tolerance": tolerance, "detail": detail}
+        )
     return results
 
 

@@ -99,8 +99,8 @@ def _merge_nodes(n: int, breakpoints: Sequence[float], length: float) -> np.ndar
     right = bp[np.clip(idx, 0, bp.size - 1)]
     dist = np.minimum(np.abs(base - left), np.abs(base - right))
     keep = dist > 0.25 * length / n
-    # the union also merges breakpoints that coincide in floating point, as
-    # the change of variable's y-breakpoints do after a thin, high piece
+    # the union also merges breakpoints that coincide in floating point;
+    # eigen_cov raises before its y-breakpoints can coincide here
     return np.union1d(bp, base[keep])
 
 
@@ -554,8 +554,8 @@ def principal_lambda(
 ) -> float:
     """Eigenvalue-only variant of principal_eigenvalue (no eigenfunction).
 
-    Used by scans that evaluate many candidate weights; returns 0.0 in the
-    Neumann zero regime.
+    Returns 0.0 in the Neumann zero regime.  Nothing in the package calls
+    it; the tests and the benchmark's tracer do.
     """
     if _zero_regime(m, params, bc):
         return 0.0
@@ -580,6 +580,9 @@ def eigen_cov(
     if _zero_regime(m, params, bc):
         return ZeroRegime()
     cov, mt = change_of_variable_forward(m, params.alpha)
+    lost = np.flatnonzero(np.diff(mt.breakpoints) == 0.0)
+    if lost.size:  # e^{-alpha v} dx under half an ulp of y: the piece's weight is lost
+        raise AssemblyError(f"pieces {lost.tolist()} round to zero length in y")
     ynodes = _merge_nodes(disc.n, mt.breakpoints, cov.total)
     h, v = _element_values(ynodes, mt.breakpoints, mt.values)
     weight = v * np.exp(2.0 * params.alpha * v)

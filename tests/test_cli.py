@@ -289,6 +289,16 @@ class TestVerify:
         assert rc != 0
         assert "FAIL discretization_agreement" in out
 
+    @pytest.mark.parametrize("argv", [[], ["--n", "8"]], ids=["default", "n8"])
+    def test_each_row_passes_by_its_own_margin(self, tmp_path, capsys, argv):
+        cli.main(["verify", *argv, "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        for prop in report["properties"]:
+            # a crashed check reports the string "nan", which passes no bound
+            within = isinstance(prop["margin"], float) and prop["margin"] <= prop["tolerance"]
+            assert prop["passed"] is within, prop["name"]
+
     def test_report_schema_stable(self, tmp_path, capsys):
         rc = cli.main(["verify", "--out", str(tmp_path / "o")])
         capsys.readouterr()

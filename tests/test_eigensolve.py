@@ -344,15 +344,14 @@ class TestEigenCov:
 
     @pytest.mark.parametrize("bc", [Boundary.robin(1.0), Boundary.dirichlet()], ids=str)
     def test_coinciding_y_breakpoints(self, bc):
-        # the thin piece's y-length rounds to zero: the y grid merges its two
-        # breakpoints and the piece takes no element, as in the midpoint assembly
+        # the thin piece's y-length rounds to zero, so its weight would be
+        # lost without an element: a typed error, not a wrong eigenvalue
         from drifteig.rearrange import change_of_variable_forward
 
         _, mt = change_of_variable_forward(THIN_HIGH, STIFF.alpha)
         assert np.any(np.diff(mt.breakpoints) == 0.0)
-        pair = eigen_cov(THIN_HIGH, STIFF, bc, make_discretization(200, THIN_HIGH))
-        assert math.isfinite(pair.lam) and pair.lam > 0.0
-        assert np.min(pair.phi[1:-1]) > 0.0
+        with pytest.raises(AssemblyError, match=r"pieces \[1\] round to zero"):
+            eigen_cov(THIN_HIGH, STIFF, bc, make_discretization(200, THIN_HIGH))
 
 
 def _dense(d, e):
