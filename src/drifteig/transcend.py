@@ -38,10 +38,6 @@ class RootNotFoundError(DriftEigError, RuntimeError):
     """Scan exhausted without an admissible sign change."""
 
 
-class RankDeficientError(DriftEigError, RuntimeError):
-    """Both kernel candidates of the 2x2 matching matrix degenerate."""
-
-
 class TanPoleError(DriftEigError, ValueError):
     """Probe too close to a pole of tan for a meaningful evaluation."""
 
@@ -236,6 +232,11 @@ def _samples(count: int, step: float) -> np.ndarray:
     return (1.0 + 1e-4) * (1.0 + step) ** np.arange(count) - 1.0
 
 
+def _check_xi(xi: float, d: float):
+    if not -1e-12 <= xi <= 1.0 - d + 1e-12:  # false for NaN
+        raise ValueError(f"xi = {xi} outside [0, 1 - delta]")
+
+
 class _RootScan:
     """F's beta-free terms on the root scan of one interval (xi, delta).
 
@@ -253,8 +254,7 @@ class _RootScan:
 
     def __init__(self, xi: float, tp: TranscendParams):
         k, d = tp.params.kappa, tp.delta
-        if not -1e-12 <= xi <= 1.0 - d + 1e-12:
-            raise ValueError(f"xi = {xi} outside [0, 1 - delta]")
+        _check_xi(xi, d)
         self.xi, self.tp = xi, tp
         sk = math.sqrt(k)
         self.s_max, step = _scan_grid(sk, d)
@@ -264,7 +264,7 @@ class _RootScan:
         self.roots: dict = {}  # beta -> refined root
 
     def _sign_scan(self, beta: float):
-        """(weights, j): j indexes the first sample where F is not positive."""
+        """(weights, j, F there): j indexes the first sample where F is not positive."""
         if not 0.0 <= beta <= math.inf:  # false for NaN
             raise ValueError(f"beta must lie in [0, inf], got {beta}")
         if beta == 0.0 and _interval_exp_mass(self.tp) >= 0.0:
@@ -283,7 +283,7 @@ class _RootScan:
                 f"no admissible root in (0, {self.s_max**2:.6g}); "
                 f"first/last samples {samples[:2]} ... {samples[-2:]}"
             )
-        return w, j
+        return w, j, float(g[j])
 
     def bracket(self, beta: float) -> tuple:
         """(lo, hi) in lambda holding the first root of F(xi, beta, .).
@@ -291,7 +291,7 @@ class _RootScan:
         (s[j-1]^2, s[j]^2) around the first sample s[j] where F is not
         positive, or (0, s[0]^2) when that is the first sample.
         """
-        _, j = self._sign_scan(beta)
+        _, j, _ = self._sign_scan(beta)
         lo = float(self.s[j - 1]) if j > 0 else 0.0
         hi = float(self.s[j])
         return lo * lo, hi * hi
@@ -303,12 +303,14 @@ class _RootScan:
         design F > 0 as lambda -> 0+, so a first sample that is not
         positive puts the root below the scan: s steps down by 16 to a
         positive sample, no lower than S_FLOOR, and brentq refines that
-        last step.
+        last step.  brentq's sign test f(a) f(b) < 0 underflows where F is
+        about 1e-240, so F is scaled, exactly, by the power of two that brings
+        |F(hi)| (a value the scan or the step-down has taken) into [0.5, 1).
         """
         lam = self.roots.get(beta)
         if lam is not None:
             return lam
-        (w0, w1, w2), j = self._sign_scan(beta)
+        (w0, w1, w2), j, f_hi = self._sign_scan(beta)
         c, s = self.consts, self.s
 
         def f(x):
@@ -319,8 +321,8 @@ class _RootScan:
             lo, hi, xtol = s[j - 1], s[j], 1e-15
         else:
             hi = s[0]
-            while not f(hi / 16.0) > 0.0:
-                hi /= 16.0
+            while not (f_lo := f(hi / 16.0)) > 0.0:
+                hi, f_hi = hi / 16.0, f_lo
                 if hi < S_FLOOR:
                     raise RootNotFoundError(
                         f"F is not positive at any s = sqrt(lambda) from {s[0]:.3g} "
@@ -328,8 +330,9 @@ class _RootScan:
                     )
             lo = hi / 16.0
             xtol = 1e-15 * lo
+        shift = -math.frexp(f_hi)[1]
         try:
-            s_root = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
+            s_root = brentq(lambda x: math.ldexp(f(x), shift), lo, hi, xtol=xtol, rtol=8.9e-16)
         except RuntimeError as exc:  # scipy's untyped "failed to converge"
             raise RootNotFoundError(
                 f"root refinement on s = sqrt(lambda) in ({lo:.6g}, {hi:.6g}): {exc}"
@@ -557,16 +560,27 @@ def delta_diag(beta: float, lam: float, tp: TranscendParams) -> float:
     )
 
 
+def _outer_piece(lam: float, b: float, y, end: float, xp=math):
+    """(u(y), u'(y)) / u(end) for u = s cosh(s y) + b sinh(s y), s = sqrt(lam).
+
+    u'(0) = b u(0): the outer piece at distance y <= end from its end of
+    [0, 1].  In om = 1 - e^{-2 s y} no exponent is positive and no term
+    subtracts, so it is finite and accurate for every s > 0.
+    """
+    s = math.sqrt(lam)
+    om, om_end = -xp.expm1(-2.0 * s * y), -math.expm1(-2.0 * s * end)
+    scale = xp.exp(s * (y - end)) / (s * (2.0 - om_end) + b * om_end)
+    return scale * (s * (2.0 - om) + b * om), scale * s * (s * om + b * (2.0 - om))
+
+
 @dataclass(frozen=True)
 class ClosedFormEigenfunction:
-    """Eigenfunction of the interval problem in closed form.
+    """Eigenfunction of the interval problem in closed form, 1 at xi.
 
-    Hyperbolic pieces left and right of the resource interval, a
-    trigonometric piece inside; A is fixed to 1 and B solves the 2x2
-    derivative-matching system, C and D follow from continuity.
+    Hyperbolic outside the resource interval, C cos(sqrt(lam k) x) +
+    D sin(sqrt(lam k) x) inside and B at xi + delta.
     """
 
-    A: float
     B: float
     C: float
     D: float
@@ -574,98 +588,54 @@ class ClosedFormEigenfunction:
     lam: float
     beta: float
     tp: TranscendParams
-    det_residual: float
 
     def evaluate(self, x) -> np.ndarray:
-        _, k, d, _, b = _shorthands(self.tp, self.beta)
-        s = math.sqrt(self.lam)
-        sk = math.sqrt(self.lam * k)
-        xi = self.xi
+        b = self.beta * math.exp(self.tp.params.alpha)
+        sk = math.sqrt(self.lam * self.tp.params.kappa)
+        xl, xr = self.xi, self.xi + self.tp.delta
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        den_l = s * math.cosh(s * xi) + b * math.sinh(s * xi)
-        den_r = s * math.cosh(s * (xi + d - 1.0)) - b * math.sinh(s * (xi + d - 1.0))
-        left = x < xi
-        mid = (x >= xi) & (x <= xi + d)
-        right = x > xi + d
-        out[left] = self.A * (s * np.cosh(s * x[left]) + b * np.sinh(s * x[left])) / den_l
-        out[mid] = self.C * np.cos(sk * x[mid]) + self.D * np.sin(sk * x[mid])
-        out[right] = (
-            self.B
-            * (s * np.cosh(s * (x[right] - 1.0)) - b * np.sinh(s * (x[right] - 1.0)))
-            / den_r
-        )
-        return out
+        return np.piecewise(x, [x < xl, x > xr], [
+            lambda y: _outer_piece(self.lam, b, y, xl, np)[0],
+            lambda y: self.B * _outer_piece(self.lam, b, 1.0 - y, 1.0 - xr, np)[0],
+            lambda y: self.C * np.cos(sk * y) + self.D * np.sin(sk * y),
+        ])
 
     def jump_residual(self) -> float:
-        """Relative defect in the derivative-matching conditions at the
-        interval endpoints; small only at a converged root."""
-        a, k, d, _, b = _shorthands(self.tp, self.beta)
-        s = math.sqrt(self.lam)
-        sk = math.sqrt(self.lam * k)
-        xi = self.xi
-        jump = math.exp(a * (k + 1.0))
-        den_l = s * math.cosh(s * xi) + b * math.sinh(s * xi)
-        den_r = s * math.cosh(s * (xi + d - 1.0)) - b * math.sinh(s * (xi + d - 1.0))
-        dl = self.A * s * (s * math.sinh(s * xi) + b * math.cosh(s * xi)) / den_l
-        dml = sk * (-self.C * math.sin(sk * xi) + self.D * math.cos(sk * xi))
-        r1 = jump * dml - dl
-        scale1 = abs(jump * dml) + abs(dl)
-        xr = xi + d
-        dmr = sk * (-self.C * math.sin(sk * xr) + self.D * math.cos(sk * xr))
-        dr = self.B * s * (s * math.sinh(s * (xr - 1.0)) - b * math.cosh(s * (xr - 1.0))) / den_r
-        r2 = dr - jump * dmr
-        scale2 = abs(dr) + abs(jump * dmr)
-        return max(abs(r1) / max(scale1, 1e-300), abs(r2) / max(scale2, 1e-300))
-
-
-def _matching_matrix(xi: float, beta: float, lam: float, tp: TranscendParams):
-    a, k, d, _, b = _shorthands(tp, beta)
-    s = math.sqrt(lam)
-    sk = math.sqrt(lam * k)
-    jump = math.sqrt(k) * math.exp(a * (k + 1.0))
-    sd = math.sin(sk * d)
-    cd = math.cos(sk * d)
-    chl = math.cosh(s * xi)
-    shl = math.sinh(s * xi)
-    chr_ = math.cosh(s * (xi + d - 1.0))
-    shr = math.sinh(s * (xi + d - 1.0))
-    m11 = jump * (s * chl + b * shl) * cd + (s * shl + b * chl) * sd
-    m12 = -jump * (s * chl + b * shl)
-    m21 = -jump * (s * chr_ - b * shr)
-    m22 = jump * (s * chr_ - b * shr) * cd - (s * shr - b * chr_) * sd
-    return m11, m12, m21, m22
+        """Defect of e^{a(k+1)} phi' inside against phi' outside at the
+        interval's ends, over the larger end's sum of both sizes (an end
+        with no outer piece under Neumann conditions is all rounding).
+        Small only at a converged root.
+        """
+        a, k, lam = self.tp.params.alpha, self.tp.params.kappa, self.lam
+        b, sk = self.beta * math.exp(a), math.sqrt(lam * k)
+        jump, xl, xr = math.exp(a * (k + 1.0)) * sk, self.xi, self.xi + self.tp.delta
+        inner = [jump * (self.D * math.cos(sk * x) - self.C * math.sin(sk * x)) for x in (xl, xr)]
+        outer = [_outer_piece(lam, b, xl, xl)[1], -self.B * _outer_piece(lam, b, 1 - xr, 1 - xr)[1]]
+        scale = max(abs(i) + abs(o) for i, o in zip(inner, outer))
+        return max(abs(i - o) for i, o in zip(inner, outer)) / scale if scale else 0.0
 
 
 def closed_form_eigenfunction(
     xi: float, beta: float, lam: float, tp: TranscendParams
 ) -> ClosedFormEigenfunction:
-    """Assemble the closed-form eigenfunction at a converged root lam."""
-    if not 0.0 <= beta < math.inf:  # false for NaN
-        raise ValueError(f"closed-form eigenfunction needs beta in [0, inf), got {beta}")
-    k, d = tp.params.kappa, tp.delta
-    m11, m12, m21, m22 = _matching_matrix(xi, beta, lam, tp)
-    det = m11 * m22 - m12 * m21
-    scale = abs(m11 * m22) + abs(m12 * m21)
-    if max(abs(m12), abs(m22)) <= 1e-14 * math.sqrt(scale + 1.0):
-        raise RankDeficientError("both kernel candidates degenerate")
-    big_a = 1.0
-    if abs(m12) >= abs(m22):
-        big_b = -m11 / m12
-    else:
-        big_b = -m21 / m22
+    """Assemble the closed-form eigenfunction at a converged root lam.
+
+    One pass from left to right: the left piece meets the Robin condition
+    at 0 and is 1 at xi; its flux e^{a m} phi' carries into the interval as
+    cos(sk (x - xi)) + g sin(sk (x - xi)), sk = sqrt(lam k), g =
+    phi'(xi-) / (e^{a(k+1)} sk), whose value B at xi + delta scales the
+    right piece.  The flux matches at xi + delta only at a root of F.
+    """
+    a, k, b = tp.params.alpha, tp.params.kappa, beta * math.exp(tp.params.alpha)
+    if not 0.0 <= b < math.inf:  # false for NaN
+        raise ValueError(f"closed-form eigenfunction needs beta e^alpha in [0, inf), got {beta}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"closed-form eigenfunction needs a finite lambda > 0, got {lam}")
+    _check_xi(xi, tp.delta)
     sk = math.sqrt(lam * k)
-    sd = math.sin(sk * d)
-    big_c = (big_a * math.sin(sk * (xi + d)) - big_b * math.sin(sk * xi)) / sd
-    big_d = -(big_a * math.cos(sk * (xi + d)) - big_b * math.cos(sk * xi)) / sd
-    return ClosedFormEigenfunction(
-        A=big_a,
-        B=big_b,
-        C=big_c,
-        D=big_d,
-        xi=xi,
-        lam=lam,
-        beta=beta,
-        tp=tp,
-        det_residual=abs(det) / max(scale, 1e-300),
-    )
+    g = _outer_piece(lam, b, xi, xi)[1] / (math.exp(a * (k + 1.0)) * sk)
+    if not math.isfinite(g * sk):
+        raise NonFiniteError(f"closed form overflows at xi = {xi}, beta = {beta}, lam = {lam}")
+    c, s, phase = math.cos(sk * xi), math.sin(sk * xi), sk * tp.delta
+    b_end = math.cos(phase) + g * math.sin(phase)
+    return ClosedFormEigenfunction(b_end, c - g * s, s + g * c, xi, lam, beta, tp)

@@ -234,12 +234,13 @@ class TestLocate:
         assert len((tmp_path / "o" / "sweep.csv").read_text().splitlines()) == 5
 
     def test_unconverged_root_exits_3(self, tmp_path, capsys):
-        # one length of the scan has a root that brentq does not converge on:
-        # a typed solver error, so exit 3 with error.json and no traceback
-        params = "alpha=4.094669370869853,kappa=44.04074808284618,m0=0.20318635971420004"
-        argv = ["locate", "--beta", "3.431750800025686e-82", "--params", params]
+        # one length of the scan has its root below S_FLOOR^2, where the root
+        # scan stops: a typed solver error, so exit 3 with error.json and no
+        # traceback
+        params = "alpha=5.564543571747359,kappa=48.39791318673609,m0=0.03411805276675452"
+        argv = ["locate", "--beta", "1.0185061675060684e-122", "--params", params]
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 3
-        assert "Failed to converge" in capsys.readouterr().err
+        assert "F is not positive" in capsys.readouterr().err
         error = json.loads((tmp_path / "o" / "error.json").read_text())
         assert error["error"] == "RootNotFoundError"
 
@@ -509,7 +510,6 @@ class TestFailurePolicy:
             (eigensolve.BracketError, RuntimeError),
             (eigensolve.SolverError, RuntimeError),
             (transcend.RootNotFoundError, RuntimeError),
-            (transcend.RankDeficientError, RuntimeError),
             (transcend.TanPoleError, ValueError),
             (transcend.NonFiniteError, ValueError),
             (cli.ConfigError, ValueError),

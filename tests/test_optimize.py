@@ -337,12 +337,13 @@ class TestSweep:
         assert rows == [locate_optimal_interval(b, None, params) for b in betas + [math.inf]]
 
     def test_unconverged_row_is_a_failure(self):
-        # brentq does not converge on one scanned length's root: the row is
-        # recorded with RootNotFoundError's message and the sweep goes on
-        p = ModelParams(4.094669370869853, 44.04074808284618, 0.20318635971420004)
-        rows, failures = sweep_beta([3.431750800025686e-82], p)
-        assert [beta for beta, _ in failures] == [3.431750800025686e-82]
-        assert "Failed to converge" in failures[0][1]
+        # one scanned length's root lies below S_FLOOR^2, where the root scan
+        # stops: the row is recorded with RootNotFoundError's message and the
+        # sweep goes on
+        p = ModelParams(5.564543571747359, 48.39791318673609, 0.03411805276675452)
+        rows, failures = sweep_beta([1.0185061675060684e-122], p)
+        assert [beta for beta, _ in failures] == [1.0185061675060684e-122]
+        assert "F is not positive" in failures[0][1]
         assert [r.beta for r in rows] == [math.inf]
 
     @pytest.mark.parametrize("p", [ModelParams(0.2, 1.0, 0.4), ModelParams(0.45, 0.05, 0.05)])

@@ -21,6 +21,7 @@ from drifteig import (
     regime_equations,
     transcendental_root,
 )
+from drifteig.optimize import delta_star
 from drifteig.transcend import NonFiniteError, RootNotFoundError, _f_scaled, _RootScan
 
 # First roots of the literal F from an 80-digit mpmath bisection (a log scan
@@ -302,13 +303,24 @@ class TestTranscendentalRoot:
             widths.append(0 if prune.terms is None else prune.terms.shape[2])
         assert widths[0] == 0 and len(set(widths[1:])) >= 2  # built on call 2, widened later
 
-    def test_unconverged_refinement_raises_typed(self):
-        # brentq stops after 100 iterations on this design's tiny root (about
-        # 1e-79 in lambda); its untyped RuntimeError becomes RootNotFoundError
+    def test_unconverged_refinement_raises_typed(self, monkeypatch, tp):
+        # scipy's untyped RuntimeError from brentq becomes RootNotFoundError
+        def brentq_fails(*args, **kwargs):
+            raise RuntimeError("Failed to converge after 100 iterations, value is 0.5")
+
+        monkeypatch.setattr("drifteig.transcend.brentq", brentq_fails)
+        with pytest.raises(RootNotFoundError, match="Failed to converge"):
+            transcendental_root(0.2, 3.0, tp)
+
+    def test_root_where_sign_products_underflow(self):
+        # F's scaled values near this root are about 1e-240, so brentq's sign
+        # products underflow to 0 unless F is scaled by a power of two; it
+        # failed to converge without.  Reference: the root of the same scaled
+        # F by an mpmath bisection, 4.8700486961504503e-160
         p = ModelParams(4.094669370869853, 44.04074808284618, 0.20318635971420004)
         tp = TranscendParams(params=p, delta=0.015411111911472448)
-        with pytest.raises(RootNotFoundError, match="Failed to converge"):
-            transcendental_root(0.0, 3.431750800025686e-82, tp)
+        lam = transcendental_root(0.0, 3.431750800025686e-82, tp)
+        assert lam == pytest.approx(4.8700486961504503e-160, rel=1e-11)
 
     def test_one_sample_scan_root_below_it(self):
         # pi / (sqrt(kappa) delta) < 1e-4: the scan is the single sample
@@ -544,13 +556,24 @@ class TestLiteralOverflow:
         assert transcendental_root(0.0, 1.0, self.TP_TOP) == pytest.approx(2.12e-139, rel=1e-2)
 
 
+def _high_contrast_cases(p):
+    """(params, delta*, xi, beta): three placements at delta*, two Robin coefficients."""
+    d = delta_star(p)
+    return [(p, d, xi, beta) for xi in (0.0, 0.1 * (1 - d), 0.5 * (1 - d)) for beta in (1.0, 10.0)]
+
+
 class TestClosedFormEigenfunction:
-    def test_matches_grid_eigenfunction(self, tp, params):
-        xi, beta = 0.15, 2.0
+    @pytest.mark.parametrize(
+        "p, delta, xi, beta",
+        [(ModelParams(0.2, 1.0, 0.4), 0.3, 0.15, 2.0)]
+        + _high_contrast_cases(ModelParams(1.5, 5.0, 0.2)),
+    )
+    def test_matches_grid_eigenfunction(self, p, delta, xi, beta):
+        tp = TranscendParams(p, delta)
         lam = transcendental_root(xi, beta, tp)
         cf = closed_form_eigenfunction(xi, beta, lam, tp)
-        w = BangBangInterval(xi, 0.3, params).weight()
-        pair = principal_eigenvalue(w, params, Boundary.robin(beta), make_discretization(4000, w))
+        w = BangBangInterval(xi, delta, p).weight()
+        pair = principal_eigenvalue(w, p, Boundary.robin(beta), make_discretization(4000, w))
         mine = cf.evaluate(pair.nodes)
         mine = mine / mine.max()
         theirs = pair.phi / pair.phi.max()
@@ -567,12 +590,23 @@ class TestClosedFormEigenfunction:
             assert left == pytest.approx(mid, rel=1e-9)
             assert right == pytest.approx(mid, rel=1e-9)
 
-    def test_jump_residual_small_at_root(self, tp):
-        xi, beta = 0.2, 3.0
+    # the default design at beta = 3; its Neumann ends with no outer piece,
+    # where both derivatives are rounding; and high contrast, alpha (kappa + 1)
+    # = 93
+    @pytest.mark.parametrize(
+        "p, delta, xi, beta",
+        [
+            (ModelParams(0.2, 1.0, 0.4), 0.3, 0.2, 3.0),
+            (ModelParams(0.2, 1.0, 0.4), 0.3, 0.0, 0.0),
+            (ModelParams(0.2, 1.0, 0.4), 0.3, 0.7, 0.0),
+        ]
+        + _high_contrast_cases(ModelParams(3.0, 30.0, 0.2)),
+    )
+    def test_jump_residual_small_at_root(self, p, delta, xi, beta):
+        tp = TranscendParams(p, delta)
         lam = transcendental_root(xi, beta, tp)
         cf = closed_form_eigenfunction(xi, beta, lam, tp)
         assert cf.jump_residual() <= 1e-9
-        assert cf.det_residual <= 1e-8
 
     def test_residual_large_off_root(self, tp):
         xi, beta = 0.2, 3.0
@@ -587,3 +621,15 @@ class TestClosedFormEigenfunction:
     def test_nan_beta_rejected(self, tp):
         with pytest.raises(ValueError):
             closed_form_eigenfunction(0.0, math.nan, 8.0, tp)
+
+    # bad lambda, xi outside [0, 1 - delta], beta e^alpha past float max, and
+    # an inner sine coefficient, beta e^alpha / (e^{alpha(kappa+1)} sqrt(lambda
+    # kappa)) at xi = 0, past it too
+    @pytest.mark.parametrize(
+        "xi, beta, lam",
+        [(0.0, 1.0, lam) for lam in (0.0, -1.0, math.nan, math.inf)]
+        + [(-0.5, 1.0, 8.0), (0.9, 1.0, 8.0), (0.0, 1e308, 8.0), (0.0, 1e300, 1e-300)],
+    )
+    def test_bad_input_rejected(self, tp, xi, beta, lam):
+        with pytest.raises(ValueError):
+            closed_form_eigenfunction(xi, beta, lam, tp)
