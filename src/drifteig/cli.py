@@ -192,7 +192,7 @@ def _resolve(args) -> None:
                 optimize.delta_star(args.params) if delta is None else delta,
                 args.params,
             )
-            # the interval's closed form: a length whose root scan stays finite
+            # the interval's closed form: a length whose root search stays finite
             transcend.TranscendParams(args.params, args.interval.delta)
         if "weight" in has:
             raw_w = raw["weight"]
@@ -440,9 +440,9 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
         # go through the placement rule
         excess = -math.inf
         for x in np.linspace(0.0, 1.0 - dstar, 33):
-            scan = transcend._RootScan(float(x), tp)  # one scan serves both beta
             for opt in optima():
-                excess = max(excess, opt.lambda_star / scan.root(opt.beta) - 1.0)
+                root = transcend.transcendental_root(float(x), opt.beta, tp)
+                excess = max(excess, opt.lambda_star / root - 1.0)
         return excess, "max(lambda*/root - 1) on a 33-point xi scan at 0.5/2 beta_crit"
 
     def mollify():

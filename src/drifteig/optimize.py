@@ -15,19 +15,14 @@ in the tests and in the CLI's verify battery.
 
 The interval length comes from choose_delta: pinned to delta* where the
 paper's sufficient condition makes the mass bound active, and otherwise
-scanned over the resource amount.  A point whose root bracket starts above
-another's top cannot hold the minimum, so the scan refines m0 first and
-prunes before it builds: one numpy evaluation of every other length's
-first samples, up to m0's bracket top, finds the few whose brackets can
-start at or below it.  Only those get a root scan, and only those whose
-bracket starts at or below the lowest top are refined.  Those samples do
-not depend on beta either, so a sweep's rows evaluate each (length,
-placement) sample once and share it.  The bound is
-usually active at the optimum, so a scan whose minimum is at the bound is
-settled by one probe just inside it rather than by a golden-section search
-that only creeps back to the bound; that is exact whenever the golden
-search itself is, since both assume lambda unimodal on the scan's first
-cell.
+scanned over the resource amount.  A length whose root lies above m0's
+cannot hold the minimum, so the scan refines m0 first and asks of the other
+lengths, in one numpy evaluation of F at m0's root, which roots lie at or
+below it; only those are refined.  The bound is usually active at the
+optimum, so a scan whose minimum is at the bound is settled by one probe
+just inside it rather than by a golden-section search that only creeps
+back to the bound; that is exact whenever the golden search itself is,
+since both assume lambda unimodal on the scan's first cell.
 """
 
 from __future__ import annotations
@@ -104,27 +99,23 @@ def delta_star(params: ModelParams) -> float:
     return (1.0 - params.m0) / (params.kappa + 1.0)
 
 
-def _placed(beta: float, delta: float, params: ModelParams, scans: dict) -> tuple:
-    """(scan, regime, beta_crit) of locate_optimal_interval's placement rule.
+def _placed(beta: float, delta, params: ModelParams) -> tuple:
+    """(xi*, beta_crit) of the trichotomy, for one length or an array of them.
 
-    scan is the _RootScan of (delta, xi*) in scans, built on first use: its
-    terms do not depend on beta, so a sweep's rows share it and the roots it
-    has refined; scans lives as long as the caller's sweep or design call.
-    Under the key "prune", scans also holds choose_delta's
-    transcend._BracketPrune, whose terms the rows share the same way.
+    xi* is the centre (1 - delta)/2 where beta lies above beta_crit by more
+    than DEGENERATE_BAND (Dirichlet included), and 0 below it or inside the
+    band, where every location is optimal.  One length gives floats.
     """
+    bcrit = transcend.critical_beta(params.alpha, params.kappa, delta)
+    centred = (np.abs(beta - bcrit) > DEGENERATE_BAND) & (beta >= bcrit)
+    xi = np.where(centred, 0.5 * (1.0 - delta), 0.0)
+    return (xi, bcrit) if xi.ndim else (float(xi), bcrit)
+
+
+def _root(beta: float, delta: float, params: ModelParams) -> float:
+    """The transcendental root at length delta, placed by _placed's rule."""
     tp = transcend.TranscendParams(params=params, delta=delta)
-    bcrit = transcend.beta_crit(tp)
-    if abs(beta - bcrit) <= DEGENERATE_BAND:
-        regime, xi = Regime.DEGENERATE, 0.0
-    elif beta < bcrit:
-        regime, xi = Regime.BOUNDARY_LEFT, 0.0
-    else:
-        regime, xi = Regime.CENTERED, 0.5 * (1.0 - delta)
-    scan = scans.get((delta, xi))
-    if scan is None:
-        scan = scans[(delta, xi)] = transcend._RootScan(xi, tp)
-    return scan, regime, bcrit
+    return transcend.transcendental_root(_placed(beta, delta, params)[0], beta, tp)
 
 
 def locate_optimal_interval(beta: float, delta: float | None, params: ModelParams) -> DesignOptimum:
@@ -139,17 +130,22 @@ def locate_optimal_interval(beta: float, delta: float | None, params: ModelParam
     [0, inf], Dirichlet included, takes its eigenvalue from that root, so
     no grid is solved.
     """
-    return _locate(beta, delta, params, {})
-
-
-def _locate(beta: float, delta: float | None, params: ModelParams, scans: dict) -> DesignOptimum:
+    lam = None
     if delta is None:
-        delta = _choose_delta(params, beta, scans)
-    scan, regime, bcrit = _placed(beta, delta, params, scans)
+        delta, lam = _choose_delta(params, beta)
+    if lam is None:
+        lam = _root(beta, delta, params)
+    xi, bcrit = _placed(beta, delta, params)
+    if xi > 0.0:
+        regime = Regime.CENTERED
+    elif abs(beta - bcrit) <= DEGENERATE_BAND:
+        regime = Regime.DEGENERATE
+    else:
+        regime = Regime.BOUNDARY_LEFT
     return DesignOptimum(
-        xi_star=scan.xi,
+        xi_star=xi,
         delta=delta,
-        lambda_star=scan.root(beta),
+        lambda_star=lam,
         regime=regime,
         mass_active=abs(delta - delta_star(params)) <= 1e-12,
         beta=beta,
@@ -186,17 +182,13 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     active, with delta = delta* exactly, when the minimizer lies within
     ACTIVE_TOL of the bound m0.  So active is always delta == delta_star(params).
 
-    The scan refines m0 first (its value is reused below).  Each root lies
-    in its bracket, so a point whose bracket starts above m0's top cannot
-    hold the minimum; one evaluation of the other 31 lengths' samples up to
-    that top (transcend._brackets_start_by, the same bits as their scans)
-    finds the points whose brackets can start at or below it, and only
-    those get a root scan.  Of them, the points whose brackets start at or
-    below the lowest bracket top are refined.  So the pick, the lowest
-    index with the smallest refined value, is the argmin over all grid
-    points, as if every point were refined.  The samples do not depend on
-    beta, so the rows of a sweep share them (transcend._BracketPrune, kept
-    in the sweep's scans) with the same answers.
+    The scan refines m0 first.  A point whose root lies above m0's cannot
+    hold the minimum, and F has one root below each length's s_max, so one
+    evaluation of F at m0's root (transcend._roots_at_or_below) tells
+    exactly which of the other 31 lengths have roots at or below it; only
+    those are refined.  So the pick, the lowest index with the smallest
+    refined value, is the argmin over all grid points, as if every point
+    were refined.
 
     When the scan's smallest value is at m0 itself, one probe settles it:
     the golden refinement assumes lambda unimodal on [m0, grid[1]], and
@@ -205,65 +197,53 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     refining.  Otherwise (an interior scan minimum, or a flat or falling
     start) golden-section search refines the bracket around it.
     """
-    delta = _choose_delta(params, beta, {})
+    delta = _choose_delta(params, beta)[0]
     return delta, delta == delta_star(params)
 
 
-def _choose_delta(params: ModelParams, beta: float, scans: dict) -> float:
+def _choose_delta(params: ModelParams, beta: float) -> tuple:
+    """(delta, lambda): choose_delta's length, and its root when the scan refined it, else None."""
     dstar = delta_star(params)
     if active_constraint_condition(params, beta):
-        return dstar
+        return dstar, None
 
     def length(mt):
         return (1.0 - mt) / (params.kappa + 1.0)
 
-    def scan_at(mt: float) -> transcend._RootScan:
-        return _placed(beta, length(mt), params, scans)[0]
-
     hi_mt = 1.0 - 1e-3
     if params.m0 > hi_mt:
-        return dstar  # nothing to scan: every larger amount lies above the cap
+        return dstar, None  # nothing to scan: every larger amount lies above the cap
     grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)  # grid[0] is m0 itself
-    first = scan_at(params.m0)
-    brackets = {0: first.bracket(beta)}
-    vals = {0: first.root(beta)}
-    # no bracket starting above m0's top can hold the minimum: find the lengths
-    # whose brackets may start lower in one evaluation, placed by _placed's
-    # rule, and build scans for those alone
+    vals = {0: _root(beta, dstar, params)}
+    # no root above m0's can be the minimum: find the lengths whose roots lie
+    # at or below it in one evaluation, placed by _placed's rule, and refine those
     lengths = length(grid[1:])
-    bcrit = transcend.critical_beta(params.alpha, params.kappa, lengths)
-    centered = (np.abs(beta - bcrit) > DEGENERATE_BAND) & (beta >= bcrit)
-    prune = scans.get("prune")  # the lengths depend on params alone, so a sweep shares it
-    if prune is None:
-        prune = scans["prune"] = transcend._BracketPrune(params, lengths, 0.5 * (1.0 - lengths))
-    maybe = prune(beta, brackets[0][1], centered)
-    candidates = {int(i): scan_at(float(grid[i])) for i in 1 + np.flatnonzero(maybe)}
-    brackets.update((i, scan.bracket(beta)) for i, scan in candidates.items())
-    top = min(hi for _, hi in brackets.values())
-    # a point whose bracket starts above the lowest bracket top cannot be the minimum
-    for i, scan in candidates.items():
-        if brackets[i][0] <= top:
-            vals[i] = scan.root(beta)
+    below = transcend._roots_at_or_below(
+        beta, vals[0], params, lengths, _placed(beta, lengths, params)[0]
+    )
+    for i in np.flatnonzero(below).tolist():
+        vals[i + 1] = _root(beta, float(lengths[i]), params)
     i = min(vals, key=vals.get)  # the lowest index with the smallest value
-    if i == 0 and scan_at(params.m0 + ACTIVE_TOL).root(beta) > vals[0]:
-        return dstar  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
+    if i == 0 and _root(beta, length(params.m0 + ACTIVE_TOL), params) > vals[0]:
+        return dstar, vals[0]  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, DELTA_SCAN_POINTS - 1)]
-    mt_opt, lam_opt = _golden_min(lambda mt: scan_at(mt).root(beta), float(lo), float(hi), 1e-7)
+    mt_opt, lam_opt = _golden_min(
+        lambda mt: _root(beta, length(mt), params), float(lo), float(hi), 1e-7
+    )
     if vals[0] <= lam_opt + 1e-12 or abs(mt_opt - params.m0) <= ACTIVE_TOL:
-        return dstar  # grid[0] is m0 itself
-    return length(mt_opt)
+        return dstar, vals[0]  # grid[0] is m0 itself
+    return length(mt_opt), lam_opt
 
 
 def sweep_beta(beta_grid: Sequence[float], params: ModelParams) -> tuple:
     """One located optimum per beta, plus the Dirichlet asymptote row.
 
-    Returns (rows, failures); rows are DesignOptimum with choose_delta's
-    length, in the grid's order and then at beta = inf, and failures hold
-    (beta, message) for rows whose solve raised a DriftEigError; the sweep
-    continues past them.  Every row, the Dirichlet one too, is a
-    transcendental root; the rows scan the same interval lengths, so they
-    share one root scan per (delta, xi).
+    Returns (rows, failures); rows are locate_optimal_interval's DesignOptimum
+    with choose_delta's length, in the grid's order and then at beta = inf,
+    and failures hold (beta, message) for rows whose solve raised a
+    DriftEigError; the sweep continues past them.  Every row, the Dirichlet
+    one too, is a transcendental root.
     """
     betas = [float(b) for b in beta_grid]
     if not betas:
@@ -272,10 +252,9 @@ def sweep_beta(beta_grid: Sequence[float], params: ModelParams) -> tuple:
         raise ValueError("beta grid must be sorted, positive and finite")
     rows: list[DesignOptimum] = []
     failures: list[tuple] = []
-    scans: dict = {}
     for beta in betas + [math.inf]:
         try:
-            rows.append(_locate(beta, None, params, scans))
+            rows.append(locate_optimal_interval(beta, None, params))
         except DriftEigError as exc:
             failures.append((beta, str(exc)))
     return rows, failures

@@ -9,12 +9,12 @@ K = kappa e^{2 alpha (kappa+1)}, is one finite expression for every beta
 in [0, inf]: three beta-free terms R0, R1, R2 weighted by
 (1, b, b^2) / (1 + b)^2, which is (0, 0, 1) under Dirichlet conditions
 (beta = inf, the limit F / b^2).  This module evaluates F and its pieces,
-locates the first positive root (one scan of the terms per interval serves
-every beta), tells for many intervals in one evaluation, shared by later
-calls on the same intervals, which of their root brackets can start below
-a given bound, computes the critical Robin
-coefficient at which the optimal interval location switches from the
-boundary to the center, and reconstructs the closed-form eigenfunction for
+finds the first positive root (the only one in the first period of
+sin(sqrt(lam k) delta), so a step-down from the top of that period brackets
+it), tells for many intervals in one evaluation of F whose roots lie at or
+below a given lambda, computes the critical Robin coefficient at which the
+optimal interval location switches from the boundary to the center, and
+reconstructs the closed-form eigenfunction for
 cross-checks against the discretized solver.
 """
 
@@ -29,13 +29,12 @@ from scipy.optimize import brentq
 
 from .weights import DriftEigError, ModelParams
 
-S_FLOOR = 1e-150  # lowest sqrt(lambda) the root scan steps down to
-SCAN_TERM_MAX = 1e308  # bound on the root scan's terms, below the float maximum
-SCAN_STEP = 0.01  # the root scan's growth rate of 1 + sqrt(lambda) per sample, at most
+S_FLOOR = 1e-150  # lowest sqrt(lambda) the root search steps down to
+SCAN_TERM_MAX = 1e308  # bound on F's terms up to the root search's top, below the float maximum
 
 
 class RootNotFoundError(DriftEigError, RuntimeError):
-    """Scan exhausted without an admissible sign change."""
+    """No admissible sign change of F, or its refinement did not converge."""
 
 
 class TanPoleError(DriftEigError, ValueError):
@@ -50,8 +49,8 @@ def _finite(fn):
     """Return fn's results when all are finite, else raise NonFiniteError.
 
     The literal expressions carry K = kappa e^{2 alpha (kappa+1)} unscaled,
-    so they overflow on parts of the admissible box where the scaled root
-    scan is fine.
+    so they overflow on parts of the admissible box where the scaled F of
+    the root search is fine.
     """
 
     @functools.wraps(fn)
@@ -77,13 +76,13 @@ class TranscendParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        # the root scan's largest term is lambda max(1, 1/kappa) at its top,
+        # F's largest term is lambda max(1, 1/kappa) at the root search's top,
         # lambda = (pi / (sqrt(kappa) delta))^2; it must stay below SCAN_TERM_MAX
         rk = math.sqrt(self.params.kappa)
         if rk * min(1.0, rk) * self.delta * math.sqrt(SCAN_TERM_MAX) < math.pi:
             raise ValueError(
                 f"delta = {self.delta} is too small for kappa = {self.params.kappa}: "
-                f"the root scan's terms would pass {SCAN_TERM_MAX:g}"
+                f"F's terms would pass {SCAN_TERM_MAX:g}"
             )
 
 
@@ -103,7 +102,7 @@ def F_components(xi: float, beta: float, lam: float, tp: TranscendParams):
     Returns (F_s, F_c, F) with
       F = -F_s * sin(sqrt(lam k) d) + sqrt(k) e^{a(k+1)} F_c * cos(sqrt(lam k) d).
     Values are the literal (unscaled) expressions, NonFiniteError where they
-    overflow; for root scanning use the overflow-safe internal variant.
+    overflow; for root finding use the overflow-safe internal variant.
     """
     a, k, d, big_k, b = _shorthands(tp, beta)
     s = math.sqrt(lam)
@@ -158,8 +157,8 @@ def _terms(s, c, xp):
     Every exponent is non-positive and gap is a product of expm1 factors,
     so the R_i are finite on the whole admissible box and a large K
     multiplies no difference of nearby terms.  c is _consts(xi, params, d);
-    s is an array with xp = numpy (the scan) or a float with xp = math
-    (brentq's scalar calls).
+    s is a float with xp = math (the root search's scalar calls), or s
+    and c hold arrays with xp = numpy (several lambdas or intervals at once).
     """
     inv_k, front, c_om, c_left, c_right, c_theta = c
     lam = s * s
@@ -208,28 +207,13 @@ def _interval_exp_mass(tp: TranscendParams) -> float:
     return k * d * math.exp(a * k) - (1.0 - d) * math.exp(-a)
 
 
-def _scan_grid(sk, d):
-    """(s_max, step) of the root scan of an interval of length d.
+def _s_max(sk, d):
+    """The top of an interval's root search, just below pi / (sqrt(k) d).
 
-    s_max lies just below pi / (sqrt(k) d), where sqrt(lam k) d reaches pi,
-    and step is SCAN_STEP unless an eighth of that is less.  d may be an
-    array.
+    There sqrt(lam k) d reaches pi, the end of the first period of sin.  d
+    may be an array.
     """
-    period = math.pi / (sk * d)
-    return period * (1.0 - 1e-12), np.minimum(SCAN_STEP, period / 8.0)
-
-
-def _sample_count(s_max: float, step: float) -> int:
-    """Number of root-scan samples up to s_max: j = 0 .. j_end, s_j_end >= s_max."""
-    return max(math.ceil(math.log((1.0 + s_max) / (1.0 + 1e-4)) / math.log1p(step)), 0) + 1
-
-
-def _samples(count: int, step: float) -> np.ndarray:
-    """The root scan's first count samples s_j = (1 + 1e-4)(1 + step)^j - 1.
-
-    Unclipped: a scan clips them at its own s_max.
-    """
-    return (1.0 + 1e-4) * (1.0 + step) ** np.arange(count) - 1.0
+    return math.pi / (sk * d) * (1.0 - 1e-12)
 
 
 def _check_xi(xi: float, d: float):
@@ -237,242 +221,73 @@ def _check_xi(xi: float, d: float):
         raise ValueError(f"xi = {xi} outside [0, 1 - delta]")
 
 
-class _RootScan:
-    """F's beta-free terms on the root scan of one interval (xi, delta).
-
-    The scan runs in the sqrt(lambda) variable on geometrically growing
-    steps s_j = (1 + 1e-4)(1 + step)^j - 1 up to just below
-    pi / (sqrt(k) d).  Every sample keeps sqrt(lam k) d inside (0, pi), the
-    first period of sin, so the first sign change is the principal root.
-    Only the weights of _terms depend on beta, so one scan serves every
-    beta.  A root comes in two steps: bracket(beta), a weighted sum and the
-    sign scan, puts it in a lambda interval; root(beta) refines that
-    interval with brentq, once per beta, and keeps the result.  Callers
-    that compare roots can compare brackets first and refine only the ones
-    that can win.
-    """
-
-    def __init__(self, xi: float, tp: TranscendParams):
-        k, d = tp.params.kappa, tp.delta
-        _check_xi(xi, d)
-        self.xi, self.tp = xi, tp
-        sk = math.sqrt(k)
-        self.s_max, step = _scan_grid(sk, d)
-        self.s = np.minimum(_samples(_sample_count(self.s_max, step), step), self.s_max)
-        self.consts = _consts(xi, tp.params, d)
-        self.terms = _terms(self.s, self.consts, np)
-        self.roots: dict = {}  # beta -> refined root
-
-    def _sign_scan(self, beta: float):
-        """(weights, j, F there): j indexes the first sample where F is not positive."""
-        if not 0.0 <= beta <= math.inf:  # false for NaN
-            raise ValueError(f"beta must lie in [0, inf], got {beta}")
-        if beta == 0.0 and _interval_exp_mass(self.tp) >= 0.0:
-            raise ValueError(
-                "Neumann zero regime for this interval weight: "
-                "no positive principal eigenvalue"
-            )
-        w0, w1, w2 = w = _weights(beta, self.tp.params.alpha)
-        r0, r1, r2 = self.terms
-        g = w0 * r0 + w1 * r1 + w2 * r2
-        stop = g <= 0.0
-        j = int(stop.argmax())
-        if not stop[j]:
-            samples = list(zip(self.s.tolist(), g.tolist()))
-            raise RootNotFoundError(
-                f"no admissible root in (0, {self.s_max**2:.6g}); "
-                f"first/last samples {samples[:2]} ... {samples[-2:]}"
-            )
-        return w, j, float(g[j])
-
-    def bracket(self, beta: float) -> tuple:
-        """(lo, hi) in lambda holding the first root of F(xi, beta, .).
-
-        (s[j-1]^2, s[j]^2) around the first sample s[j] where F is not
-        positive, or (0, s[0]^2) when that is the first sample.
-        """
-        _, j, _ = self._sign_scan(beta)
-        lo = float(self.s[j - 1]) if j > 0 else 0.0
-        hi = float(self.s[j])
-        return lo * lo, hi * hi
-
-    def root(self, beta: float) -> float:
-        """First positive root lambda of F(xi, beta, .), beta in [0, inf].
-
-        The bracket of _sign_scan, refined by brentq.  On every admissible
-        design F > 0 as lambda -> 0+, so a first sample that is not
-        positive puts the root below the scan: s steps down by 16 to a
-        positive sample, no lower than S_FLOOR, and brentq refines that
-        last step.  brentq's sign test f(a) f(b) < 0 underflows where F is
-        about 1e-240, so F is scaled, exactly, by the power of two that brings
-        |F(hi)| (a value the scan or the step-down has taken) into [0.5, 1).
-        """
-        lam = self.roots.get(beta)
-        if lam is not None:
-            return lam
-        (w0, w1, w2), j, f_hi = self._sign_scan(beta)
-        c, s = self.consts, self.s
-
-        def f(x):
-            r0, r1, r2 = _terms(x, c, math)
-            return w0 * r0 + w1 * r1 + w2 * r2
-
-        if j > 0:
-            lo, hi, xtol = s[j - 1], s[j], 1e-15
-        else:
-            hi = s[0]
-            while not (f_lo := f(hi / 16.0)) > 0.0:
-                hi, f_hi = hi / 16.0, f_lo
-                if hi < S_FLOOR:
-                    raise RootNotFoundError(
-                        f"F is not positive at any s = sqrt(lambda) from {s[0]:.3g} "
-                        f"down to {hi:.3g}"
-                    )
-            lo = hi / 16.0
-            xtol = 1e-15 * lo
-        shift = -math.frexp(f_hi)[1]
-        try:
-            s_root = brentq(lambda x: math.ldexp(f(x), shift), lo, hi, xtol=xtol, rtol=8.9e-16)
-        except RuntimeError as exc:  # scipy's untyped "failed to converge"
-            raise RootNotFoundError(
-                f"root refinement on s = sqrt(lambda) in ({lo:.6g}, {hi:.6g}): {exc}"
-            ) from exc
-        lam = self.roots[beta] = s_root * s_root
-        return lam
-
-
-def _brackets_start_by(
-    beta: float, top: float, params: ModelParams, deltas: np.ndarray, xis: np.ndarray
-) -> np.ndarray:
-    """For each interval (deltas[i], xis[i]): may its bracket(beta) start at or below top?
-
-    False is exact: _RootScan(xis[i], TranscendParams(params, deltas[i]))
-    .bracket(beta)[0] > top.  True may not be, so the caller builds that scan
-    and compares its bracket.  No scan is built here: every interval whose
-    step is SCAN_STEP takes its samples from one row of _samples, clipped at
-    its own s_max, and only the samples up to the first one past sqrt(top)
-    are evaluated, all intervals in one numpy call of _terms with the same
-    operations as their scans, so the same bits.  An interval with a finer
-    step, or with samples left after that block while its last evaluated
-    sample is still at or below sqrt(top), answers True.  beta must be a
-    valid one; _RootScan's checks are not repeated.  _BracketPrune answers
-    the same for many calls on the same lengths, sharing their terms.
-    """
-    s_max, counts, fine = _prune_grid(params, deltas)
-    s = np.minimum(_samples(_prune_width(top, counts), SCAN_STEP), s_max[:, None])
-    terms = _terms(s, _consts(xis[:, None], params, deltas[:, None]), np)
-    return _prune_answer(beta, top, params.alpha, terms, _bracket_starts(s, counts)) | fine
-
-
-def _prune_grid(params: ModelParams, deltas: np.ndarray) -> tuple:
-    """(s_max, sample counts on SCAN_STEP, fine step) of each interval's root scan."""
-    s_max, steps = _scan_grid(math.sqrt(params.kappa), deltas)
-    counts = np.array([_sample_count(t, SCAN_STEP) for t in s_max.tolist()])
-    return s_max, counts, steps < SCAN_STEP
-
-
-def _prune_width(top: float, counts: np.ndarray) -> int:
-    """Samples per interval that _brackets_start_by evaluates: to one past sqrt(top)."""
-    return min(_sample_count(math.sqrt(top), SCAN_STEP) + 1, int(counts.max()))
-
-
-def _bracket_starts(s: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Where a bracket ending at each sample of s would start, plus one column.
-
-    Column j is s[:, j-1]^2 (0 at j = 0) while j is below the row's sample
-    count, and inf from there on: no bracket ends past a scan's last sample.
-    """
-    n, width = s.shape
-    starts = np.empty((n, width + 1))
-    starts[:, 0] = 0.0
-    np.multiply(s, s, out=starts[:, 1:])
-    for i in np.flatnonzero(counts <= width).tolist():  # the few rows that end inside
-        starts[i, counts[i] :] = np.inf
-    return starts
-
-
-def _prune_answer(beta: float, top: float, alpha: float, terms, starts: np.ndarray) -> np.ndarray:
-    """_brackets_start_by's answer, fine steps aside, from the terms on each row's first samples.
-
-    starts is _bracket_starts of those samples, or of more of them.
-    """
-    w0, w1, w2 = _weights(beta, alpha)
-    r0, r1, r2 = terms
-    stop = w0 * r0 + w1 * r1 + w2 * r2 <= 0.0
-    width = stop.shape[1]
-    # the first stop j brackets from starts[j], and later stops start higher.  A
-    # row with samples past the block answers True while the next sample's
-    # bracket would still start at or below top.
-    return (stop & (starts[:, :width] <= top)).any(axis=1) | (starts[:, width] <= top)
-
-
-class _BracketPrune:
-    """_brackets_start_by for the same n lengths over many (beta, top) calls.
-
-    Length i sits at the left end (xi = 0) or at centres[i], as the caller's
-    mask says on each call.  _terms depends on neither beta nor top, so the
-    calls can share it.  The first call is _brackets_start_by on the mixed
-    placements and nothing more, since a single design asks only once.
-    Sending it through the block as well kept every answer's bits but took
-    a 31-length call from 361 to 417 us and design_grid's run_s up 9%, so
-    the path follows the calls: one for a design, many for a sweep.
-    Later calls keep the terms in one (3, 2n, width) block, row i for length
-    i at the left end and row n + i for it centred, and evaluate only the
-    rows, and the samples in a row, that no earlier call has.  A row is
-    filled to the block's width, a quarter more than asked, so that the
-    rising tops of a sorted sweep seldom widen it.  Each answer is then a
-    gather, a weighted sum and the first-stop test, with the bits of
-    _brackets_start_by.
-    """
-
-    def __init__(self, params: ModelParams, deltas: np.ndarray, centres: np.ndarray):
-        self.params, self.deltas, self.centres = params, deltas, centres
-        self.asked = False
-        self.terms = None  # the (3, 2n, width) block, from the second call on
-
-    def __call__(self, beta: float, top: float, centred: np.ndarray) -> np.ndarray:
-        params, n = self.params, self.deltas.size
-        if not self.asked:
-            self.asked = True
-            xis = np.where(centred, self.centres, 0.0)
-            return _brackets_start_by(beta, top, params, self.deltas, xis)
-        if self.terms is None:
-            self.s_max, self.counts, self.fine = _prune_grid(params, self.deltas)
-            self.xis = np.concatenate([np.zeros(n), self.centres])
-            self.filled = np.zeros(2 * n, dtype=int)  # samples evaluated in each row
-        width = _prune_width(top, self.counts)
-        if self.terms is None or width > self.terms.shape[2]:
-            self._widen(min(width + width // 4, int(self.counts.max())))
-        rows = np.arange(n) + n * centred
-        todo = rows[self.filled[rows] < width]
-        if todo.size:
-            start, length = int(self.filled[todo].min()), todo % n
-            c = _consts(self.xis[todo, None], params, self.deltas[length, None])
-            for block, term in zip(self.terms, _terms(self.s[length, start:], c, np)):
-                block[todo, start:] = term
-            self.filled[todo] = self.terms.shape[2]
-        terms = self.terms[:, rows, :width]
-        return _prune_answer(beta, top, params.alpha, terms, self.starts) | self.fine
-
-    def _widen(self, width: int):
-        """Make the samples and the term block width wide, keeping the filled terms."""
-        self.s = np.minimum(_samples(width, SCAN_STEP), self.s_max[:, None])
-        self.starts = _bracket_starts(self.s, self.counts)
-        terms = np.empty((3, 2 * self.deltas.size, width))
-        if self.terms is not None:
-            terms[:, :, : self.terms.shape[2]] = self.terms
-        self.terms = terms
-
-
 def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     """First positive root of F(xi, beta, .), i.e. the principal eigenvalue.
 
     beta lies in [0, inf]: 0 is Neumann, inf is Dirichlet (the root of the
-    limit F / b^2), at any xi in [0, 1 - delta].  One _RootScan of the
-    interval, then its root at beta; callers that need several beta at one
-    interval keep the scan instead.
+    limit F / b^2), at any xi in [0, 1 - delta].  Outside the interval, where
+    m = -1, an eigenfunction is hyperbolic and has no zero, so every zero of
+    a higher eigenfunction lies inside it and puts sqrt(lam k) d past pi (a
+    Sturm oscillation count).  Below s_max, just under pi / (sqrt(k) d), F
+    in s = sqrt(lambda) therefore has one root, the principal one, and on
+    every admissible design F > 0 below it.  So s steps down from s_max by
+    16 to the first positive value, no lower than S_FLOOR, and brentq
+    refines that last step.  brentq's sign test f(a) f(b) < 0 underflows
+    where F is about 1e-240, so F is scaled, exactly, by the power of two
+    that brings |F(hi)| into [0.5, 1).
     """
-    return _RootScan(xi, tp).root(beta)
+    _check_xi(xi, tp.delta)
+    if not 0.0 <= beta <= math.inf:  # false for NaN
+        raise ValueError(f"beta must lie in [0, inf], got {beta}")
+    if beta == 0.0 and _interval_exp_mass(tp) >= 0.0:
+        raise ValueError(
+            "Neumann zero regime for this interval weight: no positive principal eigenvalue"
+        )
+    w0, w1, w2 = _weights(beta, tp.params.alpha)
+    c = _consts(xi, tp.params, tp.delta)
+
+    def f(x):
+        r0, r1, r2 = _terms(x, c, math)
+        return w0 * r0 + w1 * r1 + w2 * r2
+
+    hi = s_max = _s_max(math.sqrt(tp.params.kappa), tp.delta)
+    if (f_hi := f(hi)) > 0.0:
+        raise RootNotFoundError(
+            f"no admissible root in (0, {s_max**2:.6g}): F = {f_hi:.6g} > 0 at the top"
+        )
+    while not (f_lo := f(hi / 16.0)) > 0.0:
+        hi, f_hi = hi / 16.0, f_lo
+        if hi < S_FLOOR:
+            raise RootNotFoundError(
+                f"F is not positive at any s = sqrt(lambda) from {s_max:.3g} down to {hi:.3g}"
+            )
+    lo = hi / 16.0
+    shift = -math.frexp(f_hi)[1]
+    try:
+        s_root = brentq(lambda x: math.ldexp(f(x), shift), lo, hi, xtol=1e-15 * lo, rtol=8.9e-16)
+    except RuntimeError as exc:  # scipy's untyped "failed to converge"
+        raise RootNotFoundError(
+            f"root refinement on s = sqrt(lambda) in ({lo:.6g}, {hi:.6g}): {exc}"
+        ) from exc
+    return s_root * s_root
+
+
+def _roots_at_or_below(
+    beta: float, lam: float, params: ModelParams, deltas: np.ndarray, xis: np.ndarray
+) -> np.ndarray:
+    """For each interval (deltas[i], xis[i]): is its root at beta at most lam?
+
+    F has one root below the interval's s_max and is positive before it
+    (see transcendental_root), so the root is at most lam exactly when
+    sqrt(lam) >= s_max or F(sqrt(lam)) <= 0: one numpy evaluation of F for
+    all the intervals.  beta must be a valid one and lam at most some
+    interval's s_max^2, which keeps every term finite; transcendental_root's
+    checks are not repeated.
+    """
+    s = math.sqrt(lam)
+    w0, w1, w2 = _weights(beta, params.alpha)
+    r0, r1, r2 = _terms(s, _consts(xis, params, deltas), np)
+    return (s >= _s_max(math.sqrt(params.kappa), deltas)) | (w0 * r0 + w1 * r1 + w2 * r2 <= 0.0)
 
 
 def dirichlet_root(tp: TranscendParams, xi: float = 0.0) -> float:

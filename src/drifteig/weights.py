@@ -27,7 +27,7 @@ ALPHA_STAR_BRACKET = 64.0
 # e^{2 alpha (kappa+1)} is the largest exponential the package forms
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
-# the root scan's largest term, lambda / kappa at s_max^2, is pi^2 / (kappa d)^2;
+# F's largest term in the root search, lambda / kappa at s_max^2, is pi^2 / (kappa d)^2;
 # above this floor it stays finite for every design length d >= 2^-53 / (kappa + 1)
 # (1 - m0 >= 2^-53 for a float m0 < 1)
 KAPPA_MIN = 1e-137
@@ -142,7 +142,7 @@ class PiecewiseWeight:
 
     def eval_many(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        if not np.all((x >= 0.0) & (x <= 1.0)):  # false for NaN
             raise ValueError("evaluation points outside [0, 1]")
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.values) - 1)

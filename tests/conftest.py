@@ -48,16 +48,16 @@ def dirichlet_gap_coefficient():
 
 @pytest.fixture
 def failing_dirichlet_root(monkeypatch):
-    """Every root scan raises RootNotFoundError at beta = inf.
+    """Every transcendental root raises RootNotFoundError at beta = inf.
 
     The Dirichlet row is a closed-form root that no real input fails, so
     the tests of a failed sweep row inject the failure.
     """
-    root = transcend._RootScan.root
+    root = transcend.transcendental_root
 
-    def root_or_raise(self, beta):
+    def root_or_raise(xi, beta, tp):
         if beta == math.inf:
-            raise transcend.RootNotFoundError(f"no Dirichlet root at xi={self.xi:.6g}")
-        return root(self, beta)
+            raise transcend.RootNotFoundError(f"no Dirichlet root at xi={xi:.6g}")
+        return root(xi, beta, tp)
 
-    monkeypatch.setattr(transcend._RootScan, "root", root_or_raise)
+    monkeypatch.setattr(transcend, "transcendental_root", root_or_raise)

@@ -49,6 +49,16 @@ def test_design_grid_runs_and_checks(monkeypatch):
     assert grid.check(inputs, grid.read(inputs, raw)) == []
 
 
+def test_figure_sweep_runs_and_checks(monkeypatch, tmp_path):
+    # one pass of the figure's sweep command; its checks include the
+    # Dirichlet row's one-sided gap to the oracle's root, which a row one
+    # ulp below that root fails
+    sweep = _load_workloads(monkeypatch).FigureSweep()
+    inputs = sweep.make_inputs(drifteig, 1, str(tmp_path))
+    raw = [op() for op in sweep.ops(drifteig, inputs)]
+    assert sweep.check(inputs, sweep.read(inputs, raw)) == []
+
+
 def test_figure_sweep_argv_parses(monkeypatch, tmp_path):
     argv = _load_workloads(monkeypatch).FigureSweep().make_inputs(drifteig, 1, str(tmp_path))["argv"]
     args = drifteig.cli.build_parser().parse_args(argv)
@@ -96,3 +106,20 @@ def test_tracer_runs_end_to_end():
     assert got["kernels.smallest_pencil_eigenvalue.calls"] == 1
     assert got["eigensolve.principal_eigenvalue.calls"] == 1
     assert got["kernels.pivot_substituted"] == 0
+
+
+def test_tracer_sees_every_design_root():
+    # sweep_beta locates each row through the module attribute, and every
+    # design root goes through transcend.transcendental_root, so the
+    # tracer's wrappers see both
+    tracer = _load_tracing().Tracer(drifteig)
+    tracer.install()
+    try:
+        betas = np.geomspace(0.1, 30.0, 60)
+        rows, failures = drifteig.optimize.sweep_beta(betas, ModelParams(0.2, 1.0, 0.4))
+    finally:
+        tracer.uninstall()
+    assert len(rows) == 61 and not failures
+    got = {k: v for k, (v, _) in tracer.summary(0, len(tracer.spans)).items()}
+    assert got["optimize.locate_optimal_interval.calls"] == 61
+    assert got["transcend.transcendental_root.calls"] >= 61

@@ -235,7 +235,7 @@ class TestLocate:
 
     def test_unconverged_root_exits_3(self, tmp_path, capsys):
         # one length of the scan has its root below S_FLOOR^2, where the root
-        # scan stops: a typed solver error, so exit 3 with error.json and no
+        # search stops: a typed solver error, so exit 3 with error.json and no
         # traceback
         params = "alpha=5.564543571747359,kappa=48.39791318673609,m0=0.03411805276675452"
         argv = ["locate", "--beta", "1.0185061675060684e-122", "--params", params]
@@ -469,7 +469,7 @@ class TestFailurePolicy:
         "argv", [["root", "--beta", "1"], ["locate", "--beta", "1"], ["sweep", "--sweep", "0.1:30:5"]]
     )
     def test_smallest_kappa_finite_or_typed(self, tmp_path, capsys, argv, m0):
-        # at the floor the root scan's terms stay finite (the suite turns
+        # at the floor F's terms in the root search stay finite (the suite turns
         # numpy's overflow warnings into errors): a result or a typed exit
         out = tmp_path / "o"
         params = f"kappa={weights.KAPPA_MIN!r},m0={m0!r}"

@@ -94,13 +94,11 @@ class TestLocate:
         assert opt == locate_optimal_interval(10.0, delta, params)
         assert opt.mass_active == active
 
-    def test_locate_command_builds_each_scan_once(self, tmp_path, capsys, counted_scans):
-        # choosing the length and locating the interval share one scan dict,
-        # so the (delta*, xi*) scan is built once and its root refined once
-        builds, _, refined = counted_scans
+    def test_locate_command_refines_each_root_once(self, tmp_path, capsys, counted_roots):
+        # choosing the length hands its root to the located optimum, so no
+        # (xi, beta, delta) root is refined twice
         assert cli.main(["locate", "--beta", "10", "--out", str(tmp_path)]) == 0
-        assert builds and len(builds) == len(set(builds)), builds
-        assert refined and len(refined) == len(set(refined)), refined
+        assert counted_roots and len(counted_roots) == len(set(counted_roots)), counted_roots
 
 
 class TestTrichotomyLattice:
@@ -152,36 +150,34 @@ class TestActiveConstraint:
         assert delta == pytest.approx(DSTAR, abs=1e-6)
         assert active
 
-    def test_scan_evaluates_each_point_once(self, params, counted_scans):
-        # the scan already holds the value at m0 and the golden search the
-        # value at its minimizer; neither is solved again
-        builds, brackets, refined = counted_scans
-        choose_delta(params, 10.0)
-        assert refined and len(refined) == len(set(refined)), refined
-        assert len(brackets) == len(set(brackets))
-        assert len(builds) == len(set(builds))
+    def test_scan_evaluates_each_point_once(self, params, counted_roots):
+        # the scan keeps the value at m0 and the golden search the value at
+        # its minimizer, and locate_optimal_interval reuses the chosen one
+        inactive = ModelParams(2.0, 0.08, 0.03)  # an interior minimum: golden search
+        bcrit = beta_crit(TranscendParams(params=inactive, delta=optimize.delta_star(inactive)))
+        for p, beta in ((params, 10.0), (inactive, 4.0 * bcrit)):
+            counted_roots.clear()
+            locate_optimal_interval(beta, None, p)
+            assert counted_roots and len(counted_roots) == len(set(counted_roots)), p
 
-    def test_scan_minimum_at_bound_settled_by_one_probe(self, params, counted_scans):
+    def test_scan_minimum_at_bound_settled_by_one_probe(self, params, counted_roots):
         # of the 32 points only m0 can be the minimum, and the one evaluation
-        # of the other lengths' first samples shows it without building their
-        # scans; m0 and the probe at m0 + ACTIVE_TOL are the only refinements,
-        # no golden search
-        builds, _, refined = counted_scans
+        # of F at its root shows it without refining another length: m0 and
+        # the probe at m0 + ACTIVE_TOL are the only roots, no golden search
         assert choose_delta(params, 10.0) == (DSTAR, True)
-        assert len(builds) <= 3
-        assert len(refined) == 2
+        probe = (1.0 - params.m0 - optimize.ACTIVE_TOL) / (params.kappa + 1.0)
+        assert [delta for _, _, delta in counted_roots] == [DSTAR, probe]
 
-    def test_overlapping_brackets_refine_every_candidate(self, counted_scans):
-        # here another length's bracket reaches below the lowest bracket top,
-        # so more than one scan point is refined, and the pick is still the
-        # argmin over all 32 refined values; only the candidates get scans
-        builds, brackets, refined = counted_scans
-        p = ModelParams(0.45, 0.05, 0.05)
-        beta = 5.0 * beta_crit(TranscendParams(params=p, delta=optimize.delta_star(p)))
+    def test_several_candidates_pick_the_argmin(self, counted_roots):
+        # here several lengths' roots lie at or below m0's, so more than one
+        # scan point is refined, and the pick is still the argmin over all 32
+        # refined values
+        p = ModelParams(2.0, 0.08, 0.03)
+        beta = 4.0 * beta_crit(TranscendParams(params=p, delta=optimize.delta_star(p)))
         got = choose_delta(p, beta)
-        scanned = {key for key in refined if key in brackets}
-        assert len({delta for _, _, delta in scanned}) > 1
-        assert len(builds) < optimize.DELTA_SCAN_POINTS
+        grid = (1.0 - np.linspace(p.m0, 1.0 - 1e-3, optimize.DELTA_SCAN_POINTS)) / (p.kappa + 1.0)
+        scanned = {delta for _, _, delta in counted_roots} & set(grid.tolist())
+        assert 1 < len(scanned) < optimize.DELTA_SCAN_POINTS
         assert got == _scan_and_golden_delta(p, beta)
 
     @pytest.mark.parametrize(
@@ -243,7 +239,7 @@ def _outcome(choose, params, beta):
 
 def _scan_and_golden_delta(params, beta):
     """choose_delta's scanned decision without the bound probe or the
-    bracket pruning: the coarse scan over m~ in [m0, 1 - 1e-3], golden
+    pruning of lengths: the coarse scan over m~ in [m0, 1 - 1e-3], golden
     refinement around its minimum, and delta = delta* with the bound active
     when the refined minimizer is within 1e-6 of m0.  Each lambda is the
     transcendental root at the paper's xi: 0 below beta_crit, the center
@@ -265,79 +261,54 @@ def _scan_and_golden_delta(params, beta):
 
 
 @pytest.fixture
-def counted_scans(monkeypatch):
-    """Record every root scan built, by (delta, xi), and every bracket
-    taken from one and every root refined in one (a brentq call), by
-    (xi, beta, delta)."""
+def counted_roots(monkeypatch):
+    """Record every transcendental root refined, by (xi, beta, delta)."""
     from drifteig import transcend
 
-    builds, brackets, refined, solves = [], [], [], []
-    brentq = transcend.brentq
+    refined = []
+    root = transcend.transcendental_root
 
-    def counted_brentq(*args, **kwargs):
-        solves.append(1)
-        return brentq(*args, **kwargs)
+    def counted(xi, beta, tp):
+        refined.append((xi, beta, tp.delta))
+        return root(xi, beta, tp)
 
-    class Counting(transcend._RootScan):
-        def __init__(self, xi, tp):
-            builds.append((tp.delta, xi))
-            super().__init__(xi, tp)
-
-        def bracket(self, beta):
-            brackets.append((self.xi, beta, self.tp.delta))
-            return super().bracket(beta)
-
-        def root(self, beta):
-            before = len(solves)
-            lam = super().root(beta)
-            refined.extend([(self.xi, beta, self.tp.delta)] * (len(solves) - before))
-            return lam
-
-    monkeypatch.setattr(transcend, "brentq", counted_brentq)
-    monkeypatch.setattr(transcend, "_RootScan", Counting)
-    return builds, brackets, refined
+    monkeypatch.setattr(transcend, "transcendental_root", counted)
+    return refined
 
 
 class TestSweep:
-    def test_figure_sweep_builds_each_scan_once(self, params, counted_scans):
-        # the figure's 60 betas: every scanned row tries the same 32 lengths
-        # (plus the bound probe) at the edge or the center, and only the
-        # weights of F change with beta, so no (delta, xi) scan is built
-        # twice; the rows build scans only for the lengths whose brackets can
-        # start below m0's, refine only the points that can be the minimum,
-        # and the located row reuses the root its scan refined
-        builds, brackets, refined = counted_scans
+    def test_figure_sweep_refines_each_root_once_per_row(self, params, counted_roots):
+        # the figure's 60 betas: a row refines m0's root, the lengths whose
+        # roots lie at or below it and, at the bound, one probe; the located
+        # row reuses the root its length scan refined
         rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 60), params)
         assert len(rows) == 61 and not failures
-        assert len(builds) == len(set(builds)) <= 3
-        # the scanned rows all bracket the scans they share
-        assert len(brackets) > 20 and {(d, xi) for xi, _, d in brackets} <= set(builds)
-        assert len(refined) == len(set(refined)) <= 86
+        assert len(counted_roots) == len(set(counted_roots)) <= 86
+        assert {beta for _, beta, _ in counted_roots} == {r.beta for r in rows}
 
-    def test_figure_sweep_shares_prune_terms(self, params, monkeypatch):
-        # F's terms do not depend on beta, so the rows' length-scan prunes
-        # evaluate each (length, placement) sample once per sweep: 17,920
-        # samples with the scans' own, where a fresh prune per row takes
-        # 130,352.  The rows are those of one design call per beta, each of
-        # which prunes once on its own
+    def test_figure_sweep_rows_are_located_designs(self, params, monkeypatch):
+        # each row is one locate_optimal_interval call, and a scanned row asks
+        # of its 31 other lengths once, in one evaluation of F
         from drifteig import transcend
 
-        samples = []
-        terms = transcend._terms
+        asked = []
+        roots_at_or_below = transcend._roots_at_or_below
 
-        def counted(s, c, xp):
-            if xp is np:  # brentq's scalar calls aside
-                samples.append(s.size)
-            return terms(s, c, xp)
+        def counted(beta, lam, p, deltas, xis):
+            asked.append((beta, deltas.size))
+            return roots_at_or_below(beta, lam, p, deltas, xis)
 
-        monkeypatch.setattr(transcend, "_terms", counted)
+        monkeypatch.setattr(transcend, "_roots_at_or_below", counted)
         betas = np.geomspace(0.1, 30.0, 60).tolist()
         rows, failures = sweep_beta(betas, params)
-        assert sum(samples) <= 20_000 and not failures
+        assert not failures and asked
+        assert len({beta for beta, _ in asked}) == len(asked)
+        assert {size for _, size in asked} == {optimize.DELTA_SCAN_POINTS - 1}
+        monkeypatch.undo()
         assert rows == [locate_optimal_interval(b, None, params) for b in betas + [math.inf]]
 
     def test_unconverged_row_is_a_failure(self):
-        # one scanned length's root lies below S_FLOOR^2, where the root scan
+        # one scanned length's root lies below S_FLOOR^2, where the root search
         # stops: the row is recorded with RootNotFoundError's message and the
         # sweep goes on
         p = ModelParams(5.564543571747359, 48.39791318673609, 0.03411805276675452)

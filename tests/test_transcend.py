@@ -22,7 +22,8 @@ from drifteig import (
     transcendental_root,
 )
 from drifteig.optimize import delta_star
-from drifteig.transcend import NonFiniteError, RootNotFoundError, _f_scaled, _RootScan
+from drifteig import transcend
+from drifteig.transcend import NonFiniteError, RootNotFoundError, _f_scaled
 
 # First roots of the literal F from an 80-digit mpmath bisection (a log scan
 # in s = sqrt(lambda) to the first sign change, then 300 halvings), pinned
@@ -31,18 +32,40 @@ DELTA_50 = 0.6 / 51.0  # delta* for (kappa, m0) = (50, 0.4)
 PINNED_ROOTS = [
     # large K = kappa e^{2 alpha (kappa+1)}: the literal F's (K-1) and (K+1) sums cancel
     (0.3, 50.0, 0.3, 0.0, 1e4, 2.038940991481598631259148e-4),
-    # roots below the scan's first sample s = 1e-4
+    # roots far below the top of the root search
     (0.6, 50.0, 0.3, 0.0, 10.0, 6.69195887403221928182114e-14),
     (1.0, 50.0, DELTA_50, 0.5 * (1.0 - DELTA_50), math.inf, 4.882361983095903629250345e-22),
 ]
 # At the top of the admissible box, 2 alpha (kappa + 1) = 708, where K times
-# the scan's terms would exceed float max; the suite turns any overflow
+# F's terms would exceed float max; the suite turns any overflow
 # warning into a failure.  References from a 1200-digit bisection of the literal F.
 TOP_OF_BOX_ROOTS = [
     (177.0, 1.0, 0.3, 0.0, math.inf, 27.415567780803777),
     (177.0, 1.0, 0.3, 0.0, 1.0, 4.4952665476653488e-77),
     (177.0, 1.0, 0.3, 0.35, 1.0, 3.4641293716387104e-153),
 ]
+
+
+# the battery of the root search's invariant: (alpha, kappa) sets, then the
+# lengths, placements and beta each set runs through
+SIGN_BATTERY = [(1.5, 5.0), (177.0, 0.05), (0.2, 0.05), (0.2, 50.0), (6.9, 50.0)]
+SIGN_DELTAS = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9]
+SIGN_BETAS = [0.0, 1e-6, 1.0, 1e8, math.inf]
+
+
+def _sign_cases():
+    """(delta, xi, beta): xi at the left end, the centre and the right end."""
+    for d in SIGN_DELTAS:
+        for xi in (0.0, 0.5 * (1.0 - d), 1.0 - d):
+            for beta in SIGN_BETAS:
+                yield d, xi, beta
+
+
+def _root_or_nan(xi, beta, params, delta):
+    try:
+        return transcendental_root(xi, beta, TranscendParams(params=params, delta=delta))
+    except (ValueError, RootNotFoundError):
+        return math.nan
 
 
 @pytest.fixture
@@ -196,7 +219,7 @@ class TestTranscendentalRoot:
 
     @pytest.mark.parametrize("kappa", [1e-137, 1e-20, 0.5, 1.0, 50.0])
     def test_shortest_length_scans_finite(self, kappa):
-        # the scan's largest term, lambda max(1, 1/kappa) at its top, stays
+        # F's largest term, lambda max(1, 1/kappa) at the search's top, stays
         # below SCAN_TERM_MAX at the shortest accepted length (the suite
         # turns numpy's overflow warnings into errors); a shorter one is
         # rejected where the length enters
@@ -215,93 +238,40 @@ class TestTranscendentalRoot:
         tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
         assert transcendental_root(xi, beta, tp) == pytest.approx(lam, rel=1e-12)
 
-    def test_root_lies_in_its_bracket(self):
-        # callers compare brackets before refining, so the refined root must
-        # never leave its bracket; the pinned designs put roots below the
-        # scan, where the bracket starts at 0
-        cases = [
-            (a, k, d, frac * (1.0 - d), beta)
-            for a in (0.0, 0.3, 1.0)
-            for k in (0.5, 5.0, 50.0)
-            for d in (0.05, 0.3, 0.7)
-            for frac in (0.0, 0.5, 1.0)
-            for beta in (0.05, 1.0, 1e4, math.inf)
-        ]
-        cases += [case[:5] for case in PINNED_ROOTS]
-        below = 0
-        for a, k, d, xi, beta in cases:
-            scan = _RootScan(xi, TranscendParams(params=ModelParams(a, k, 0.4), delta=d))
-            lo, hi = scan.bracket(beta)
-            lam = scan.root(beta)
-            assert lo <= lam <= hi, (a, k, d, xi, beta)
-            below += lo == 0.0
-        assert below >= 2
-
-    @pytest.mark.parametrize(
-        "alpha, kappa, beta",
-        [(0.2, 1.0, 10.0), (1.0, 0.1, 0.5), (0.45, 0.05, math.inf), (0.0, 1e4, 1.0)],
-    )
-    def test_bracket_prune_matches_built_scans(self, alpha, kappa, beta):
-        # _brackets_start_by answers for many intervals from one evaluation of
-        # their first samples; it agrees with each built scan's bracket, except
-        # that an interval on a finer step than SCAN_STEP (kappa = 1e4 with
-        # delta > 0.39) always answers True
-        from drifteig import transcend
-
+    @pytest.mark.parametrize("alpha, kappa", SIGN_BATTERY)
+    def test_one_sign_change_below_the_top(self, alpha, kappa):
+        # the root search rests on this: below s_max, just under the end of
+        # sin(sqrt(lam k) d)'s first period, F changes sign at most once, and
+        # where transcendental_root finds a root the change lies there
         p = ModelParams(alpha, kappa, 0.4)
-        deltas = np.linspace(0.02, 0.9, 23)
-        xis = np.where(np.arange(23) % 3 == 0, 0.0, 0.5 * (1.0 - deltas))
-        starts = np.array(
-            [
-                _RootScan(float(x), TranscendParams(params=p, delta=float(d))).bracket(beta)[0]
-                for d, x in zip(deltas, xis)
-            ]
-        )
-        fine = math.pi / (8.0 * math.sqrt(kappa) * deltas) < transcend.SCAN_STEP
-        assert fine.any() == (kappa == 1e4)
-        for top in np.unique(starts)[[0, 5, 11, -1]]:
-            maybe = transcend._brackets_start_by(beta, float(top), p, deltas, xis)
-            assert maybe[fine].all()
-            assert np.array_equal(maybe[~fine], starts[~fine] <= top), top
+        for d, xi, beta in _sign_cases():
+            tp = TranscendParams(params=p, delta=d)
+            s_max = transcend._s_max(math.sqrt(kappa), d)
+            s = s_max * np.concatenate([np.geomspace(1e-9, 1e-2, 300), np.linspace(1e-2, 1.0, 3000)])
+            positive = _f_scaled(xi, beta, s * s, tp) > 0.0
+            assert np.count_nonzero(positive[1:] != positive[:-1]) <= 1, (d, xi, beta)
+            try:
+                root = math.sqrt(transcendental_root(xi, beta, tp))
+            except (ValueError, RootNotFoundError):
+                continue
+            assert positive[s < root * (1.0 - 1e-9)].all(), (d, xi, beta)
+            assert not positive[s > root * (1.0 + 1e-9)].any(), (d, xi, beta)
 
-    @pytest.mark.parametrize("alpha, kappa", [(0.2, 1.0), (1.0, 0.1), (0.0, 1e4)])
-    def test_shared_prune_matches_built_scans(self, alpha, kappa):
-        # one _BracketPrune answers a sequence of (beta, top, placement) calls:
-        # the first is _brackets_start_by, later ones read a shared block of
-        # terms that switching placements fill and rising tops widen.  Every
-        # answer equals each built scan's bracket(beta)[0] <= top, and an
-        # interval on a finer step than SCAN_STEP answers True
-        from drifteig import transcend
-
+    @pytest.mark.parametrize("alpha, kappa", SIGN_BATTERY)
+    def test_roots_at_or_below_match_refined_roots(self, alpha, kappa):
+        # one evaluation of F at sqrt(lam) tells exactly which roots lie at or
+        # below lam; lam is each refined root in turn, compared with the
+        # other lengths' roots as choose_delta compares them with m0's
         p = ModelParams(alpha, kappa, 0.4)
-        deltas = np.linspace(0.02, 0.9, 23)
-        centres = 0.5 * (1.0 - deltas)
-        fine = math.pi / (8.0 * math.sqrt(kappa) * deltas) < transcend.SCAN_STEP
-        assert fine.any() == (kappa == 1e4)
-        scans = {}
-
-        def start(beta, d, xi):
-            scan = scans.get((d, xi))
-            if scan is None:
-                scan = scans[(d, xi)] = _RootScan(xi, TranscendParams(params=p, delta=d))
-            return scan.bracket(beta)[0]
-
-        left, mixed = np.zeros(23, dtype=bool), np.arange(23) % 3 == 1
-        calls = [
-            (10.0, mixed, 0), (0.5, left, 1), (0.5, ~left, 3), (10.0, mixed, 5),
-            (math.inf, ~mixed, 8), (2.0, left, 11), (10.0, ~left, -1), (0.5, mixed, -1),
-        ]
-        prune = transcend._BracketPrune(p, deltas, centres)
-        widths = []
-        for beta, centred, which in calls:
-            xis = np.where(centred, centres, 0.0)
-            starts = np.array([start(beta, float(d), float(x)) for d, x in zip(deltas, xis)])
-            top = float(np.unique(starts)[which])
-            maybe = prune(beta, top, centred)
-            assert maybe[fine].all()
-            assert np.array_equal(maybe[~fine], starts[~fine] <= top), (beta, top)
-            widths.append(0 if prune.terms is None else prune.terms.shape[2])
-        assert widths[0] == 0 and len(set(widths[1:])) >= 2  # built on call 2, widened later
+        deltas = np.array(SIGN_DELTAS)
+        for beta in SIGN_BETAS[1:]:  # beta = 0 pins the length in choose_delta
+            for place in (0.0, 0.5, 1.0):
+                xis = place * (1.0 - deltas)
+                roots = np.array([_root_or_nan(float(x), beta, p, float(d)) for d, x in zip(deltas, xis)])
+                for i in np.flatnonzero(np.isfinite(roots)):
+                    got = transcend._roots_at_or_below(beta, float(roots[i]), p, deltas, xis)
+                    others = np.isfinite(roots) & (np.arange(deltas.size) != i)
+                    assert np.array_equal(got[others], (roots <= roots[i])[others]), (beta, place, i)
 
     def test_unconverged_refinement_raises_typed(self, monkeypatch, tp):
         # scipy's untyped RuntimeError from brentq becomes RootNotFoundError
@@ -323,8 +293,8 @@ class TestTranscendentalRoot:
         assert lam == pytest.approx(4.8700486961504503e-160, rel=1e-11)
 
     def test_one_sample_scan_root_below_it(self):
-        # pi / (sqrt(kappa) delta) < 1e-4: the scan is the single sample
-        # s_max, past the root, which is found below it.  Reference as for
+        # pi / (sqrt(kappa) delta) < 1e-4: the whole first period of sin lies
+        # below s = 1e-4, and the root is found below its top.  Reference as for
         # PINNED_ROOTS
         tp = TranscendParams(params=ModelParams(0.0, 1e10, 0.4), delta=0.5)
         lam = transcendental_root(0.0, 1.0, tp)
@@ -332,7 +302,7 @@ class TestTranscendentalRoot:
 
     def test_huge_samples_root_without_overflow(self):
         # kappa e^{2 alpha (kappa+1)} ~ 1e217 makes |F| exceed 1e154 on the
-        # scan, and the root lies far below its first sample; the suite turns
+        # search, and the root lies far below its top; the suite turns
         # any overflow warning into a failure.  Reference as for PINNED_ROOTS.
         tp = TranscendParams(ModelParams(8.0, 30.0, 0.05), 0.03064516129032258)
         lam = transcendental_root(0.4846774193548387, 7.196634833613826e-110, tp)
@@ -349,8 +319,8 @@ class TestTranscendentalRoot:
     @pytest.mark.parametrize("centered", [False, True])
     @pytest.mark.parametrize("beta", [0.5, 5.0])
     def test_fine_step_branch_matches_dense_scan(self, kappa, delta, centered, beta):
-        # sqrt(kappa) delta > 39.3, so the scan step is pi / (8 sqrt(kappa) delta)
-        # rather than 0.01; the reference is a dense uniform scan of the
+        # sqrt(kappa) delta > 39.3: a first period of sin shorter than
+        # s = 0.08; the reference is a dense uniform scan of the
         # literal F over the first period of sin, refined by brentq
         tp = TranscendParams(params=ModelParams(0.0, kappa, 0.4), delta=delta)
         xi = 0.5 * (1.0 - delta) if centered else 0.0
@@ -526,7 +496,7 @@ class TestDeltaDiag:
 
 class TestLiteralOverflow:
     # 2 alpha (kappa + 1) = 704 is admissible, but the literal expressions
-    # carry K = kappa e^{704} unscaled and overflow; the scaled scan does not
+    # carry K = kappa e^{704} unscaled and overflow; the scaled F does not
     TP_TOP = TranscendParams(ModelParams(32.0, 10.0, 0.4), 0.05)
 
     @pytest.mark.parametrize(

@@ -61,6 +61,15 @@ class TestEval:
         with pytest.raises(ValueError):
             TWO_STEP.eval(-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_eval_many_rejects_what_eval_rejects(self, bad):
+        # NaN fails every comparison, so it must fail the range test too
+        m = PiecewiseWeight((0.0, 0.5, 1.0), (-1.0, 2.0))
+        with pytest.raises(ValueError):
+            m.eval(bad)
+        with pytest.raises(ValueError, match="outside"):
+            m.eval_many([0.25, bad])
+
     @given(piecewise_weights(), st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_scan(self, m, x):
