@@ -104,12 +104,12 @@ def _placed(beta: float, delta, params: ModelParams) -> tuple:
 
     xi* is the centre (1 - delta)/2 where beta lies above beta_crit by more
     than DEGENERATE_BAND (Dirichlet included), and 0 below it or inside the
-    band, where every location is optimal.  One length gives floats.
+    band, where every location is optimal.  Plain arithmetic serves both:
+    one float length gives floats, an array gives arrays.
     """
     bcrit = transcend.critical_beta(params.alpha, params.kappa, delta)
-    centred = (np.abs(beta - bcrit) > DEGENERATE_BAND) & (beta >= bcrit)
-    xi = np.where(centred, 0.5 * (1.0 - delta), 0.0)
-    return (xi, bcrit) if xi.ndim else (float(xi), bcrit)
+    centred = (abs(beta - bcrit) > DEGENERATE_BAND) & (beta >= bcrit)
+    return 0.5 * (1.0 - delta) * centred, bcrit
 
 
 def _root(beta: float, delta: float, params: ModelParams) -> float:
@@ -130,12 +130,14 @@ def locate_optimal_interval(beta: float, delta: float | None, params: ModelParam
     [0, inf], Dirichlet included, takes its eigenvalue from that root, so
     no grid is solved.
     """
-    lam = None
+    beta, lam = float(beta), None  # numpy scalars in give floats out
     if delta is None:
         delta, lam = _choose_delta(params, beta)
-    if lam is None:
-        lam = _root(beta, delta, params)
+    delta = float(delta)
+    tp = transcend.TranscendParams(params=params, delta=delta)  # checks delta before placing it
     xi, bcrit = _placed(beta, delta, params)
+    if lam is None:
+        lam = transcend.transcendental_root(xi, beta, tp)
     if xi > 0.0:
         regime = Regime.CENTERED
     elif abs(beta - bcrit) <= DEGENERATE_BAND:

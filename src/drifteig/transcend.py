@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .weights import DriftEigError, ModelParams
 
 S_FLOOR = 1e-150  # lowest sqrt(lambda) the root search steps down to
@@ -231,10 +231,12 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     Sturm oscillation count).  Below s_max, just under pi / (sqrt(k) d), F
     in s = sqrt(lambda) therefore has one root, the principal one, and on
     every admissible design F > 0 below it.  So s steps down from s_max by
-    16 to the first positive value, no lower than S_FLOOR, and brentq
-    refines that last step.  brentq's sign test f(a) f(b) < 0 underflows
-    where F is about 1e-240, so F is scaled, exactly, by the power of two
-    that brings |F(hi)| into [0.5, 1).
+    16 to the first positive value, no lower than S_FLOOR, and Brent's
+    method (_roots.brentq, step for step scipy's) refines that last step.
+    Where F is about 1e-240 the products of its interpolation underflow to
+    0, and it creeps by its tolerance without converging, so F is scaled,
+    exactly, by the power of two that brings |F(hi)| into [0.5, 1).  A
+    refinement that does not converge raises RootNotFoundError.
     """
     _check_xi(xi, tp.delta)
     if not 0.0 <= beta <= math.inf:  # false for NaN
@@ -265,7 +267,7 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     shift = -math.frexp(f_hi)[1]
     try:
         s_root = brentq(lambda x: math.ldexp(f(x), shift), lo, hi, xtol=1e-15 * lo, rtol=8.9e-16)
-    except RuntimeError as exc:  # scipy's untyped "failed to converge"
+    except RuntimeError as exc:  # brentq's untyped "failed to converge"
         raise RootNotFoundError(
             f"root refinement on s = sqrt(lambda) in ({lo:.6g}, {hi:.6g}): {exc}"
         ) from exc

@@ -16,7 +16,8 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._roots import brentq
 
 MASS_SLACK = 1e-12  # absolute slack on the mass constraint (float summation)
 

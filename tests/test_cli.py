@@ -1,12 +1,13 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import os
 
 import pytest
 
-from drifteig import DriftEigError, cli, eigensolve, transcend, weights
+from drifteig import DriftEigError, ModelParams, cli, eigensolve, transcend, weights
 
 PI2 = math.pi**2
 COMMANDS = ("eig", "root", "locate", "sweep", "rearrange", "verify")
@@ -299,6 +300,23 @@ class TestVerify:
             # a crashed check reports the string "nan", which passes no bound
             within = isinstance(prop["margin"], float) and prop["margin"] <= prop["tolerance"]
             assert prop["passed"] is within, prop["name"]
+
+    @pytest.mark.filterwarnings("ignore:alpha = 1.5 > 0.5:UserWarning")
+    @pytest.mark.parametrize("injected", [0.0, 1e-10])
+    def test_equimeasurability_relative_to_the_weights_terms(self, monkeypatch, injected):
+        # at (1.5, 5, 0.2) the defect reaches 1.26e-13 in absolute terms,
+        # the rounding of lengths carried through e^{alpha v} up to
+        # kappa e^{alpha kappa} ~ 9000; relative to int |m| e^{alpha m} it
+        # passes, and a level set 1e-10 off still fails
+        level, calls = cli.rearrange.level_set_length, itertools.count()
+
+        def level_off(pieces, c):  # the rearranged weight's level sets come first
+            return level(pieces, c) + (injected if next(calls) % 2 == 0 else 0.0)
+
+        monkeypatch.setattr(cli.rearrange, "level_set_length", level_off)
+        rows = cli._verify_properties(ModelParams(1.5, 5.0, 0.2), 2000, 0xE16E)
+        row = next(r for r in rows if r["name"] == "equimeasurability")
+        assert row["passed"] is (injected == 0.0), row
 
     def test_report_schema_stable(self, tmp_path, capsys):
         rc = cli.main(["verify", "--out", str(tmp_path / "o")])

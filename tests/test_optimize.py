@@ -94,6 +94,20 @@ class TestLocate:
         assert opt == locate_optimal_interval(10.0, delta, params)
         assert opt.mass_active == active
 
+    def test_designs_hold_python_floats(self, params):
+        # under numpy 2 repr(np.float64(0.35)) is "np.float64(0.35)", which
+        # cli._write_csv would write into the sweep's and locate's files
+        bcrit = beta_crit(TranscendParams(params, DSTAR))
+        for beta in (0.5 * bcrit, bcrit, 2.0 * bcrit, math.inf):
+            assert [type(v) for v in optimize._placed(beta, DSTAR, params)] == [float, float]
+        rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 4), params)
+        rows += [locate_optimal_interval(b, d, params) for b in (1.0, 10.0, math.inf) for d in (None, DSTAR)]
+        rows.append(locate_optimal_interval(np.float64(10.0), np.float64(DSTAR), params))
+        assert not failures and len(rows) == 12
+        for row in rows:
+            for name in ("xi_star", "delta", "lambda_star", "beta_crit"):
+                assert type(getattr(row, name)) is float, (row, name)
+
     def test_locate_command_refines_each_root_once(self, tmp_path, capsys, counted_roots):
         # choosing the length hands its root to the located optimum, so no
         # (xi, beta, delta) root is refined twice

@@ -274,7 +274,7 @@ class TestTranscendentalRoot:
                     assert np.array_equal(got[others], (roots <= roots[i])[others]), (beta, place, i)
 
     def test_unconverged_refinement_raises_typed(self, monkeypatch, tp):
-        # scipy's untyped RuntimeError from brentq becomes RootNotFoundError
+        # brentq's untyped RuntimeError becomes RootNotFoundError
         def brentq_fails(*args, **kwargs):
             raise RuntimeError("Failed to converge after 100 iterations, value is 0.5")
 
@@ -283,10 +283,10 @@ class TestTranscendentalRoot:
             transcendental_root(0.2, 3.0, tp)
 
     def test_root_where_sign_products_underflow(self):
-        # F's scaled values near this root are about 1e-240, so brentq's sign
-        # products underflow to 0 unless F is scaled by a power of two; it
-        # failed to converge without.  Reference: the root of the same scaled
-        # F by an mpmath bisection, 4.8700486961504503e-160
+        # F's scaled values near this root are about 1e-240, so brentq's
+        # interpolation products underflow to 0 unless F is scaled by a
+        # power of two; it failed to converge without.  Reference: the root
+        # of the same scaled F by an mpmath bisection, 4.8700486961504503e-160
         p = ModelParams(4.094669370869853, 44.04074808284618, 0.20318635971420004)
         tp = TranscendParams(params=p, delta=0.015411111911472448)
         lam = transcendental_root(0.0, 3.431750800025686e-82, tp)
