@@ -5,12 +5,23 @@ A - sigma*B is positive definite; the LDL^T factorization stops at the
 first non-positive pivot, and that stop is the answer.  The solver reaches
 both kernels through ``kernels``.  Their cost per workload is in the
 benchmark's ``kernels.*`` metrics (``perfbench/run.py --trace 1``).
+``lapack`` imports ``scipy.linalg`` on the first factorization, so the
+closed-form commands, which solve nothing on a grid, never load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf
+
+dpttrf = dpttrs = None  # LAPACK's, bound by lapack() on the first factorization
+
+
+def lapack():
+    """(dpttrf, dpttrs) from scipy.linalg, imported once and bound here."""
+    global dpttrf, dpttrs
+    if dpttrf is None:
+        from scipy.linalg.lapack import dpttrf, dpttrs
+    return dpttrf, dpttrs
 
 
 def pencil_inertia(ad, ae, bd, be, sigma):
@@ -27,6 +38,8 @@ def pencil_inertia(ad, ae, bd, be, sigma):
         return int(d[0] <= 0.0), False
     e = np.multiply(be, -sigma)
     e += ae
+    if dpttrf is None:
+        lapack()
     info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
     return int(info != 0), False
 

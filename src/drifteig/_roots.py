@@ -6,7 +6,8 @@ float for the same function, bracket and tolerances, with the checks of
 scipy's Python wrapper: a NaN value of f, ends of the same sign and bad
 tolerances raise ValueError, and running out of iterations raises
 RuntimeError.  It makes no numpy call, so one step costs little more than
-one evaluation of f.
+one evaluation of f, and a caller that has f's values at the ends passes
+them, so f is not evaluated there again.
 """
 
 from __future__ import annotations
@@ -17,16 +18,21 @@ import sys
 RTOL_MIN = 4.0 * sys.float_info.epsilon  # scipy's smallest rtol
 
 
-def _value(f, x: float) -> float:
-    fx = float(f(x))  # as the C code reads f's value into a double
+def _value(fx, x: float) -> float:
+    fx = float(fx)  # as the C code reads f's value into a double
     if fx != fx:
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+def brentq(
+    f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100, fa=None, fb=None
+) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign, as a float.
 
+    fa and fb, when given, are f(a) and f(b) as the caller already has them;
+    f is then not evaluated at that end, and the steps and the result are
+    those of a call without them.  They are checked like f's own values.
     Converged when half the bracket is below (xtol + rtol |x|) / 2.  Where
     the C code's interpolation divides by zero (an underflowed divisor), its
     infinite or NaN step fails the step test and it bisects; so does this.
@@ -37,7 +43,8 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
     if not rtol >= RTOL_MIN:
         raise ValueError(f"rtol too small ({rtol:g} < {RTOL_MIN:g})")
     xpre, xcur = float(a), float(b)
-    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    fpre = _value(f(xpre) if fa is None else fa, xpre)
+    fcur = _value(f(xcur) if fb is None else fb, xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -73,5 +80,5 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = _value(f, xcur)
+        fcur = _value(f(xcur), xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}.")

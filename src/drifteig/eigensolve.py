@@ -48,9 +48,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import kernels
+from ._kernels_py import lapack
 from .weights import Boundary, DriftEigError, ModelParams, PiecewiseWeight, exp_mass
 
 LAMBDA_REL_TOL = 1e-10
@@ -363,6 +363,7 @@ def _rayleigh_at(forms: Forms, pencil: tuple, shift: float):
     ad, ae, cd, ce = pencil
     x = np.ones(ad.size)
     if ad.size > 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
+        dpttrf, dpttrs = lapack()
         d, e, info = dpttrf(ad - shift * cd, ae - shift * ce)
         if info != 0:
             return None

@@ -22,7 +22,9 @@ below it; only those are refined.  The bound is usually active at the
 optimum, so a scan whose minimum is at the bound is settled by one probe
 just inside it rather than by a golden-section search that only creeps
 back to the bound; that is exact whenever the golden search itself is,
-since both assume lambda unimodal on the scan's first cell.
+since both assume lambda unimodal on the scan's first cell.  The probe is
+one more length in that same evaluation: its root lies above m0's exactly
+when F is positive there, so it refines no root.
 """
 
 from __future__ import annotations
@@ -196,8 +198,11 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     the golden refinement assumes lambda unimodal on [m0, grid[1]], and
     under that assumption lambda(m0 + ACTIVE_TOL) > lambda(m0) puts the
     minimizer inside [m0, m0 + ACTIVE_TOL], so delta* is returned without
-    refining.  Otherwise (an interior scan minimum, or a flat or falling
-    start) golden-section search refines the bracket around it.
+    refining.  The probe's length rides in the same evaluation of F, in
+    m0's place among the 32 lengths: by the same one-root fact its root
+    lies above m0's exactly when it is not at or below it, so the probe
+    refines no root.  Otherwise (an interior scan minimum, or a flat or
+    falling start) golden-section search refines the bracket around it.
     """
     delta = _choose_delta(params, beta)[0]
     return delta, delta == delta_star(params)
@@ -218,15 +223,17 @@ def _choose_delta(params: ModelParams, beta: float) -> tuple:
     grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)  # grid[0] is m0 itself
     vals = {0: _root(beta, dstar, params)}
     # no root above m0's can be the minimum: find the lengths whose roots lie
-    # at or below it in one evaluation, placed by _placed's rule, and refine those
-    lengths = length(grid[1:])
+    # at or below it in one evaluation, placed by _placed's rule, and refine
+    # those.  m0's own root is known, so its slot holds the active-bound probe
+    lengths = length(grid)
+    lengths[0] = length(params.m0 + ACTIVE_TOL)
     below = transcend._roots_at_or_below(
         beta, vals[0], params, lengths, _placed(beta, lengths, params)[0]
     )
-    for i in np.flatnonzero(below).tolist():
-        vals[i + 1] = _root(beta, float(lengths[i]), params)
+    for i in np.flatnonzero(below[1:]).tolist():
+        vals[i + 1] = _root(beta, float(lengths[i + 1]), params)
     i = min(vals, key=vals.get)  # the lowest index with the smallest value
-    if i == 0 and _root(beta, length(params.m0 + ACTIVE_TOL), params) > vals[0]:
+    if i == 0 and not below[0]:
         return dstar, vals[0]  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, DELTA_SCAN_POINTS - 1)]

@@ -232,11 +232,13 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     in s = sqrt(lambda) therefore has one root, the principal one, and on
     every admissible design F > 0 below it.  So s steps down from s_max by
     16 to the first positive value, no lower than S_FLOOR, and Brent's
-    method (_roots.brentq, step for step scipy's) refines that last step.
-    Where F is about 1e-240 the products of its interpolation underflow to
-    0, and it creeps by its tolerance without converging, so F is scaled,
-    exactly, by the power of two that brings |F(hi)| into [0.5, 1).  A
-    refinement that does not converge raises RootNotFoundError.
+    method (_roots.brentq, step for step scipy's) refines that last step,
+    given the step-down's values of F at its ends, so F is evaluated at no
+    abscissa twice.  Where F is about 1e-240 the products of its
+    interpolation underflow to 0, and it creeps by its tolerance without
+    converging, so F is scaled, exactly, by the power of two that brings
+    |F(hi)| into [0.5, 1); the ends' values are scaled by the same power.
+    A refinement that does not converge raises RootNotFoundError.
     """
     _check_xi(xi, tp.delta)
     if not 0.0 <= beta <= math.inf:  # false for NaN
@@ -247,10 +249,11 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
         )
     w0, w1, w2 = _weights(beta, tp.params.alpha)
     c = _consts(xi, tp.params, tp.delta)
+    shift = 0  # F's scaling: none in the step-down, then |F(hi)| into [0.5, 1)
 
     def f(x):
         r0, r1, r2 = _terms(x, c, math)
-        return w0 * r0 + w1 * r1 + w2 * r2
+        return math.ldexp(w0 * r0 + w1 * r1 + w2 * r2, shift)
 
     hi = s_max = _s_max(math.sqrt(tp.params.kappa), tp.delta)
     if (f_hi := f(hi)) > 0.0:
@@ -266,7 +269,10 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     lo = hi / 16.0
     shift = -math.frexp(f_hi)[1]
     try:
-        s_root = brentq(lambda x: math.ldexp(f(x), shift), lo, hi, xtol=1e-15 * lo, rtol=8.9e-16)
+        s_root = brentq(
+            f, lo, hi, xtol=1e-15 * lo, rtol=8.9e-16,
+            fa=math.ldexp(f_lo, shift), fb=math.ldexp(f_hi, shift),
+        )
     except RuntimeError as exc:  # brentq's untyped "failed to converge"
         raise RootNotFoundError(
             f"root refinement on s = sqrt(lambda) in ({lo:.6g}, {hi:.6g}): {exc}"

@@ -122,4 +122,25 @@ def test_tracer_sees_every_design_root():
     assert len(rows) == 61 and not failures
     got = {k: v for k, (v, _) in tracer.summary(0, len(tracer.spans)).items()}
     assert got["optimize.locate_optimal_interval.calls"] == 61
-    assert got["transcend.transcendental_root.calls"] >= 61
+    # one root per row: the scanned rows' active-bound probes refine none
+    assert got["transcend.transcendental_root.calls"] == 61
+
+
+def test_tracer_counts_design_grid_roots(monkeypatch):
+    # one design_grid pass refines 71 roots: each of its 56 designs is
+    # located at its chosen length, and each of the 15 scanned ones also
+    # refines m0's root in the scan (no other length's root lies at or
+    # below it, and the active-bound probe refines none); every seed has
+    # the same mix of pinned and scanned designs
+    grid = _load_workloads(monkeypatch).DesignGrid()
+    inputs = grid.make_inputs(drifteig, 1, None)
+    tracer = _load_tracing().Tracer(drifteig)
+    tracer.install()
+    try:
+        for op in grid.ops(drifteig, inputs):
+            op()
+    finally:
+        tracer.uninstall()
+    got = {k: v for k, (v, _) in tracer.summary(0, len(tracer.spans)).items()}
+    assert got["optimize.choose_delta.calls"] == 56
+    assert got["transcend.transcendental_root.calls"] == 71

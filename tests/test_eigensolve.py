@@ -382,8 +382,11 @@ def _count_calls(monkeypatch):
         counted("smallest_pencil_eigenvalue", kernels.smallest_pencil_eigenvalue),
     )
     # the probes factor through _kernels_py's own dpttrf, so this counts only
-    # the inverse iteration's factorizations
-    monkeypatch.setattr(eigensolve, "dpttrf", counted("dpttrf", eigensolve.dpttrf))
+    # the inverse iteration's factorizations, which take LAPACK from
+    # eigensolve's lapack()
+    dpttrf, dpttrs = eigensolve.lapack()
+    factor = counted("dpttrf", dpttrf)
+    monkeypatch.setattr(eigensolve, "lapack", lambda: (factor, dpttrs))
     return calls
 
 

@@ -174,13 +174,29 @@ class TestActiveConstraint:
             locate_optimal_interval(beta, None, p)
             assert counted_roots and len(counted_roots) == len(set(counted_roots)), p
 
-    def test_scan_minimum_at_bound_settled_by_one_probe(self, params, counted_roots):
+    def test_scan_minimum_at_bound_settled_by_one_probe(self, params, counted_roots, monkeypatch):
         # of the 32 points only m0 can be the minimum, and the one evaluation
-        # of F at its root shows it without refining another length: m0 and
-        # the probe at m0 + ACTIVE_TOL are the only roots, no golden search
+        # of F at its root shows it without refining another length; the same
+        # evaluation puts the probe's root, at m0 + ACTIVE_TOL, above m0's, so
+        # m0's is the only root refined and there is no golden search
+        from drifteig import transcend
+
+        asked = []
+        roots_at_or_below = transcend._roots_at_or_below
+
+        def recorded(beta, lam, p, deltas, xis):
+            below = roots_at_or_below(beta, lam, p, deltas, xis)
+            asked.append((deltas.tolist(), below.tolist()))
+            return below
+
+        monkeypatch.setattr(transcend, "_roots_at_or_below", recorded)
         assert choose_delta(params, 10.0) == (DSTAR, True)
-        probe = (1.0 - params.m0 - optimize.ACTIVE_TOL) / (params.kappa + 1.0)
-        assert [delta for _, _, delta in counted_roots] == [DSTAR, probe]
+        assert [delta for _, _, delta in counted_roots] == [DSTAR]
+        probe = (1.0 - (params.m0 + optimize.ACTIVE_TOL)) / (params.kappa + 1.0)
+        [(deltas, below)] = asked
+        assert len(deltas) == optimize.DELTA_SCAN_POINTS and deltas[0] == probe
+        assert not any(below)
+        assert optimize._root(10.0, probe, params) > optimize._root(10.0, DSTAR, params)
 
     def test_several_candidates_pick_the_argmin(self, counted_roots):
         # here several lengths' roots lie at or below m0's, so more than one
@@ -292,9 +308,9 @@ def counted_roots(monkeypatch):
 
 class TestSweep:
     def test_figure_sweep_refines_each_root_once_per_row(self, params, counted_roots):
-        # the figure's 60 betas: a row refines m0's root, the lengths whose
-        # roots lie at or below it and, at the bound, one probe; the located
-        # row reuses the root its length scan refined
+        # the figure's 60 betas: a row refines m0's root and the lengths whose
+        # roots lie at or below it; the located row reuses the root its
+        # length scan refined
         rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 60), params)
         assert len(rows) == 61 and not failures
         assert len(counted_roots) == len(set(counted_roots)) <= 86
@@ -302,7 +318,8 @@ class TestSweep:
 
     def test_figure_sweep_rows_are_located_designs(self, params, monkeypatch):
         # each row is one locate_optimal_interval call, and a scanned row asks
-        # of its 31 other lengths once, in one evaluation of F
+        # of its 31 other lengths and the active-bound probe once, in one
+        # evaluation of F
         from drifteig import transcend
 
         asked = []
@@ -317,7 +334,7 @@ class TestSweep:
         rows, failures = sweep_beta(betas, params)
         assert not failures and asked
         assert len({beta for beta, _ in asked}) == len(asked)
-        assert {size for _, size in asked} == {optimize.DELTA_SCAN_POINTS - 1}
+        assert {size for _, size in asked} == {optimize.DELTA_SCAN_POINTS}
         monkeypatch.undo()
         assert rows == [locate_optimal_interval(b, None, params) for b in betas + [math.inf]]
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,23 +18,31 @@ ROOT = Path(__file__).resolve().parents[1]
 TOL = {"xtol": 1e-15, "rtol": 8.9e-16}
 
 
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
 @pytest.fixture
 def compared(monkeypatch):
     """Route the package's brentq through both solvers; count the brackets.
 
-    Each call must give the same float from the port as from scipy, or the
-    same exception type.
+    End values a caller passes must be f(a) and f(b) bit for bit; scipy is
+    called without them and the port with them.  Each call must give the
+    same float from the port as from scipy, or the same exception type.
     """
     calls = []
 
-    def both(f, a, b, **kw):
+    def both(f, a, b, fa=None, fb=None, **kw):
+        for x, fx in ((a, fa), (b, fb)):
+            if fx is not None:
+                assert _bits(fx) == _bits(f(x)), x
         try:
             want = scipy_brentq(f, a, b, **kw)
         except (ValueError, RuntimeError) as exc:
             with pytest.raises(type(exc)):
-                brentq(f, a, b, **kw)
+                brentq(f, a, b, fa=fa, fb=fb, **kw)
             raise
-        got = brentq(f, a, b, **kw)
+        got = brentq(f, a, b, fa=fa, fb=fb, **kw)
         assert type(got) is float and got == want and math.copysign(1, got) == math.copysign(1, want)
         calls.append((a, b))
         return got
@@ -128,9 +137,50 @@ class TestChecks:
         assert got == scipy_brentq(f, 0.0, 1.0, **TOL)
 
 
+class TestEndValues:
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x**3 - 0.1234, 0.0, 1.0),
+            (lambda x: 1e-300 * (x**3 - 0.3), 0.0, 1.0),  # the bisecting underflow
+            (lambda x: math.cos(x) - x, -2.0, 3.0),
+            (lambda x: x - 1.0, 0.0, 1.0),  # a root at an end
+        ],
+    )
+    def test_same_float_without_evaluating_the_ends(self, f, a, b):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return f(x)
+
+        got = brentq(g, a, b, fa=f(a), fb=f(b), **TOL)
+        assert got == brentq(f, a, b, **TOL) and type(got) is float
+        assert a not in seen and b not in seen
+
+    def test_one_end_value(self):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return x - 0.25
+
+        assert brentq(g, 0.0, 1.0, fb=0.75, **TOL) == 0.25
+        assert seen[0] == 0.0 and 1.0 not in seen
+
+    @pytest.mark.parametrize(
+        "ends, match", [({"fa": math.nan}, "NaN"), ({"fb": math.nan}, "NaN"), ({"fa": 1.0}, "different signs")]
+    )
+    def test_end_values_are_checked(self, ends, match):
+        with pytest.raises(ValueError, match=match):
+            brentq(lambda x: x - 0.5, 0.0, 1.0, **ends, **TOL)
+
+
 def test_package_import_loads_no_scipy_optimize():
+    # the closed-form commands load neither scipy.optimize (brentq is
+    # ported) nor scipy.linalg (LAPACK is bound on the first grid solve)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = "import sys, drifteig.cli; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    code = "import sys, drifteig.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -177,6 +177,26 @@ class TestTranscendentalRoot:
                 lam = transcendental_root(0.2, beta, tp)
             assert 0.0 < lam < bound
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1e4, math.inf, 3.431750800025686e-82])
+    def test_no_abscissa_evaluated_twice(self, params, monkeypatch, beta):
+        # the step-down's values of F at the bracket's ends go to brentq, so
+        # one root evaluates F at each s at most once
+        seen = []
+        terms = transcend._terms
+
+        def recorded(s, c, xp):
+            seen.append(s)
+            return terms(s, c, xp)
+
+        monkeypatch.setattr(transcend, "_terms", recorded)
+        high = ModelParams(4.094669370869853, 44.04074808284618, 0.20318635971420004)
+        for p, delta in ((params, 0.3), (high, 0.015411111911472448)):
+            for xi in (0.0, 0.5 * (1.0 - delta)):
+                seen.clear()
+                lam = _root_or_nan(xi, beta, p, delta)
+                assert len(set(seen)) == len(seen), (p, xi)
+                assert math.isnan(lam) or len(seen) > 2
+
     def test_symmetry(self, tp):
         for xi in (0.0, 0.05, 0.2):
             a = transcendental_root(xi, 2.0, tp)
