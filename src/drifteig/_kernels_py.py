@@ -2,9 +2,11 @@
 
 ``pencil_inertia`` asks LAPACK's ``dpttrf`` (through scipy) whether
 A - sigma*B is positive definite; the LDL^T factorization stops at the
-first non-positive pivot, and that stop is the answer.  The solver reaches
-both kernels through ``kernels``.  Their cost per workload is in the
-benchmark's ``kernels.*`` metrics (``perfbench/run.py --trace 1``).
+first non-positive pivot, and that stop is the answer.  The solver's one
+bisection, for lambda and mu alike, halves a bracket on that test and
+returns it; its name stays because the benchmark's tracer wraps it.  The
+solver reaches both kernels through ``kernels``.  Their cost per workload
+is in the benchmark's ``kernels.*`` metrics (``perfbench/run.py --trace 1``).
 ``lapack`` imports ``scipy.linalg`` on the first factorization, so the
 closed-form commands, which solve nothing on a grid, never load scipy.
 """
@@ -44,18 +46,17 @@ def pencil_inertia(ad, ae, bd, be, sigma):
     return int(info != 0), False
 
 
-def smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, atol, rtol, max_iter):
-    """(midpoint, probes): bisection for the smallest eigenvalue of the
-    pencil (A, M), and the number of ``pencil_inertia`` calls it made."""
+def smallest_pencil_eigenvalue(ad, ae, cd, ce, lo, hi, atol, rtol):
+    """(lo, hi, probes): [lo, hi] halved on the smallest eigenvalue of the
+    pencil (A, C) to hi - lo <= atol + rtol*|hi|, and the tests made.
+    A - lo*C is positive definite and A - hi*C not, at ends a probe moved.
+    For finite ends and atol > 0, or rtol >= 4 eps and 0 outside, it ends."""
     probes = 0
-    while probes < max_iter:
-        width = hi - lo
-        mid = lo + 0.5 * width
-        if width <= atol + rtol * abs(mid):
-            break
+    while hi - lo > atol + rtol * abs(hi):
+        mid = 0.5 * (lo + hi)
         probes += 1
-        if pencil_inertia(ad, ae, md, me, mid)[0]:
+        if pencil_inertia(ad, ae, cd, ce, mid)[0]:
             hi = mid
         else:
             lo = mid
-    return lo + 0.5 * (hi - lo), probes
+    return lo, hi, probes

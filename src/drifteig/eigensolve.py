@@ -26,8 +26,8 @@ bracket and the test reads "definite" just below it and "not" just above
 the bisection goes on from the same bracket as if it had never stopped.
 Either way ``_refine`` also returns a shift it has proved definite.
 mu takes the same path on the pencil (K - lambda*B, M0) from the bracket
-[-max(lambda*weight), Rayleigh quotient of the ones vector], with its
-coarse phase in the kernel bisection.
+[-max(lambda*weight), Rayleigh quotient of the ones vector].  Every
+bisection, coarse or not, is the kernel's, which returns its bracket.
 
 All entry points share one core: ``_zero_regime`` validates the weight and
 detects the Neumann zero regime, ``_bracket_and_bisect`` locates lambda,
@@ -38,7 +38,7 @@ an uncertified mu at the shift ``_refine`` proved, and it gives the
 eigenfunction that ``_eigenpair`` normalizes and checks, as the vector of
 mu(lambda) = 0 on the pencil (K - lambda*B, M0).
 ``eigen_cov`` runs the same core on the drift-free forms of the change of
-variable.  The definiteness test and the mu bisection are in ``kernels``.
+variable.  The definiteness test and the bisection are in ``kernels``.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ class EigenPair:
     probes bracket the Rayleigh quotient to CERT_REL, False when lam is the
     midpoint of the bisection to LAMBDA_REL_TOL.  A pair built outside the
     solver is not certified.  probes counts the definiteness tests
-    (``pencil_inertia`` calls, those of the kernel's mu bisection included)
-    that located and refined lam, 0 for a pair built outside the solver.
+    (``pencil_inertia`` calls, the kernel bisection's included) that
+    located and refined lam, 0 for a pair built outside the solver.
     """
 
     lam: float
@@ -289,7 +289,7 @@ class _SignTest:
     """The sign test of the pencil (A, C): sigma -> A - sigma*C is not
     positive definite, i.e. sigma is at or above its smallest eigenvalue.
 
-    calls counts the tests made, one ``kernels.pencil_inertia`` call each.
+    calls counts the tests made, one ``pencil_inertia`` call each.
     """
 
     def __init__(self, pencil: tuple):
@@ -298,19 +298,13 @@ class _SignTest:
 
     def __call__(self, sigma: float) -> bool:
         self.calls += 1
-        ad, ae, cd, ce = self.pencil
-        return kernels.pencil_inertia(ad, ae, cd, ce, sigma)[0] >= 1
+        return kernels.pencil_inertia(*self.pencil, sigma)[0] >= 1
 
-
-def _bisect(pred, lo: float, hi: float, atol: float, rtol: float) -> tuple:
-    """Halve [lo, hi] on pred (true above the eigenvalue) to atol + rtol*|hi|."""
-    while hi - lo > atol + rtol * abs(hi):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    def bisect(self, lo: float, hi: float, atol: float, rtol: float) -> tuple:
+        """[lo, hi] halved to atol + rtol*|hi| by the kernel bisection."""
+        lo, hi, probes = kernels.smallest_pencil_eigenvalue(*self.pencil, lo, hi, atol, rtol)
+        self.calls += probes
+        return lo, hi
 
 
 def _refine(
@@ -335,7 +329,7 @@ def _refine(
         t = CERT_REL * abs(rho) + atol
         if not pred(rho - t) and pred(rho + t):
             return rho, True, rho - t
-    lo, hi = _bisect(pred, lo, hi, atol, rtol)
+    lo, hi = pred.bisect(lo, hi, atol, rtol)
     return 0.5 * (lo + hi), False, lo
 
 
@@ -396,30 +390,29 @@ def _mu_pencil(forms: Forms, lam: float) -> tuple:
 
 
 def _mu_from_forms(forms: Forms, lam: float) -> tuple:
-    """(mu(lam), the definiteness tests made, the kernel bisection's included)."""
-    pencil, quotient = _mu_pencil(forms, lam)
+    """(mu(lam), the definiteness tests made); ValueError for a non-finite bracket."""
     # K is positive semidefinite and B sums the element weights times M0's
     # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
     # any vector, here the ones vector, bounds mu from above
-    lo = -float(np.max(lam * forms.weight))
-    hi = float(quotient(*forms.quadratics(forms.embed(np.ones(pencil[0].size)))))
-    slack = 1e-3 * (hi - lo) + MU_ATOL
-    lo, hi = lo - slack, hi + slack
-    atol = (hi - lo) * MU_COARSE_SHARE
-    mid, probes = kernels.smallest_pencil_eigenvalue(*pencil, lo, hi, atol, COARSE_REL, 200)
-    # the kernel stops once its bracket is no wider than tol
-    tol = atol + COARSE_REL * abs(mid)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        pencil, quotient = _mu_pencil(forms, lam)
+        lo = -float(np.max(lam * forms.weight))
+        hi = float(quotient(*forms.quadratics(forms.embed(np.ones(pencil[0].size)))))
+        slack = 1e-3 * (hi - lo) + MU_ATOL
+        lo, hi = lo - slack, hi + slack
+    if not (math.isfinite(lam) and math.isfinite(hi - lo)):
+        raise ValueError(f"mu at lambda = {lam}: bracket [{lo}, {hi}] is not finite")
     pred = _SignTest(pencil)
-    mu, certified, below = _refine(forms, pred, quotient, mid - tol, mid + tol, MU_ATOL, MU_RTOL)
-    probes += pred.calls
+    lo, hi = pred.bisect(lo, hi, (hi - lo) * MU_COARSE_SHARE, COARSE_REL)
+    mu, certified, below = _refine(forms, pred, quotient, lo, hi, MU_ATOL, MU_RTOL)
     # a bisected mu is limited by the rounding of the LDL^T pivots; the
     # elementwise quotient at its definite lower end is accurate to the
     # residual squared, unless it escaped the bisection's neighborhood
     if not certified:
         rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pencil, below))
         if abs(rho - mu) <= 1e-4 * max(1.0, abs(mu)):
-            return rho, probes
-    return mu, probes
+            return rho, pred.calls
+    return mu, pred.calls
 
 
 def mu_of_lambda(
@@ -468,7 +461,7 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
         if hi > BRACKET_LIMIT:
             samples = [(l, _mu_from_forms(forms, l)[0]) for l in (1.0, 1e2, 1e4, 1e6, 1e8)]
             raise BracketError(f"no sign change below {BRACKET_LIMIT}; mu samples {samples}")
-    lo, hi = _bisect(pred, lo, hi, 0.0, COARSE_REL)
+    lo, hi = pred.bisect(lo, hi, 0.0, COARSE_REL)
 
     def quotient(kq, bq, mq):
         return kq / bq if bq > 0.0 else math.nan

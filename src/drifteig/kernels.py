@@ -2,8 +2,9 @@
 
 The definiteness test (LAPACK ``dpttrf`` through scipy) and the
 smallest-eigenvalue bisection live in ``_kernels_py``; this module
-re-exports them.  The solver calls them through this module's attributes,
-which is where the benchmark's tracer wraps them.
+re-exports them.  The solver finds lambda and mu by the one bisection,
+which returns its bracket, and calls both kernels through this module's
+attributes, where the benchmark's tracer wraps them by name.
 
 ``BACKEND`` names the kernel implementation.  Nothing in the package is
 compiled, so it is always ``"pure"``; it stays because

@@ -165,6 +165,8 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
     applies, with b* the critical coefficient at advection 1/2 and xi* the
     centered left endpoint.
     """
+    if not 0.0 <= beta <= math.inf:  # false for NaN
+        raise ValueError(f"beta must lie in [0, inf], got {beta}")
     dstar = delta_star(params)
     xi_star = (params.kappa + params.m0) / (2.0 * (1.0 + params.kappa))
     bcrit = transcend.critical_beta(params.alpha, params.kappa, dstar)

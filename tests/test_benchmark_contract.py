@@ -59,6 +59,15 @@ def test_figure_sweep_runs_and_checks(monkeypatch, tmp_path):
     assert sweep.check(inputs, sweep.read(inputs, raw)) == []
 
 
+def test_eigen_battery_runs_and_checks(monkeypatch):
+    # one pass of the only workload that solves on a grid: solves at three
+    # sizes under four boundary conditions, eigen_cov, mu, rearrangements
+    battery = _load_workloads(monkeypatch).EigenBattery()
+    inputs = battery.make_inputs(drifteig, 1, None)
+    raw = [op() for op in battery.ops(drifteig, inputs)]
+    assert battery.check(inputs, battery.read(inputs, raw)) == []
+
+
 def test_figure_sweep_argv_parses(monkeypatch, tmp_path):
     argv = _load_workloads(monkeypatch).FigureSweep().make_inputs(drifteig, 1, str(tmp_path))["argv"]
     args = drifteig.cli.build_parser().parse_args(argv)
@@ -103,7 +112,8 @@ def test_tracer_runs_end_to_end():
         tracer.uninstall()
     got = {k: v for k, (v, _) in tracer.summary(0, len(tracer.spans)).items()}
     assert got["kernels.pencil_inertia.calls"] > 0
-    assert got["kernels.smallest_pencil_eigenvalue.calls"] == 1
+    # lambda's coarse bisection and mu's, both certified
+    assert got["kernels.smallest_pencil_eigenvalue.calls"] == 2
     assert got["eigensolve.principal_eigenvalue.calls"] == 1
     assert got["kernels.pivot_substituted"] == 0
 

@@ -219,6 +219,18 @@ class TestMuCurve:
             chord = t * pts[0].mu + (1 - t) * pts[1].mu
             assert pts[2].mu >= chord - 1e-9
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 1e200], ids=str)
+    def test_non_finite_bracket_rejected(self, lam):
+        # at lam = 1e200 the bracket end -max(lam * weight) overflows, as
+        # the weight reaches 50 e^300; without the check mu is NaN
+        p = ModelParams(6.0, 50.0, 0.4)
+        m = BangBangInterval(0.1, 0.3, p).weight()
+        disc = make_discretization(200, m)
+        with pytest.raises(ValueError, match="is not finite"):
+            mu_of_lambda(m, p, Boundary.robin(1.0), disc, lam)
+        with pytest.raises(ValueError, match="is not finite"):
+            mu_curve(m, p, Boundary.robin(1.0), disc, [1.0, lam])
+
 
 class TestPrincipalEigenvalue:
     def test_constant_weight_dirichlet_pi_squared(self):
@@ -359,8 +371,8 @@ def _dense(d, e):
 
 
 def _count_calls(monkeypatch):
-    """Count definiteness probes, mu bisections and the factorizations of
-    ``eigensolve``'s inverse iteration, wherever they are made."""
+    """Count definiteness probes, kernel bisections and the factorizations
+    of ``eigensolve``'s inverse iteration, wherever they are made."""
     from drifteig import _kernels_py, eigensolve, kernels
 
     calls = {"pencil_inertia": 0, "smallest_pencil_eigenvalue": 0, "dpttrf": 0}
@@ -444,18 +456,20 @@ class TestCertifiedRefinement:
     def test_probe_count_at_n_2000(self, params, rng, monkeypatch, bc):
         # a full bisection to LAMBDA_REL_TOL makes about 40 probes; the
         # refinement needs the floor probe, the doubling bracket (about
-        # log2 lambda probes), a bisection to 1/64 (6) and the certificate (2);
-        # one factorization refines lambda and one gives the eigenfunction
+        # log2 lambda probes), the kernel's bisection to 1/64 (6) and the
+        # certificate (2); one factorization refines lambda and one gives
+        # the eigenfunction
         calls = _count_calls(monkeypatch)
         m = BangBangInterval(0.1, 0.3, params).weight()
         principal_eigenvalue(m, params, bc, make_discretization(2000, m))
         assert calls["pencil_inertia"] <= 20
+        assert calls["smallest_pencil_eigenvalue"] == 1
         assert calls["dpttrf"] == 2
-        calls["pencil_inertia"] = calls["dpttrf"] = 0
+        calls.update(pencil_inertia=0, smallest_pencil_eigenvalue=0, dpttrf=0)
         m = random_admissible(params, rng)
         lam = principal_eigenvalue(m, params, bc, make_discretization(2000, m)).lam
         assert calls["pencil_inertia"] <= 12 + math.log2(lam)
-        assert calls["smallest_pencil_eigenvalue"] == 0
+        assert calls["smallest_pencil_eigenvalue"] == 1
         assert calls["dpttrf"] == 2
 
     @pytest.mark.parametrize(
@@ -470,8 +484,8 @@ class TestCertifiedRefinement:
     )
     def test_probes_are_the_kernel_calls(self, params, monkeypatch, n, bc):
         # EigenPair.probes is the number of definiteness tests, all made by
-        # the lambda solve: the eigenfunction's solve makes none.  The mu
-        # bisection of the floor's misfire calls _kernels_py's own test.
+        # the lambda solve: the eigenfunction's solve makes none.  The
+        # kernel bisection calls _kernels_py's own test.
         from drifteig import _kernels_py, kernels
 
         calls = []
@@ -502,6 +516,24 @@ class TestCertifiedRefinement:
         for eps, lam in expected.items():
             p = ModelParams(a_star * (1.0 - eps), 1.0, 0.4)
             assert principal_lambda(m, p, Boundary.neumann(), disc) == lam
+
+    @pytest.mark.parametrize(
+        "solve, bc, lam, probes",
+        [
+            (principal_eigenvalue, Boundary.neumann(), 5.1227949047175745, 13),
+            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995697, 14),
+            (principal_eigenvalue, Boundary.robin(10.0), 20.675249992344682, 15),
+            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 15),
+            (eigen_cov, Boundary.robin(1.0), 10.546261858421303, 14),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_certified_lambda_bits(self, params, solve, bc, lam, probes):
+        # certified eigenvalues to the last bit, with the tests that found
+        # them: a change to the bisection or the refinement shows here
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        pair = solve(m, params, bc, make_discretization(2000, m))
+        assert (pair.lam, pair.probes, pair.certified) == (lam, probes, True)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_eigenfunction_near_alpha_star_matches_dense(self, eps):
@@ -558,7 +590,8 @@ class TestCertifiedRefinement:
         assert kernels.pencil_inertia(kd, ke, bd, be, LAMBDA_FLOOR)[0] == 1
         calls = _count_calls(monkeypatch)
         pair = principal_eigenvalue(m, params, Boundary.neumann(), disc)
-        assert calls["smallest_pencil_eigenvalue"] == 1
+        # mu's coarse bracket and its uncertified tail, then lambda's bracket
+        assert calls["smallest_pencil_eigenvalue"] == 3
         assert calls["pencil_inertia"] <= 30
         kq, bq, _ = forms.quadratics(pair.phi)
         assert pair.lam == pytest.approx(kq / bq, rel=1e-12)
@@ -578,12 +611,19 @@ class TestCertifiedRefinement:
         m = random_admissible(params, rng)
         disc = make_discretization(400, m)
         kd, ke, bd, be, md, me = assemble(m, params, bc, disc).interior()
+        # the coarse bisection is one kernel call and feeds one inverse
+        # iteration; an uncertified mu adds the bisected tail and its polish
         calls = _count_calls(monkeypatch)
-        for i, lam in enumerate((-20.0, 0.0, 7.5, 60.0, 120.0), start=1):
+        uncertified = 0
+        for lam in (-20.0, 0.0, 7.5, 60.0, 120.0):
             target = scipy.linalg.eigh(
                 _dense(kd - lam * bd, ke - lam * be), _dense(md, me), eigvals_only=True
             )[0]
+            calls.update(smallest_pencil_eigenvalue=0, dpttrf=0)
             mu = mu_of_lambda(m, params, bc, disc, lam)
             assert type(mu) is float
             assert abs(mu - target) <= 1e-10 * max(1.0, abs(target))
-            assert calls["smallest_pencil_eigenvalue"] == i
+            assert calls["dpttrf"] in (1, 2)
+            assert calls["smallest_pencil_eigenvalue"] == calls["dpttrf"]
+            uncertified += calls["dpttrf"] - 1
+        assert uncertified == (1 if bc.is_neumann else 0)

@@ -37,16 +37,53 @@ def test_inertia_matches_dense_eig_count(rng):
     assert checked >= 15
 
 
-def test_smallest_pencil_eigenvalue_matches_scipy(rng):
+def _counted_inertia(monkeypatch):
+    """A list that grows by one per pencil_inertia call the bisection makes."""
+    calls = []
+    probe = _kernels_py.pencil_inertia
+
+    def counted(*args):
+        calls.append(args[-1])
+        return probe(*args)
+
+    monkeypatch.setattr(_kernels_py, "pencil_inertia", counted)
+    return calls
+
+
+def test_smallest_pencil_eigenvalue_matches_scipy(rng, monkeypatch):
+    # the returned bracket holds the dense eigenvalue, is as narrow as
+    # asked, and the test reads definite at its lower end and not at its
+    # upper; the start is off-centre, so no midpoint lands on the target
+    atol = rtol = 1e-12
+    calls = _counted_inertia(monkeypatch)
     for trial in range(10):
         n = int(rng.integers(4, 60))
         ad, ae, md, me = _random_pencil(rng, n)
         target = scipy.linalg.eigh(
             _dense(ad, ae), _dense(md, me), eigvals_only=True
         )[0]
-        lo, hi = target - 50.0, target + 50.0
-        got, _ = _kernels_py.smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, 1e-12, 1e-12, 200)
-        assert got == pytest.approx(target, abs=1e-9, rel=1e-9)
+        lo, hi = target - rng.uniform(10.0, 50.0), target + rng.uniform(10.0, 50.0)
+        calls.clear()
+        lo, hi, probes = _kernels_py.smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, atol, rtol)
+        assert probes == len(calls) > 0
+        assert lo <= target <= hi
+        assert hi - lo <= atol + rtol * abs(hi)
+        assert _kernels_py.pencil_inertia(ad, ae, md, me, lo)[0] == 0
+        assert _kernels_py.pencil_inertia(ad, ae, md, me, hi)[0] == 1
+
+
+def test_smallest_pencil_eigenvalue_ends_at_ulp_width(monkeypatch):
+    # atol = 0 and rtol = 4 eps: the bracket shrinks to a few ulps and the
+    # loop ends there; diag(1, 2, 3) against I has its smallest eigenvalue
+    # at 1 exactly, and the test's sign at sigma is that of 1 - sigma
+    ad, md, e = np.array([1.0, 2.0, 3.0]), np.ones(3), np.zeros(2)
+    eps = np.finfo(float).eps
+    lo, hi = 1.0 - 16 * eps, 1.0 + 16 * eps
+    calls = _counted_inertia(monkeypatch)
+    lo, hi, probes = _kernels_py.smallest_pencil_eigenvalue(ad, e, md, e, lo, hi, 0.0, 4 * eps)
+    assert probes == len(calls) <= 4
+    assert lo < 1.0 <= hi
+    assert hi - lo <= 4 * eps * abs(hi)
 
 
 def test_zero_pivot_reads_not_positive_definite():

@@ -1,6 +1,7 @@
 """Optimal interval location, sweeps, switch function, mollification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,22 @@ class TestActiveConstraint:
         assert delta == pytest.approx(DSTAR, abs=1e-6)
         assert active
 
+    @pytest.mark.parametrize("beta", [math.nan, -1.0, -math.inf])
+    def test_beta_outside_range_rejected(self, params, beta):
+        # the design path checks beta as transcendental_root does, before
+        # the sufficient condition could answer for a beta it has no meaning at
+        message = re.escape(f"beta must lie in [0, inf], got {beta}")
+        with pytest.raises(ValueError, match=message):
+            active_constraint_condition(params, beta)
+        with pytest.raises(ValueError, match=message):
+            choose_delta(params, beta)
+
+    @pytest.mark.parametrize("beta", [0.0, math.inf])
+    def test_beta_range_ends_answer(self, params, beta):
+        assert type(active_constraint_condition(params, beta)) is bool
+        delta, active = choose_delta(params, beta)
+        assert 0.0 < delta <= DSTAR and active == (delta == DSTAR)
+
     def test_scan_evaluates_each_point_once(self, params, counted_roots):
         # the scan keeps the value at m0 and the golden search the value at
         # its minimizer, and locate_optimal_interval reuses the chosen one
@@ -229,12 +246,13 @@ class TestActiveConstraint:
         p = ModelParams(alpha, kappa, m0)
         dstar = optimize.delta_star(p)
         beta = beta_ratio * beta_crit(TranscendParams(params=p, delta=dstar))
-        assert not active_constraint_condition(p, beta)  # the scan decides
         got = _outcome(choose_delta, p, beta)
         assert got == _outcome(_scan_and_golden_delta, p, beta)
         if math.isnan(beta):
+            assert got == _outcome(active_constraint_condition, p, beta)
             assert got == "beta must lie in [0, inf], got nan"
         else:
+            assert not active_constraint_condition(p, beta)  # the scan decides
             delta, active = got
             assert active == (delta == dstar)
 
