@@ -17,14 +17,15 @@ The interval length comes from choose_delta: pinned to delta* where the
 paper's sufficient condition makes the mass bound active, and otherwise
 scanned over the resource amount.  A length whose root lies above m0's
 cannot hold the minimum, so the scan refines m0 first and asks of the other
-lengths, in one numpy evaluation of F at m0's root, which roots lie at or
-below it; only those are refined.  The bound is usually active at the
-optimum, so a scan whose minimum is at the bound is settled by one probe
-just inside it rather than by a golden-section search that only creeps
-back to the bound; that is exact whenever the golden search itself is,
-since both assume lambda unimodal on the scan's first cell.  The probe is
-one more length in that same evaluation: its root lies above m0's exactly
-when F is positive there, so it refines no root.
+lengths, by the sign of F at m0's root (one scalar evaluation per length,
+on plain floats), which roots lie at or below it; only those are refined.
+The bound is usually active at the optimum, so a scan whose minimum is at
+the bound is settled by one probe just inside it rather than by a
+golden-section search that only creeps back to the bound; that is exact
+whenever the golden search itself is, since both assume lambda unimodal on
+the scan's first cell.  The probe is one more length in that same scan:
+its root lies above m0's exactly when F is positive there, so it refines
+no root.
 """
 
 from __future__ import annotations
@@ -101,23 +102,26 @@ def delta_star(params: ModelParams) -> float:
     return (1.0 - params.m0) / (params.kappa + 1.0)
 
 
-def _placed(beta: float, delta, params: ModelParams) -> tuple:
-    """(xi*, beta_crit) of the trichotomy, for one length or an array of them.
+def _placed(beta: float, deltas, params: ModelParams) -> list:
+    """[(xi*, beta_crit)] of the trichotomy, one pair per length in deltas.
 
     xi* is the centre (1 - delta)/2 where beta lies above beta_crit by more
     than DEGENERATE_BAND (Dirichlet included), and 0 below it or inside the
-    band, where every location is optimal.  Plain arithmetic serves both:
-    one float length gives floats, an array gives arrays.
+    band, where every location is optimal.  deltas is a sequence of floats;
+    beta_crit's length-free factors are computed once for all of them.
     """
-    bcrit = transcend.critical_beta(params.alpha, params.kappa, delta)
-    centred = (abs(beta - bcrit) > DEGENERATE_BAND) & (beta >= bcrit)
-    return 0.5 * (1.0 - delta) * centred, bcrit
+    bcrits = transcend._critical_betas(params.alpha, params.kappa, deltas)
+    return [
+        (0.5 * (1.0 - d) if abs(beta - bc) > DEGENERATE_BAND and beta >= bc else 0.0, bc)
+        for d, bc in zip(deltas, bcrits)
+    ]
 
 
 def _root(beta: float, delta: float, params: ModelParams) -> float:
     """The transcendental root at length delta, placed by _placed's rule."""
     tp = transcend.TranscendParams(params=params, delta=delta)
-    return transcend.transcendental_root(_placed(beta, delta, params)[0], beta, tp)
+    [(xi, _)] = _placed(beta, (delta,), params)
+    return transcend.transcendental_root(xi, beta, tp)
 
 
 def locate_optimal_interval(beta: float, delta: float | None, params: ModelParams) -> DesignOptimum:
@@ -137,7 +141,7 @@ def locate_optimal_interval(beta: float, delta: float | None, params: ModelParam
         delta, lam = _choose_delta(params, beta)
     delta = float(delta)
     tp = transcend.TranscendParams(params=params, delta=delta)  # checks delta before placing it
-    xi, bcrit = _placed(beta, delta, params)
+    [(xi, bcrit)] = _placed(beta, (delta,), params)
     if lam is None:
         lam = transcend.transcendental_root(xi, beta, tp)
     if xi > 0.0:
@@ -189,19 +193,19 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     ACTIVE_TOL of the bound m0.  So active is always delta == delta_star(params).
 
     The scan refines m0 first.  A point whose root lies above m0's cannot
-    hold the minimum, and F has one root below each length's s_max, so one
-    evaluation of F at m0's root (transcend._roots_at_or_below) tells
-    exactly which of the other 31 lengths have roots at or below it; only
-    those are refined.  So the pick, the lowest index with the smallest
-    refined value, is the argmin over all grid points, as if every point
-    were refined.
+    hold the minimum, and F has one root below each length's s_max, so the
+    sign of F at m0's root (transcend._roots_at_or_below, one scalar
+    evaluation per length) tells exactly which of the other 31 lengths
+    have roots at or below it; only those are refined.  So the pick, the
+    lowest index with the smallest refined value, is the argmin over all
+    grid points, as if every point were refined.
 
     When the scan's smallest value is at m0 itself, one probe settles it:
     the golden refinement assumes lambda unimodal on [m0, grid[1]], and
     under that assumption lambda(m0 + ACTIVE_TOL) > lambda(m0) puts the
     minimizer inside [m0, m0 + ACTIVE_TOL], so delta* is returned without
-    refining.  The probe's length rides in the same evaluation of F, in
-    m0's place among the 32 lengths: by the same one-root fact its root
+    refining.  The probe's length rides in the same scan of F, in m0's
+    place among the 32 lengths: by the same one-root fact its root
     lies above m0's exactly when it is not at or below it, so the probe
     refines no root.  Otherwise (an interior scan minimum, or a flat or
     falling start) golden-section search refines the bracket around it.
@@ -222,26 +226,26 @@ def _choose_delta(params: ModelParams, beta: float) -> tuple:
     hi_mt = 1.0 - 1e-3
     if params.m0 > hi_mt:
         return dstar, None  # nothing to scan: every larger amount lies above the cap
-    grid = np.linspace(params.m0, hi_mt, DELTA_SCAN_POINTS)  # grid[0] is m0 itself
+    step = (hi_mt - params.m0) / (DELTA_SCAN_POINTS - 1)
+    # np.linspace's points, bit for bit; grid[0] is m0 itself
+    grid = [j * step + params.m0 for j in range(DELTA_SCAN_POINTS - 1)] + [hi_mt]
     vals = {0: _root(beta, dstar, params)}
     # no root above m0's can be the minimum: find the lengths whose roots lie
-    # at or below it in one evaluation, placed by _placed's rule, and refine
-    # those.  m0's own root is known, so its slot holds the active-bound probe
-    lengths = length(grid)
-    lengths[0] = length(params.m0 + ACTIVE_TOL)
-    below = transcend._roots_at_or_below(
-        beta, vals[0], params, lengths, _placed(beta, lengths, params)[0]
-    )
-    for i in np.flatnonzero(below[1:]).tolist():
-        vals[i + 1] = _root(beta, float(lengths[i + 1]), params)
+    # at or below it by the sign of F there, placed by _placed's rule, and
+    # refine those.  m0's own root is known, so its slot holds the
+    # active-bound probe
+    lengths = [length(params.m0 + ACTIVE_TOL)] + [length(mt) for mt in grid[1:]]
+    xis = [xi for xi, _ in _placed(beta, lengths, params)]
+    below = transcend._roots_at_or_below(beta, vals[0], params, lengths, xis)
+    for i in range(1, DELTA_SCAN_POINTS):
+        if below[i]:
+            vals[i] = _root(beta, lengths[i], params)
     i = min(vals, key=vals.get)  # the lowest index with the smallest value
     if i == 0 and not below[0]:
         return dstar, vals[0]  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, DELTA_SCAN_POINTS - 1)]
-    mt_opt, lam_opt = _golden_min(
-        lambda mt: _root(beta, length(mt), params), float(lo), float(hi), 1e-7
-    )
+    mt_opt, lam_opt = _golden_min(lambda mt: _root(beta, length(mt), params), lo, hi, 1e-7)
     if vals[0] <= lam_opt + 1e-12 or abs(mt_opt - params.m0) <= ACTIVE_TOL:
         return dstar, vals[0]  # grid[0] is m0 itself
     return length(mt_opt), lam_opt

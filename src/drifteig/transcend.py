@@ -11,11 +11,11 @@ in [0, inf]: three beta-free terms R0, R1, R2 weighted by
 (beta = inf, the limit F / b^2).  This module evaluates F and its pieces,
 finds the first positive root (the only one in the first period of
 sin(sqrt(lam k) delta), so a step-down from the top of that period brackets
-it), tells for many intervals in one evaluation of F whose roots lie at or
-below a given lambda, computes the critical Robin coefficient at which the
-optimal interval location switches from the boundary to the center, and
-reconstructs the closed-form eigenfunction for
-cross-checks against the discretized solver.
+it), tells for many intervals, by the sign of F at one lambda, whose
+roots lie at or below that lambda, computes the critical Robin coefficient
+at which the optimal interval location switches from the boundary to the
+center, and reconstructs the closed-form eigenfunction for cross-checks
+against the discretized solver.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from ._roots import brentq
 from .weights import DriftEigError, ModelParams
 
 S_FLOOR = 1e-150  # lowest sqrt(lambda) the root search steps down to
+STEP_DOWN = 3.0  # the root search's factor in sqrt(lambda); any factor above 1 brackets the root
 SCAN_TERM_MAX = 1e308  # bound on F's terms up to the root search's top, below the float maximum
 
 
@@ -118,22 +119,33 @@ def F_components(xi: float, beta: float, lam: float, tp: TranscendParams):
     return f_s, f_c, f
 
 
-def _consts(xi, params: ModelParams, d):
-    """The (delta, xi)-only factors of _terms, computed once per interval.
+def _kappa_consts(params: ModelParams):
+    """The length-free factors of _consts: (1/K, sqrt(k) e^{a(k+1)} / K, sqrt(k)).
 
-    (1/K, sqrt(k) e^{a(k+1)} / K, -2(1-d), -2 xi, -2((1-d) - xi), sqrt(k) d)
-    with K = k e^{2a(k+1)}; the first two are e^{-2a(k+1)}/k and
-    e^{-a(k+1)}/sqrt(k), so no exponent is positive.  xi and d are floats,
-    or arrays for several intervals at once.
+    K = k e^{2a(k+1)}; the first two are e^{-2a(k+1)}/k and
+    e^{-a(k+1)}/sqrt(k), so no exponent is positive.  A scan over many
+    lengths computes them once.
     """
     a, k = params.alpha, params.kappa
+    sk = math.sqrt(k)
+    return math.exp(-2.0 * a * (k + 1.0)) / k, math.exp(-a * (k + 1.0)) / sk, sk
+
+
+def _consts(xi, d, kc):
+    """The (delta, xi)-only factors of _terms, computed once per interval.
+
+    (1/K, sqrt(k) e^{a(k+1)} / K, -2(1-d), -2 xi, -2((1-d) - xi), sqrt(k) d),
+    with kc = _kappa_consts(params).  xi and d are floats, or arrays for
+    several intervals at once.
+    """
+    inv_k, front, sk = kc
     return (
-        math.exp(-2.0 * a * (k + 1.0)) / k,
-        math.exp(-a * (k + 1.0)) / math.sqrt(k),
+        inv_k,
+        front,
         -2.0 * (1.0 - d),
         -2.0 * xi,
         -2.0 * ((1.0 - d) - xi),  # exactly 0 at xi = 1 - d
-        math.sqrt(k) * d,
+        sk * d,
     )
 
 
@@ -156,7 +168,7 @@ def _terms(s, c, xp):
 
     Every exponent is non-positive and gap is a product of expm1 factors,
     so the R_i are finite on the whole admissible box and a large K
-    multiplies no difference of nearby terms.  c is _consts(xi, params, d);
+    multiplies no difference of nearby terms.  c is _consts(xi, d, kc);
     s is a float with xp = math (the root search's scalar calls), or s
     and c hold arrays with xp = numpy (several lambdas or intervals at once).
     """
@@ -198,7 +210,7 @@ def _f_scaled(xi: float, beta: float, lam, tp: TranscendParams):
     array; the result then has its shape.
     """
     w0, w1, w2 = _weights(beta, tp.params.alpha)
-    r0, r1, r2 = _terms(np.sqrt(lam), _consts(xi, tp.params, tp.delta), np)
+    r0, r1, r2 = _terms(np.sqrt(lam), _consts(xi, tp.delta, _kappa_consts(tp.params)), np)
     return w0 * r0 + w1 * r1 + w2 * r2
 
 
@@ -231,7 +243,7 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     Sturm oscillation count).  Below s_max, just under pi / (sqrt(k) d), F
     in s = sqrt(lambda) therefore has one root, the principal one, and on
     every admissible design F > 0 below it.  So s steps down from s_max by
-    16 to the first positive value, no lower than S_FLOOR, and Brent's
+    STEP_DOWN to the first positive value, no lower than S_FLOOR, and Brent's
     method (_roots.brentq, step for step scipy's) refines that last step,
     given the step-down's values of F at its ends, so F is evaluated at no
     abscissa twice.  Where F is about 1e-240 the products of its
@@ -248,7 +260,7 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
             "Neumann zero regime for this interval weight: no positive principal eigenvalue"
         )
     w0, w1, w2 = _weights(beta, tp.params.alpha)
-    c = _consts(xi, tp.params, tp.delta)
+    c = _consts(xi, tp.delta, _kappa_consts(tp.params))
     shift = 0  # F's scaling: none in the step-down, then |F(hi)| into [0.5, 1)
 
     def f(x):
@@ -260,13 +272,13 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
         raise RootNotFoundError(
             f"no admissible root in (0, {s_max**2:.6g}): F = {f_hi:.6g} > 0 at the top"
         )
-    while not (f_lo := f(hi / 16.0)) > 0.0:
-        hi, f_hi = hi / 16.0, f_lo
+    while not (f_lo := f(hi / STEP_DOWN)) > 0.0:
+        hi, f_hi = hi / STEP_DOWN, f_lo
         if hi < S_FLOOR:
             raise RootNotFoundError(
                 f"F is not positive at any s = sqrt(lambda) from {s_max:.3g} down to {hi:.3g}"
             )
-    lo = hi / 16.0
+    lo = hi / STEP_DOWN
     shift = -math.frexp(f_hi)[1]
     try:
         s_root = brentq(
@@ -280,22 +292,28 @@ def transcendental_root(xi: float, beta: float, tp: TranscendParams) -> float:
     return s_root * s_root
 
 
-def _roots_at_or_below(
-    beta: float, lam: float, params: ModelParams, deltas: np.ndarray, xis: np.ndarray
-) -> np.ndarray:
+def _roots_at_or_below(beta: float, lam: float, params: ModelParams, deltas, xis) -> list:
     """For each interval (deltas[i], xis[i]): is its root at beta at most lam?
 
     F has one root below the interval's s_max and is positive before it
     (see transcendental_root), so the root is at most lam exactly when
-    sqrt(lam) >= s_max or F(sqrt(lam)) <= 0: one numpy evaluation of F for
-    all the intervals.  beta must be a valid one and lam at most some
-    interval's s_max^2, which keeps every term finite; transcendental_root's
-    checks are not repeated.
+    sqrt(lam) >= s_max or F(sqrt(lam)) <= 0: one scalar evaluation of F per
+    interval, with the weights and _kappa_consts computed once for all of
+    them.  deltas and xis are sequences of floats.  beta must be a valid
+    one and lam at most some interval's s_max^2, which keeps every term
+    finite; transcendental_root's checks are not repeated.
     """
     s = math.sqrt(lam)
     w0, w1, w2 = _weights(beta, params.alpha)
-    r0, r1, r2 = _terms(s, _consts(xis, params, deltas), np)
-    return (s >= _s_max(math.sqrt(params.kappa), deltas)) | (w0 * r0 + w1 * r1 + w2 * r2 <= 0.0)
+    kc = _kappa_consts(params)
+    below = []
+    for d, xi in zip(deltas, xis):
+        if s >= _s_max(kc[2], d):
+            below.append(True)
+        else:
+            r0, r1, r2 = _terms(s, _consts(xi, d, kc), math)
+            below.append(w0 * r0 + w1 * r1 + w2 * r2 <= 0.0)
+    return below
 
 
 def dirichlet_root(tp: TranscendParams, xi: float = 0.0) -> float:
@@ -317,9 +335,15 @@ def critical_beta(alpha: float, kappa: float, delta: float) -> float:
     by e^{2 alpha (kappa+1)} keeps every exponent non-positive, so the three
     branches are one expression and nothing overflows.
     """
+    return _critical_betas(alpha, kappa, (delta,))[0]
+
+
+def _critical_betas(alpha: float, kappa: float, deltas) -> list:
+    """critical_beta at each length in deltas; e^{-alpha} and the angle are computed once."""
     e = math.exp(-alpha * (kappa + 1.0))
     sk = math.sqrt(kappa)
-    return math.exp(-alpha) / (sk * delta) * math.atan2(2.0 * sk * e, kappa - e * e)
+    e_a, angle = math.exp(-alpha), math.atan2(2.0 * sk * e, kappa - e * e)
+    return [e_a / (sk * d) * angle for d in deltas]
 
 
 def beta_crit(tp: TranscendParams) -> float:

@@ -154,3 +154,35 @@ def test_tracer_counts_design_grid_roots(monkeypatch):
     got = {k: v for k, (v, _) in tracer.summary(0, len(tracer.spans)).items()}
     assert got["optimize.choose_delta.calls"] == 56
     assert got["transcend.transcendental_root.calls"] == 71
+
+
+def test_design_grid_evaluations_of_f(monkeypatch):
+    # the root search's evaluations of F over one design_grid pass: each of
+    # the 71 roots steps s = sqrt(lambda) down by transcend.STEP_DOWN from
+    # the top of its search and Brent refines the last step; the length
+    # scan's own evaluations, outside transcendental_root, are not counted
+    from drifteig import transcend
+
+    grid = _load_workloads(monkeypatch).DesignGrid()
+    inputs = grid.make_inputs(drifteig, 1, None)
+    counts = {"roots": 0, "inside": 0, "evaluations": 0}
+    root, terms = transcend.transcendental_root, transcend._terms
+
+    def counted_root(xi, beta, tp):
+        counts["roots"] += 1
+        counts["inside"] += 1
+        try:
+            return root(xi, beta, tp)
+        finally:
+            counts["inside"] -= 1
+
+    def counted_terms(s, c, xp):
+        if counts["inside"]:
+            counts["evaluations"] += 1
+        return terms(s, c, xp)
+
+    monkeypatch.setattr(transcend, "transcendental_root", counted_root)
+    monkeypatch.setattr(transcend, "_terms", counted_terms)
+    for op in grid.ops(drifteig, inputs):
+        op()
+    assert (counts["roots"], counts["evaluations"]) == (71, 680)

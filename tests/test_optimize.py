@@ -100,7 +100,7 @@ class TestLocate:
         # cli._write_csv would write into the sweep's and locate's files
         bcrit = beta_crit(TranscendParams(params, DSTAR))
         for beta in (0.5 * bcrit, bcrit, 2.0 * bcrit, math.inf):
-            assert [type(v) for v in optimize._placed(beta, DSTAR, params)] == [float, float]
+            assert [type(v) for v in optimize._placed(beta, [DSTAR], params)[0]] == [float, float]
         rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 4), params)
         rows += [locate_optimal_interval(b, d, params) for b in (1.0, 10.0, math.inf) for d in (None, DSTAR)]
         rows.append(locate_optimal_interval(np.float64(10.0), np.float64(DSTAR), params))
@@ -203,7 +203,7 @@ class TestActiveConstraint:
 
         def recorded(beta, lam, p, deltas, xis):
             below = roots_at_or_below(beta, lam, p, deltas, xis)
-            asked.append((deltas.tolist(), below.tolist()))
+            asked.append((list(deltas), list(below)))
             return below
 
         monkeypatch.setattr(transcend, "_roots_at_or_below", recorded)
@@ -214,6 +214,32 @@ class TestActiveConstraint:
         assert len(deltas) == optimize.DELTA_SCAN_POINTS and deltas[0] == probe
         assert not any(below)
         assert optimize._root(10.0, probe, params) > optimize._root(10.0, DSTAR, params)
+
+    def test_design_path_calls_no_numpy(self, params, monkeypatch):
+        # choosing and placing a length runs on plain floats: a pinned design,
+        # a scanned one settled by the active-bound probe, and one whose scan
+        # minimum is interior, so the golden search refines it
+        inner = ModelParams(2.0, 0.08, 0.03)
+        golden = 4.0 * beta_crit(TranscendParams(params=inner, delta=optimize.delta_star(inner)))
+        cases = [(params, 1.0), (params, 10.0), (inner, golden)]
+        assert active_constraint_condition(params, 1.0)
+        assert not active_constraint_condition(params, 10.0)
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used on the design path")
+
+        from drifteig import transcend
+
+        monkeypatch.setattr(transcend, "np", NoNumpy())
+        monkeypatch.setattr(optimize, "np", NoNumpy())
+        got = [(choose_delta(p, beta), locate_optimal_interval(beta, None, p)) for p, beta in cases]
+        monkeypatch.undo()
+        assert [active for (_, active), _ in got] == [True, True, False]
+        assert got[2][0][0] < optimize.delta_star(inner)
+        for (p, beta), (chosen, opt) in zip(cases, got):
+            assert (opt.delta, opt.mass_active) == chosen
+            assert opt == locate_optimal_interval(beta, chosen[0], p)
 
     def test_several_candidates_pick_the_argmin(self, counted_roots):
         # here several lengths' roots lie at or below m0's, so more than one
@@ -344,7 +370,7 @@ class TestSweep:
         roots_at_or_below = transcend._roots_at_or_below
 
         def counted(beta, lam, p, deltas, xis):
-            asked.append((beta, deltas.size))
+            asked.append((beta, len(deltas)))
             return roots_at_or_below(beta, lam, p, deltas, xis)
 
         monkeypatch.setattr(transcend, "_roots_at_or_below", counted)

@@ -289,9 +289,34 @@ class TestTranscendentalRoot:
                 xis = place * (1.0 - deltas)
                 roots = np.array([_root_or_nan(float(x), beta, p, float(d)) for d, x in zip(deltas, xis)])
                 for i in np.flatnonzero(np.isfinite(roots)):
-                    got = transcend._roots_at_or_below(beta, float(roots[i]), p, deltas, xis)
+                    got = np.array(transcend._roots_at_or_below(
+                        beta, float(roots[i]), p, deltas.tolist(), xis.tolist()
+                    ))
                     others = np.isfinite(roots) & (np.arange(deltas.size) != i)
                     assert np.array_equal(got[others], (roots <= roots[i])[others]), (beta, place, i)
+
+    @pytest.mark.parametrize("alpha, kappa", SIGN_BATTERY)
+    def test_roots_at_or_below_follow_numpy_f(self, alpha, kappa):
+        # the scan's scalar F has the sign of _f_scaled's numpy F at every
+        # lambda of a geometric grid, except within 1e-9 of a length's own
+        # root, where the two may round to opposite signs
+        p = ModelParams(alpha, kappa, 0.4)
+        deltas = SIGN_DELTAS
+        top = max(transcend._s_max(math.sqrt(kappa), d) for d in deltas)
+        for beta in SIGN_BETAS[1:]:
+            for place in (0.0, 0.5, 1.0):
+                xis = [place * (1.0 - d) for d in deltas]
+                roots = [_root_or_nan(x, beta, p, d) for d, x in zip(deltas, xis)]
+                for s in top * np.geomspace(1e-6, 1.0, 40):
+                    lam = float(s * s)
+                    got = transcend._roots_at_or_below(beta, lam, p, deltas, xis)
+                    for d, x, root, below in zip(deltas, xis, roots, got):
+                        if abs(lam - root) <= 1e-9 * root:
+                            continue
+                        tp = TranscendParams(params=p, delta=d)
+                        s_max = transcend._s_max(math.sqrt(kappa), d)
+                        want = math.sqrt(lam) >= s_max or _f_scaled(x, beta, lam, tp) <= 0.0
+                        assert below == want, (beta, place, d, lam)
 
     def test_unconverged_refinement_raises_typed(self, monkeypatch, tp):
         # brentq's untyped RuntimeError becomes RootNotFoundError
