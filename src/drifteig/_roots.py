@@ -21,8 +21,12 @@ RTOL_MIN = 4.0 * sys.float_info.epsilon  # scipy's smallest rtol
 def _value(fx, x: float) -> float:
     fx = float(fx)  # as the C code reads f's value into a double
     if fx != fx:
-        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        raise ValueError(_nan_message(x))
     return fx
+
+
+def _nan_message(x: float) -> str:
+    return f"The function value at x={x} is NaN; solver cannot continue."
 
 
 def brentq(
@@ -51,20 +55,28 @@ def brentq(
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):  # the sign bits, as neither is 0 or NaN
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    # spre is only ever read as |spre|, so the loop keeps aspre alone; |f| at
+    # the three points and the current step's length are kept beside their
+    # values, so each absolute value is computed once
+    afpre, afcur = abs(fpre), abs(fcur)
+    xblk = fblk = afblk = aspre = scur = ascur = 0.0
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better end in xcur
+        # fpre is never 0 here; where fcur is, xcur is returned below either way
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, afblk = xpre, fpre, afpre
+            scur = xcur - xpre
+            aspre = ascur = abs(scur)
+        if afblk < afcur:  # keep the better end in xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            afpre, afcur, afblk = afcur, afblk, afcur
         delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
+        asbis = abs(sbis)
+        if fcur == 0.0 or asbis < delta:
             return xcur
-        stry = math.inf  # a failed step: bisect
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        astry = math.inf  # no interpolation: bisect
+        if aspre > delta and afcur < afpre:
             try:
                 if xpre == xblk:  # secant
                     stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -72,13 +84,18 @@ def brentq(
                     dpre = (fpre - fcur) / (xpre - xcur)
                     dblk = (fblk - fcur) / (xblk - xcur)
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                astry = abs(stry)
             except ZeroDivisionError:  # C's step is then inf or NaN, and fails the test below
                 pass
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry  # a good short step
+        # C's 2|stry| < MIN(|spre|, 3|sbis| - delta); neither bound is NaN
+        if 2.0 * astry < aspre and 2.0 * astry < 3.0 * asbis - delta:  # a good short step
+            aspre, scur, ascur = ascur, stry, astry
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = _value(f(xcur), xcur)
+            scur, aspre, ascur = sbis, asbis, asbis
+        xpre, fpre, afpre = xcur, fcur, afcur
+        xcur += scur if ascur > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))  # as the C code reads f's value into a double
+        if fcur != fcur:
+            raise ValueError(_nan_message(xcur))
+        afcur = abs(fcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}.")

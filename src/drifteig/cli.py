@@ -214,10 +214,16 @@ def _jsonable(x):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through path.tmp, which a failed write or rename removes."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _write_json(path: str, obj) -> None:
@@ -516,14 +522,38 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ main --
 
 
-def _add_common(
-    p: argparse.ArgumentParser, grid_help: str | None = "grid cells for the discretized solver"
-) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", dest="output", metavar="OUT", help="output directory (default out/)")
-    if grid_help is not None:
-        p.add_argument("--n", dest="grid_n", metavar="N", type=int, help=grid_help)
-    p.add_argument("--params", help="override constants, e.g. alpha=0.2,kappa=1,m0=0.4")
+GRID_HELP = "grid cells for the discretized solver"
+WEIGHT_FLAGS = (
+    ("--weight", None, "JSON file with breakpoints/values"),
+    ("--xi", float, "bang-bang interval left endpoint"),
+    ("--delta", float, "bang-bang interval length"),
+)
+# each command: its help, its function, the help of --n (None: no --n),
+# whether it takes the boundary flags, and its own flags as (flag, type, help)
+COMMANDS = {
+    "eig": ("principal eigenvalue of one configuration", cmd_eig, GRID_HELP, True, WEIGHT_FLAGS),
+    "root": (
+        "transcendental root for an interval weight", cmd_root, None, True,
+        (
+            ("--xi", float, "interval left endpoint (default 0)"),
+            ("--delta", float, "interval length (default delta*)"),
+        ),
+    ),
+    "locate": (
+        "optimal interval location", cmd_locate, None, True,
+        (("--delta", float, "interval length (default: policy)"),),
+    ),
+    "sweep": (
+        "beta sweep of the optimal eigenvalue", cmd_sweep,
+        "accepted and unused: every sweep row is a closed-form root", False,
+        (("--sweep", None, "start:stop:points[:scale]"),),
+    ),
+    "rearrange": ("unimodal rearrangement of a weight", cmd_rearrange, GRID_HELP, True, WEIGHT_FLAGS),
+    "verify": (
+        "run the built-in property battery", cmd_verify, GRID_HELP, False,
+        (("--seed", None, "hex seed for randomized checks"),),
+    ),
+}
 
 
 def _add_boundary_flags(p: argparse.ArgumentParser) -> None:
@@ -540,58 +570,42 @@ def _add_boundary_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_weight_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weight", help="JSON file with breakpoints/values")
-    p.add_argument("--xi", type=float, help="bang-bang interval left endpoint")
-    p.add_argument("--delta", type=float, help="bang-bang interval length")
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    A parser of one command parses that command's arguments as the full one
+    does, with the same help, usage and error texts: its usage, which
+    argparse prints on unrecognized arguments, still names every command.
+    """
     parser = argparse.ArgumentParser(prog="drifteig", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eig", help="principal eigenvalue of one configuration", allow_abbrev=False)
-    _add_common(p)
-    _add_boundary_flags(p)
-    _add_weight_flags(p)
-    p.set_defaults(func=cmd_eig)
-
-    p = sub.add_parser(
-        "root", help="transcendental root for an interval weight", allow_abbrev=False
-    )
-    _add_common(p, grid_help=None)
-    _add_boundary_flags(p)
-    p.add_argument("--xi", type=float, help="interval left endpoint (default 0)")
-    p.add_argument("--delta", type=float, help="interval length (default delta*)")
-    p.set_defaults(func=cmd_root)
-
-    p = sub.add_parser("locate", help="optimal interval location", allow_abbrev=False)
-    _add_common(p, grid_help=None)
-    _add_boundary_flags(p)
-    p.add_argument("--delta", type=float, help="interval length (default: policy)")
-    p.set_defaults(func=cmd_locate)
-
-    p = sub.add_parser("sweep", help="beta sweep of the optimal eigenvalue", allow_abbrev=False)
-    _add_common(p, grid_help="accepted and unused: every sweep row is a closed-form root")
-    p.add_argument("--sweep", help="start:stop:points[:scale]")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("rearrange", help="unimodal rearrangement of a weight", allow_abbrev=False)
-    _add_common(p)
-    _add_boundary_flags(p)
-    _add_weight_flags(p)
-    p.set_defaults(func=cmd_rearrange)
-
-    p = sub.add_parser("verify", help="run the built-in property battery", allow_abbrev=False)
-    _add_common(p)
-    p.add_argument("--seed", help="hex seed for randomized checks")
-    p.set_defaults(func=cmd_verify)
-
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the metavar keeps every command in the usage; the full parser has
+        # none, as it would rename the command in the "invalid choice" and
+        # "required" errors, which a parser of a named command never raises
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS))
+    for name in COMMANDS if command is None else (command,):
+        help_, func, grid_help, boundary, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", dest="output", metavar="OUT", help="output directory (default out/)")
+        if grid_help is not None:
+            p.add_argument("--n", dest="grid_n", metavar="N", type=int, help=grid_help)
+        p.add_argument("--params", help="override constants, e.g. alpha=0.2,kappa=1,m0=0.4")
+        if boundary:
+            _add_boundary_flags(p)
+        for flag, type_, flag_help in flags:
+            p.add_argument(flag, type=type_, help=flag_help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command named first is the only one parsed: build its parser alone
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _resolve(args)
         return args.func(args)

@@ -156,15 +156,14 @@ def test_tracer_counts_design_grid_roots(monkeypatch):
     assert got["transcend.transcendental_root.calls"] == 71
 
 
-def test_design_grid_evaluations_of_f(monkeypatch):
-    # the root search's evaluations of F over one design_grid pass: each of
-    # the 71 roots steps s = sqrt(lambda) down by transcend.STEP_DOWN from
-    # the top of its search and Brent refines the last step; the length
-    # scan's own evaluations, outside transcendental_root, are not counted
+def _roots_and_evaluations(monkeypatch, ops):
+    """transcendental_root calls, and scalar _terms calls inside them, over ops.
+
+    The length scan's own evaluations of F, outside transcendental_root,
+    are not counted.
+    """
     from drifteig import transcend
 
-    grid = _load_workloads(monkeypatch).DesignGrid()
-    inputs = grid.make_inputs(drifteig, 1, None)
     counts = {"roots": 0, "inside": 0, "evaluations": 0}
     root, terms = transcend.transcendental_root, transcend._terms
 
@@ -183,6 +182,23 @@ def test_design_grid_evaluations_of_f(monkeypatch):
 
     monkeypatch.setattr(transcend, "transcendental_root", counted_root)
     monkeypatch.setattr(transcend, "_terms", counted_terms)
-    for op in grid.ops(drifteig, inputs):
+    for op in ops:
         op()
-    assert (counts["roots"], counts["evaluations"]) == (71, 680)
+    return counts["roots"], counts["evaluations"]
+
+
+def test_design_grid_evaluations_of_f(monkeypatch):
+    # the root search's evaluations of F over one design_grid pass: each of
+    # the 71 roots steps s = sqrt(lambda) down by transcend.STEP_DOWN from
+    # the top of its search and Brent refines the last step
+    grid = _load_workloads(monkeypatch).DesignGrid()
+    inputs = grid.make_inputs(drifteig, 1, None)
+    assert _roots_and_evaluations(monkeypatch, grid.ops(drifteig, inputs)) == (71, 680)
+
+
+def test_figure_sweep_evaluations_of_f(monkeypatch, tmp_path):
+    # one figure_sweep pass: one root per row, the 60 sweep rows and the
+    # Dirichlet row, each found as the design_grid roots are
+    sweep = _load_workloads(monkeypatch).FigureSweep()
+    inputs = sweep.make_inputs(drifteig, 1, str(tmp_path))
+    assert _roots_and_evaluations(monkeypatch, sweep.ops(drifteig, inputs)) == (61, 623)

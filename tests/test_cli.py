@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -426,6 +428,110 @@ class TestParser:
             cli.main([command, "--help"])
         assert exc.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+
+# per command: valid flags and a flag with a bad value
+PARSE_CASES = {
+    "eig": (["--beta", "2", "--xi", "0.1", "--n", "40", "--out", "o"], ["--n", "many"]),
+    "root": (["--dirichlet", "--xi", "0.1", "--params", "alpha=0.3"], ["--beta", "steep"]),
+    "locate": (["--neumann", "--delta", "0.2", "--config", "c.json"], ["--delta", "wide"]),
+    "sweep": (["--sweep", "0.1:30.0:60:log", "--n", "2000", "--out", "o"], ["--n", "2.5"]),
+    "rearrange": (["--beta", "1", "--weight", "w.json"], ["--xi", "left"]),
+    "verify": (["--seed", "0xe16e", "--n", "50"], ["--n", ""]),
+}
+
+
+def _parse_argvs():
+    yield from ([], ["nope"], ["-h"], ["--out", "o", "root"])
+    for command, (valid, bad) in PARSE_CASES.items():
+        for rest in (valid, ["-h"], ["--bogus"], bad, ["--beta", "1", "--dirichlet"]):
+            yield [command, *rest]
+
+
+BUILD_PARSER = cli.build_parser
+
+
+class _Parsed(Exception):
+    """Stops main after parsing, before any input is read."""
+
+
+class TestParserPerCommand:
+    def _run(self, monkeypatch, argv, full):
+        """(exit code, stdout, stderr, namespace) of main(argv) up to its first read."""
+        parsed, built = {}, []
+
+        def resolve(args):
+            parsed.update(vars(args))
+            raise _Parsed
+
+        def recorded(command=None):
+            built.append(command)
+            return BUILD_PARSER(None if full else command)
+
+        monkeypatch.setattr(cli, "_resolve", resolve)
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except _Parsed:
+                code = "parsed"
+        return (code, out.getvalue(), err.getvalue(), parsed), built
+
+    @pytest.mark.parametrize("argv", list(_parse_argvs()), ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, monkeypatch, argv):
+        got, built = self._run(monkeypatch, argv, full=False)
+        want, _ = self._run(monkeypatch, argv, full=True)
+        assert got == want
+        named = argv[0] if argv and argv[0] in COMMANDS else None
+        assert built == [named]
+
+    def test_cases_reach_every_outcome(self, monkeypatch):
+        # the cases parse, print help and fail to parse on every command
+        outcomes = {
+            (argv[0], self._run(monkeypatch, argv, full=False)[0][0])
+            for argv in _parse_argvs()
+            if argv and argv[0] in COMMANDS
+        }
+        assert outcomes == {(c, code) for c in COMMANDS for code in ("parsed", 0, 2)}
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # a parser of one command still names every command in its usage
+            (["sweep", "--bogus"], "unrecognized arguments: --bogus"),
+            # the full parser names the command "command" in its own errors
+            ([], "the following arguments are required: command"),
+            (["nope"], "argument command: invalid choice: 'nope' (choose from "),
+        ],
+        ids=["unrecognized", "required", "invalid_choice"],
+    )
+    def test_top_level_usage_and_errors(self, monkeypatch, argv, error):
+        code, _, err, _ = self._run(monkeypatch, argv, full=False)[0]
+        assert code == 2
+        usage = "usage: drifteig [-h] {eig,root,locate,sweep,rearrange,verify} ...\n"
+        assert err.startswith(f"{usage}drifteig: error: {error}")
+
+
+class TestAtomicWrite:
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            cli._atomic_write(str(tmp_path / "a.json"), "{}\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "sweep.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            cli.main(["sweep", "--sweep", "1:2:2", "--out", str(out)])
+        assert sorted(os.listdir(out)) == ["sweep.csv"]
+        assert os.listdir(out / "sweep.csv") == []
 
 
 class TestFailurePolicy:

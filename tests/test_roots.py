@@ -28,7 +28,9 @@ def compared(monkeypatch):
 
     End values a caller passes must be f(a) and f(b) bit for bit; scipy is
     called without them and the port with them.  Each call must give the
-    same float from the port as from scipy, or the same exception type.
+    same float from the port as from scipy, or the same exception type, and
+    the port must evaluate f at scipy's abscissae in scipy's order, less the
+    ends whose values it was given: it takes scipy's steps.
     """
     calls = []
 
@@ -36,13 +38,27 @@ def compared(monkeypatch):
         for x, fx in ((a, fa), (b, fb)):
             if fx is not None:
                 assert _bits(fx) == _bits(f(x)), x
+        seen = {"scipy": [], "port": []}
+
+        def recorded(who):
+            def g(x):
+                seen[who].append(_bits(x))
+                return f(x)
+
+            return g
+
         try:
-            want = scipy_brentq(f, a, b, **kw)
-        except (ValueError, RuntimeError) as exc:
-            with pytest.raises(type(exc)):
-                brentq(f, a, b, fa=fa, fb=fb, **kw)
-            raise
-        got = brentq(f, a, b, fa=fa, fb=fb, **kw)
+            try:
+                want = scipy_brentq(recorded("scipy"), a, b, **kw)
+            except (ValueError, RuntimeError) as exc:
+                with pytest.raises(type(exc)):
+                    brentq(recorded("port"), a, b, fa=fa, fb=fb, **kw)
+                raise
+            got = brentq(recorded("port"), a, b, fa=fa, fb=fb, **kw)
+        finally:
+            given = {0: fa is not None, 1: fb is not None}
+            want_seen = [x for i, x in enumerate(seen["scipy"]) if not given.get(i)]
+            assert seen["port"] == want_seen, (a, b)
         assert type(got) is float and got == want and math.copysign(1, got) == math.copysign(1, want)
         calls.append((a, b))
         return got

@@ -35,6 +35,43 @@ PINNED_ROOTS = [
     # roots far below the top of the root search
     (0.6, 50.0, 0.3, 0.0, 10.0, 6.69195887403221928182114e-14),
     (1.0, 50.0, DELTA_50, 0.5 * (1.0 - DELTA_50), math.inf, 4.882361983095903629250345e-22),
+    # the design path: (alpha, kappa, m0) = (0.2, 1, 0.4), the figure's, and
+    # (0.26, 0.5, 0.2) and (0.275, 2, 0.6), like design_grid's; delta = delta*
+    # = (1 - m0)/(kappa + 1); xi at the edge and the centre (1 - delta)/2;
+    # beta in {0.1, 0.5 beta_crit, 2 beta_crit, 30, inf}, beta_crit from
+    # critical_beta, all as floats.  The root in s = sqrt(lambda) by a halving
+    # scan down from pi/(sqrt(kappa) delta) to the first positive F, then 400
+    # bisections, at 80 and at 120 digits, which agree to 60
+    (0.2, 1.0, 0.3, 0.0, 0.1, 3.732827884747445970930828),
+    (0.2, 1.0, 0.3, 0.0, 1.6116103643278201, 10.54312167571536241057254),
+    (0.2, 1.0, 0.3, 0.0, 6.4464414573112805, 22.65208701470879472202149),
+    (0.2, 1.0, 0.3, 0.0, 30.0, 40.45110222186145357928837),
+    (0.2, 1.0, 0.3, 0.0, math.inf, 51.90541829480668491027804),
+    (0.2, 1.0, 0.3, 0.35, 0.1, 11.80114119663031746898125),
+    (0.2, 1.0, 0.3, 0.35, 1.6116103643278201, 14.44838278211537576351566),
+    (0.2, 1.0, 0.3, 0.35, 6.4464414573112805, 16.42987997609980700113031),
+    (0.2, 1.0, 0.3, 0.35, 30.0, 17.63909589665844854413895),
+    (0.2, 1.0, 0.3, 0.35, math.inf, 18.11530762650836821298779),
+    (0.26, 0.5, 0.5333333333333333, 0.0, 0.1, 3.177220773792648926818518),
+    (0.26, 0.5, 0.5333333333333333, 0.0, 1.5614131071174995, 11.41315855128559981842509),
+    (0.26, 0.5, 0.5333333333333333, 0.0, 6.245652428469998, 22.49719675826760629827657),
+    (0.26, 0.5, 0.5333333333333333, 0.0, 30.0, 33.52662271206808409790522),
+    (0.26, 0.5, 0.5333333333333333, 0.0, math.inf, 38.42001130891869902959437),
+    (0.26, 0.5, 0.5333333333333333, 0.23333333333333334, 0.1, 7.620690437202213662386196),
+    (0.26, 0.5, 0.5333333333333333, 0.23333333333333334, 1.5614131071174995, 14.26122822980436411512406),
+    (0.26, 0.5, 0.5333333333333333, 0.23333333333333334, 6.245652428469998, 18.26196710888501214131428),
+    (0.26, 0.5, 0.5333333333333333, 0.23333333333333334, 30.0, 20.71530360459832551563968),
+    (0.26, 0.5, 0.5333333333333333, 0.23333333333333334, math.inf, 21.66175407159124998905851),
+    (0.275, 2.0, 0.13333333333333333, 0.0, 0.1, 2.472367543524491466759704),
+    (0.275, 2.0, 0.13333333333333333, 0.0, 1.2104666946988933, 6.688401048501933697571909),
+    (0.275, 2.0, 0.13333333333333333, 0.0, 4.841866778795573, 16.14132958945484543768991),
+    (0.275, 2.0, 0.13333333333333333, 0.0, 30.0, 50.79952130900949418463710),
+    (0.275, 2.0, 0.13333333333333333, 0.0, math.inf, 98.48621553448016253049745),
+    (0.275, 2.0, 0.13333333333333333, 0.43333333333333335, 0.1, 7.279479891053696731974360),
+    (0.275, 2.0, 0.13333333333333333, 0.43333333333333335, 1.2104666946988933, 9.340275338795711065136242),
+    (0.275, 2.0, 0.13333333333333333, 0.43333333333333335, 4.841866778795573, 10.87874899642967506582077),
+    (0.275, 2.0, 0.13333333333333333, 0.43333333333333335, 30.0, 11.89949730421115284995167),
+    (0.275, 2.0, 0.13333333333333333, 0.43333333333333335, math.inf, 12.18358824024074006931618),
 ]
 # At the top of the admissible box, 2 alpha (kappa + 1) = 708, where K times
 # F's terms would exceed float max; the suite turns any overflow
@@ -44,6 +81,8 @@ TOP_OF_BOX_ROOTS = [
     (177.0, 1.0, 0.3, 0.0, 1.0, 4.4952665476653488e-77),
     (177.0, 1.0, 0.3, 0.35, 1.0, 3.4641293716387104e-153),
 ]
+# the package's roots against PINNED_ROOTS and TOP_OF_BOX_ROOTS (worst 9.2e-16)
+ROOT_REL_ERR = 2e-14
 
 
 # the battery of the root search's invariant: (alpha, kappa) sets, then the
@@ -256,7 +295,7 @@ class TestTranscendentalRoot:
     @pytest.mark.parametrize("alpha, kappa, delta, xi, beta, lam", PINNED_ROOTS + TOP_OF_BOX_ROOTS)
     def test_pinned_high_precision_roots(self, alpha, kappa, delta, xi, beta, lam):
         tp = TranscendParams(params=ModelParams(alpha, kappa, 0.4), delta=delta)
-        assert transcendental_root(xi, beta, tp) == pytest.approx(lam, rel=1e-12)
+        assert transcendental_root(xi, beta, tp) == pytest.approx(lam, rel=ROOT_REL_ERR)
 
     @pytest.mark.parametrize("alpha, kappa", SIGN_BATTERY)
     def test_one_sign_change_below_the_top(self, alpha, kappa):
