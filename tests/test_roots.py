@@ -56,9 +56,8 @@ def compared(monkeypatch):
                 raise
             got = brentq(recorded("port"), a, b, fa=fa, fb=fb, **kw)
         finally:
-            given = {0: fa is not None, 1: fb is not None}
-            want_seen = [x for i, x in enumerate(seen["scipy"]) if not given.get(i)]
-            assert seen["port"] == want_seen, (a, b)
+            given = {i for i, fx in enumerate((fa, fb)) if fx is not None}
+            assert seen["port"] == [x for i, x in enumerate(seen["scipy"]) if i not in given], (a, b)
         assert type(got) is float and got == want and math.copysign(1, got) == math.copysign(1, want)
         calls.append((a, b))
         return got
