@@ -24,7 +24,10 @@ accepts --n, which it does not use.
 Exit codes, mapped in ``main`` alone: 0 success; 1 a verify property
 failed; 2 input rejected (ConfigError), malformed config values included;
 3 a solve raised any other DriftEigError or ValueError, with error.json in
-the output directory; 4 failed sweep rows.
+the output directory; 4 failed sweep rows.  An OSError while a command
+writes its outputs also exits 2, since the output path is an input: one
+stderr line names the path, and no error.json is tried where the write
+failed.
 """
 
 from __future__ import annotations
@@ -611,6 +614,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # the inputs were read in _resolve: this is an output that could not be written
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DriftEigError, ValueError) as exc:
         # args.output is checked and made: input errors are ConfigErrors

@@ -91,17 +91,23 @@ def _merge_nodes(n: int, breakpoints: Sequence[float], length: float) -> np.ndar
 
     Uniform nodes closer than a quarter cell to a breakpoint are dropped, so
     the mesh stays quasi-uniform and no near-degenerate element appears.
+    Only the uniform node nearest each breakpoint, b n / length rounded,
+    can lie that close; it and its two neighbours are tested.  The kept
+    nodes lie more than a quarter cell from every breakpoint, so inserting
+    the sorted, deduplicated breakpoints among them gives the sorted union.
     """
-    bp = np.asarray(breakpoints, dtype=float)
+    # coinciding breakpoints merge; eigen_cov raises before its y-breakpoints can coincide here
+    bp = sorted(set(map(float, breakpoints)))
     base = np.linspace(0.0, length, n + 1)
-    idx = np.searchsorted(bp, base)
-    left = bp[np.clip(idx - 1, 0, bp.size - 1)]
-    right = bp[np.clip(idx, 0, bp.size - 1)]
-    dist = np.minimum(np.abs(base - left), np.abs(base - right))
-    keep = dist > 0.25 * length / n
-    # the union also merges breakpoints that coincide in floating point;
-    # eigen_cov raises before its y-breakpoints can coincide here
-    return np.union1d(bp, base[keep])
+    quarter = 0.25 * length / n
+    keep = np.ones(n + 1, dtype=bool)
+    for b in bp:
+        j = round(b * n / length)
+        for i in range(max(j - 1, 0), min(j + 1, n) + 1):
+            if abs(base[i] - b) <= quarter:
+                keep[i] = False
+    kept = base[keep]
+    return np.insert(kept, np.searchsorted(kept, bp), bp)
 
 
 def make_discretization(n: int, m: PiecewiseWeight) -> Discretization:

@@ -25,7 +25,9 @@ golden-section search that only creeps back to the bound; that is exact
 whenever the golden search itself is, since both assume lambda unimodal on
 the scan's first cell.  The probe is one more length in that same scan:
 its root lies above m0's exactly when F is positive there, so it refines
-no root.
+no root.  A sweep computes the beta-free part of its rows once: delta*,
+its beta_crit, the pinning condition above it and the scan's lengths with
+their beta_crit sit in a _DesignTable that lives for that one call.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .weights import (
 DEGENERATE_BAND = 1e-9  # beta_crit is closed form; the band only absorbs float error
 DELTA_SCAN_POINTS = 32  # resource amounts in choose_delta's coarse scan
 ACTIVE_TOL = 1e-6  # resource amounts this close to m0 count as the active bound
+SCAN_TOP = 1.0 - 1e-3  # the largest resource amount choose_delta scans
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RAMP_STEPS = 32  # staircase steps across each of _mollified_weight's ramps
 
@@ -102,19 +105,27 @@ def delta_star(params: ModelParams) -> float:
     return (1.0 - params.m0) / (params.kappa + 1.0)
 
 
+def _centred(beta: float, deltas, bcrits) -> list:
+    """xi* of the trichotomy at each length in deltas, whose beta_crit is bcrits'.
+
+    The centre (1 - delta)/2 where beta lies above beta_crit by more than
+    DEGENERATE_BAND (Dirichlet included), and 0 below it or inside the
+    band, where every location is optimal.
+    """
+    return [
+        0.5 * (1.0 - d) if abs(beta - bc) > DEGENERATE_BAND and beta >= bc else 0.0
+        for d, bc in zip(deltas, bcrits)
+    ]
+
+
 def _placed(beta: float, deltas, params: ModelParams) -> list:
     """[(xi*, beta_crit)] of the trichotomy, one pair per length in deltas.
 
-    xi* is the centre (1 - delta)/2 where beta lies above beta_crit by more
-    than DEGENERATE_BAND (Dirichlet included), and 0 below it or inside the
-    band, where every location is optimal.  deltas is a sequence of floats;
-    beta_crit's length-free factors are computed once for all of them.
+    deltas is a sequence of floats; beta_crit's length-free factors are
+    computed once for all of them, and xi* is _centred's.
     """
     bcrits = transcend._critical_betas(params.alpha, params.kappa, deltas)
-    return [
-        (0.5 * (1.0 - d) if abs(beta - bc) > DEGENERATE_BAND and beta >= bc else 0.0, bc)
-        for d, bc in zip(deltas, bcrits)
-    ]
+    return list(zip(_centred(beta, deltas, bcrits), bcrits))
 
 
 def _root(beta: float, delta: float, params: ModelParams) -> float:
@@ -124,7 +135,77 @@ def _root(beta: float, delta: float, params: ModelParams) -> float:
     return transcend.transcendental_root(xi, beta, tp)
 
 
-def locate_optimal_interval(beta: float, delta: float | None, params: ModelParams) -> DesignOptimum:
+class _DesignTable:
+    """The beta-free part of one params' design rows, each field made on first use.
+
+    delta*, its TranscendParams and beta_crit, whether the mass bound is
+    active above beta_crit, and choose_delta's scan: the resource grid, the
+    32 scanned lengths (the active-bound probe in m0's place) and their
+    beta_crit.  choose_delta, locate_optimal_interval and
+    active_constraint_condition each build one when called on their own;
+    sweep_beta builds one for all its rows.  Each field is made the first
+    time a call needs it, so a one-shot call computes only what it uses.
+    """
+
+    __slots__ = ("params", "dstar", "_tp", "_bcrit", "_above", "_scan")
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.dstar = delta_star(params)
+        self._tp = self._bcrit = self._above = self._scan = None
+
+    def tp(self) -> transcend.TranscendParams:
+        if self._tp is None:
+            self._tp = transcend.TranscendParams(params=self.params, delta=self.dstar)
+        return self._tp
+
+    def bcrit(self) -> float:
+        if self._bcrit is None:
+            self._bcrit = transcend.critical_beta(self.params.alpha, self.params.kappa, self.dstar)
+        return self._bcrit
+
+    def root(self, beta: float) -> float:
+        """_root at delta*."""
+        tp = self.tp()
+        [xi] = _centred(beta, (self.dstar,), (self.bcrit(),))
+        return transcend.transcendental_root(xi, beta, tp)
+
+    def active(self, beta: float) -> bool:
+        """active_constraint_condition(params, beta)."""
+        if not 0.0 <= beta <= math.inf:  # false for NaN
+            raise ValueError(f"beta must lie in [0, inf], got {beta}")
+        if not math.isinf(beta) and beta < self.bcrit() - DEGENERATE_BAND:
+            return True
+        if self._above is None:
+            p = self.params
+            xi_star = (p.kappa + p.m0) / (2.0 * (1.0 + p.kappa))
+            beta_half = transcend.critical_beta(0.5, p.kappa, self.dstar)
+            # beyond 20 the bound s2 / (1 + 2 s2) is 1/2 to the last bit; sinh^2 would overflow
+            s2 = math.sinh(min(beta_half * xi_star, 20.0)) ** 2
+            self._above = p.alpha < s2 / (1.0 + 2.0 * s2)
+        return self._above
+
+    def length(self, mt: float) -> float:
+        """The interval length that holds resource amount mt."""
+        return (1.0 - mt) / (self.params.kappa + 1.0)
+
+    def scan(self) -> tuple:
+        """(grid, lengths, bcrits) of choose_delta's scan; m0 must be at most SCAN_TOP."""
+        if self._scan is None:
+            m0 = self.params.m0
+            step = (SCAN_TOP - m0) / (DELTA_SCAN_POINTS - 1)
+            # np.linspace's points, bit for bit; grid[0] is m0 itself
+            grid = [j * step + m0 for j in range(DELTA_SCAN_POINTS - 1)] + [SCAN_TOP]
+            # m0's own root is refined apart, so its slot holds the active-bound probe
+            lengths = [self.length(m0 + ACTIVE_TOL)] + [self.length(mt) for mt in grid[1:]]
+            bcrits = transcend._critical_betas(self.params.alpha, self.params.kappa, lengths)
+            self._scan = grid, lengths, bcrits
+        return self._scan
+
+
+def locate_optimal_interval(
+    beta: float, delta: float | None, params: ModelParams, *, _table: _DesignTable | None = None
+) -> DesignOptimum:
     """Optimal interval location for length delta, by the trichotomy.
 
     delta = None chooses the length by choose_delta's rule first.  xi* is 0
@@ -134,14 +215,20 @@ def locate_optimal_interval(beta: float, delta: float | None, params: ModelParam
     the objective is flat and the regime is Degenerate with xi* = 0.  The
     mass bound is reported active when delta is delta*.  Every beta in
     [0, inf], Dirichlet included, takes its eigenvalue from that root, so
-    no grid is solved.
+    no grid is solved.  _table is sweep_beta's _DesignTable for params,
+    shared by its rows.
     """
     beta, lam = float(beta), None  # numpy scalars in give floats out
+    table = _DesignTable(params) if _table is None else _table
     if delta is None:
-        delta, lam = _choose_delta(params, beta)
+        delta, lam = _choose_delta(table, beta)
     delta = float(delta)
-    tp = transcend.TranscendParams(params=params, delta=delta)  # checks delta before placing it
-    [(xi, bcrit)] = _placed(beta, (delta,), params)
+    if delta == table.dstar:
+        tp, bcrit = table.tp(), table.bcrit()
+    else:
+        tp = transcend.TranscendParams(params=params, delta=delta)  # checks delta before placing it
+        bcrit = transcend.critical_beta(params.alpha, params.kappa, delta)
+    [xi] = _centred(beta, (delta,), (bcrit,))
     if lam is None:
         lam = transcend.transcendental_root(xi, beta, tp)
     if xi > 0.0:
@@ -155,7 +242,7 @@ def locate_optimal_interval(beta: float, delta: float | None, params: ModelParam
         delta=delta,
         lambda_star=lam,
         regime=regime,
-        mass_active=abs(delta - delta_star(params)) <= 1e-12,
+        mass_active=abs(delta - table.dstar) <= 1e-12,
         beta=beta,
         beta_crit=bcrit,
     )
@@ -169,17 +256,7 @@ def active_constraint_condition(params: ModelParams, beta: float) -> bool:
     applies, with b* the critical coefficient at advection 1/2 and xi* the
     centered left endpoint.
     """
-    if not 0.0 <= beta <= math.inf:  # false for NaN
-        raise ValueError(f"beta must lie in [0, inf], got {beta}")
-    dstar = delta_star(params)
-    xi_star = (params.kappa + params.m0) / (2.0 * (1.0 + params.kappa))
-    bcrit = transcend.critical_beta(params.alpha, params.kappa, dstar)
-    if not math.isinf(beta) and beta < bcrit - DEGENERATE_BAND:
-        return True
-    beta_half = transcend.critical_beta(0.5, params.kappa, dstar)
-    # beyond 20 the bound s2 / (1 + 2 s2) is 1/2 to the last bit; sinh^2 would overflow
-    s2 = math.sinh(min(beta_half * xi_star, 20.0)) ** 2
-    return params.alpha < s2 / (1.0 + 2.0 * s2)
+    return _DesignTable(params).active(beta)
 
 
 def choose_delta(params: ModelParams, beta: float) -> tuple:
@@ -210,45 +287,39 @@ def choose_delta(params: ModelParams, beta: float) -> tuple:
     refines no root.  Otherwise (an interior scan minimum, or a flat or
     falling start) golden-section search refines the bracket around it.
     """
-    delta = _choose_delta(params, beta)[0]
-    return delta, delta == delta_star(params)
+    table = _DesignTable(params)
+    delta = _choose_delta(table, beta)[0]
+    return delta, delta == table.dstar
 
 
-def _choose_delta(params: ModelParams, beta: float) -> tuple:
+def _choose_delta(table: _DesignTable, beta: float) -> tuple:
     """(delta, lambda): choose_delta's length, and its root when the scan refined it, else None."""
-    dstar = delta_star(params)
-    if active_constraint_condition(params, beta):
+    params, dstar = table.params, table.dstar
+    if table.active(beta):
         return dstar, None
-
-    def length(mt):
-        return (1.0 - mt) / (params.kappa + 1.0)
-
-    hi_mt = 1.0 - 1e-3
-    if params.m0 > hi_mt:
+    if params.m0 > SCAN_TOP:
         return dstar, None  # nothing to scan: every larger amount lies above the cap
-    step = (hi_mt - params.m0) / (DELTA_SCAN_POINTS - 1)
-    # np.linspace's points, bit for bit; grid[0] is m0 itself
-    grid = [j * step + params.m0 for j in range(DELTA_SCAN_POINTS - 1)] + [hi_mt]
-    vals = {0: _root(beta, dstar, params)}
+    grid, lengths, bcrits = table.scan()
+    vals = {0: table.root(beta)}
     # no root above m0's can be the minimum: find the lengths whose roots lie
     # at or below it by the sign of F there, placed by _placed's rule, and
     # refine those.  m0's own root is known, so its slot holds the
     # active-bound probe
-    lengths = [length(params.m0 + ACTIVE_TOL)] + [length(mt) for mt in grid[1:]]
-    xis = [xi for xi, _ in _placed(beta, lengths, params)]
+    xis = _centred(beta, lengths, bcrits)
     below = transcend._roots_at_or_below(beta, vals[0], params, lengths, xis)
     for i in range(1, DELTA_SCAN_POINTS):
         if below[i]:
-            vals[i] = _root(beta, lengths[i], params)
+            tp = transcend.TranscendParams(params=params, delta=lengths[i])
+            vals[i] = transcend.transcendental_root(xis[i], beta, tp)
     i = min(vals, key=vals.get)  # the lowest index with the smallest value
     if i == 0 and not below[0]:
         return dstar, vals[0]  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, DELTA_SCAN_POINTS - 1)]
-    mt_opt, lam_opt = _golden_min(lambda mt: _root(beta, length(mt), params), lo, hi, 1e-7)
+    mt_opt, lam_opt = _golden_min(lambda mt: _root(beta, table.length(mt), params), lo, hi, 1e-7)
     if vals[0] <= lam_opt + 1e-12 or abs(mt_opt - params.m0) <= ACTIVE_TOL:
         return dstar, vals[0]  # grid[0] is m0 itself
-    return length(mt_opt), lam_opt
+    return table.length(mt_opt), lam_opt
 
 
 def sweep_beta(beta_grid: Sequence[float], params: ModelParams) -> tuple:
@@ -267,9 +338,10 @@ def sweep_beta(beta_grid: Sequence[float], params: ModelParams) -> tuple:
         raise ValueError("beta grid must be sorted, positive and finite")
     rows: list[DesignOptimum] = []
     failures: list[tuple] = []
+    table = _DesignTable(params)  # the rows' beta-free part, made once
     for beta in betas + [math.inf]:
         try:
-            rows.append(locate_optimal_interval(beta, None, params))
+            rows.append(locate_optimal_interval(beta, None, params, _table=table))
         except DriftEigError as exc:
             failures.append((beta, str(exc)))
     return rows, failures

@@ -528,8 +528,11 @@ class TestAtomicWrite:
     def test_output_file_that_is_a_directory(self, tmp_path, capsys):
         out = tmp_path / "o"
         (out / "sweep.csv").mkdir(parents=True)
-        with pytest.raises(IsADirectoryError):
-            cli.main(["sweep", "--sweep", "1:2:2", "--out", str(out)])
+        # the output path is an input: exit 2 with one line naming it, and
+        # no error.json written beside the file that refused the write
+        assert cli.main(["sweep", "--sweep", "1:2:2", "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out / "sweep.csv") in err and "Traceback" not in err
         assert sorted(os.listdir(out)) == ["sweep.csv"]
         assert os.listdir(out / "sweep.csv") == []
 

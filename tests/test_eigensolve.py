@@ -171,6 +171,33 @@ def test_assembly_is_bit_identical_to_midpoint_reference(params, rng, n):
         )
 
 
+@pytest.mark.parametrize("n", [2, 3, 500, 2000, 8000])
+def test_merge_nodes_matches_union_reference(params, rng, n):
+    # _merge_nodes tests only the uniform nodes next to each breakpoint; the
+    # reference measures every node's distance to its nearest breakpoints
+    # and takes np.union1d.  Random breakpoints, ones on the uniform grid
+    # and a quarter cell off it, coinciding ones, and eigen_cov's
+    # y-breakpoints on [0, c(1)]
+    from drifteig.eigensolve import _merge_nodes
+    from drifteig.rearrange import change_of_variable_forward
+
+    cases = []
+    for _ in range(12):
+        inner = rng.uniform(0.0, 1.0, rng.integers(0, 6))
+        edges = np.concatenate([rng.integers(0, n + 1, 2), rng.integers(0, n, 2) + [0.25, 0.75]]) / n
+        for bp in (inner, np.concatenate([inner, edges]), np.concatenate([inner, inner[:2]])):
+            bp = np.concatenate([[0.0], np.sort(bp), [1.0]])
+            cases += [(bp * length, length) for length in (1.0, 0.37, 2.9)]
+    for p, m in [(params, random_admissible(params, rng)) for _ in range(6)] + [(STIFF, THIN_HIGH)]:
+        cov, mt = change_of_variable_forward(m, p.alpha)
+        cases += [(m.breakpoints, 1.0), (mt.breakpoints, cov.total)]
+    assert any(np.diff(bp).min() == 0.0 for bp, _ in cases)  # coinciding ones are covered
+    for bp, length in cases:
+        got, want = _merge_nodes(n, bp, length), _old_merge(n, bp, length)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (bp, length)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestMuCurve:
     def test_dirichlet_mu0_is_pi_squared(self):
         p = ModelParams(0.0, 1.0, 0.4)

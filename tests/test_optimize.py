@@ -1,5 +1,6 @@
 """Optimal interval location, sweeps, switch function, mollification."""
 
+import dataclasses
 import math
 import re
 
@@ -32,6 +33,11 @@ from drifteig import (
 from drifteig.eigensolve import principal_lambda
 
 DSTAR = 0.3  # (1 - m0) / (kappa + 1) for the default constants
+
+
+def _bits(row):
+    """A design's fields, floats as their hex, so equal means equal to the last bit."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row)]
 
 
 class TestLocate:
@@ -234,12 +240,16 @@ class TestActiveConstraint:
         monkeypatch.setattr(transcend, "np", NoNumpy())
         monkeypatch.setattr(optimize, "np", NoNumpy())
         got = [(choose_delta(p, beta), locate_optimal_interval(beta, None, p)) for p, beta in cases]
+        # and a sweep on a list of floats, whose rows share one design table
+        swept = [sweep_beta([1.0, 10.0], params), sweep_beta([golden], inner)]
         monkeypatch.undo()
         assert [active for (_, active), _ in got] == [True, True, False]
         assert got[2][0][0] < optimize.delta_star(inner)
         for (p, beta), (chosen, opt) in zip(cases, got):
             assert (opt.delta, opt.mass_active) == chosen
             assert opt == locate_optimal_interval(beta, chosen[0], p)
+        assert swept[0] == ([opt for _, opt in got[:2]] + [locate_optimal_interval(math.inf, None, params)], [])
+        assert swept[1][0][0] == got[2][1] and not swept[1][1]
 
     def test_several_candidates_pick_the_argmin(self, counted_roots):
         # here several lengths' roots lie at or below m0's, so more than one
@@ -381,6 +391,42 @@ class TestSweep:
         assert {size for _, size in asked} == {optimize.DELTA_SCAN_POINTS}
         monkeypatch.undo()
         assert rows == [locate_optimal_interval(b, None, params) for b in betas + [math.inf]]
+
+    @pytest.mark.parametrize(
+        "p, ratios",
+        [
+            (ModelParams(0.2, 1.0, 0.4), None),  # the figure's 60 betas
+            (ModelParams(2.0, 0.08, 0.03), np.geomspace(0.5, 8.0, 12)),  # times beta_crit
+        ],
+    )
+    def test_rows_equal_standalone_locates_bit_for_bit(self, p, ratios, counted_roots):
+        # sweep_beta shares one design table among its rows; each row, the
+        # Dirichlet one too, is the one locate_optimal_interval gives alone,
+        # to the last bit.  The second design's rows refine many lengths
+        # each, scanned ones and the golden search's, away from delta*
+        if ratios is None:
+            betas = np.geomspace(0.1, 30.0, 60).tolist()
+        else:
+            bcrit = beta_crit(TranscendParams(p, optimize.delta_star(p)))
+            betas = (bcrit * ratios).tolist()
+        rows, failures = sweep_beta(betas, p)
+        assert not failures and len(rows) == len(betas) + 1 and math.isinf(rows[-1].beta)
+        counted_roots.clear()
+        alone = [locate_optimal_interval(b, None, p) for b in betas + [math.inf]]
+        assert [_bits(r) for r in rows] == [_bits(r) for r in alone]
+        if ratios is not None:
+            assert any(r.delta < optimize.delta_star(p) for r in rows)
+            assert len(counted_roots) > 2 * len(alone)
+
+    def test_back_to_back_sweeps_keep_their_own_params(self, params):
+        # the table lives for one sweep_beta call: no row of one sweep
+        # carries over into the next
+        inner = ModelParams(2.0, 0.08, 0.03)
+        betas = [0.5, 2.0, 8.0]
+        first, second, again = (sweep_beta(betas, p)[0] for p in (params, inner, params))
+        assert first == again == [locate_optimal_interval(b, None, params) for b in betas + [math.inf]]
+        assert second == [locate_optimal_interval(b, None, inner) for b in betas + [math.inf]]
+        assert all(a.delta != b.delta and a.beta_crit != b.beta_crit for a, b in zip(first, second))
 
     def test_unconverged_row_is_a_failure(self):
         # one scanned length's root lies below S_FLOOR^2, where the root search
