@@ -105,27 +105,24 @@ def delta_star(params: ModelParams) -> float:
     return (1.0 - params.m0) / (params.kappa + 1.0)
 
 
-def _centred(beta: float, deltas, bcrits) -> list:
-    """xi* of the trichotomy at each length in deltas, whose beta_crit is bcrits'.
+def _centre(beta: float, delta: float, bcrit: float) -> float:
+    """xi* of the trichotomy at length delta, whose beta_crit is bcrit.
 
     The centre (1 - delta)/2 where beta lies above beta_crit by more than
     DEGENERATE_BAND (Dirichlet included), and 0 below it or inside the
     band, where every location is optimal.
     """
-    return [
-        0.5 * (1.0 - d) if abs(beta - bc) > DEGENERATE_BAND and beta >= bc else 0.0
-        for d, bc in zip(deltas, bcrits)
-    ]
+    return 0.5 * (1.0 - delta) if abs(beta - bcrit) > DEGENERATE_BAND and beta >= bcrit else 0.0
 
 
 def _placed(beta: float, deltas, params: ModelParams) -> list:
     """[(xi*, beta_crit)] of the trichotomy, one pair per length in deltas.
 
     deltas is a sequence of floats; beta_crit's length-free factors are
-    computed once for all of them, and xi* is _centred's.
+    computed once for all of them, and xi* is _centre's.
     """
     bcrits = transcend._critical_betas(params.alpha, params.kappa, deltas)
-    return list(zip(_centred(beta, deltas, bcrits), bcrits))
+    return [(_centre(beta, d, bc), bc) for d, bc in zip(deltas, bcrits)]
 
 
 def _root(beta: float, delta: float, params: ModelParams) -> float:
@@ -167,8 +164,7 @@ class _DesignTable:
     def root(self, beta: float) -> float:
         """_root at delta*."""
         tp = self.tp()
-        [xi] = _centred(beta, (self.dstar,), (self.bcrit(),))
-        return transcend.transcendental_root(xi, beta, tp)
+        return transcend.transcendental_root(_centre(beta, self.dstar, self.bcrit()), beta, tp)
 
     def active(self, beta: float) -> bool:
         """active_constraint_condition(params, beta)."""
@@ -228,7 +224,7 @@ def locate_optimal_interval(
     else:
         tp = transcend.TranscendParams(params=params, delta=delta)  # checks delta before placing it
         bcrit = transcend.critical_beta(params.alpha, params.kappa, delta)
-    [xi] = _centred(beta, (delta,), (bcrit,))
+    xi = _centre(beta, delta, bcrit)
     if lam is None:
         lam = transcend.transcendental_root(xi, beta, tp)
     if xi > 0.0:
@@ -305,7 +301,7 @@ def _choose_delta(table: _DesignTable, beta: float) -> tuple:
     # at or below it by the sign of F there, placed by _placed's rule, and
     # refine those.  m0's own root is known, so its slot holds the
     # active-bound probe
-    xis = _centred(beta, lengths, bcrits)
+    xis = [_centre(beta, d, bc) for d, bc in zip(lengths, bcrits)]
     below = transcend._roots_at_or_below(beta, vals[0], params, lengths, xis)
     for i in range(1, DELTA_SCAN_POINTS):
         if below[i]:
