@@ -162,7 +162,7 @@ class _DesignTable:
         return self._bcrit
 
     def root(self, beta: float) -> float:
-        """_root at delta*."""
+        """_root at delta*, from the table's TranscendParams and beta_crit."""
         tp = self.tp()
         return transcend.transcendental_root(_centre(beta, self.dstar, self.bcrit()), beta, tp)
 
