@@ -78,12 +78,28 @@ class ConfigError(DriftEigError, ValueError):
 # ---------------------------------------------------------------- config --
 
 
+def _load_json(path: str):
+    """The JSON value in a config or weight file.
+
+    No setting takes true or false, and Python would read them as the
+    numbers 1 and 0, so a boolean anywhere in the file is rejected.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        value = json.load(fh)
+    todo = [value]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, bool):
+            raise ConfigError(f"{path} holds {json.dumps(item)} where a number or string belongs")
+        todo.extend(item.values() if isinstance(item, dict) else item if isinstance(item, list) else ())
+    return value
+
+
 def _settings(args) -> dict:
     """The raw value of every setting: the flag, else the config file, else the default."""
     cfg = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _load_json(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         if set(cfg) - KNOWN_KEYS:
@@ -106,8 +122,7 @@ def _settings(args) -> dict:
             raise ConfigError("--sweep takes start:stop:points[:scale]")
         raw["sweep"] = dict(zip(SWEEP_KEYS, parts))
     if "weight" in flags:
-        with open(flags["weight"], "r", encoding="utf-8") as fh:
-            raw["weight"] = json.load(fh)
+        raw["weight"] = _load_json(flags["weight"])
     if getattr(args, "xi", None) is not None or getattr(args, "delta", None) is not None:
         raw["weight"] = None
     return raw
@@ -140,9 +155,10 @@ def _sweep(raw) -> list:
     """The beta grid of a sweep spec."""
     if set(raw) - set(SWEEP_KEYS):
         raise ConfigError(f"unknown sweep keys in {raw!r}")
-    start, stop, points = float(raw["start"]), float(raw["stop"]), int(raw["points"])
-    if points < 1:
-        raise ConfigError("sweep needs at least one point")
+    start, stop, points = float(raw["start"]), float(raw["stop"]), raw["points"]
+    points = int(points) if isinstance(points, str) else points  # --sweep's text
+    if not isinstance(points, int) or points < 1:
+        raise ConfigError(f"sweep points must be an integer >= 1, got {raw['points']!r}")
     if not 0.0 < start <= stop < math.inf:
         raise ConfigError(f"sweep range must satisfy 0 < start <= stop < inf, got {start}:{stop}")
     scale = raw.get("scale", "log")
@@ -573,23 +589,12 @@ def _add_boundary_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone.
-
-    A parser of one command parses that command's arguments as the full one
-    does, with the same help, usage and error texts: its usage, which
-    argparse prints on unrecognized arguments, still names every command.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = argparse.ArgumentParser(prog="drifteig", description=__doc__)
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        # the metavar keeps every command in the usage; the full parser has
-        # none, as it would rename the command in the "invalid choice" and
-        # "required" errors, which a parser of a named command never raises
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS))
-    for name in COMMANDS if command is None else (command,):
-        help_, func, grid_help, boundary, flags = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, func, grid_help, boundary, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", dest="output", metavar="OUT", help="output directory (default out/)")
@@ -605,10 +610,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a command named first is the only one parsed: build its parser alone
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _resolve(args)
         return args.func(args)

@@ -256,6 +256,10 @@ class EigenPair:
     solver is not certified.  probes counts the definiteness tests
     (``pencil_inertia`` calls, the kernel bisection's included) that
     located and refined lam, 0 for a pair built outside the solver.
+    residual is ||Kx - lam Bx|| / (||Kx|| + |lam| ||Bx||) on the assembled forms.
+    Its rounding floor is about 1e-10 at n = 2000 (6.6e-11 on the CLI's
+    default ``eig``, whose lam is certified), so it cannot show an error in
+    lam below that.
     """
 
     lam: float

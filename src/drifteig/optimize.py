@@ -115,33 +115,20 @@ def _centre(beta: float, delta: float, bcrit: float) -> float:
     return 0.5 * (1.0 - delta) if abs(beta - bcrit) > DEGENERATE_BAND and beta >= bcrit else 0.0
 
 
-def _placed(beta: float, deltas, params: ModelParams) -> list:
-    """[(xi*, beta_crit)] of the trichotomy, one pair per length in deltas.
-
-    deltas is a sequence of floats; beta_crit's length-free factors are
-    computed once for all of them, and xi* is _centre's.
-    """
-    bcrits = transcend._critical_betas(params.alpha, params.kappa, deltas)
-    return [(_centre(beta, d, bc), bc) for d, bc in zip(deltas, bcrits)]
-
-
-def _root(beta: float, delta: float, params: ModelParams) -> float:
-    """The transcendental root at length delta, placed by _placed's rule."""
-    tp = transcend.TranscendParams(params=params, delta=delta)
-    [(xi, _)] = _placed(beta, (delta,), params)
-    return transcend.transcendental_root(xi, beta, tp)
-
-
 class _DesignTable:
     """The beta-free part of one params' design rows, each field made on first use.
 
     delta*, its TranscendParams and beta_crit, whether the mass bound is
     active above beta_crit, and choose_delta's scan: the resource grid, the
     32 scanned lengths (the active-bound probe in m0's place) and their
-    beta_crit.  choose_delta, locate_optimal_interval and
-    active_constraint_condition each build one when called on their own;
-    sweep_beta builds one for all its rows.  Each field is made the first
-    time a call needs it, so a one-shot call computes only what it uses.
+    beta_crit.  interval gives the (TranscendParams, beta_crit) pair at any
+    length, delta*'s made once, and root the root placed there; every pair
+    on the design path comes from interval, and every root from root but
+    locate_optimal_interval's, which solves at the pair it holds.
+    choose_delta, locate_optimal_interval and active_constraint_condition
+    each build one when called on their own; sweep_beta builds one for all
+    its rows.  Each field is made the first time a call needs it, so a
+    one-shot call computes only what it uses.
     """
 
     __slots__ = ("params", "dstar", "_tp", "_bcrit", "_above", "_scan")
@@ -151,20 +138,24 @@ class _DesignTable:
         self.dstar = delta_star(params)
         self._tp = self._bcrit = self._above = self._scan = None
 
-    def tp(self) -> transcend.TranscendParams:
-        if self._tp is None:
-            self._tp = transcend.TranscendParams(params=self.params, delta=self.dstar)
-        return self._tp
-
     def bcrit(self) -> float:
         if self._bcrit is None:
             self._bcrit = transcend.critical_beta(self.params.alpha, self.params.kappa, self.dstar)
         return self._bcrit
 
-    def root(self, beta: float) -> float:
-        """_root at delta*, from the table's TranscendParams and beta_crit."""
-        tp = self.tp()
-        return transcend.transcendental_root(_centre(beta, self.dstar, self.bcrit()), beta, tp)
+    def interval(self, delta: float) -> tuple:
+        """(TranscendParams, beta_crit) at length delta: delta*'s pair is made once."""
+        if delta != self.dstar:
+            tp = transcend.TranscendParams(params=self.params, delta=delta)  # checks delta first
+            return tp, transcend.critical_beta(self.params.alpha, self.params.kappa, delta)
+        if self._tp is None:
+            self._tp = transcend.TranscendParams(params=self.params, delta=self.dstar)
+        return self._tp, self.bcrit()
+
+    def root(self, beta: float, delta: float) -> float:
+        """The transcendental root at length delta, placed by _centre's rule."""
+        tp, bcrit = self.interval(delta)
+        return transcend.transcendental_root(_centre(beta, delta, bcrit), beta, tp)
 
     def active(self, beta: float) -> bool:
         """active_constraint_condition(params, beta)."""
@@ -219,14 +210,10 @@ def locate_optimal_interval(
     if delta is None:
         delta, lam = _choose_delta(table, beta)
     delta = float(delta)
-    if delta == table.dstar:
-        tp, bcrit = table.tp(), table.bcrit()
-    else:
-        tp = transcend.TranscendParams(params=params, delta=delta)  # checks delta before placing it
-        bcrit = transcend.critical_beta(params.alpha, params.kappa, delta)
+    tp, bcrit = table.interval(delta)
     xi = _centre(beta, delta, bcrit)
     if lam is None:
-        lam = transcend.transcendental_root(xi, beta, tp)
+        lam = transcend.transcendental_root(xi, beta, tp)  # table.root would build tp again
     if xi > 0.0:
         regime = Regime.CENTERED
     elif abs(beta - bcrit) <= DEGENERATE_BAND:
@@ -296,23 +283,22 @@ def _choose_delta(table: _DesignTable, beta: float) -> tuple:
     if params.m0 > SCAN_TOP:
         return dstar, None  # nothing to scan: every larger amount lies above the cap
     grid, lengths, bcrits = table.scan()
-    vals = {0: table.root(beta)}
+    vals = {0: table.root(beta, dstar)}
     # no root above m0's can be the minimum: find the lengths whose roots lie
-    # at or below it by the sign of F there, placed by _placed's rule, and
+    # at or below it by the sign of F there, placed by _centre's rule, and
     # refine those.  m0's own root is known, so its slot holds the
     # active-bound probe
     xis = [_centre(beta, d, bc) for d, bc in zip(lengths, bcrits)]
     below = transcend._roots_at_or_below(beta, vals[0], params, lengths, xis)
     for i in range(1, DELTA_SCAN_POINTS):
         if below[i]:
-            tp = transcend.TranscendParams(params=params, delta=lengths[i])
-            vals[i] = transcend.transcendental_root(xis[i], beta, tp)
+            vals[i] = table.root(beta, lengths[i])
     i = min(vals, key=vals.get)  # the lowest index with the smallest value
     if i == 0 and not below[0]:
         return dstar, vals[0]  # lambda rises off the bound: the minimizer is within ACTIVE_TOL
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, DELTA_SCAN_POINTS - 1)]
-    mt_opt, lam_opt = _golden_min(lambda mt: _root(beta, table.length(mt), params), lo, hi, 1e-7)
+    mt_opt, lam_opt = _golden_min(lambda mt: table.root(beta, table.length(mt)), lo, hi, 1e-7)
     if vals[0] <= lam_opt + 1e-12 or abs(mt_opt - params.m0) <= ACTIVE_TOL:
         return dstar, vals[0]  # grid[0] is m0 itself
     return table.length(mt_opt), lam_opt

@@ -448,28 +448,18 @@ def _parse_argvs():
             yield [command, *rest]
 
 
-BUILD_PARSER = cli.build_parser
-
-
 class _Parsed(Exception):
     """Stops main after parsing, before any input is read."""
 
 
-class TestParserPerCommand:
-    def _run(self, monkeypatch, argv, full):
-        """(exit code, stdout, stderr, namespace) of main(argv) up to its first read."""
-        parsed, built = {}, []
+class TestOneParser:
+    def _run(self, monkeypatch, argv):
+        """(exit code, stdout, stderr) of main(argv) up to its first read."""
 
         def resolve(args):
-            parsed.update(vars(args))
             raise _Parsed
 
-        def recorded(command=None):
-            built.append(command)
-            return BUILD_PARSER(None if full else command)
-
         monkeypatch.setattr(cli, "_resolve", resolve)
-        monkeypatch.setattr(cli, "build_parser", recorded)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -478,20 +468,12 @@ class TestParserPerCommand:
                 code = exc.code
             except _Parsed:
                 code = "parsed"
-        return (code, out.getvalue(), err.getvalue(), parsed), built
-
-    @pytest.mark.parametrize("argv", list(_parse_argvs()), ids=" ".join)
-    def test_same_outcome_as_the_full_parser(self, monkeypatch, argv):
-        got, built = self._run(monkeypatch, argv, full=False)
-        want, _ = self._run(monkeypatch, argv, full=True)
-        assert got == want
-        named = argv[0] if argv and argv[0] in COMMANDS else None
-        assert built == [named]
+        return code, out.getvalue(), err.getvalue()
 
     def test_cases_reach_every_outcome(self, monkeypatch):
         # the cases parse, print help and fail to parse on every command
         outcomes = {
-            (argv[0], self._run(monkeypatch, argv, full=False)[0][0])
+            (argv[0], self._run(monkeypatch, argv)[0])
             for argv in _parse_argvs()
             if argv and argv[0] in COMMANDS
         }
@@ -500,19 +482,38 @@ class TestParserPerCommand:
     @pytest.mark.parametrize(
         "argv, error",
         [
-            # a parser of one command still names every command in its usage
             (["sweep", "--bogus"], "unrecognized arguments: --bogus"),
-            # the full parser names the command "command" in its own errors
             ([], "the following arguments are required: command"),
             (["nope"], "argument command: invalid choice: 'nope' (choose from "),
         ],
         ids=["unrecognized", "required", "invalid_choice"],
     )
     def test_top_level_usage_and_errors(self, monkeypatch, argv, error):
-        code, _, err, _ = self._run(monkeypatch, argv, full=False)[0]
+        code, _, err = self._run(monkeypatch, argv)
         assert code == 2
         usage = "usage: drifteig [-h] {eig,root,locate,sweep,rearrange,verify} ...\n"
         assert err.startswith(f"{usage}drifteig: error: {error}")
+
+    def test_parser_survives_a_failed_parse(self, tmp_path, capsys):
+        # main parses with one parser per process: a call after a parse
+        # error writes what a call on a freshly built parser writes
+        def sweep(out):
+            argv = ["sweep", "--sweep", "0.1:30.0:60:log", "--params", "alpha=0.2,kappa=1.0,m0=0.4"]
+            assert cli.main([*argv, "--n", "2000", "--out", str(out)]) == 0
+
+        cli.build_parser.cache_clear()
+        sweep(tmp_path / "fresh")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--bogus"])
+        assert exc.value.code == 2
+        sweep(tmp_path / "again")
+        capsys.readouterr()
+        names = sorted(os.listdir(tmp_path / "fresh"))
+        assert names == ["sweep.csv", "sweep.json", "sweep_plot.dat"]
+        assert names == sorted(os.listdir(tmp_path / "again"))
+        for name in names:
+            assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestAtomicWrite:
@@ -568,6 +569,12 @@ class TestFailurePolicy:
             pytest.param(["sweep"], {"sweep": 5}, id="sweep-number"),
             pytest.param(["verify"], {"seed": [1]}, id="seed-list"),
             pytest.param(["verify"], {"seed": 1.7}, id="seed-float"),
+            pytest.param(["verify"], {"seed": True}, id="seed-bool"),
+            pytest.param(["sweep"], {"sweep": {"start": 1, "stop": 2, "points": 2.7}}, id="sweep-points-float"),
+            pytest.param(["sweep"], {"sweep": {"start": 1, "stop": 2, "points": True}}, id="sweep-points-bool"),
+            pytest.param(["root"], {"boundary": {"beta": True}}, id="boundary-bool"),
+            pytest.param(["root"], {"params": {"alpha": True, "kappa": 1, "m0": 0.4}}, id="params-bool"),
+            pytest.param(["eig", "--weight", "w.json"], None, id="weight-bool"),
             pytest.param(["verify", "--seed", "-1"], None, id="seed-negative"),
             pytest.param(["sweep", "--sweep", "1:inf:3"], None, id="sweep-inf"),
             pytest.param(["sweep", "--sweep", "1:nan:3"], None, id="sweep-nan"),
@@ -586,6 +593,8 @@ class TestFailurePolicy:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             argv = argv + ["--config", str(cfg)]
+        if "w.json" in argv:
+            argv[argv.index("w.json")] = _weight_file(tmp_path, [0.0, True], [1.0])
         out = tmp_path / "o"
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")

@@ -105,8 +105,13 @@ class TestLocate:
         # under numpy 2 repr(np.float64(0.35)) is "np.float64(0.35)", which
         # cli._write_csv would write into the sweep's and locate's files
         bcrit = beta_crit(TranscendParams(params, DSTAR))
-        for beta in (0.5 * bcrit, bcrit, 2.0 * bcrit, math.inf):
-            assert [type(v) for v in optimize._placed(beta, [DSTAR], params)[0]] == [float, float]
+        table = optimize._DesignTable(params)
+        for delta in (DSTAR, 0.5 * DSTAR):
+            tp, bc = table.interval(delta)
+            assert type(tp.delta) is float and type(bc) is float
+            for beta in (0.5 * bcrit, bcrit, 2.0 * bcrit, math.inf):
+                assert type(optimize._centre(beta, delta, bc)) is float
+                assert type(table.root(beta, delta)) is float
         rows, failures = sweep_beta(np.geomspace(0.1, 30.0, 4), params)
         rows += [locate_optimal_interval(b, d, params) for b in (1.0, 10.0, math.inf) for d in (None, DSTAR)]
         rows.append(locate_optimal_interval(np.float64(10.0), np.float64(DSTAR), params))
@@ -219,7 +224,8 @@ class TestActiveConstraint:
         [(deltas, below)] = asked
         assert len(deltas) == optimize.DELTA_SCAN_POINTS and deltas[0] == probe
         assert not any(below)
-        assert optimize._root(10.0, probe, params) > optimize._root(10.0, DSTAR, params)
+        table = optimize._DesignTable(params)
+        assert table.root(10.0, probe) > table.root(10.0, DSTAR)
 
     def test_design_path_calls_no_numpy(self, params, monkeypatch):
         # choosing and placing a length runs on plain floats: a pinned design,
