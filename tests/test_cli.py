@@ -454,9 +454,11 @@ class _Parsed(Exception):
 
 class TestOneParser:
     def _run(self, monkeypatch, argv):
-        """(exit code, stdout, stderr) of main(argv) up to its first read."""
+        """(exit code, stdout, stderr, namespace) of main(argv) up to its first read."""
+        parsed = {}
 
         def resolve(args):
+            parsed.update(vars(args))
             raise _Parsed
 
         monkeypatch.setattr(cli, "_resolve", resolve)
@@ -468,7 +470,18 @@ class TestOneParser:
                 code = exc.code
             except _Parsed:
                 code = "parsed"
-        return code, out.getvalue(), err.getvalue()
+        return code, out.getvalue(), err.getvalue(), parsed
+
+    @pytest.mark.parametrize("argv", list(_parse_argvs()), ids=" ".join)
+    def test_same_outcome_on_a_used_parser(self, monkeypatch, argv):
+        # the parser is built once per process and keeps nothing from one
+        # parse to the next: after every case has run on it, a case gives
+        # what it gives on a freshly built parser
+        cli.build_parser.cache_clear()
+        fresh = self._run(monkeypatch, argv)
+        for other in _parse_argvs():
+            self._run(monkeypatch, other)
+        assert self._run(monkeypatch, argv) == fresh
 
     def test_cases_reach_every_outcome(self, monkeypatch):
         # the cases parse, print help and fail to parse on every command
@@ -489,7 +502,7 @@ class TestOneParser:
         ids=["unrecognized", "required", "invalid_choice"],
     )
     def test_top_level_usage_and_errors(self, monkeypatch, argv, error):
-        code, _, err = self._run(monkeypatch, argv)
+        code, _, err, _ = self._run(monkeypatch, argv)
         assert code == 2
         usage = "usage: drifteig [-h] {eig,root,locate,sweep,rearrange,verify} ...\n"
         assert err.startswith(f"{usage}drifteig: error: {error}")
