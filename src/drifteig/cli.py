@@ -368,7 +368,7 @@ def cmd_rearrange(args) -> int:
     if isinstance(before, eigensolve.ZeroRegime):
         print("lambda=0 (zero regime)")
         return EXIT_OK
-    pair = rearrange.unimodal_rearrangement(m, params, bc, disc)
+    pair = rearrange.rearrange_around(m, params, before)
     disc_r = eigensolve.make_discretization(n, pair.m_R)
     after = eigensolve.principal_eigenvalue(pair.m_R, params, bc, disc_r)
     _atomic_write(os.path.join(out, "rearranged.json"), pair.m_R.to_json() + "\n")
@@ -406,7 +406,7 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
                 before = eigensolve.principal_eigenvalue(m, params, bc, disc)
                 if isinstance(before, eigensolve.ZeroRegime):
                     continue
-                pair = rearrange.unimodal_rearrangement(m, params, bc, disc)
+                pair = rearrange.rearrange_around(m, params, before)
                 after = eigensolve.principal_eigenvalue(
                     pair.m_R, params, bc, eigensolve.make_discretization(n, pair.m_R)
                 )

@@ -16,7 +16,9 @@ The positive principal eigenvalue is characterized through the auxiliary
 curve mu(lambda) = smallest eigenvalue of the pencil (K - lambda*B, M0):
 mu is concave, mu(lambda) = 0 exactly at principal eigenvalues, and the
 sign of mu equals the sign predicate "K - lambda*B is positive definite",
-which one LDL^T factorization (LAPACK ``dpttrf``) answers in O(n).  Root
+which one LDL^T factorization (LAPACK ``dpttrf``) answers in O(n).  The
+lambda bracket starts at [LAMBDA_FLOOR, 1] and doubles its upper end until
+the test reads "not definite"; only a lambda <= 1 tests the floor.  Root
 location bisects on that test only to 1/64 relative.  The eigenvalue is a
 minimum of a Rayleigh quotient, so ``_refine`` then runs inverse iteration
 at the bracket's positive definite lower end and takes the elementwise
@@ -27,18 +29,23 @@ the bisection goes on from the same bracket as if it had never stopped.
 Either way ``_refine`` also returns a shift it has proved definite.
 mu takes the same path on the pencil (K - lambda*B, M0) from the bracket
 [-max(lambda*weight), Rayleigh quotient of the ones vector].  Every
-bisection, coarse or not, is the kernel's, which returns its bracket.
+bisection, coarse or not, is the kernel's, which returns its bracket and
+the factors at its lower end.
 
 All entry points share one core: ``_zero_regime`` validates the weight and
 detects the Neumann zero regime, ``_bracket_and_bisect`` locates lambda,
 ``_refine`` certifies or bisects both lambda and mu, and ``_rayleigh_at``
-is the one inverse iteration: one ``dpttrf`` factorization and a few
-``dpttrs`` solves at a definite shift.  Besides the refinement it polishes
-an uncertified mu at the shift ``_refine`` proved, and it gives the
+is the one inverse iteration: a few ``dpttrs`` solves with the LDL^T
+factors of a definite shift.  ``_SignTest`` makes every factorization of a
+pencil and keeps the last definite one, so the lower end that the
+refinement and an uncertified mu's polish start from, which a test has
+factored, is not factored again.  ``_rayleigh_at`` also polishes an
+uncertified mu at the shift ``_refine`` proved, and it gives the
 eigenfunction that ``_eigenpair`` normalizes and checks, as the vector of
 mu(lambda) = 0 on the pencil (K - lambda*B, M0).
 ``eigen_cov`` runs the same core on the drift-free forms of the change of
-variable.  The definiteness test and the bisection are in ``kernels``.
+variable.  The factorization, the definiteness test and the bisection
+are in ``kernels``.
 """
 
 from __future__ import annotations
@@ -255,7 +262,9 @@ class EigenPair:
     midpoint of the bisection to LAMBDA_REL_TOL.  A pair built outside the
     solver is not certified.  probes counts the definiteness tests
     (``pencil_inertia`` calls, the kernel bisection's included) that
-    located and refined lam, 0 for a pair built outside the solver.
+    located and refined lam, 0 for a pair built outside the solver; a lam
+    above 1 makes none at LAMBDA_FLOOR, and the factorizations that the
+    refinement reuses or makes itself are not tests.
     residual is ||Kx - lam Bx|| / (||Kx|| + |lam| ||Bx||) on the assembled forms.
     Its rounding floor is about 1e-10 at n = 2000 (6.6e-11 on the CLI's
     default ``eig``, whose lam is certified), so it cannot show an error in
@@ -299,22 +308,39 @@ class _SignTest:
     """The sign test of the pencil (A, C): sigma -> A - sigma*C is not
     positive definite, i.e. sigma is at or above its smallest eigenvalue.
 
-    calls counts the tests made, one ``pencil_inertia`` call each.
+    calls counts the tests made, one ``pencil_inertia`` call each.  Every
+    factorization of the pencil is made here: kept is (shift, LDL^T factors
+    or None) of the last shift a test proved definite or ``factors``
+    factored, which ``factors`` hands on rather than factor it again.
     """
 
     def __init__(self, pencil: tuple):
         self.pencil = pencil
         self.calls = 0
+        self.kept = (math.nan, None)
 
     def __call__(self, sigma: float) -> bool:
         self.calls += 1
-        return kernels.pencil_inertia(*self.pencil, sigma)[0] >= 1
+        flag, _, factors = kernels.pencil_inertia(*self.pencil, sigma)
+        if factors is not None:
+            self.kept = (sigma, factors)
+        return flag >= 1
 
     def bisect(self, lo: float, hi: float, atol: float, rtol: float) -> tuple:
         """[lo, hi] halved to atol + rtol*|hi| by the kernel bisection."""
-        lo, hi, probes = kernels.smallest_pencil_eigenvalue(*self.pencil, lo, hi, atol, rtol)
+        lo, hi, probes, factors = kernels.smallest_pencil_eigenvalue(
+            *self.pencil, lo, hi, atol, rtol
+        )
         self.calls += probes
+        if factors is not None:
+            self.kept = (lo, factors)
         return lo, hi
+
+    def factors(self, shift: float):
+        """(d, e) LDL^T factors of A - shift*C, None if not positive definite."""
+        if self.kept[0] != shift:
+            self.kept = (shift, kernels.ldlt(*self.pencil, shift))
+        return self.kept[1]
 
 
 def _refine(
@@ -334,7 +360,7 @@ def _refine(
     its midpoint is the value, with False and below its final lower end: the
     same bits as a bisection that never stopped at the coarse bracket.
     """
-    rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pred.pencil, lo))
+    rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pred, lo))
     if lo <= rho <= hi:
         t = CERT_REL * abs(rho) + atol
         if not pred(rho - t) and pred(rho + t):
@@ -348,11 +374,12 @@ def _quotient_of(forms: Forms, quotient, x) -> float:
     return math.nan if x is None else float(quotient(*forms.quadratics(forms.embed(x))))
 
 
-def _rayleigh_at(forms: Forms, pencil: tuple, shift: float):
-    """x: inverse iteration on the pencil at a definite shift, or None.
+def _rayleigh_at(forms: Forms, test: _SignTest, shift: float):
+    """x: inverse iteration on ``test``'s pencil at a definite shift, or None.
 
-    The LDL^T factorization of S = A - shift*C (LAPACK ``dpttrf``) is itself
-    the definiteness test; each step solves S y = C x with it (``dpttrs``).
+    The LDL^T factorization of S = A - shift*C (LAPACK ``dpttrf``, through
+    ``test.factors``, which reuses a probe's) is itself the definiteness
+    test; each step solves S y = C x with it (``dpttrs``).
     The first right-hand side is M0 times the ones vector, which is positive,
     so its component along the positive eigenvector is positive (the ones
     vector itself is the lambda = 0 eigenvector under Neumann conditions).
@@ -364,13 +391,14 @@ def _rayleigh_at(forms: Forms, pencil: tuple, shift: float):
     vector is exact.  A failed factorization or solve, or no agreement
     within REFINE_STEPS solves, gives None.
     """
-    ad, ae, cd, ce = pencil
-    x = np.ones(ad.size)
-    if ad.size > 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
-        dpttrf, dpttrs = lapack()
-        d, e, info = dpttrf(ad - shift * cd, ae - shift * ce)
-        if info != 0:
+    _, _, cd, ce = test.pencil
+    x = np.ones(cd.size)
+    if cd.size > 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
+        factors = test.factors(shift)
+        if factors is None:
             return None
+        d, e = factors
+        dpttrs = lapack()[1]
         _, _, _, _, md, me = forms.interior()
         rhs = _tri_mv(md, me, x)
         last = math.nan
@@ -419,7 +447,7 @@ def _mu_from_forms(forms: Forms, lam: float) -> tuple:
     # elementwise quotient at its definite lower end is accurate to the
     # residual squared, unless it escaped the bisection's neighborhood
     if not certified:
-        rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pencil, below))
+        rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pred, below))
         if abs(rho - mu) <= 1e-4 * max(1.0, abs(mu)):
             return rho, pred.calls
     return mu, pred.calls
@@ -454,7 +482,15 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
     # mu(lam) <= 0 iff K - lam*B is not positive definite
     pred = _SignTest((kd, ke, bd, be))
     floor_probes = 0
-    if pred(LAMBDA_FLOOR):
+    lo, hi = LAMBDA_FLOOR, 1.0
+    while not pred(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > BRACKET_LIMIT:
+            samples = [(l, _mu_from_forms(forms, l)[0]) for l in (1.0, 1e2, 1e4, 1e6, 1e8)]
+            raise BracketError(f"no sign change below {BRACKET_LIMIT}; mu samples {samples}")
+    # the floor bounds the bracket only for lambda <= 1, so only then is it tested
+    if lo == LAMBDA_FLOOR and pred(lo):
         # Near lambda = 0 the Neumann pencil is within pivot noise of
         # singular and the raw test can fire falsely; trust the polished
         # mu evaluation before declaring the eigenvalue unresolvable.
@@ -464,13 +500,6 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
                 f"sign predicate already true at lambda = {LAMBDA_FLOOR}: "
                 "eigenvalue below the resolvable floor"
             )
-    lo, hi = LAMBDA_FLOOR, 1.0
-    while not pred(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > BRACKET_LIMIT:
-            samples = [(l, _mu_from_forms(forms, l)[0]) for l in (1.0, 1e2, 1e4, 1e6, 1e8)]
-            raise BracketError(f"no sign change below {BRACKET_LIMIT}; mu samples {samples}")
     lo, hi = pred.bisect(lo, hi, 0.0, COARSE_REL)
 
     def quotient(kq, bq, mq):
@@ -496,10 +525,10 @@ def _eigenpair(
     ran in another variable) with the relative residual of the pencil,
     ``_refine``'s certified flag for lam and the sign tests that found it.
     """
-    pencil, _ = _mu_pencil(forms, lam)
+    test = _SignTest(_mu_pencil(forms, lam)[0])
     sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
     for _ in range(9):
-        x = _rayleigh_at(forms, pencil, sigma)
+        x = _rayleigh_at(forms, test, sigma)
         if x is not None:
             break
         sigma *= 16.0

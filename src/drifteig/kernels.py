@@ -1,10 +1,11 @@
 """Tridiagonal pencil kernels used by the eigen-solver.
 
-The definiteness test (LAPACK ``dpttrf`` through scipy) and the
-smallest-eigenvalue bisection live in ``_kernels_py``; this module
-re-exports them.  The solver finds lambda and mu by the one bisection,
-which returns its bracket, and calls both kernels through this module's
-attributes, where the benchmark's tracer wraps them by name.
+The LDL^T factorization (LAPACK ``dpttrf`` through scipy), the
+definiteness test built on it and the smallest-eigenvalue bisection live
+in ``_kernels_py``; this module re-exports them.  The solver finds lambda
+and mu by the one bisection, which returns its bracket, and calls the
+kernels through this module's attributes, where the benchmark's tracer
+wraps the test and the bisection by name.
 
 ``BACKEND`` names the kernel implementation.  Nothing in the package is
 compiled, so it is always ``"pure"``; it stays because
@@ -14,6 +15,6 @@ report are part of the package's public output.
 
 from __future__ import annotations
 
-from ._kernels_py import pencil_inertia, smallest_pencil_eigenvalue  # noqa: F401
+from ._kernels_py import ldlt, pencil_inertia, smallest_pencil_eigenvalue  # noqa: F401
 
 BACKEND = "pure"

@@ -123,9 +123,24 @@ def unimodal_rearrangement(
 ) -> RearrangedPair:
     """Unimodal relayout of m that does not increase the principal eigenvalue.
 
-    Steps: solve for the eigenfunction, take its first argmax x+, transport
-    to y+ = c(x+), sort the transported pieces upward on (0, y+) and
-    downward on (y+, c(1)), and map back through z = int e^{alpha m~R}.
+    Solves for the eigenfunction and rearranges m around it
+    (``rearrange_around``); a zero-regime weight has none, a ValueError.
+    """
+    pair = eigensolve.principal_eigenvalue(m, params, bc, disc)
+    if isinstance(pair, eigensolve.ZeroRegime):
+        raise ValueError("zero regime: no positive eigenfunction to rearrange around")
+    return rearrange_around(m, params, pair)
+
+
+def rearrange_around(
+    m: PiecewiseWeight, params: ModelParams, pair: eigensolve.EigenPair
+) -> RearrangedPair:
+    """``unimodal_rearrangement`` of m around its solved eigenpair.
+
+    Steps: take the eigenfunction's first argmax x+, transport to
+    y+ = c(x+), sort the transported pieces upward on (0, y+) and downward
+    on (y+, c(1)), and map back through z = int e^{alpha m~R}.  A caller
+    that has solved m already passes its pair here and solves it once.
     """
     if params.alpha > RAMP_ALPHA_LIMIT:
         warnings.warn(
@@ -133,9 +148,6 @@ def unimodal_rearrangement(
             "of the rearrangement is no longer guaranteed",
             stacklevel=2,
         )
-    pair = eigensolve.principal_eigenvalue(m, params, bc, disc)
-    if isinstance(pair, eigensolve.ZeroRegime):
-        raise ValueError("zero regime: no positive eigenfunction to rearrange around")
     x_plus = float(pair.nodes[int(np.argmax(pair.phi))])
     cov, mt = change_of_variable_forward(m, params.alpha)
     y_plus = float(cov.x_to_y(x_plus))

@@ -270,6 +270,26 @@ class TestRearrange:
         assert after <= before + 1e-6
         assert (tmp_path / "o" / "rearranged.json").exists()
 
+    def test_each_weight_solved_once(self, tmp_path, capsys, monkeypatch):
+        # the rearrangement takes the eigenpair of the "before" solve, so
+        # the command and verify's checks solve each weight object once (an
+        # already unimodal weight's rearrangement is a new, equal object)
+        solves = []
+        solve = eigensolve.principal_eigenvalue
+
+        def counted(m, params, bc, disc):
+            solves.append(m)  # kept alive, so no two of them share an id
+            return solve(m, params, bc, disc)
+
+        monkeypatch.setattr(eigensolve, "principal_eigenvalue", counted)
+        wf = _weight_file(tmp_path, [0.0, 0.2, 0.45, 0.7, 1.0], [1.0, -1.0, 0.8, -1.0])
+        assert cli.main(["rearrange", "--beta", "1.0", "--weight", wf, "--out", str(tmp_path / "o")]) == 0
+        assert len(solves) == len({id(m) for m in solves}) == 2
+        solves.clear()
+        rows = cli._verify_properties(ModelParams(0.2, 1.0, 0.4), 200, 0xE16E)
+        assert next(r for r in rows if r["name"] == "rearrangement_monotonicity")["passed"]
+        assert len(solves) == len({id(m) for m in solves}) >= 2 * 12
+        capsys.readouterr()
 
     def test_neumann_zero_regime_message(self, tmp_path, capsys):
         wf = _weight_file(tmp_path, [0.0, 1.0], [1.0])

@@ -399,8 +399,8 @@ def _dense(d, e):
 
 def _count_calls(monkeypatch):
     """Count definiteness probes, kernel bisections and the factorizations
-    of ``eigensolve``'s inverse iteration, wherever they are made."""
-    from drifteig import _kernels_py, eigensolve, kernels
+    the solver makes outside the probes, wherever they are made."""
+    from drifteig import _kernels_py, kernels
 
     calls = {"pencil_inertia": 0, "smallest_pencil_eigenvalue": 0, "dpttrf": 0}
 
@@ -420,12 +420,10 @@ def _count_calls(monkeypatch):
         "smallest_pencil_eigenvalue",
         counted("smallest_pencil_eigenvalue", kernels.smallest_pencil_eigenvalue),
     )
-    # the probes factor through _kernels_py's own dpttrf, so this counts only
-    # the inverse iteration's factorizations, which take LAPACK from
-    # eigensolve's lapack()
-    dpttrf, dpttrs = eigensolve.lapack()
-    factor = counted("dpttrf", dpttrf)
-    monkeypatch.setattr(eigensolve, "lapack", lambda: (factor, dpttrs))
+    # the probes factor through _kernels_py's own ldlt, so this counts only
+    # the factorizations the solver makes itself, through kernels.ldlt, for
+    # a shift that no probe has factored
+    monkeypatch.setattr(kernels, "ldlt", counted("dpttrf", kernels.ldlt))
     return calls
 
 
@@ -482,22 +480,23 @@ class TestCertifiedRefinement:
     )
     def test_probe_count_at_n_2000(self, params, rng, monkeypatch, bc):
         # a full bisection to LAMBDA_REL_TOL makes about 40 probes; the
-        # refinement needs the floor probe, the doubling bracket (about
+        # refinement of a lambda above 1 needs the doubling bracket (about
         # log2 lambda probes), the kernel's bisection to 1/64 (6) and the
-        # certificate (2); one factorization refines lambda and one gives
-        # the eigenfunction
+        # certificate (2); the refinement reuses the factors of the probe at
+        # the bracket's lower end, so the one factorization of the solver's
+        # own gives the eigenfunction
         calls = _count_calls(monkeypatch)
         m = BangBangInterval(0.1, 0.3, params).weight()
         principal_eigenvalue(m, params, bc, make_discretization(2000, m))
-        assert calls["pencil_inertia"] <= 20
+        assert calls["pencil_inertia"] <= 19
         assert calls["smallest_pencil_eigenvalue"] == 1
-        assert calls["dpttrf"] == 2
+        assert calls["dpttrf"] == 1
         calls.update(pencil_inertia=0, smallest_pencil_eigenvalue=0, dpttrf=0)
         m = random_admissible(params, rng)
         lam = principal_eigenvalue(m, params, bc, make_discretization(2000, m)).lam
-        assert calls["pencil_inertia"] <= 12 + math.log2(lam)
+        assert calls["pencil_inertia"] <= 11 + math.log2(lam)
         assert calls["smallest_pencil_eigenvalue"] == 1
-        assert calls["dpttrf"] == 2
+        assert calls["dpttrf"] == 1
 
     @pytest.mark.parametrize(
         "n, bc",
@@ -505,7 +504,7 @@ class TestCertifiedRefinement:
             (2000, Boundary.neumann()),
             (2000, Boundary.robin(1.0)),
             (2000, Boundary.dirichlet()),
-            (8000, Boundary.neumann()),  # the floor's misfire adds mu's probes
+            (8000, Boundary.neumann()),  # misfires at the floor, which lambda > 1 does not test
         ],
         ids=str,
     )
@@ -547,11 +546,11 @@ class TestCertifiedRefinement:
     @pytest.mark.parametrize(
         "solve, bc, lam, probes",
         [
-            (principal_eigenvalue, Boundary.neumann(), 5.1227949047175745, 13),
-            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995697, 14),
-            (principal_eigenvalue, Boundary.robin(10.0), 20.675249992344682, 15),
-            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 15),
-            (eigen_cov, Boundary.robin(1.0), 10.546261858421303, 14),
+            (principal_eigenvalue, Boundary.neumann(), 5.1227949047175745, 12),
+            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995697, 13),
+            (principal_eigenvalue, Boundary.robin(10.0), 20.675249992344682, 14),
+            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 14),
+            (eigen_cov, Boundary.robin(1.0), 10.546261858421303, 13),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
@@ -582,7 +581,8 @@ class TestCertifiedRefinement:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 10.0])
     def test_eigenfunction_after_shift_steps_down(self, monkeypatch, beta):
         # with e^{alpha (kappa + 1)} = e^9 the first shift below mu = 0 is
-        # within pivot rounding, dpttrf fails there, and the shift steps down
+        # within pivot rounding, dpttrf fails there, and the shift steps down:
+        # the solver's two factorizations are both the eigenfunction's
         from drifteig.optimize import delta_star
 
         p = ModelParams(1.5, 5.0, 0.2)
@@ -592,7 +592,7 @@ class TestCertifiedRefinement:
         disc = make_discretization(800, m)
         calls = _count_calls(monkeypatch)
         pair = principal_eigenvalue(m, p, bc, disc)
-        assert calls["dpttrf"] > 2
+        assert calls["dpttrf"] == 2
         forms = assemble(m, p, bc, disc)
         assert np.min(pair.phi) > 0.0
         assert forms.quadratics(pair.phi)[1] == pytest.approx(1.0, rel=1e-12)
@@ -603,25 +603,101 @@ class TestCertifiedRefinement:
         v = vec[:, 0] * (vec[:, 0] @ pair.phi) / (vec[:, 0] @ vec[:, 0])
         assert np.max(np.abs(v - pair.phi)) <= 1e-7 * np.max(pair.phi)
 
-    def test_neumann_floor_misfire_is_decided_by_mu(self, params, monkeypatch):
-        # at n = 8000 the Neumann test fires falsely at LAMBDA_FLOOR; mu there
+    def test_neumann_floor_misfire_is_decided_by_mu(self, monkeypatch):
+        # lambda = 0.396 < 1, so the floor bounds the bracket and is tested;
+        # at n = 8000 the Neumann test fires falsely there.  mu at the floor
         # is positive, so the solve goes on, and its lambda is the Rayleigh
         # quotient of its own eigenfunction
         from drifteig import kernels
         from drifteig.eigensolve import LAMBDA_FLOOR
 
-        m = BangBangInterval(0.1, 0.3, params).weight()
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
+        p = ModelParams(alpha_star(m) * 0.97, 1.0, 0.4)
         disc = make_discretization(8000, m)
-        forms = assemble(m, params, Boundary.neumann(), disc)
+        forms = assemble(m, p, Boundary.neumann(), disc)
         kd, ke, bd, be, _, _ = forms.interior()
         assert kernels.pencil_inertia(kd, ke, bd, be, LAMBDA_FLOOR)[0] == 1
         calls = _count_calls(monkeypatch)
-        pair = principal_eigenvalue(m, params, Boundary.neumann(), disc)
+        pair = principal_eigenvalue(m, p, Boundary.neumann(), disc)
+        assert pair.lam < 1.0 and pair.certified
         # mu's coarse bracket and its uncertified tail, then lambda's bracket
         assert calls["smallest_pencil_eigenvalue"] == 3
         assert calls["pencil_inertia"] <= 30
         kq, bq, _ = forms.quadratics(pair.phi)
         assert pair.lam == pytest.approx(kq / bq, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "bc, lam, residual",
+        [
+            # the floor misfires here, which a lambda above 1 no longer tests
+            (Boundary.neumann(), 5.122792017486486, 1.279319893314052e-09),
+            (Boundary.dirichlet(), 26.60173305664583, 3.02206054857992e-10),
+        ],
+        ids=str,
+    )
+    def test_eigenpair_bits_at_n_8000(self, params, bc, lam, residual):
+        # lambda and its eigenfunction's residual to the last bit, recorded
+        # from a solver that tested the floor first and factored each
+        # refinement's shift anew: reusing a probe's factors moves no bit
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        pair = principal_eigenvalue(m, params, bc, make_discretization(8000, m))
+        assert (pair.lam, pair.residual, pair.certified) == (lam, residual, True)
+
+    @pytest.mark.parametrize(
+        "bc", [Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()], ids=str
+    )
+    def test_lambda_above_one_makes_no_floor_probe(self, params, monkeypatch, bc):
+        # the bracket starts at 1, and a lambda above it never tests the floor
+        from drifteig import _kernels_py, kernels
+        from drifteig.eigensolve import LAMBDA_FLOOR
+
+        shifts = []
+        probe = _kernels_py.pencil_inertia
+
+        def counted(*args):
+            shifts.append(args[-1])
+            return probe(*args)
+
+        monkeypatch.setattr(_kernels_py, "pencil_inertia", counted)
+        monkeypatch.setattr(kernels, "pencil_inertia", counted)
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        pair = principal_eigenvalue(m, params, bc, make_discretization(8000, m))
+        assert pair.lam > 1.0 and shifts[0] == 1.0
+        assert LAMBDA_FLOOR not in shifts
+
+    def test_no_shift_is_factored_twice(self, params, rng, monkeypatch):
+        # every factorization, a probe's or the solver's own, is of a matrix
+        # A - sigma*C that no earlier one in the same solve has factored
+        from drifteig import _kernels_py, kernels
+
+        seen = []
+        factor = _kernels_py.ldlt
+
+        def recorded(ad, ae, cd, ce, sigma):
+            seen.append((ad.tobytes(), cd.tobytes(), sigma))
+            return factor(ad, ae, cd, ce, sigma)
+
+        monkeypatch.setattr(_kernels_py, "ldlt", recorded)
+        monkeypatch.setattr(kernels, "ldlt", recorded)
+        bang = BangBangInterval(0.1, 0.3, params).weight()
+        mis = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
+        near = ModelParams(alpha_star(mis) * 0.97, 1.0, 0.4)
+        solves = [
+            lambda n=n, bc=bc: principal_eigenvalue(bang, params, bc, make_discretization(n, bang))
+            for n in (2000, 8000)
+            for bc in (Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet())
+        ]
+        m = random_admissible(params, rng)
+        disc = make_discretization(2000, m)
+        solves += [
+            lambda: eigen_cov(m, params, Boundary.robin(10.0), disc),
+            lambda: mu_curve(m, params, Boundary.neumann(), disc, [0.0, 7.5, 60.0]),
+            lambda: principal_eigenvalue(mis, near, Boundary.neumann(), make_discretization(8000, mis)),
+        ]
+        for solve in solves:
+            seen.clear()
+            solve()
+            assert len(set(seen)) == len(seen) > 0
 
     def test_eigenvalue_below_floor_still_raises(self):
         from drifteig.eigensolve import BracketError
@@ -639,7 +715,9 @@ class TestCertifiedRefinement:
         disc = make_discretization(400, m)
         kd, ke, bd, be, md, me = assemble(m, params, bc, disc).interior()
         # the coarse bisection is one kernel call and feeds one inverse
-        # iteration; an uncertified mu adds the bisected tail and its polish
+        # iteration; an uncertified mu adds the bisected tail and its polish.
+        # Both start from a shift the bisection has factored, so the solver
+        # factors nothing itself
         calls = _count_calls(monkeypatch)
         uncertified = 0
         for lam in (-20.0, 0.0, 7.5, 60.0, 120.0):
@@ -650,7 +728,7 @@ class TestCertifiedRefinement:
             mu = mu_of_lambda(m, params, bc, disc, lam)
             assert type(mu) is float
             assert abs(mu - target) <= 1e-10 * max(1.0, abs(target))
-            assert calls["dpttrf"] in (1, 2)
-            assert calls["smallest_pencil_eigenvalue"] == calls["dpttrf"]
-            uncertified += calls["dpttrf"] - 1
+            assert calls["dpttrf"] == 0
+            assert calls["smallest_pencil_eigenvalue"] in (1, 2)
+            uncertified += calls["smallest_pencil_eigenvalue"] - 1
         assert uncertified == (1 if bc.is_neumann else 0)

@@ -22,7 +22,9 @@ def _random_pencil(rng, n):
 
 
 def test_inertia_matches_dense_eig_count(rng):
-    # the first item is 1 exactly when A - sigma*M has an eigenvalue <= 0
+    # the first item is 1 exactly when A - sigma*M has an eigenvalue <= 0;
+    # the third is dpttrf's factorization of A - sigma*M, bit for bit, when
+    # it is positive definite and None when it is not
     checked = 0
     for trial in range(20):
         n = int(rng.integers(3, 40))
@@ -31,8 +33,14 @@ def test_inertia_matches_dense_eig_count(rng):
         evals = np.linalg.eigvalsh(_dense(ad, ae) - sigma * _dense(md, me))
         if np.min(np.abs(evals)) < 1e-9:
             continue  # too close to singular for the sign to be meaningful
-        out = _kernels_py.pencil_inertia(ad, ae, md, me, sigma)
-        assert out == (int(evals.min() < 0.0), False)
+        flag, pivot, factors = _kernels_py.pencil_inertia(ad, ae, md, me, sigma)
+        assert (flag, pivot) == (int(evals.min() < 0.0), False)
+        if flag:
+            assert factors is None
+        else:
+            d, e, info = scipy.linalg.lapack.dpttrf(ad - sigma * md, ae - sigma * me)
+            assert info == 0
+            assert d.tobytes() == factors[0].tobytes() and e.tobytes() == factors[1].tobytes()
         checked += 1
     assert checked >= 15
 
@@ -53,7 +61,8 @@ def _counted_inertia(monkeypatch):
 def test_smallest_pencil_eigenvalue_matches_scipy(rng, monkeypatch):
     # the returned bracket holds the dense eigenvalue, is as narrow as
     # asked, and the test reads definite at its lower end and not at its
-    # upper; the start is off-centre, so no midpoint lands on the target
+    # upper, whose factors come back with it; the start is off-centre, so
+    # no midpoint lands on the target
     atol = rtol = 1e-12
     calls = _counted_inertia(monkeypatch)
     for trial in range(10):
@@ -64,11 +73,14 @@ def test_smallest_pencil_eigenvalue_matches_scipy(rng, monkeypatch):
         )[0]
         lo, hi = target - rng.uniform(10.0, 50.0), target + rng.uniform(10.0, 50.0)
         calls.clear()
-        lo, hi, probes = _kernels_py.smallest_pencil_eigenvalue(ad, ae, md, me, lo, hi, atol, rtol)
+        lo, hi, probes, factors = _kernels_py.smallest_pencil_eigenvalue(
+            ad, ae, md, me, lo, hi, atol, rtol
+        )
         assert probes == len(calls) > 0
         assert lo <= target <= hi
         assert hi - lo <= atol + rtol * abs(hi)
-        assert _kernels_py.pencil_inertia(ad, ae, md, me, lo)[0] == 0
+        at_lo = _kernels_py.ldlt(ad, ae, md, me, lo)
+        assert [f.tobytes() for f in factors] == [f.tobytes() for f in at_lo]
         assert _kernels_py.pencil_inertia(ad, ae, md, me, hi)[0] == 1
 
 
@@ -80,7 +92,7 @@ def test_smallest_pencil_eigenvalue_ends_at_ulp_width(monkeypatch):
     eps = np.finfo(float).eps
     lo, hi = 1.0 - 16 * eps, 1.0 + 16 * eps
     calls = _counted_inertia(monkeypatch)
-    lo, hi, probes = _kernels_py.smallest_pencil_eigenvalue(ad, e, md, e, lo, hi, 0.0, 4 * eps)
+    lo, hi, probes, _ = _kernels_py.smallest_pencil_eigenvalue(ad, e, md, e, lo, hi, 0.0, 4 * eps)
     assert probes == len(calls) <= 4
     assert lo < 1.0 <= hi
     assert hi - lo <= 4 * eps * abs(hi)
@@ -92,7 +104,7 @@ def test_zero_pivot_reads_not_positive_definite():
     ae = np.array([1.0, 0.5])
     md = np.ones(3)
     me = np.zeros(2)
-    assert _kernels_py.pencil_inertia(ad, ae, md, me, 0.0) == (1, False)
+    assert _kernels_py.pencil_inertia(ad, ae, md, me, 0.0) == (1, False, None)
     assert np.linalg.eigvalsh(_dense(ad, ae)).min() < 0.0
 
 
@@ -101,4 +113,18 @@ def test_one_by_one_pencil(sigma, expected):
     # one unknown: no off-diagonal, so the answer is the sign of a - sigma*m
     ad, md = np.array([4.0]), np.array([2.0])
     empty = np.zeros(0)
-    assert _kernels_py.pencil_inertia(ad, empty, md, empty, sigma) == (expected, False)
+    flag, pivot, factors = _kernels_py.pencil_inertia(ad, empty, md, empty, sigma)
+    assert (flag, pivot) == (expected, False)
+    if expected:
+        assert factors is None
+    else:
+        assert factors[0].tolist() == [4.0 - 2.0 * sigma] and factors[1].size == 0
+
+
+def test_bisection_that_never_moves_lo_returns_no_factors():
+    # every midpoint lies above the eigenvalue 1 of diag(1, 2, 3) against I
+    ad, md, e = np.array([1.0, 2.0, 3.0]), np.ones(3), np.zeros(2)
+    lo, hi, probes, factors = _kernels_py.smallest_pencil_eigenvalue(
+        ad, e, md, e, 1.0 - 2.0**-20, 3.0, 0.0, 1e-3
+    )
+    assert lo == 1.0 - 2.0**-20 and probes > 0 and factors is None
