@@ -259,6 +259,27 @@ class TestMuCurve:
             mu_curve(m, p, Boundary.robin(1.0), disc, [1.0, lam])
 
 
+    @pytest.mark.parametrize(
+        "bc, n, lam, mu, bisections",
+        [
+            (Boundary.robin(1.0), 2000, 5.0, 1.6713389826916316, 1),
+            (Boundary.robin(1.0), 2000, 20.0, -4.834241374139949, 1),
+            # not certified: the bisection goes on, and the polish at its
+            # lower end gives mu
+            (Boundary.neumann(), 8000, 1e-8, 2.0669069928998817e-09, 2),
+        ],
+        ids=str,
+    )
+    def test_mu_bits(self, params, monkeypatch, bc, n, lam, mu, bisections):
+        # mu to the last bit, with the kernel bisections that found it: one
+        # when the two probes certify the Rayleigh quotient, two when not
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        disc = make_discretization(n, m)
+        calls = _count_calls(monkeypatch)
+        assert mu_of_lambda(m, params, bc, disc, lam) == mu
+        assert calls["smallest_pencil_eigenvalue"] == bisections
+
+
 class TestPrincipalEigenvalue:
     def test_constant_weight_dirichlet_pi_squared(self):
         disc = make_discretization(2000, ONE)
@@ -281,6 +302,25 @@ class TestPrincipalEigenvalue:
         assert isinstance(
             principal_eigenvalue(ONE, params, Boundary.neumann(), disc), ZeroRegime
         )
+
+    def test_principal_lambda_in_zero_regime_is_zero(self, params):
+        disc = make_discretization(100, ONE)
+        assert principal_lambda(ONE, params, Boundary.neumann(), disc) == 0.0
+
+    def test_one_cell_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            make_discretization(1, ONE)
+
+    def test_eigenfunction_breakdown_raises(self, params, monkeypatch):
+        # lambda's refinement starts from factors its probes made; the
+        # eigenfunction's shifts are factored anew, and none succeeds here
+        from drifteig import kernels
+        from drifteig.eigensolve import SolverError
+
+        monkeypatch.setattr(kernels, "ldlt", lambda *args: None)
+        m = BangBangInterval(0.1, 0.3, params).weight()
+        with pytest.raises(SolverError, match="broke down"):
+            principal_eigenvalue(m, params, Boundary.robin(1.0), make_discretization(200, m))
 
     def test_matches_transcendental_root(self, params):
         w = BangBangInterval(0.0, 0.3, params).weight()

@@ -111,6 +111,11 @@ class TestChecks:
         with pytest.raises(ValueError, match="NaN"):
             brentq(lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0, **TOL)
 
+    def test_nan_value_inside_the_bracket_raises(self):
+        # finite at both ends; the first secant step lands on 0.5
+        with pytest.raises(ValueError, match="x=0.5 is NaN"):
+            brentq(lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, 0.0, 1.0, **TOL)
+
     def test_ends_of_one_sign_raise(self):
         with pytest.raises(ValueError, match="different signs"):
             brentq(lambda x: x + 1.0, 0.0, 1.0, **TOL)
