@@ -361,28 +361,35 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_rearrange(args) -> int:
-    params, bc, m, n, out = args.params, args.boundary, args.weight, args.grid_n, args.output
-    disc = eigensolve.make_discretization(n, m)
-    before = eigensolve.principal_eigenvalue(m, params, bc, disc)
+def _rearranged(m: PiecewiseWeight, params: ModelParams, bc: Boundary, n: int):
+    """(lambda of m, its RearrangedPair, lambda of m_R) on grids of n cells;
+    None in the zero regime, where m has no eigenfunction to rearrange around."""
+    before = eigensolve.principal_eigenvalue(m, params, bc, eigensolve.make_discretization(n, m))
     if isinstance(before, eigensolve.ZeroRegime):
-        print("lambda=0 (zero regime)")
-        return EXIT_OK
+        return None
     pair = rearrange.rearrange_around(m, params, before)
     disc_r = eigensolve.make_discretization(n, pair.m_R)
-    after = eigensolve.principal_eigenvalue(pair.m_R, params, bc, disc_r)
-    _atomic_write(os.path.join(out, "rearranged.json"), pair.m_R.to_json() + "\n")
+    return before.lam, pair, eigensolve.principal_eigenvalue(pair.m_R, params, bc, disc_r).lam
+
+
+def cmd_rearrange(args) -> int:
+    solved = _rearranged(args.weight, args.params, args.boundary, args.grid_n)
+    if solved is None:
+        print("lambda=0 (zero regime)")
+        return EXIT_OK
+    before, pair, after = solved
+    _atomic_write(os.path.join(args.output, "rearranged.json"), pair.m_R.to_json() + "\n")
     _write_json(
-        os.path.join(out, "rearrange_summary.json"),
+        os.path.join(args.output, "rearrange_summary.json"),
         {
-            "lambda_before": before.lam,
-            "lambda_after": after.lam,
+            "lambda_before": before,
+            "lambda_after": after,
             "x_plus": pair.x_plus,
             "y_plus": pair.y_plus,
         },
     )
-    print(f"lambda_before={before.lam!r}")
-    print(f"lambda_after={after.lam!r}")
+    print(f"lambda_before={before!r}")
+    print(f"lambda_after={after!r}")
     return EXIT_OK
 
 
@@ -401,17 +408,10 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
         cases = 0
         for bc in (Boundary.neumann(), robin, Boundary.dirichlet()):
             for _ in range(4):
-                m = random_admissible(params, rng)
-                disc = eigensolve.make_discretization(n, m)
-                before = eigensolve.principal_eigenvalue(m, params, bc, disc)
-                if isinstance(before, eigensolve.ZeroRegime):
-                    continue
-                pair = rearrange.rearrange_around(m, params, before)
-                after = eigensolve.principal_eigenvalue(
-                    pair.m_R, params, bc, eigensolve.make_discretization(n, pair.m_R)
-                )
-                worst = max(worst, after.lam - before.lam)
-                cases += 1
+                solved = _rearranged(random_admissible(params, rng), params, bc, n)
+                if solved is not None:
+                    worst = max(worst, solved[2] - solved[0])
+                    cases += 1
         return worst, f"max(lambda_R - lambda) over {cases} cases"
 
     def equimeasurability():

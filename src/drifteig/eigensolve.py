@@ -20,29 +20,30 @@ which one LDL^T factorization (LAPACK ``dpttrf``) answers in O(n).  The
 lambda bracket starts at [LAMBDA_FLOOR, 1] and doubles its upper end until
 the test reads "not definite"; only a lambda <= 1 tests the floor.  Root
 location bisects on that test only to 1/64 relative.  The eigenvalue is a
-minimum of a Rayleigh quotient, so ``_refine`` then runs inverse iteration
+minimum of a Rayleigh quotient, so the refinement then runs inverse iteration
 at the bracket's positive definite lower end and takes the elementwise
 Rayleigh quotient rho of the result; rho is returned when it lies in the
 bracket and the test reads "definite" just below it and "not" just above
 (1e-8 relative, plus 1e-8 absolute for mu).  When that certificate fails,
 the bisection goes on from the same bracket as if it had never stopped.
-Either way ``_refine`` also returns a shift it has proved definite.
+Either way the refinement also returns a shift it has proved definite.
 mu takes the same path on the pencil (K - lambda*B, M0) from the bracket
 [-max(lambda*weight), Rayleigh quotient of the ones vector].  Every
 bisection, coarse or not, is the kernel's, which returns its bracket and
 the factors at its lower end.
 
 All entry points share one core: ``_zero_regime`` validates the weight and
-detects the Neumann zero regime, ``_bracket_and_bisect`` locates lambda,
-``_refine`` certifies or bisects both lambda and mu, and ``_rayleigh_at``
-is the one inverse iteration: a few ``dpttrs`` solves with the LDL^T
-factors of a definite shift.  ``_SignTest`` makes every factorization of a
-pencil and keeps the last definite one, so the lower end that the
-refinement and an uncertified mu's polish start from, which a test has
-factored, is not factored again.  ``_rayleigh_at`` also polishes an
-uncertified mu at the shift ``_refine`` proved, and it gives the
-eigenfunction that ``_eigenpair`` normalizes and checks, as the vector of
-mu(lambda) = 0 on the pencil (K - lambda*B, M0).
+detects the Neumann zero regime, and ``_Pencil`` holds one pencil, (K, B)
+or (K - lambda*B, M0), with its elementwise quotient.  Its methods are the
+sign test, the kernel bisection, ``vector`` (the one inverse iteration: a
+few ``dpttrs`` solves with the LDL^T factors of a definite shift),
+``rayleigh`` (the elementwise quotient) and ``refine``, which certifies or
+bisects both lambda and mu.  The pencil makes all of its factorizations
+and keeps the last definite one, so the lower end that the refinement and
+an uncertified mu's polish start from, which a test has factored, is not
+factored again.  ``_bracket_and_bisect`` locates lambda on (K, B); mu's
+polish at the shift ``refine`` proved, and the eigenfunction that
+``_eigenpair`` normalizes and checks, are ``vector`` on (K - lambda*B, M0).
 ``eigen_cov`` runs the same core on the drift-free forms of the change of
 variable.  The factorization, the definiteness test and the bisection
 are in ``kernels``.
@@ -257,14 +258,14 @@ class EigenPair:
     """Converged eigenvalue with its positive discrete eigenfunction,
     normalized to int m e^{alpha m} phi^2 = 1 in the x variable.
 
-    certified tells how ``_refine`` settled lam: True when two definiteness
-    probes bracket the Rayleigh quotient to CERT_REL, False when lam is the
-    midpoint of the bisection to LAMBDA_REL_TOL.  A pair built outside the
-    solver is not certified.  probes counts the definiteness tests
-    (``pencil_inertia`` calls, the kernel bisection's included) that
-    located and refined lam, 0 for a pair built outside the solver; a lam
-    above 1 makes none at LAMBDA_FLOOR, and the factorizations that the
-    refinement reuses or makes itself are not tests.
+    certified tells how the (K, B) pencil's ``refine`` settled lam: True
+    when two definiteness probes bracket the Rayleigh quotient to CERT_REL,
+    False when lam is the midpoint of the bisection to LAMBDA_REL_TOL.  A
+    pair built outside the solver is not certified.  probes counts the
+    definiteness tests (``pencil_inertia`` calls, the kernel bisection's
+    included) that located and refined lam, 0 for a pair built outside the
+    solver; a lam above 1 makes none at LAMBDA_FLOOR, and the
+    factorizations that the refinement reuses or makes itself are not tests.
     residual is ||Kx - lam Bx|| / (||Kx|| + |lam| ||Bx||) on the assembled forms.
     Its rounding floor is about 1e-10 at n = 2000 (6.6e-11 on the CLI's
     default ``eig``, whose lam is certified), so it cannot show an error in
@@ -304,24 +305,31 @@ def _zero_regime(m: PiecewiseWeight, params: ModelParams, bc: Boundary) -> bool:
     return bc.is_neumann and exp_mass(m, params.alpha) >= 0.0
 
 
-class _SignTest:
-    """The sign test of the pencil (A, C): sigma -> A - sigma*C is not
-    positive definite, i.e. sigma is at or above its smallest eigenvalue.
+class _Pencil:
+    """The pencil (A, C) over the unknowns of ``forms``: its sign test,
+    bisection, inverse iteration and Rayleigh refinement.
 
-    calls counts the tests made, one ``pencil_inertia`` call each.  Every
-    factorization of the pencil is made here: kept is (shift, LDL^T factors
-    or None) of the last shift a test proved definite or ``factors``
-    factored, which ``factors`` hands on rather than factor it again.
+    arrays is (A diagonal, A superdiagonal, C diagonal, C superdiagonal);
+    quotient maps the elementwise quadratics (v'Kv, v'Bv, v'M0v) of a vector
+    to its Rayleigh quotient on the pencil.  Calling the pencil at sigma is
+    the sign test: True when A - sigma*C is not positive definite, i.e.
+    sigma is at or above its smallest eigenvalue.  calls counts the tests
+    made, one ``pencil_inertia`` call each.  Every factorization of the
+    pencil is made here: kept is (shift, LDL^T factors or None) of the last
+    shift a test proved definite or ``vector`` factored, which ``vector``
+    uses rather than factor it again.
     """
 
-    def __init__(self, pencil: tuple):
-        self.pencil = pencil
+    def __init__(self, forms: Forms, arrays: tuple, quotient):
+        self.forms = forms
+        self.arrays = arrays
+        self.quotient = quotient
         self.calls = 0
         self.kept = (math.nan, None)
 
     def __call__(self, sigma: float) -> bool:
         self.calls += 1
-        flag, _, factors = kernels.pencil_inertia(*self.pencil, sigma)
+        flag, _, factors = kernels.pencil_inertia(*self.arrays, sigma)
         if factors is not None:
             self.kept = (sigma, factors)
         return flag >= 1
@@ -329,102 +337,91 @@ class _SignTest:
     def bisect(self, lo: float, hi: float, atol: float, rtol: float) -> tuple:
         """[lo, hi] halved to atol + rtol*|hi| by the kernel bisection."""
         lo, hi, probes, factors = kernels.smallest_pencil_eigenvalue(
-            *self.pencil, lo, hi, atol, rtol
+            *self.arrays, lo, hi, atol, rtol
         )
         self.calls += probes
         if factors is not None:
             self.kept = (lo, factors)
         return lo, hi
 
-    def factors(self, shift: float):
-        """(d, e) LDL^T factors of A - shift*C, None if not positive definite."""
-        if self.kept[0] != shift:
-            self.kept = (shift, kernels.ldlt(*self.pencil, shift))
-        return self.kept[1]
+    def rayleigh(self, x) -> float:
+        """``quotient`` of x's elementwise quadratics, NaN for no x."""
+        forms = self.forms
+        return math.nan if x is None else float(self.quotient(*forms.quadratics(forms.embed(x))))
 
+    def vector(self, shift: float):
+        """x: inverse iteration at a definite shift, or None.
 
-def _refine(
-    forms: Forms, pred: _SignTest, quotient, lo: float, hi: float, atol: float, rtol: float
-):
-    """Smallest eigenvalue of the pencil (A, C) from a coarse bracket [lo, hi].
-
-    ``pred`` is the sign test of the pencil, whose ``pencil`` is
-    (A diagonal, A superdiagonal, C diagonal, C superdiagonal) over the
-    unknowns.  Returns (value, certified, below), where below is a
-    shift at which A - below*C has been found positive definite.  The
-    Rayleigh quotient rho of inverse iteration at lo (``_rayleigh_at``) is
-    the value, with True and below = rho - t, only when it lies in [lo, hi]
-    and two definiteness probes certify it: with t = CERT_REL*|rho| + atol,
-    A - (rho - t)*C is positive definite and A - (rho + t)*C is not.
-    Otherwise the bisection goes on from [lo, hi] to atol + rtol*|hi|, and
-    its midpoint is the value, with False and below its final lower end: the
-    same bits as a bisection that never stopped at the coarse bracket.
-    """
-    rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pred, lo))
-    if lo <= rho <= hi:
-        t = CERT_REL * abs(rho) + atol
-        if not pred(rho - t) and pred(rho + t):
-            return rho, True, rho - t
-    lo, hi = pred.bisect(lo, hi, atol, rtol)
-    return 0.5 * (lo + hi), False, lo
-
-
-def _quotient_of(forms: Forms, quotient, x) -> float:
-    """``quotient`` of x's elementwise quadratics, NaN for no x."""
-    return math.nan if x is None else float(quotient(*forms.quadratics(forms.embed(x))))
-
-
-def _rayleigh_at(forms: Forms, test: _SignTest, shift: float):
-    """x: inverse iteration on ``test``'s pencil at a definite shift, or None.
-
-    The LDL^T factorization of S = A - shift*C (LAPACK ``dpttrf``, through
-    ``test.factors``, which reuses a probe's) is itself the definiteness
-    test; each step solves S y = C x with it (``dpttrs``).
-    The first right-hand side is M0 times the ones vector, which is positive,
-    so its component along the positive eigenvector is positive (the ones
-    vector itself is the lambda = 0 eigenvector under Neumann conditions).
-    From the second step on, shift + x'Cx / y'Cx is a Rayleigh quotient of
-    S^-1 (y'Cx > 0 as S is positive definite); once two in a row agree to
-    REFINE_TOL times their distance to the shift, the last iterate x, scaled
-    to unit max norm over the unknowns, is returned; callers take its
-    elementwise quotient with ``_quotient_of``.  For one unknown the ones
-    vector is exact.  A failed factorization or solve, or no agreement
-    within REFINE_STEPS solves, gives None.
-    """
-    _, _, cd, ce = test.pencil
-    x = np.ones(cd.size)
-    if cd.size > 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
-        factors = test.factors(shift)
-        if factors is None:
-            return None
-        d, e = factors
-        dpttrs = lapack()[1]
-        _, _, _, _, md, me = forms.interior()
-        rhs = _tri_mv(md, me, x)
-        last = math.nan
-        for step in range(REFINE_STEPS):
-            y, info = dpttrs(d, e, rhs)
-            nrm, den = float(np.max(np.abs(y))), float(y @ rhs)
-            if info != 0 or not math.isfinite(nrm) or nrm == 0.0 or den <= 0.0:
+        The LDL^T factorization of S = A - shift*C (LAPACK ``dpttrf``, or
+        the kept factors of a test at that shift) is itself the definiteness
+        test; each step solves S y = C x with it (``dpttrs``).
+        The first right-hand side is M0 times the ones vector, which is positive,
+        so its component along the positive eigenvector is positive (the ones
+        vector itself is the lambda = 0 eigenvector under Neumann conditions).
+        From the second step on, shift + x'Cx / y'Cx is a Rayleigh quotient of
+        S^-1 (y'Cx > 0 as S is positive definite); once two in a row agree to
+        REFINE_TOL times their distance to the shift, the last iterate x, scaled
+        to unit max norm over the unknowns, is returned; ``rayleigh`` gives
+        its elementwise quotient.  For one unknown the ones vector is exact.
+        A failed factorization or solve, or no agreement within REFINE_STEPS
+        solves, gives None.
+        """
+        _, _, cd, ce = self.arrays
+        x = np.ones(cd.size)
+        if cd.size > 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
+            if self.kept[0] != shift:
+                self.kept = (shift, kernels.ldlt(*self.arrays, shift))
+            if self.kept[1] is None:
                 return None
-            gap, x = float(x @ rhs) / den, y / nrm
-            if abs(shift + gap - last) <= REFINE_TOL * abs(gap):
-                break
-            last = shift + gap if step else math.nan  # the first rhs is M0 x, not C x
-            rhs = _tri_mv(cd, ce, x)
-        else:
-            return None
-    return x
+            d, e = self.kept[1]
+            dpttrs = lapack()[1]
+            _, _, _, _, md, me = self.forms.interior()
+            rhs = _tri_mv(md, me, x)
+            last = math.nan
+            for step in range(REFINE_STEPS):
+                y, info = dpttrs(d, e, rhs)
+                nrm, den = float(np.max(np.abs(y))), float(y @ rhs)
+                if info != 0 or not math.isfinite(nrm) or nrm == 0.0 or den <= 0.0:
+                    return None
+                gap, x = float(x @ rhs) / den, y / nrm
+                if abs(shift + gap - last) <= REFINE_TOL * abs(gap):
+                    break
+                last = shift + gap if step else math.nan  # the first rhs is M0 x, not C x
+                rhs = _tri_mv(cd, ce, x)
+            else:
+                return None
+        return x
+
+    def refine(self, lo: float, hi: float, coarse: float, atol: float, rtol: float):
+        """Smallest eigenvalue of the pencil in [lo, hi].
+
+        The kernel bisection first halves [lo, hi] to coarse + COARSE_REL*|hi|.
+        Returns (value, certified, below), where below is a shift at which
+        A - below*C has been found positive definite.  The Rayleigh quotient
+        rho of ``vector`` at the coarse bracket's lower end is the value,
+        with True and below = rho - t, only when it lies in the coarse
+        bracket and two tests certify it: with t = CERT_REL*|rho| + atol,
+        A - (rho - t)*C is positive definite and A - (rho + t)*C is not.
+        Otherwise the bisection goes on to atol + rtol*|hi|, and its
+        midpoint is the value, with False and below its final lower end:
+        the same bits as a bisection that never stopped at the coarse bracket.
+        """
+        lo, hi = self.bisect(lo, hi, coarse, COARSE_REL)
+        rho = self.rayleigh(self.vector(lo))
+        if lo <= rho <= hi:
+            t = CERT_REL * abs(rho) + atol
+            if not self(rho - t) and self(rho + t):
+                return rho, True, rho - t
+        lo, hi = self.bisect(lo, hi, atol, rtol)
+        return 0.5 * (lo + hi), False, lo
 
 
-def _mu_pencil(forms: Forms, lam: float) -> tuple:
-    """The pencil (K - lam*B, M0) over the unknowns and its elementwise quotient."""
+def _mu_pencil(forms: Forms, lam: float) -> _Pencil:
+    """The pencil (K - lam*B, M0) over the unknowns, with its quotient."""
     kd, ke, bd, be, md, me = forms.interior()
-
-    def quotient(kq, bq, mq):
-        return (kq - lam * bq) / mq
-
-    return (kd - lam * bd, ke - lam * be, md, me), quotient
+    return _Pencil(
+        forms, (kd - lam * bd, ke - lam * be, md, me), lambda kq, bq, mq: (kq - lam * bq) / mq
+    )
 
 
 def _mu_from_forms(forms: Forms, lam: float) -> tuple:
@@ -433,24 +430,22 @@ def _mu_from_forms(forms: Forms, lam: float) -> tuple:
     # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
     # any vector, here the ones vector, bounds mu from above
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        pencil, quotient = _mu_pencil(forms, lam)
+        pencil = _mu_pencil(forms, lam)
         lo = -float(np.max(lam * forms.weight))
-        hi = float(quotient(*forms.quadratics(forms.embed(np.ones(pencil[0].size)))))
+        hi = pencil.rayleigh(np.ones(pencil.arrays[0].size))
         slack = 1e-3 * (hi - lo) + MU_ATOL
         lo, hi = lo - slack, hi + slack
     if not (math.isfinite(lam) and math.isfinite(hi - lo)):
         raise ValueError(f"mu at lambda = {lam}: bracket [{lo}, {hi}] is not finite")
-    pred = _SignTest(pencil)
-    lo, hi = pred.bisect(lo, hi, (hi - lo) * MU_COARSE_SHARE, COARSE_REL)
-    mu, certified, below = _refine(forms, pred, quotient, lo, hi, MU_ATOL, MU_RTOL)
+    mu, certified, below = pencil.refine(lo, hi, (hi - lo) * MU_COARSE_SHARE, MU_ATOL, MU_RTOL)
     # a bisected mu is limited by the rounding of the LDL^T pivots; the
     # elementwise quotient at its definite lower end is accurate to the
     # residual squared, unless it escaped the bisection's neighborhood
     if not certified:
-        rho = _quotient_of(forms, quotient, _rayleigh_at(forms, pred, below))
+        rho = pencil.rayleigh(pencil.vector(below))
         if abs(rho - mu) <= 1e-4 * max(1.0, abs(mu)):
-            return rho, pred.calls
-    return mu, pred.calls
+            return rho, pencil.calls
+    return mu, pencil.calls
 
 
 def mu_of_lambda(
@@ -476,21 +471,21 @@ def mu_curve(
 
 
 def _bracket_and_bisect(forms: Forms) -> tuple:
-    """(lambda, below, certified) of ``_refine`` on the pencil (K, B), and
+    """(lambda, below, certified) of the (K, B) pencil's ``refine``, and
     the number of definiteness tests (``pencil_inertia`` calls) made."""
     kd, ke, bd, be, _, _ = forms.interior()
     # mu(lam) <= 0 iff K - lam*B is not positive definite
-    pred = _SignTest((kd, ke, bd, be))
+    pencil = _Pencil(forms, (kd, ke, bd, be), lambda kq, bq, mq: kq / bq if bq > 0.0 else math.nan)
     floor_probes = 0
     lo, hi = LAMBDA_FLOOR, 1.0
-    while not pred(hi):
+    while not pencil(hi):
         lo = hi
         hi *= 2.0
         if hi > BRACKET_LIMIT:
             samples = [(l, _mu_from_forms(forms, l)[0]) for l in (1.0, 1e2, 1e4, 1e6, 1e8)]
             raise BracketError(f"no sign change below {BRACKET_LIMIT}; mu samples {samples}")
     # the floor bounds the bracket only for lambda <= 1, so only then is it tested
-    if lo == LAMBDA_FLOOR and pred(lo):
+    if lo == LAMBDA_FLOOR and pencil(lo):
         # Near lambda = 0 the Neumann pencil is within pivot noise of
         # singular and the raw test can fire falsely; trust the polished
         # mu evaluation before declaring the eigenvalue unresolvable.
@@ -500,13 +495,8 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
                 f"sign predicate already true at lambda = {LAMBDA_FLOOR}: "
                 "eigenvalue below the resolvable floor"
             )
-    lo, hi = pred.bisect(lo, hi, 0.0, COARSE_REL)
-
-    def quotient(kq, bq, mq):
-        return kq / bq if bq > 0.0 else math.nan
-
-    lam, certified, below = _refine(forms, pred, quotient, lo, hi, 0.0, LAMBDA_REL_TOL)
-    return lam, below, certified, pred.calls + floor_probes
+    lam, certified, below = pencil.refine(lo, hi, 0.0, 0.0, LAMBDA_REL_TOL)
+    return lam, below, certified, pencil.calls + floor_probes
 
 
 def _eigenpair(
@@ -514,8 +504,8 @@ def _eigenpair(
 ) -> EigenPair:
     """Positive eigenfunction of the eigenvalue lam of ``forms``.
 
-    The vector of mu(lam) = 0 on the pencil (K - lam*B, M0) comes from
-    ``_rayleigh_at`` at sigma = -((lam - below) max(weight) + MU_ATOL).  As
+    The vector of mu(lam) = 0 is the ``vector`` of the pencil
+    (K - lam*B, M0) at sigma = -((lam - below) max(weight) + MU_ATOL).  As
     B <= max(weight) M0, K - lam*B - sigma*M0 >= K - below*B + MU_ATOL*M0 is
     definite; the shift sets the rate, not the vector.  Should dpttrf fail
     anyway within pivot rounding, sigma steps down by 16, at most 8 times.
@@ -523,12 +513,12 @@ def _eigenpair(
     int m e^{alpha m} phi^2 = 1 in either variable, and returned on
     ``nodes`` (the x-variable nodes: those of ``forms`` unless the solve
     ran in another variable) with the relative residual of the pencil,
-    ``_refine``'s certified flag for lam and the sign tests that found it.
+    the certified flag of lam's ``refine`` and the sign tests that found it.
     """
-    test = _SignTest(_mu_pencil(forms, lam)[0])
+    pencil = _mu_pencil(forms, lam)
     sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
     for _ in range(9):
-        x = _rayleigh_at(forms, test, sigma)
+        x = pencil.vector(sigma)
         if x is not None:
             break
         sigma *= 16.0

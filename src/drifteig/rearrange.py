@@ -103,7 +103,7 @@ def _split_pieces(pieces, at: float):
     left, right = [], []
     pos = 0.0
     for v, ell in pieces:
-        if pos + ell <= at or np.isclose(pos + ell, at, rtol=0.0, atol=1e-15):
+        if pos + ell <= at or abs(pos + ell - at) <= 1e-15:
             left.append((v, ell))
         elif pos >= at:
             right.append((v, ell))
