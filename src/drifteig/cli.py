@@ -490,7 +490,10 @@ def _verify_properties(params: ModelParams, n: int, seed: int) -> list:
             disc = eigensolve.make_discretization(n, w)
             lam_grid = eigensolve.principal_eigenvalue(w, params, bc, disc).lam
             lam_root = transcend.transcendental_root(xi, bc.beta, tp)
-            worst = max(worst, abs(lam_grid - lam_root) / lam_root)
+            gap = (lam_grid - lam_root) / lam_root
+            if gap < -eigensolve.LAMBDA_REL_TOL:  # a Rayleigh quotient lies at or above it
+                raise eigensolve.SolverError(f"grid lambda below the root: signed gap {gap:+.3e}")
+            worst = max(worst, abs(gap))
         return worst, f"grid n={n} vs transcendental root (beta=1 edge, inf center)"
 
     table = (

@@ -19,31 +19,31 @@ sign of mu equals the sign predicate "K - lambda*B is positive definite",
 which one LDL^T factorization (LAPACK ``dpttrf``) answers in O(n).  The
 lambda bracket starts at [LAMBDA_FLOOR, 1] and doubles its upper end until
 the test reads "not definite"; only a lambda <= 1 tests the floor.  Root
-location bisects on that test only to 1/64 relative.  The eigenvalue is a
+location bisects on that test only to 1/64 relative.  The eigenvalue is the
 minimum of a Rayleigh quotient, so the refinement then runs inverse iteration
-at the bracket's positive definite lower end and takes the elementwise
-Rayleigh quotient rho of the result; rho is returned when it lies in the
-bracket and the test reads "definite" just below it and "not" just above
-(1e-8 relative, plus 1e-8 absolute for mu).  When that certificate fails,
-the bisection goes on from the same bracket as if it had never stopped.
-Either way the refinement also returns a shift it has proved definite.
-mu takes the same path on the pencil (K - lambda*B, M0) from the bracket
-[-max(lambda*weight), Rayleigh quotient of the ones vector].  Every
-bisection, coarse or not, is the kernel's, which returns its bracket and
-the factors at its lower end.
+at the bracket's positive definite lower end and returns the elementwise
+Rayleigh quotient rho of the result, never below it, once rho lies in the
+bracket and the test reads "definite" just below it (1e-8 relative, plus
+1e-8 absolute for mu).  Else the bisection goes on from the same bracket as
+if it had never stopped and ends alike: rho at its final lower end, or the
+midpoint should rho lie 1e-4 from it.  Either way the refinement also
+returns a shift it has proved definite.  mu takes the same path on the
+pencil (K - lambda*B, M0) from the bracket [-max(lambda*weight), Rayleigh
+quotient of the ones vector].  Every bisection, coarse or not, is the
+kernel's, which returns its bracket and the factors at its lower end.
 
 All entry points share one core: ``_zero_regime`` validates the weight and
 detects the Neumann zero regime, and ``_Pencil`` holds one pencil, (K, B)
 or (K - lambda*B, M0), with its elementwise quotient.  Its methods are the
 sign test, the kernel bisection, ``vector`` (the one inverse iteration: a
 few ``dpttrs`` solves with the LDL^T factors of a definite shift),
-``rayleigh`` (the elementwise quotient) and ``refine``, which certifies or
-bisects both lambda and mu.  The pencil makes all of its factorizations
-and keeps the last definite one, so the lower end that the refinement and
-an uncertified mu's polish start from, which a test has factored, is not
-factored again.  ``_bracket_and_bisect`` locates lambda on (K, B); mu's
-polish at the shift ``refine`` proved, and the eigenfunction that
-``_eigenpair`` normalizes and checks, are ``vector`` on (K - lambda*B, M0).
+``rayleigh`` (the elementwise quotient) and ``refine``, which certifies,
+or bisects and polishes, both lambda and mu.  The pencil makes all of its
+factorizations and keeps the last definite one, so the lower ends that the
+refinement's inverse iterations start from, which a test has factored, are
+not factored again.  ``_bracket_and_bisect`` locates lambda on (K, B); the
+eigenfunction that ``_eigenpair`` normalizes and checks is ``vector`` on
+(K - lambda*B, M0).
 ``eigen_cov`` runs the same core on the drift-free forms of the change of
 variable.  The factorization, the definiteness test and the bisection
 are in ``kernels``.
@@ -70,7 +70,7 @@ COARSE_REL = 1.0 / 64.0  # relative bracket width handed to the Rayleigh refinem
 MU_COARSE_SHARE = 2.0 ** -12  # mu's coarse bracket: also this share of its start
 REFINE_STEPS = 8  # most inverse-iteration solves at the bracket's lower end
 REFINE_TOL = 1e-10  # agreement of two successive estimates, relative to the shift gap
-CERT_REL = 1e-8  # the two certificate probes sit at rho (1 -+ CERT_REL)
+CERT_REL = 1e-8  # the certificate probe sits at rho (1 - CERT_REL)
 DEFAULT_N = 2000
 
 
@@ -259,8 +259,8 @@ class EigenPair:
     normalized to int m e^{alpha m} phi^2 = 1 in the x variable.
 
     certified tells how the (K, B) pencil's ``refine`` settled lam: True
-    when two definiteness probes bracket the Rayleigh quotient to CERT_REL,
-    False when lam is the midpoint of the bisection to LAMBDA_REL_TOL.  A
+    when one definiteness probe CERT_REL below the coarse Rayleigh quotient
+    certifies it, False when lam ends the bisection to LAMBDA_REL_TOL.  A
     pair built outside the solver is not certified.  probes counts the
     definiteness tests (``pencil_inertia`` calls, the kernel bisection's
     included) that located and refined lam, 0 for a pair built outside the
@@ -395,25 +395,29 @@ class _Pencil:
     def refine(self, lo: float, hi: float, coarse: float, atol: float, rtol: float):
         """Smallest eigenvalue of the pencil in [lo, hi].
 
-        The kernel bisection first halves [lo, hi] to coarse + COARSE_REL*|hi|.
-        Returns (value, certified, below), where below is a shift at which
-        A - below*C has been found positive definite.  The Rayleigh quotient
-        rho of ``vector`` at the coarse bracket's lower end is the value,
-        with True and below = rho - t, only when it lies in the coarse
-        bracket and two tests certify it: with t = CERT_REL*|rho| + atol,
-        A - (rho - t)*C is positive definite and A - (rho + t)*C is not.
-        Otherwise the bisection goes on to atol + rtol*|hi|, and its
-        midpoint is the value, with False and below its final lower end:
-        the same bits as a bisection that never stopped at the coarse bracket.
+        Returns (value, certified, below), where A - below*C has been found
+        positive definite.  The kernel bisection halves [lo, hi] to
+        coarse + COARSE_REL*|hi|; the Rayleigh quotient rho of ``vector`` at
+        its lower end, never below the eigenvalue (``rayleigh`` is NaN unless
+        x'Cx > 0), is the value, with True and below = rho - t, when it lies
+        in the bracket and A - (rho - t)*C is definite, t = CERT_REL*|rho| +
+        atol.  Otherwise the bisection goes on to atol + rtol*|hi|, and rho at
+        its lower end, accurate to the residual squared, is the value, with
+        False and below that end, unless it is NaN or further than
+        1e-4*max(1, |mid|) from the midpoint, which is then the value.
         """
         lo, hi = self.bisect(lo, hi, coarse, COARSE_REL)
         rho = self.rayleigh(self.vector(lo))
         if lo <= rho <= hi:
             t = CERT_REL * abs(rho) + atol
-            if not self(rho - t) and self(rho + t):
+            if not self(rho - t):
                 return rho, True, rho - t
         lo, hi = self.bisect(lo, hi, atol, rtol)
-        return 0.5 * (lo + hi), False, lo
+        mid = 0.5 * (lo + hi)
+        rho = self.rayleigh(self.vector(lo))
+        if abs(rho - mid) <= 1e-4 * max(1.0, abs(mid)):
+            return rho, False, lo
+        return mid, False, lo
 
 
 def _mu_pencil(forms: Forms, lam: float) -> _Pencil:
@@ -437,15 +441,7 @@ def _mu_from_forms(forms: Forms, lam: float) -> tuple:
         lo, hi = lo - slack, hi + slack
     if not (math.isfinite(lam) and math.isfinite(hi - lo)):
         raise ValueError(f"mu at lambda = {lam}: bracket [{lo}, {hi}] is not finite")
-    mu, certified, below = pencil.refine(lo, hi, (hi - lo) * MU_COARSE_SHARE, MU_ATOL, MU_RTOL)
-    # a bisected mu is limited by the rounding of the LDL^T pivots; the
-    # elementwise quotient at its definite lower end is accurate to the
-    # residual squared, unless it escaped the bisection's neighborhood
-    if not certified:
-        rho = pencil.rayleigh(pencil.vector(below))
-        if abs(rho - mu) <= 1e-4 * max(1.0, abs(mu)):
-            return rho, pencil.calls
-    return mu, pencil.calls
+    return pencil.refine(lo, hi, (hi - lo) * MU_COARSE_SHARE, MU_ATOL, MU_RTOL)[0], pencil.calls
 
 
 def mu_of_lambda(
@@ -505,10 +501,13 @@ def _eigenpair(
     """Positive eigenfunction of the eigenvalue lam of ``forms``.
 
     The vector of mu(lam) = 0 is the ``vector`` of the pencil
-    (K - lam*B, M0) at sigma = -((lam - below) max(weight) + MU_ATOL).  As
+    (K - lam*B, M0) at sigma = -(|lam - below| max(weight) + MU_ATOL).  As
     B <= max(weight) M0, K - lam*B - sigma*M0 >= K - below*B + MU_ATOL*M0 is
-    definite; the shift sets the rate, not the vector.  Should dpttrf fail
-    anyway within pivot rounding, sigma steps down by 16, at most 8 times.
+    definite when lam >= below; a lam polished below below, where a test
+    misfired, is a Rayleigh quotient, so mu(lam) >= -(lam - lambda_1)
+    max(weight) > sigma while lam - lambda_1 < below - lam.  The shift sets
+    the rate, not the vector.  Should dpttrf fail anyway within pivot
+    rounding, sigma steps down by 16, at most 8 times.
     The vector is scaled to unit weighted mass under ``forms``, which is
     int m e^{alpha m} phi^2 = 1 in either variable, and returned on
     ``nodes`` (the x-variable nodes: those of ``forms`` unless the solve
@@ -516,7 +515,7 @@ def _eigenpair(
     the certified flag of lam's ``refine`` and the sign tests that found it.
     """
     pencil = _mu_pencil(forms, lam)
-    sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
+    sigma = -(abs(lam - below) * float(np.max(forms.weight)) + MU_ATOL)
     for _ in range(9):
         x = pencil.vector(sigma)
         if x is not None:

@@ -33,10 +33,6 @@ class YWeight:
     breakpoints: np.ndarray
     values: np.ndarray
 
-    @property
-    def total(self) -> float:
-        return float(self.breakpoints[-1])
-
     def pieces(self):
         bp = self.breakpoints
         for i, v in enumerate(self.values):

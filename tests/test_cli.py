@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -322,6 +323,21 @@ class TestVerify:
             # a crashed check reports the string "nan", which passes no bound
             within = isinstance(prop["margin"], float) and prop["margin"] <= prop["tolerance"]
             assert prop["passed"] is within, prop["name"]
+
+    def test_grid_value_below_the_root_fails(self, monkeypatch):
+        # a grid lambda is a Rayleigh quotient, at or above the root: one
+        # 1e-5 relative below it fails the row, though its size is within 1e-4
+        solve = eigensolve.principal_eigenvalue
+
+        def below(m, params, bc, disc):
+            pair = solve(m, params, bc, disc)
+            return dataclasses.replace(pair, lam=pair.lam * (1.0 - 1e-5))
+
+        monkeypatch.setattr(eigensolve, "principal_eigenvalue", below)
+        rows = cli._verify_properties(ModelParams(0.2, 1.0, 0.4), 2000, 0xE16E)
+        row = next(r for r in rows if r["name"] == "discretization_agreement")
+        assert (row["passed"], row["margin"]) == (False, "nan")
+        assert "below the root: signed gap -9." in row["detail"], row
 
     @pytest.mark.filterwarnings("ignore:alpha = 1.5 > 0.5:UserWarning")
     @pytest.mark.parametrize("injected", [0.0, 1e-10])

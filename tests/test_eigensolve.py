@@ -502,16 +502,39 @@ class TestCertifiedRefinement:
         assert principal_eigenvalue(m, params, bc, disc).certified
 
     def test_uncertified_lambda_is_flagged(self):
-        # the two probes do not certify this Rayleigh quotient, so lambda is
-        # the bisection's midpoint, about 1.7e-7 relative below the quotient of
-        # its own eigenfunction; the pair says that it is not certified
+        # the probe does not certify the coarse Rayleigh quotient, so the
+        # bisection goes on and lambda is the quotient at its lower end: the
+        # Rayleigh quotient of its own eigenfunction, 8.6e-11 relative above
+        # the root, where the bisection's midpoint is 1.7e-7 below it; the
+        # pair says that it is not certified
         p = ModelParams(1.0, 5.0, 0.2)
-        m = BangBangInterval(0.0, (1.0 - p.m0) / (p.kappa + 1.0), p).weight()
+        delta = (1.0 - p.m0) / (p.kappa + 1.0)
+        m = BangBangInterval(0.0, delta, p).weight()
         disc = make_discretization(8000, m)
         pair = principal_eigenvalue(m, p, Boundary.robin(1.0), disc)
         assert not pair.certified
-        assert pair.lam == pytest.approx(0.01313580786, rel=1e-9)
+        kq, bq, _ = assemble(m, p, Boundary.robin(1.0), disc).quadratics(pair.phi)
+        assert pair.lam == pytest.approx(kq / bq, rel=1e-12)
+        assert pair.lam >= transcendental_root(0.0, 1.0, TranscendParams(p, delta))
         assert principal_eigenvalue(m, p, Boundary.robin(1.0), make_discretization(2000, m)).certified
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_high_contrast_lambda_at_or_above_the_root(self, alpha, n):
+        # every grid lambda is the Rayleigh quotient of a P1 vector, so by
+        # min-max it lies at or above the exact root, by the P1 error of
+        # second order: 0 <= (lam - root) / root <= 20 / n^2
+        from drifteig.optimize import delta_star
+
+        p = ModelParams(alpha, 5.0, 0.2)
+        tp = TranscendParams(p, delta_star(p))
+        for xi in (0.0, 0.5 * (1.0 - tp.delta)):
+            m = BangBangInterval(xi, tp.delta, p).weight()
+            disc = make_discretization(n, m)
+            for beta in (1.0, 10.0, math.inf):
+                lam = principal_eigenvalue(m, p, Boundary(beta), disc).lam
+                root = transcendental_root(xi, beta, tp)
+                assert 0.0 <= (lam - root) / root <= 20.0 / n**2, (xi, beta)
 
     @pytest.mark.parametrize(
         "bc",
@@ -570,27 +593,40 @@ class TestCertifiedRefinement:
         calls.clear()
         assert eigen_cov(m, params, bc, disc).probes == len(calls) > 0
 
-    def test_uncertifiable_near_alpha_star_keeps_bisection(self):
+    def test_uncertifiable_near_alpha_star_polishes_or_bisects(self):
         # within pivot noise of singular the definiteness test is not
-        # monotone, so no Rayleigh quotient is certified and the full
-        # bisection's values come back bit for bit
+        # monotone, so no Rayleigh quotient is certified; at 1e-4 the
+        # quotient at the full bisection's lower end lies within 1e-4 of
+        # its midpoint and is the value, further in the midpoint comes back
+        # bit for bit
         m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
         a_star = alpha_star(m)
         disc = make_discretization(2000, m)
-        expected = {1e-4: 0.0012908705144678758, 1e-6: 8.410104088366616e-05,
+        expected = {1e-4: 0.0012900130931011967, 1e-6: 8.410104088366616e-05,
                     1e-8: 6.104539689199745e-05}
         for eps, lam in expected.items():
             p = ModelParams(a_star * (1.0 - eps), 1.0, 0.4)
             assert principal_lambda(m, p, Boundary.neumann(), disc) == lam
 
+    def test_polished_lambda_below_its_shift_gives_the_eigenfunction(self):
+        # near alpha* the test can call a shift above lambda_1 definite, so
+        # the polished lambda, 0.0012900, lies below the bisection's lower
+        # end, 0.0012909; the eigenfunction's shift is padded by
+        # |lambda - below|, so it stays below mu = 0 all the same
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
+        p = ModelParams(alpha_star(m) * (1.0 - 1e-4), 1.0, 0.4)
+        pair = principal_eigenvalue(m, p, Boundary.neumann(), make_discretization(2000, m))
+        assert pair.lam == 0.0012900130931011967 and not pair.certified
+        assert np.min(pair.phi) > 0.0
+
     @pytest.mark.parametrize(
         "solve, bc, lam, probes",
         [
-            (principal_eigenvalue, Boundary.neumann(), 5.1227949047175745, 12),
-            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995697, 13),
-            (principal_eigenvalue, Boundary.robin(10.0), 20.675249992344682, 14),
-            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 14),
-            (eigen_cov, Boundary.robin(1.0), 10.546261858421303, 13),
+            (principal_eigenvalue, Boundary.neumann(), 5.1227949047175745, 11),
+            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995697, 12),
+            (principal_eigenvalue, Boundary.robin(10.0), 20.675249992344682, 13),
+            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 13),
+            (eigen_cov, Boundary.robin(1.0), 10.546261858421303, 12),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
@@ -620,9 +656,11 @@ class TestCertifiedRefinement:
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 10.0])
     def test_eigenfunction_after_shift_steps_down(self, monkeypatch, beta):
-        # with e^{alpha (kappa + 1)} = e^9 the first shift below mu = 0 is
-        # within pivot rounding, dpttrf fails there, and the shift steps down:
-        # the solver's two factorizations are both the eigenfunction's
+        # should dpttrf fail at the eigenfunction's first shift, as it can
+        # within pivot rounding, the shift steps down by 16 and the vector is
+        # still that of mu = 0; the solver's two factorizations are both the
+        # eigenfunction's, and the refinement makes none
+        from drifteig import kernels
         from drifteig.optimize import delta_star
 
         p = ModelParams(1.5, 5.0, 0.2)
@@ -630,9 +668,15 @@ class TestCertifiedRefinement:
         m = BangBangInterval(0.5 * (1.0 - delta), delta, p).weight()
         bc = Boundary.robin(beta)
         disc = make_discretization(800, m)
-        calls = _count_calls(monkeypatch)
+        shifts, ldlt = [], kernels.ldlt
+
+        def failing_first(*args):
+            shifts.append(args[-1])
+            return None if len(shifts) == 1 else ldlt(*args)
+
+        monkeypatch.setattr(kernels, "ldlt", failing_first)
         pair = principal_eigenvalue(m, p, bc, disc)
-        assert calls["dpttrf"] == 2
+        assert len(shifts) == 2 and shifts[1] == 16.0 * shifts[0] < 0.0
         forms = assemble(m, p, bc, disc)
         assert np.min(pair.phi) > 0.0
         assert forms.quadratics(pair.phi)[1] == pytest.approx(1.0, rel=1e-12)
