@@ -1,21 +1,33 @@
-"""The tridiagonal pencil kernels: a factorization, a definiteness test and
-bisection.
+"""The tridiagonal pencil kernels: a factorization, a definiteness test,
+bisection and the spring-form test.
 
 ``ldlt`` asks LAPACK's ``dpttrf`` (through scipy) for the LDL^T factors of
 A - sigma*B; the factorization stops at the first non-positive pivot, and
 that stop means "not positive definite".  ``pencil_inertia`` is that test,
 and hands the factors of a definite shift back with its answer.  The
-solver's one bisection, for lambda and mu alike, halves a bracket on the
+solver's coarse bisection, for lambda and mu alike, halves a bracket on the
 test and returns it with the factors at its lower end, so the inverse
 iteration that follows does not factor that shift again; its name stays
-because the benchmark's tracer wraps it.  The solver reaches all three
-kernels through ``kernels``.  Their cost per workload is in the benchmark's
-``kernels.*`` metrics (``perfbench/run.py --trace 1``).  ``lapack`` imports
-``scipy.linalg`` on the first factorization, so the closed-form commands,
-which solve nothing on a grid, never load scipy.
+because the benchmark's tracer wraps it.  The solver reaches all four
+kernels through ``kernels``.  The cost per workload of the test and the
+bisection is in the benchmark's ``kernels.*`` metrics (``perfbench/run.py
+--trace 1``).  ``lapack`` imports ``scipy.linalg`` on the first
+factorization, so the closed-form commands, which solve nothing on a grid,
+never load scipy.
+
+``springs`` answers the same definiteness question for the solver's
+pencils from their element data, where ``dpttrf`` cannot: near a singular
+pencil, as under Neumann conditions near alpha*, the rounding of the
+assembled diagonal is the size of its pivots.  Its pivots are those of a
+relatively robust representation (Dhillon & Parlett, Linear Algebra Appl.
+387, 2004), in which no two large terms cancel, and their ratios to the
+springs give the vector that solves every row but the last (Parlett &
+Dhillon, Linear Algebra Appl. 267, 1997).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -78,3 +90,30 @@ def smallest_pencil_eigenvalue(ad, ae, cd, ce, lo, hi, atol, rtol):
         else:
             lo, factors = mid, found
     return lo, hi, probes, factors
+
+
+def springs(ph, load, beta):
+    """x_{j+1} / x_j = d_j / s_j when K - G is positive definite, else None.
+
+    K is the stiffness form, with ph_j = p_j / h_j on element j and beta at
+    both ends, and G the form of the element loads, load_j times the P1
+    mass block of element j over h_j.  K - G is a chain of springs: element
+    j joins its two nodes by the spring s_j = ph_j + load_j / 6, and each
+    of its nodes carries -load_j / 2.  The LDL^T pivots are
+    d_j = s_j + r_j from r_0 = beta - load_0 / 2, with
+    r_{j+1} = s_j r_j / d_j - (load_j + load_{j+1}) / 2 (no load_n), and
+    the last pivot is r_n + beta.  beta = inf eliminates both end nodes
+    (Dirichlet): r_0 is infinite, and s_j r_j / d_j is s_j there.  A NaN
+    anywhere reads not definite.
+    """
+    s = ph + load / 6.0
+    c = (0.5 * load).tolist() + [0.0]
+    pivots = []
+    r = beta - c[0]
+    for j, sj in enumerate(s.tolist()):
+        d = sj + r
+        if not d > 0.0:
+            return None
+        pivots.append(d)
+        r = (sj if r == math.inf else sj * r / d) - c[j] - c[j + 1]
+    return np.array(pivots) / s if r + beta > 0.0 else None

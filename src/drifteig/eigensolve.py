@@ -12,41 +12,28 @@ forms are symmetric tridiagonal.  Assembly finds the breakpoints among the
 nodes by index and repeats each piece's value over its elements; ``Forms``
 keeps the element sizes for the elementwise quadratic forms.
 
-The positive principal eigenvalue is characterized through the auxiliary
-curve mu(lambda) = smallest eigenvalue of the pencil (K - lambda*B, M0):
-mu is concave, mu(lambda) = 0 exactly at principal eigenvalues, and the
-sign of mu equals the sign predicate "K - lambda*B is positive definite",
-which one LDL^T factorization (LAPACK ``dpttrf``) answers in O(n).  The
-lambda bracket starts at [LAMBDA_FLOOR, 1] and doubles its upper end until
-the test reads "not definite"; only a lambda <= 1 tests the floor.  Root
-location bisects on that test only to 1/64 relative.  The eigenvalue is the
-minimum of a Rayleigh quotient, so the refinement then runs inverse iteration
-at the bracket's positive definite lower end and returns the elementwise
-Rayleigh quotient rho of the result, never below it, once rho lies in the
-bracket and the test reads "definite" just below it (1e-8 relative, plus
-1e-8 absolute for mu).  Else the bisection goes on from the same bracket as
-if it had never stopped and ends alike: rho at its final lower end, or the
-midpoint should rho lie 1e-4 from it.  Either way the refinement also
-returns a shift it has proved definite.  mu takes the same path on the
-pencil (K - lambda*B, M0) from the bracket [-max(lambda*weight), Rayleigh
-quotient of the ones vector].  Every bisection, coarse or not, is the
-kernel's, which returns its bracket and the factors at its lower end.
-
-All entry points share one core: ``_zero_regime`` validates the weight and
-detects the Neumann zero regime, and ``_Pencil`` holds one pencil, (K, B)
-or (K - lambda*B, M0), with its elementwise quotient.  Its methods are the
-sign test, the kernel bisection, ``vector`` (the one inverse iteration: a
-few ``dpttrs`` solves with the LDL^T factors of a definite shift),
-``rayleigh`` (the elementwise quotient) and ``refine``, which certifies,
-or bisects and polishes, both lambda and mu.  The pencil makes all of its
-factorizations and keeps the last definite one, so the lower ends that the
-refinement's inverse iterations start from, which a test has factored, are
-not factored again.  ``_bracket_and_bisect`` locates lambda on (K, B); the
-eigenfunction that ``_eigenpair`` normalizes and checks is ``vector`` on
-(K - lambda*B, M0).
-``eigen_cov`` runs the same core on the drift-free forms of the change of
-variable.  The factorization, the definiteness test and the bisection
-are in ``kernels``.
+The eigenvalue is the minimum of a Rayleigh quotient, so one rule settles
+every answer: the Rayleigh quotient rho of a vector is returned once a sign
+test finds K - (rho - t)*B positive definite, t at most CERT_REL_MAX
+relative, and otherwise the solve raises a typed error.  mu(lambda), the
+smallest eigenvalue of (K - lambda*B, M0), is concave, vanishes at
+principal eigenvalues and has the sign of that test; it takes the same rule
+on its own pencil, from the bracket [-max(lambda*weight), Rayleigh quotient
+of the ones vector].  The lambda bracket starts at [LAMBDA_FLOOR, 1] and
+doubles its upper end until the test reads "not definite"; only a
+lambda <= 1 tests the floor.  ``_Pencil`` holds either pencil with two sign
+tests: the LDL^T factorization (LAPACK ``dpttrf``), and the spring form of
+``kernels.springs``, whose pivots keep their relative accuracy where
+``dpttrf``'s are rounding noise, as near alpha* under Neumann conditions.
+The kernel bisection on the first locates the root to 1/64 relative,
+inverse iteration at its lower end gives rho, and a probe CERT_REL below rho
+certifies it, made in spring form should ``dpttrf`` reject the shift.
+Failing that, the spring test bisects the bracket again, the vector of its
+pivots gives rho, and the certificate widens tenfold up to CERT_REL_MAX.
+The eigenfunction is ``vector`` on (K - lambda*B, M0), or the spring vector
+at the certified shift should that fail.  ``_zero_regime`` validates the
+weight and detects the Neumann zero regime; ``eigen_cov`` runs the same core
+on the drift-free forms of the change of variable.
 """
 
 from __future__ import annotations
@@ -71,6 +58,7 @@ MU_COARSE_SHARE = 2.0 ** -12  # mu's coarse bracket: also this share of its star
 REFINE_STEPS = 8  # most inverse-iteration solves at the bracket's lower end
 REFINE_TOL = 1e-10  # agreement of two successive estimates, relative to the shift gap
 CERT_REL = 1e-8  # the certificate probe sits at rho (1 - CERT_REL)
+CERT_REL_MAX = 1e-4  # widest spring-form certificate before refine gives up
 DEFAULT_N = 2000
 
 
@@ -258,25 +246,21 @@ class EigenPair:
     """Converged eigenvalue with its positive discrete eigenfunction,
     normalized to int m e^{alpha m} phi^2 = 1 in the x variable.
 
-    certified tells how the (K, B) pencil's ``refine`` settled lam: True
-    when one definiteness probe CERT_REL below the coarse Rayleigh quotient
-    certifies it, False when lam ends the bisection to LAMBDA_REL_TOL.  A
-    pair built outside the solver is not certified.  probes counts the
-    definiteness tests (``pencil_inertia`` calls, the kernel bisection's
-    included) that located and refined lam, 0 for a pair built outside the
-    solver; a lam above 1 makes none at LAMBDA_FLOOR, and the
-    factorizations that the refinement reuses or makes itself are not tests.
-    residual is ||Kx - lam Bx|| / (||Kx|| + |lam| ||Bx||) on the assembled forms.
-    Its rounding floor is about 1e-10 at n = 2000 (6.6e-11 on the CLI's
-    default ``eig``, whose lam is certified), so it cannot show an error in
-    lam below that.
+    The solver returns a lam, a Rayleigh quotient, only once a definiteness
+    test has passed at lam - t, t at most CERT_REL_MAX relative (CERT_REL
+    when ``dpttrf`` passes), so the grid's eigenvalue lies in (lam - t, lam]
+    up to that test's rounding.  probes counts the tests (``pencil_inertia``
+    and ``springs`` calls) that located and certified lam, 0 for a pair built
+    outside the solver; a lam above 1 makes none at LAMBDA_FLOOR.  residual
+    is ||Kx - lam Bx|| / (||Kx|| + |lam| ||Bx||) on the assembled forms.  Its
+    rounding floor is about 1e-10 at n = 2000 (6.6e-11 on the CLI's default
+    ``eig``), so it cannot show an error in lam below that.
     """
 
     lam: float
     nodes: np.ndarray
     phi: np.ndarray
     residual: float
-    certified: bool = False
     probes: int = 0
 
     @property
@@ -306,24 +290,33 @@ def _zero_regime(m: PiecewiseWeight, params: ModelParams, bc: Boundary) -> bool:
 
 
 class _Pencil:
-    """The pencil (A, C) over the unknowns of ``forms``: its sign test,
-    bisection, inverse iteration and Rayleigh refinement.
+    """The pencil (K, B), or (K - lam*B, M0) for a given lam, over the
+    unknowns of ``forms``: its sign tests, bisection, inverse iteration and
+    Rayleigh refinement.
 
-    arrays is (A diagonal, A superdiagonal, C diagonal, C superdiagonal);
-    quotient maps the elementwise quadratics (v'Kv, v'Bv, v'M0v) of a vector
-    to its Rayleigh quotient on the pencil.  Calling the pencil at sigma is
-    the sign test: True when A - sigma*C is not positive definite, i.e.
-    sigma is at or above its smallest eigenvalue.  calls counts the tests
-    made, one ``pencil_inertia`` call each.  Every factorization of the
-    pencil is made here: kept is (shift, LDL^T factors or None) of the last
-    shift a test proved definite or ``vector`` factored, which ``vector``
-    uses rather than factor it again.
+    arrays is (A diagonal, A superdiagonal, C diagonal, C superdiagonal) of
+    the pencil (A, C); quotient maps the elementwise quadratics (v'Kv, v'Bv,
+    v'M0v) of a vector to its Rayleigh quotient, and load a shift sigma to
+    the element loads of A - sigma*C in spring form.  Calling the pencil at
+    sigma is the sign test: True when A - sigma*C is not positive definite,
+    i.e. sigma is at or above its smallest eigenvalue; ``spring`` is the
+    same test in spring form.  calls counts the tests, one ``pencil_inertia``
+    or ``springs`` call each.  kept is (shift, LDL^T factors or None) of the
+    last shift a test proved definite or ``vector`` factored, which
+    ``vector`` uses rather than factor it again.
     """
 
-    def __init__(self, forms: Forms, arrays: tuple, quotient):
+    def __init__(self, forms: Forms, lam: float | None = None):
+        kd, ke, bd, be, md, me = forms.interior()
+        if lam is None:  # mu(lam) <= 0 iff K - lam*B is not positive definite
+            self.arrays = (kd, ke, bd, be)
+            self.quotient = lambda kq, bq, mq: kq / bq if bq > 0.0 else math.nan
+            self.load = lambda sigma: sigma * forms.weight * forms.h
+        else:
+            self.arrays = (kd - lam * bd, ke - lam * be, md, me)
+            self.quotient = lambda kq, bq, mq: (kq - lam * bq) / mq
+            self.load = lambda sigma: (lam * forms.weight + sigma) * forms.h
         self.forms = forms
-        self.arrays = arrays
-        self.quotient = quotient
         self.calls = 0
         self.kept = (math.nan, None)
 
@@ -333,6 +326,14 @@ class _Pencil:
         if factors is not None:
             self.kept = (sigma, factors)
         return flag >= 1
+
+    def _ratios(self, sigma: float):
+        return kernels.springs(-self.forms.ke, self.load(sigma), self.forms.beta)
+
+    def spring(self, sigma: float) -> bool:
+        """The sign test in spring form."""
+        self.calls += 1
+        return self._ratios(sigma) is None
 
     def bisect(self, lo: float, hi: float, atol: float, rtol: float) -> tuple:
         """[lo, hi] halved to atol + rtol*|hi| by the kernel bisection."""
@@ -348,6 +349,20 @@ class _Pencil:
         """``quotient`` of x's elementwise quadratics, NaN for no x."""
         forms = self.forms
         return math.nan if x is None else float(self.quotient(*forms.quadratics(forms.embed(x))))
+
+    def shoot(self, sigma: float):
+        """x, unit max norm: the vector of the spring pivots at a definite
+        shift, which solves every row of (A - sigma*C) x = 0 but the last;
+        None if sigma is not definite.  Not a test.  x is built from the
+        ratios' logarithms and signs, so no product of them overflows."""
+        ratios = self._ratios(sigma)
+        if ratios is None:
+            return None
+        if self.forms.dirichlet:  # the end nodes are not unknowns
+            ratios = ratios[1:-1]
+        logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratios)))))
+        signs = np.concatenate(([1.0], np.cumprod(np.sign(ratios))))
+        return signs * np.exp(logs - np.max(logs))
 
     def vector(self, shift: float):
         """x: inverse iteration at a definite shift, or None.
@@ -392,56 +407,56 @@ class _Pencil:
                 return None
         return x
 
-    def refine(self, lo: float, hi: float, coarse: float, atol: float, rtol: float):
-        """Smallest eigenvalue of the pencil in [lo, hi].
+    def refine(self, lo: float, hi: float, coarse: float, atol: float, rtol: float) -> tuple:
+        """(rho, below): the smallest eigenvalue in [lo, hi] as a Rayleigh
+        quotient rho, never below it, and a shift a test proved definite.
 
-        Returns (value, certified, below), where A - below*C has been found
-        positive definite.  The kernel bisection halves [lo, hi] to
-        coarse + COARSE_REL*|hi|; the Rayleigh quotient rho of ``vector`` at
-        its lower end, never below the eigenvalue (``rayleigh`` is NaN unless
-        x'Cx > 0), is the value, with True and below = rho - t, when it lies
-        in the bracket and A - (rho - t)*C is definite, t = CERT_REL*|rho| +
-        atol.  Otherwise the bisection goes on to atol + rtol*|hi|, and rho at
-        its lower end, accurate to the residual squared, is the value, with
-        False and below that end, unless it is NaN or further than
-        1e-4*max(1, |mid|) from the midpoint, which is then the value.
+        The kernel bisection halves [lo, hi] to coarse + COARSE_REL*|hi|; rho
+        of ``vector`` at its lower end is certified when it lies in the
+        bracket and the test, or the spring test should ``dpttrf`` reject
+        it, reads "definite" at below = rho - (CERT_REL*|rho| + atol).  Else
+        the spring test bisects [lo, hi] to atol + rtol*|hi|, rho is that of
+        ``shoot`` at its lower end, and the relative width widens tenfold
+        from CERT_REL until a spring test certifies rho, or past CERT_REL_MAX
+        raises SolverError.
         """
+        start = lo, hi
         lo, hi = self.bisect(lo, hi, coarse, COARSE_REL)
         rho = self.rayleigh(self.vector(lo))
-        if lo <= rho <= hi:
-            t = CERT_REL * abs(rho) + atol
-            if not self(rho - t):
-                return rho, True, rho - t
-        lo, hi = self.bisect(lo, hi, atol, rtol)
-        mid = 0.5 * (lo + hi)
-        rho = self.rayleigh(self.vector(lo))
-        if abs(rho - mid) <= 1e-4 * max(1.0, abs(mid)):
-            return rho, False, lo
-        return mid, False, lo
+        t = CERT_REL * abs(rho) + atol
+        if lo <= rho <= hi and not (self(rho - t) and self.spring(rho - t)):
+            return rho, rho - t
+        lo, hi = start
+        while hi - lo > atol + rtol * abs(hi):
+            mid = 0.5 * (lo + hi)
+            if self.spring(mid):
+                hi = mid
+            else:
+                lo = mid
+        rho = self.rayleigh(self.shoot(lo))
+        rel = CERT_REL
+        while rel <= CERT_REL_MAX:
+            below = rho - (rel * abs(rho) + atol)
+            if not self.spring(below):
+                return rho, below
+            rel *= 10.0
+        raise SolverError(f"no certificate within {CERT_REL_MAX:g} of the quotient {rho!r}")
 
 
-def _mu_pencil(forms: Forms, lam: float) -> _Pencil:
-    """The pencil (K - lam*B, M0) over the unknowns, with its quotient."""
-    kd, ke, bd, be, md, me = forms.interior()
-    return _Pencil(
-        forms, (kd - lam * bd, ke - lam * be, md, me), lambda kq, bq, mq: (kq - lam * bq) / mq
-    )
-
-
-def _mu_from_forms(forms: Forms, lam: float) -> tuple:
-    """(mu(lam), the definiteness tests made); ValueError for a non-finite bracket."""
+def _mu_from_forms(forms: Forms, lam: float) -> float:
+    """mu(lam); ValueError for a non-finite bracket."""
     # K is positive semidefinite and B sums the element weights times M0's
     # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
     # any vector, here the ones vector, bounds mu from above
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        pencil = _mu_pencil(forms, lam)
+        pencil = _Pencil(forms, lam)
         lo = -float(np.max(lam * forms.weight))
         hi = pencil.rayleigh(np.ones(pencil.arrays[0].size))
         slack = 1e-3 * (hi - lo) + MU_ATOL
         lo, hi = lo - slack, hi + slack
     if not (math.isfinite(lam) and math.isfinite(hi - lo)):
         raise ValueError(f"mu at lambda = {lam}: bracket [{lo}, {hi}] is not finite")
-    return pencil.refine(lo, hi, (hi - lo) * MU_COARSE_SHARE, MU_ATOL, MU_RTOL)[0], pencil.calls
+    return pencil.refine(lo, hi, (hi - lo) * MU_COARSE_SHARE, MU_ATOL, MU_RTOL)[0]
 
 
 def mu_of_lambda(
@@ -452,7 +467,7 @@ def mu_of_lambda(
     lam: float,
 ) -> float:
     """Smallest eigenvalue of the shifted pencil at the given lambda."""
-    return _mu_from_forms(assemble(m, params, bc, disc), lam)[0]
+    return _mu_from_forms(assemble(m, params, bc, disc), lam)
 
 
 def mu_curve(
@@ -463,65 +478,51 @@ def mu_curve(
     lams: Sequence[float],
 ) -> list:
     forms = assemble(m, params, bc, disc)
-    return [MuCurvePoint(float(l), _mu_from_forms(forms, float(l))[0]) for l in lams]
+    return [MuCurvePoint(float(l), _mu_from_forms(forms, float(l))) for l in lams]
 
 
 def _bracket_and_bisect(forms: Forms) -> tuple:
-    """(lambda, below, certified) of the (K, B) pencil's ``refine``, and
-    the number of definiteness tests (``pencil_inertia`` calls) made."""
-    kd, ke, bd, be, _, _ = forms.interior()
-    # mu(lam) <= 0 iff K - lam*B is not positive definite
-    pencil = _Pencil(forms, (kd, ke, bd, be), lambda kq, bq, mq: kq / bq if bq > 0.0 else math.nan)
-    floor_probes = 0
+    """(lambda, below) of the (K, B) pencil's ``refine``, and the pencil,
+    whose calls count the definiteness tests made."""
+    pencil = _Pencil(forms)
     lo, hi = LAMBDA_FLOOR, 1.0
     while not pencil(hi):
         lo = hi
         hi *= 2.0
         if hi > BRACKET_LIMIT:
-            samples = [(l, _mu_from_forms(forms, l)[0]) for l in (1.0, 1e2, 1e4, 1e6, 1e8)]
-            raise BracketError(f"no sign change below {BRACKET_LIMIT}; mu samples {samples}")
-    # the floor bounds the bracket only for lambda <= 1, so only then is it tested
-    if lo == LAMBDA_FLOOR and pencil(lo):
-        # Near lambda = 0 the Neumann pencil is within pivot noise of
-        # singular and the raw test can fire falsely; trust the polished
-        # mu evaluation before declaring the eigenvalue unresolvable.
-        mu, floor_probes = _mu_from_forms(forms, LAMBDA_FLOOR)
-        if mu <= 0.0:
-            raise BracketError(
-                f"sign predicate already true at lambda = {LAMBDA_FLOOR}: "
-                "eigenvalue below the resolvable floor"
-            )
-    lam, certified, below = pencil.refine(lo, hi, 0.0, 0.0, LAMBDA_REL_TOL)
-    return lam, below, certified, pencil.calls + floor_probes
+            raise BracketError(f"no sign change below {BRACKET_LIMIT}")
+    # the floor bounds the bracket only for lambda <= 1, so only then is it tested, in
+    # spring form: near lambda = 0 the Neumann pencil is within dpttrf's pivot noise of singular
+    if lo == LAMBDA_FLOOR and pencil.spring(lo):
+        raise BracketError(
+            f"sign predicate already true at lambda = {LAMBDA_FLOOR}: "
+            "eigenvalue below the resolvable floor"
+        )
+    return (*pencil.refine(lo, hi, 0.0, 0.0, LAMBDA_REL_TOL), pencil)
 
 
-def _eigenpair(
-    forms: Forms, lam: float, below: float, certified: bool, probes: int, nodes: np.ndarray
-) -> EigenPair:
-    """Positive eigenfunction of the eigenvalue lam of ``forms``.
+def _eigenpair(forms: Forms, lam: float, below: float, found: _Pencil, nodes: np.ndarray) -> EigenPair:
+    """Positive eigenfunction of the eigenvalue lam that the (K, B) pencil
+    ``found`` certified above below.
 
     The vector of mu(lam) = 0 is the ``vector`` of the pencil
-    (K - lam*B, M0) at sigma = -(|lam - below| max(weight) + MU_ATOL).  As
-    B <= max(weight) M0, K - lam*B - sigma*M0 >= K - below*B + MU_ATOL*M0 is
-    definite when lam >= below; a lam polished below below, where a test
-    misfired, is a Rayleigh quotient, so mu(lam) >= -(lam - lambda_1)
-    max(weight) > sigma while lam - lambda_1 < below - lam.  The shift sets
-    the rate, not the vector.  Should dpttrf fail anyway within pivot
-    rounding, sigma steps down by 16, at most 8 times.
+    (K - lam*B, M0) at sigma = -((lam - below) max(weight) + MU_ATOL), which
+    is definite: B <= max(weight) M0 and lambda_1 > below.  The shift sets
+    the rate, not the vector.  Should ``vector`` fail (pivot rounding, or a
+    high-contrast weight putting sigma too far below mu = 0 to converge),
+    ``found.shoot(below)``, as close to lambda_1 as the certificate, does.
     The vector is scaled to unit weighted mass under ``forms``, which is
     int m e^{alpha m} phi^2 = 1 in either variable, and returned on
     ``nodes`` (the x-variable nodes: those of ``forms`` unless the solve
-    ran in another variable) with the relative residual of the pencil,
-    the certified flag of lam's ``refine`` and the sign tests that found it.
+    ran in another variable) with the relative residual of the pencil and
+    the sign tests that found lam.
     """
-    pencil = _mu_pencil(forms, lam)
-    sigma = -(abs(lam - below) * float(np.max(forms.weight)) + MU_ATOL)
-    for _ in range(9):
-        x = pencil.vector(sigma)
-        if x is not None:
-            break
-        sigma *= 16.0
-    else:
+    pencil = _Pencil(forms, lam)
+    sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
+    x = pencil.vector(sigma)
+    if x is None:
+        x = found.shoot(below)
+    if x is None:
         raise SolverError("inverse iteration for the eigenfunction broke down")
     if x.sum() < 0.0:
         x = -x
@@ -544,8 +545,7 @@ def _eigenpair(
         nodes=nodes,
         phi=forms.embed(x),
         residual=residual,
-        certified=certified,
-        probes=probes,
+        probes=found.calls,
     )
 
 

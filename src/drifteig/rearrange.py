@@ -38,11 +38,6 @@ class YWeight:
         for i, v in enumerate(self.values):
             yield float(v), float(bp[i + 1] - bp[i])
 
-    def eval_many(self, y: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, y, side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return np.asarray(self.values)[idx]
-
 
 @dataclass(frozen=True, eq=False)
 class ChangeOfVariable:

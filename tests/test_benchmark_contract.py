@@ -61,11 +61,19 @@ def test_figure_sweep_runs_and_checks(monkeypatch, tmp_path):
 
 def test_eigen_battery_runs_and_checks(monkeypatch):
     # one pass of the only workload that solves on a grid: solves at three
-    # sizes under four boundary conditions, eigen_cov, mu, rearrangements
+    # sizes under four boundary conditions, eigen_cov, mu, rearrangements.
+    # dpttrf certifies every answer, so the pure-Python spring test, 15-25
+    # times slower per probe, never runs; a change that moves the workload
+    # onto it shows here
+    from drifteig import kernels
+
+    sweeps, springs = [], kernels.springs
+    monkeypatch.setattr(kernels, "springs", lambda *args: sweeps.append(1) or springs(*args))
     battery = _load_workloads(monkeypatch).EigenBattery()
     inputs = battery.make_inputs(drifteig, 1, None)
     raw = [op() for op in battery.ops(drifteig, inputs)]
     assert battery.check(inputs, battery.read(inputs, raw)) == []
+    assert len(sweeps) == 0
 
 
 def test_figure_sweep_argv_parses(monkeypatch, tmp_path):

@@ -33,8 +33,7 @@ class TestEig:
         lam = float(out.split("lambda=")[1])
         assert lam == pytest.approx(PI2, rel=1e-3)
         meta = json.loads((tmp_path / "o" / "eigenpair.json").read_text())
-        assert set(meta) >= {"lambda", "beta", "alpha", "kappa", "n", "residual"}
-        assert meta["certified"] is True
+        assert set(meta) == {"lambda", "beta", "alpha", "kappa", "n", "residual", "max_phi", "probes"}
         assert type(meta["probes"]) is int and meta["probes"] > 0
         csv = (tmp_path / "o" / "eigenpair.csv").read_text()
         assert csv.startswith("x,phi\n")
@@ -307,6 +306,20 @@ class TestVerify:
         assert "FAIL" not in out
         report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
         assert report["all_passed"] is True
+
+    def test_high_contrast_run_passes(self, tmp_path, capsys):
+        # above alpha = 1/2 the rearrangement row is not applicable and
+        # passes with margin 0; its 12 draws still come first, so the other
+        # rows check the weights they check at any alpha
+        with pytest.warns(UserWarning, match="no longer guaranteed"):
+            rc = cli.main(["verify", "--params", "alpha=1.5,kappa=5,m0=0.2", "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert rc == 0
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        rows = {r["name"]: r for r in report["properties"]}
+        assert rows["rearrangement_monotonicity"]["margin"] == 0.0
+        assert rows["rearrangement_monotonicity"]["detail"].startswith("not applicable above alpha = 0.5")
+        assert rows["discretization_agreement"]["margin"] <= 1e-9
 
     def test_coarse_grid_fails_discretization_property(self, tmp_path, capsys):
         rc = cli.main(["verify", "--n", "8", "--out", str(tmp_path / "o")])

@@ -28,6 +28,20 @@ from drifteig.eigensolve import AssemblyError, Discretization, assemble, princip
 ONE = PiecewiseWeight((0.0, 1.0), (1.0,))
 PI2 = math.pi**2
 
+# Neumann principal eigenvalues of random_admissible(ModelParams(0.2, 1, 0.4),
+# default_rng(seed)) at alpha = alpha*(1 - eps), from a 60-digit mpmath
+# transfer-matrix sweep over the weight's pieces (mpmath is not a dependency)
+NEAR_ALPHA_STAR_EXACT = {
+    (0, 1e-2): 0.2922846517553654,
+    (0, 1e-4): 0.0028657924517641576,
+    (0, 1e-6): 2.865229207720074e-05,
+    (0, 1e-8): 2.8652236366264017e-07,
+    (5, 1e-2): 0.13001699811040482,
+    (5, 1e-4): 0.0012898927327063226,
+    (5, 1e-6): 1.2897905703459688e-05,
+    (5, 1e-8): 1.2897895524081123e-07,
+}
+
 
 def test_assemble_textbook_values():
     # two equal elements, unit coefficient: interior stiffness 4, mass 1/3
@@ -165,9 +179,14 @@ def test_assembly_is_bit_identical_to_midpoint_reference(params, rng, n):
         ynodes = _merge_nodes(n, mt.breakpoints, cov.total)
         assert np.array_equal(ynodes, _old_merge(n, mt.breakpoints, cov.total))
         h, v = _element_values(ynodes, mt.breakpoints, mt.values)
+
+        def y_values_at(y):  # the piece that holds each y, as a search once found it
+            piece = np.searchsorted(mt.breakpoints, y, side="right") - 1
+            return np.asarray(mt.values)[np.clip(piece, 0, len(mt.values) - 1)]
+
         _assert_same_bits(
             _assemble_on_nodes(ynodes, h, *drift_free(v), 1.0),
-            _old_forms(ynodes, mt.eval_many, drift_free, 1.0),
+            _old_forms(ynodes, y_values_at, drift_free, 1.0),
         )
 
 
@@ -264,15 +283,15 @@ class TestMuCurve:
         [
             (Boundary.robin(1.0), 2000, 5.0, 1.6713389826916316, 1),
             (Boundary.robin(1.0), 2000, 20.0, -4.834241374139949, 1),
-            # not certified: the bisection goes on, and the polish at its
-            # lower end gives mu
-            (Boundary.neumann(), 8000, 1e-8, 2.0669069928998817e-09, 2),
+            # dpttrf rejects the certificate's shift, and the spring test
+            # certifies the same Rayleigh quotient
+            (Boundary.neumann(), 8000, 1e-8, 2.0669070131322794e-09, 1),
         ],
         ids=str,
     )
     def test_mu_bits(self, params, monkeypatch, bc, n, lam, mu, bisections):
-        # mu to the last bit, with the kernel bisections that found it: one
-        # when the two probes certify the Rayleigh quotient, two when not
+        # mu to the last bit, with the kernel bisections that found it: the
+        # coarse one, whose Rayleigh quotient a probe certifies
         m = BangBangInterval(0.1, 0.3, params).weight()
         disc = make_discretization(n, m)
         calls = _count_calls(monkeypatch)
@@ -313,11 +332,13 @@ class TestPrincipalEigenvalue:
 
     def test_eigenfunction_breakdown_raises(self, params, monkeypatch):
         # lambda's refinement starts from factors its probes made; the
-        # eigenfunction's shifts are factored anew, and none succeeds here
+        # eigenfunction's shift is factored anew and fails here, and so does
+        # the spring vector it falls back to
         from drifteig import kernels
         from drifteig.eigensolve import SolverError
 
         monkeypatch.setattr(kernels, "ldlt", lambda *args: None)
+        monkeypatch.setattr(kernels, "springs", lambda *args: None)
         m = BangBangInterval(0.1, 0.3, params).weight()
         with pytest.raises(SolverError, match="broke down"):
             principal_eigenvalue(m, params, Boundary.robin(1.0), make_discretization(200, m))
@@ -390,13 +411,13 @@ class TestPrincipalEigenvalue:
                 make_discretization(20, PiecewiseWeight((0.0, 1.0), (0.0,))),
             )
 
-    def test_bracket_failure_reports_mu_samples(self, params):
+    def test_bracket_failure_names_the_cap(self, params):
         # a sliver of resources pushes the eigenvalue beyond the bracket cap
         from drifteig.eigensolve import BracketError
 
         m = PiecewiseWeight((0.0, 0.5, 0.5 + 1e-5, 1.0), (-1.0, 1.0, -1.0))
         disc = make_discretization(200, m)
-        with pytest.raises(BracketError, match="mu samples"):
+        with pytest.raises(BracketError, match=r"^no sign change below 100000000\.0$"):
             principal_eigenvalue(m, params, Boundary.robin(1.0), disc)
 
 
@@ -438,11 +459,12 @@ def _dense(d, e):
 
 
 def _count_calls(monkeypatch):
-    """Count definiteness probes, kernel bisections and the factorizations
-    the solver makes outside the probes, wherever they are made."""
+    """Count definiteness probes, kernel bisections, the factorizations
+    the solver makes outside the probes, wherever they are made, and the
+    spring-form sweeps."""
     from drifteig import _kernels_py, kernels
 
-    calls = {"pencil_inertia": 0, "smallest_pencil_eigenvalue": 0, "dpttrf": 0}
+    calls = {"pencil_inertia": 0, "smallest_pencil_eigenvalue": 0, "dpttrf": 0, "springs": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -464,6 +486,7 @@ def _count_calls(monkeypatch):
     # the factorizations the solver makes itself, through kernels.ldlt, for
     # a shift that no probe has factored
     monkeypatch.setattr(kernels, "ldlt", counted("dpttrf", kernels.ldlt))
+    monkeypatch.setattr(kernels, "springs", counted("springs", kernels.springs))
     return calls
 
 
@@ -499,24 +522,31 @@ class TestCertifiedRefinement:
         lam = principal_lambda(m, params, bc, disc)
         assert kernels.pencil_inertia(kd, ke, bd, be, lam * (1.0 - CERT_REL))[0] == 0
         assert kernels.pencil_inertia(kd, ke, bd, be, lam * (1.0 + CERT_REL))[0] == 1
-        assert principal_eigenvalue(m, params, bc, disc).certified
 
-    def test_uncertified_lambda_is_flagged(self):
-        # the probe does not certify the coarse Rayleigh quotient, so the
-        # bisection goes on and lambda is the quotient at its lower end: the
-        # Rayleigh quotient of its own eigenfunction, 8.6e-11 relative above
-        # the root, where the bisection's midpoint is 1.7e-7 below it; the
-        # pair says that it is not certified
+    def test_spring_certifies_what_dpttrf_cannot(self, monkeypatch):
+        # dpttrf reads the certificate's shift below the coarse Rayleigh
+        # quotient as not definite, and the spring test reads it as definite:
+        # lambda is that quotient, 8.6e-11 relative above the root, found by
+        # one kernel bisection
+        from drifteig import kernels
+        from drifteig.eigensolve import CERT_REL
+
         p = ModelParams(1.0, 5.0, 0.2)
         delta = (1.0 - p.m0) / (p.kappa + 1.0)
         m = BangBangInterval(0.0, delta, p).weight()
         disc = make_discretization(8000, m)
+        forms = assemble(m, p, Boundary.robin(1.0), disc)
+        calls = _count_calls(monkeypatch)
         pair = principal_eigenvalue(m, p, Boundary.robin(1.0), disc)
-        assert not pair.certified
-        kq, bq, _ = assemble(m, p, Boundary.robin(1.0), disc).quadratics(pair.phi)
+        assert pair.lam == 0.013135810076016313
+        assert calls["smallest_pencil_eigenvalue"] == 1
+        below = pair.lam - CERT_REL * pair.lam
+        kd, ke, bd, be, _, _ = forms.interior()
+        assert kernels.pencil_inertia(kd, ke, bd, be, below)[0] == 1
+        assert kernels.springs(-forms.ke, below * forms.weight * forms.h, 1.0) is not None
+        kq, bq, _ = forms.quadratics(pair.phi)
         assert pair.lam == pytest.approx(kq / bq, rel=1e-12)
         assert pair.lam >= transcendental_root(0.0, 1.0, TranscendParams(p, delta))
-        assert principal_eigenvalue(m, p, Boundary.robin(1.0), make_discretization(2000, m)).certified
 
     @pytest.mark.parametrize("n", [2000, 8000])
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
@@ -593,31 +623,35 @@ class TestCertifiedRefinement:
         calls.clear()
         assert eigen_cov(m, params, bc, disc).probes == len(calls) > 0
 
-    def test_uncertifiable_near_alpha_star_polishes_or_bisects(self):
-        # within pivot noise of singular the definiteness test is not
-        # monotone, so no Rayleigh quotient is certified; at 1e-4 the
-        # quotient at the full bisection's lower end lies within 1e-4 of
-        # its midpoint and is the value, further in the midpoint comes back
-        # bit for bit
+    def test_near_alpha_star_lambda_bits(self, monkeypatch):
+        # within pivot noise of singular dpttrf's test is not monotone and
+        # certifies no Rayleigh quotient; the spring test bisects the bracket
+        # again and certifies the quotient of its vector, to the last bit
         m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
         a_star = alpha_star(m)
         disc = make_discretization(2000, m)
-        expected = {1e-4: 0.0012900130931011967, 1e-6: 8.410104088366616e-05,
-                    1e-8: 6.104539689199745e-05}
+        expected = {1e-4: 0.0012898934048398182, 1e-6: 1.289791242672466e-05,
+                    1e-8: 1.289790238567486e-07}
+        calls = _count_calls(monkeypatch)
         for eps, lam in expected.items():
             p = ModelParams(a_star * (1.0 - eps), 1.0, 0.4)
+            calls.update(springs=0)
             assert principal_lambda(m, p, Boundary.neumann(), disc) == lam
+            assert calls["springs"] > 40
 
-    def test_polished_lambda_below_its_shift_gives_the_eigenfunction(self):
-        # near alpha* the test can call a shift above lambda_1 definite, so
-        # the polished lambda, 0.0012900, lies below the bisection's lower
-        # end, 0.0012909; the eigenfunction's shift is padded by
-        # |lambda - below|, so it stays below mu = 0 all the same
+    def test_spring_lambda_gives_the_eigenfunction(self):
+        # the eigenfunction's shift lies (lambda - below) max(weight) + MU_ATOL
+        # below mu = 0, with lambda - below the spring certificate's width
         m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
         p = ModelParams(alpha_star(m) * (1.0 - 1e-4), 1.0, 0.4)
-        pair = principal_eigenvalue(m, p, Boundary.neumann(), make_discretization(2000, m))
-        assert pair.lam == 0.0012900130931011967 and not pair.certified
+        disc = make_discretization(2000, m)
+        pair = principal_eigenvalue(m, p, Boundary.neumann(), disc)
+        assert pair.lam == 0.0012898934048398182
         assert np.min(pair.phi) > 0.0
+        kq, bq, _ = assemble(m, p, Boundary.neumann(), disc).quadratics(pair.phi)
+        # unit weighted mass, a sum whose terms cancel near alpha*
+        assert bq == pytest.approx(1.0, rel=1e-10)
+        assert kq / bq == pytest.approx(pair.lam, rel=1e-8)
 
     @pytest.mark.parametrize(
         "solve, bc, lam, probes",
@@ -635,9 +669,9 @@ class TestCertifiedRefinement:
         # them: a change to the bisection or the refinement shows here
         m = BangBangInterval(0.1, 0.3, params).weight()
         pair = solve(m, params, bc, make_discretization(2000, m))
-        assert (pair.lam, pair.probes, pair.certified) == (lam, probes, True)
+        assert (pair.lam, pair.probes) == (lam, probes)
 
-    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
     def test_eigenfunction_near_alpha_star_matches_dense(self, eps):
         # as int m e^{alpha m} phi^2 -> 0 near alpha*, B x has almost no
         # component along phi, so a vector converged against B at a shift
@@ -655,11 +689,10 @@ class TestCertifiedRefinement:
         assert np.max(np.abs(v - pair.phi)) <= 1e-9 * np.max(np.abs(pair.phi))
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 10.0])
-    def test_eigenfunction_after_shift_steps_down(self, monkeypatch, beta):
-        # should dpttrf fail at the eigenfunction's first shift, as it can
-        # within pivot rounding, the shift steps down by 16 and the vector is
-        # still that of mu = 0; the solver's two factorizations are both the
-        # eigenfunction's, and the refinement makes none
+    def test_eigenfunction_falls_back_to_shoot(self, monkeypatch, beta):
+        # should ``vector`` fail at the eigenfunction's shift, the solver's one
+        # factorization here, the spring vector of K - below*B, within the
+        # certificate's width of lambda_1, is still that of mu = 0
         from drifteig import kernels
         from drifteig.optimize import delta_star
 
@@ -668,15 +701,14 @@ class TestCertifiedRefinement:
         m = BangBangInterval(0.5 * (1.0 - delta), delta, p).weight()
         bc = Boundary.robin(beta)
         disc = make_discretization(800, m)
-        shifts, ldlt = [], kernels.ldlt
+        shifts = []
 
-        def failing_first(*args):
+        def failing(*args):
             shifts.append(args[-1])
-            return None if len(shifts) == 1 else ldlt(*args)
 
-        monkeypatch.setattr(kernels, "ldlt", failing_first)
+        monkeypatch.setattr(kernels, "ldlt", failing)
         pair = principal_eigenvalue(m, p, bc, disc)
-        assert len(shifts) == 2 and shifts[1] == 16.0 * shifts[0] < 0.0
+        assert len(shifts) == 1 and shifts[0] < 0.0
         forms = assemble(m, p, bc, disc)
         assert np.min(pair.phi) > 0.0
         assert forms.quadratics(pair.phi)[1] == pytest.approx(1.0, rel=1e-12)
@@ -687,11 +719,10 @@ class TestCertifiedRefinement:
         v = vec[:, 0] * (vec[:, 0] @ pair.phi) / (vec[:, 0] @ vec[:, 0])
         assert np.max(np.abs(v - pair.phi)) <= 1e-7 * np.max(pair.phi)
 
-    def test_neumann_floor_misfire_is_decided_by_mu(self, monkeypatch):
-        # lambda = 0.396 < 1, so the floor bounds the bracket and is tested;
-        # at n = 8000 the Neumann test fires falsely there.  mu at the floor
-        # is positive, so the solve goes on, and its lambda is the Rayleigh
-        # quotient of its own eigenfunction
+    def test_neumann_floor_misfire_is_decided_by_spring(self, monkeypatch):
+        # lambda = 0.396 < 1, so the floor bounds the bracket and is tested,
+        # in spring form: at n = 8000 dpttrf's test fires falsely there, and
+        # the spring test does not
         from drifteig import kernels
         from drifteig.eigensolve import LAMBDA_FLOOR
 
@@ -701,12 +732,12 @@ class TestCertifiedRefinement:
         forms = assemble(m, p, Boundary.neumann(), disc)
         kd, ke, bd, be, _, _ = forms.interior()
         assert kernels.pencil_inertia(kd, ke, bd, be, LAMBDA_FLOOR)[0] == 1
+        assert kernels.springs(-forms.ke, LAMBDA_FLOOR * forms.weight * forms.h, 0.0) is not None
         calls = _count_calls(monkeypatch)
         pair = principal_eigenvalue(m, p, Boundary.neumann(), disc)
-        assert pair.lam < 1.0 and pair.certified
-        # mu's coarse bracket and its uncertified tail, then lambda's bracket
-        assert calls["smallest_pencil_eigenvalue"] == 3
-        assert calls["pencil_inertia"] <= 30
+        assert pair.lam == 0.3963913544520687 and pair.probes == 11
+        # the floor's spring test, then lambda's coarse bracket and its certificate
+        assert (calls["springs"], calls["smallest_pencil_eigenvalue"]) == (1, 1)
         kq, bq, _ = forms.quadratics(pair.phi)
         assert pair.lam == pytest.approx(kq / bq, rel=1e-12)
 
@@ -725,7 +756,7 @@ class TestCertifiedRefinement:
         # refinement's shift anew: reusing a probe's factors moves no bit
         m = BangBangInterval(0.1, 0.3, params).weight()
         pair = principal_eigenvalue(m, params, bc, make_discretization(8000, m))
-        assert (pair.lam, pair.residual, pair.certified) == (lam, residual, True)
+        assert (pair.lam, pair.residual) == (lam, residual)
 
     @pytest.mark.parametrize(
         "bc", [Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()], ids=str
@@ -784,12 +815,59 @@ class TestCertifiedRefinement:
             assert len(set(seen)) == len(seen) > 0
 
     def test_eigenvalue_below_floor_still_raises(self):
+        # the exact roots are 2.9e-9 and 1.3e-9, below LAMBDA_FLOOR
         from drifteig.eigensolve import BracketError
 
+        for seed in (0, 5):
+            m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(seed))
+            p = ModelParams(alpha_star(m) * (1.0 - 1e-10), 1.0, 0.4)
+            with pytest.raises(BracketError, match="resolvable floor"):
+                principal_lambda(m, p, Boundary.neumann(), make_discretization(2000, m))
+
+    @pytest.mark.parametrize(
+        "seed, eps, n",
+        [(s, e, 2000) for s, e in NEAR_ALPHA_STAR_EXACT] + [(0, 1e-4, 8000), (5, 1e-8, 8000)],
+        ids=str,
+    )
+    def test_near_alpha_star_within_p1_error_of_exact(self, seed, eps, n):
+        # every answer is a certified Rayleigh quotient, so it lies at or
+        # above the exact root, by no more than the P1 error
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(seed))
+        p = ModelParams(alpha_star(m) * (1.0 - eps), 1.0, 0.4)
+        pair = principal_eigenvalue(m, p, Boundary.neumann(), make_discretization(n, m))
+        exact = NEAR_ALPHA_STAR_EXACT[seed, eps]
+        assert 0.0 <= (pair.lam - exact) / exact <= 20.0 / n**2
+        assert np.min(pair.phi) > 0.0
+
+    @pytest.mark.parametrize("cut, widths", [(3e-6, [1e-8, 1e-7, 1e-6, 1e-5]), (3e-4, None)], ids=str)
+    def test_spring_certificate_widens_tenfold_then_raises(self, monkeypatch, cut, widths):
+        # with the spring test made to read "not definite" from
+        # lam (1 - cut) up, the spring bisection ends there, and the
+        # certificate's shift below the Rayleigh quotient widens tenfold
+        # from CERT_REL until it passes; past CERT_REL_MAX the solve raises
+        # rather than return a bisection's end or midpoint
+        from drifteig import eigensolve
+
         m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
-        p = ModelParams(alpha_star(m) * (1.0 - 1e-10), 1.0, 0.4)
-        with pytest.raises(BracketError, match="resolvable floor"):
-            principal_lambda(m, p, Boundary.neumann(), make_discretization(2000, m))
+        p = ModelParams(alpha_star(m) * (1.0 - 1e-6), 1.0, 0.4)
+        disc = make_discretization(2000, m)
+        lam = 1.289791242672466e-05  # the unmodified solve's, from test_near_alpha_star_lambda_bits
+        shifts, ratios = [], eigensolve._Pencil._ratios
+
+        def cut_off(pencil, sigma):
+            shifts.append(sigma)
+            return None if sigma >= lam * (1.0 - cut) else ratios(pencil, sigma)
+
+        monkeypatch.setattr(eigensolve._Pencil, "_ratios", cut_off)
+        if widths is None:
+            with pytest.raises(eigensolve.SolverError, match="no certificate within 0.0001"):
+                principal_lambda(m, p, Boundary.neumann(), disc)
+            return
+        got = principal_lambda(m, p, Boundary.neumann(), disc)
+        assert got == pytest.approx(lam, rel=1e-9)
+        # the last shifts tried are the certificate's, below got
+        tried = [(got - s) / got for s in shifts[-len(widths):]]
+        assert tried == pytest.approx(widths, rel=1e-6)
 
     @pytest.mark.parametrize(
         "bc", [Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()], ids=str
@@ -799,11 +877,9 @@ class TestCertifiedRefinement:
         disc = make_discretization(400, m)
         kd, ke, bd, be, md, me = assemble(m, params, bc, disc).interior()
         # the coarse bisection is one kernel call and feeds one inverse
-        # iteration; an uncertified mu adds the bisected tail and its polish.
-        # Both start from a shift the bisection has factored, so the solver
-        # factors nothing itself
+        # iteration, which starts from a shift the bisection has factored, so
+        # the solver factors nothing itself; a probe certifies every mu
         calls = _count_calls(monkeypatch)
-        uncertified = 0
         for lam in (-20.0, 0.0, 7.5, 60.0, 120.0):
             target = scipy.linalg.eigh(
                 _dense(kd - lam * bd, ke - lam * be), _dense(md, me), eigvals_only=True
@@ -813,6 +889,4 @@ class TestCertifiedRefinement:
             assert type(mu) is float
             assert abs(mu - target) <= 1e-10 * max(1.0, abs(target))
             assert calls["dpttrf"] == 0
-            assert calls["smallest_pencil_eigenvalue"] in (1, 2)
-            uncertified += calls["smallest_pencil_eigenvalue"] - 1
-        assert uncertified == (1 if bc.is_neumann else 0)
+            assert calls["smallest_pencil_eigenvalue"] == 1

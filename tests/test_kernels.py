@@ -1,10 +1,15 @@
 """Kernel correctness against dense linear algebra."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from drifteig import _kernels_py
+from drifteig import Boundary, _kernels_py, make_discretization, random_admissible
+from drifteig.eigensolve import assemble
+
+BOUNDARIES = [Boundary.neumann(), Boundary.robin(1.0), Boundary.robin(10.0), Boundary.dirichlet()]
 
 
 def _dense(d, e):
@@ -128,3 +133,60 @@ def test_bisection_that_never_moves_lo_returns_no_factors():
         ad, e, md, e, 1.0 - 2.0**-20, 3.0, 0.0, 1e-3
     )
     assert lo == 1.0 - 2.0**-20 and probes > 0 and factors is None
+
+
+def _spring_pencils(params, rng, bc):
+    """(forms, pencil arrays over the unknowns, element loads of a shift) of
+    the solver's two pencils on a random weight: (K, B), and (K - lam*B, M0)
+    at lam = 7.5."""
+    m = random_admissible(params, rng)
+    forms = assemble(m, params, bc, make_discretization(40, m))
+    kd, ke, bd, be, md, me = forms.interior()
+    lam = 7.5
+    return [
+        (forms, (kd, ke, bd, be), lambda s: s * forms.weight * forms.h),
+        (forms, (kd - lam * bd, ke - lam * be, md, me), lambda s: (lam * forms.weight + s) * forms.h),
+    ]
+
+
+@pytest.mark.parametrize("bc", BOUNDARIES, ids=str)
+def test_springs_agree_with_ldlt_away_from_eigenvalues(params, rng, bc):
+    # where A - sigma*C is not within 1e-6 of singular, the spring test,
+    # dpttrf and the dense spectrum agree on its definiteness; a NaN shift
+    # reads not definite
+    checked = 0
+    for forms, arrays, load in _spring_pencils(params, rng, bc):
+        for sigma in np.linspace(-40.0, 120.0, 33):
+            s = _dense(*arrays[:2]) - sigma * _dense(*arrays[2:])
+            smallest = np.linalg.eigvalsh(s)[0]
+            if abs(smallest) < 1e-6 * np.abs(s).max():
+                continue
+            definite = smallest > 0.0
+            assert (_kernels_py.springs(-forms.ke, load(sigma), forms.beta) is not None) == definite
+            assert (_kernels_py.ldlt(*arrays, sigma) is not None) == definite
+            checked += 1
+        assert _kernels_py.springs(-forms.ke, load(math.nan), forms.beta) is None
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("bc", BOUNDARIES, ids=str)
+def test_springs_vector_solves_every_row_but_the_last(params, rng, bc):
+    # x_0 = 1 and x_{j+1} = x_j d_j / s_j over the unknowns (the Dirichlet
+    # ends are none) solve (A - sigma*C) x = 0 to rounding, but for the
+    # last row, whose residual is the last pivot times x_n
+    checked = 0
+    for forms, arrays, load in _spring_pencils(params, rng, bc):
+        for sigma in np.linspace(-40.0, 120.0, 33):
+            ratios = _kernels_py.springs(-forms.ke, load(sigma), forms.beta)
+            if ratios is None:
+                continue
+            checked += 1
+            if forms.dirichlet:
+                ratios = ratios[1:-1]
+            x = np.cumprod(np.concatenate(([1.0], ratios)))
+            s = _dense(*arrays[:2]) - sigma * _dense(*arrays[2:])
+            rows = s @ x
+            scale = np.abs(s) @ np.abs(x)
+            assert np.all(np.abs(rows[:-1]) <= 1e-14 * scale[:-1])
+            assert abs(rows[-1]) > 1e-6 * scale[-1]
+    assert checked >= 8
