@@ -8,8 +8,9 @@ and hands the factors of a definite shift back with its answer.  The
 solver's coarse bisection, for lambda and mu alike, halves a bracket on the
 test and returns it with the factors at its lower end, so the inverse
 iteration that follows does not factor that shift again; its name stays
-because the benchmark's tracer wraps it.  The solver reaches all four
-kernels through ``kernels``.  The cost per workload of the test and the
+because the benchmark's tracer wraps it.  Its halving rule is ``halve``,
+which the solver's spring-form bisection calls too.  The solver reaches
+the kernels through ``kernels``.  The cost per workload of the test and the
 bisection is in the benchmark's ``kernels.*`` metrics (``perfbench/run.py
 --trace 1``).  ``lapack`` imports ``scipy.linalg`` on the first
 factorization, so the closed-form commands, which solve nothing on a grid,
@@ -81,15 +82,30 @@ def smallest_pencil_eigenvalue(ad, ae, cd, ce, lo, hi, atol, rtol):
     outside, it ends."""
     probes = 0
     factors = None
-    while hi - lo > atol + rtol * abs(hi):
-        mid = 0.5 * (lo + hi)
+
+    def above(mid):
+        nonlocal probes, factors
         probes += 1
         flag, _, found = pencil_inertia(ad, ae, cd, ce, mid)
-        if flag:
+        if not flag:
+            factors = found
+        return flag
+
+    lo, hi = halve(above, lo, hi, atol, rtol)
+    return lo, hi, probes, factors
+
+
+def halve(above, lo, hi, atol, rtol):
+    """[lo, hi] halved to hi - lo <= atol + rtol*|hi|: a midpoint where
+    above(mid) is true becomes hi, any other lo.  The solver's one
+    bisection rule, for the test of either form."""
+    while hi - lo > atol + rtol * abs(hi):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
             hi = mid
         else:
-            lo, factors = mid, found
-    return lo, hi, probes, factors
+            lo = mid
+    return lo, hi
 
 
 def springs(ph, load, beta):

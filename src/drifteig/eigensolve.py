@@ -14,22 +14,23 @@ keeps the element sizes for the elementwise quadratic forms.
 
 The eigenvalue is the minimum of a Rayleigh quotient, so one rule settles
 every answer: the Rayleigh quotient rho of a vector is returned once a sign
-test finds K - (rho - t)*B positive definite, t at most CERT_REL_MAX
-relative, and otherwise the solve raises a typed error.  mu(lambda), the
-smallest eigenvalue of (K - lambda*B, M0), is concave, vanishes at
-principal eigenvalues and has the sign of that test; it takes the same rule
-on its own pencil, from the bracket [-max(lambda*weight), Rayleigh quotient
-of the ones vector].  The lambda bracket starts at [LAMBDA_FLOOR, 1] and
-doubles its upper end until the test reads "not definite"; only a
-lambda <= 1 tests the floor.  ``_Pencil`` holds either pencil with two sign
-tests: the LDL^T factorization (LAPACK ``dpttrf``), and the spring form of
-``kernels.springs``, whose pivots keep their relative accuracy where
-``dpttrf``'s are rounding noise, as near alpha* under Neumann conditions.
-The kernel bisection on the first locates the root to 1/64 relative,
-inverse iteration at its lower end gives rho, and a probe CERT_REL below rho
-certifies it, made in spring form should ``dpttrf`` reject the shift.
-Failing that, the spring test bisects the bracket again, the vector of its
-pivots gives rho, and the certificate widens tenfold up to CERT_REL_MAX.
+test finds K - (rho - t)*B positive definite, t at most the last of
+SPRING_WIDTHS relative, and otherwise the solve raises a typed error.
+mu(lambda), the smallest eigenvalue of (K - lambda*B, M0), is concave,
+vanishes at principal eigenvalues and has the sign of that test; it takes
+the same rule on its own pencil, from the bracket [-max(lambda*weight),
+Rayleigh quotient of the ones vector].  The lambda bracket starts at
+[LAMBDA_FLOOR, 1] and doubles its upper end until the test reads "not
+definite"; only a lambda <= 1 tests the floor.  ``_Pencil`` holds either
+pencil with two sign tests: the LDL^T factorization (LAPACK ``dpttrf``),
+and the spring form of ``kernels.springs``, whose pivots keep their
+relative accuracy where ``dpttrf``'s are rounding noise, as near alpha*
+under Neumann conditions.  The kernel bisection on the first locates the
+root to 1/64 relative, inverse iteration at its lower end gives rho, and a
+probe CERT_REL below rho certifies it, made in spring form should
+``dpttrf`` reject the shift or the floor have been tested.  Failing that,
+the spring test bisects the bracket again by ``kernels.halve``, the vector
+of its pivots gives rho, and the certificate takes SPRING_WIDTHS in turn.
 The eigenfunction is ``vector`` on (K - lambda*B, M0), or the spring vector
 at the certified shift should that fail.  ``_zero_regime`` validates the
 weight and detects the Neumann zero regime; ``eigen_cov`` runs the same core
@@ -58,7 +59,8 @@ MU_COARSE_SHARE = 2.0 ** -12  # mu's coarse bracket: also this share of its star
 REFINE_STEPS = 8  # most inverse-iteration solves at the bracket's lower end
 REFINE_TOL = 1e-10  # agreement of two successive estimates, relative to the shift gap
 CERT_REL = 1e-8  # the certificate probe sits at rho (1 - CERT_REL)
-CERT_REL_MAX = 1e-4  # widest spring-form certificate before refine gives up
+# the spring path's certificate widths, tried in turn: near alpha* (Neumann) its rounding needs 1e-5
+SPRING_WIDTHS = (CERT_REL, 1e-7, 1e-6, 1e-5, 1e-4)
 DEFAULT_N = 2000
 
 
@@ -247,7 +249,7 @@ class EigenPair:
     normalized to int m e^{alpha m} phi^2 = 1 in the x variable.
 
     The solver returns a lam, a Rayleigh quotient, only once a definiteness
-    test has passed at lam - t, t at most CERT_REL_MAX relative (CERT_REL
+    test has passed at lam - t, t one of SPRING_WIDTHS relative (CERT_REL
     when ``dpttrf`` passes), so the grid's eigenvalue lies in (lam - t, lam]
     up to that test's rounding.  probes counts the tests (``pencil_inertia``
     and ``springs`` calls) that located and certified lam, 0 for a pair built
@@ -407,40 +409,36 @@ class _Pencil:
                 return None
         return x
 
-    def refine(self, lo: float, hi: float, coarse: float, atol: float, rtol: float) -> tuple:
+    def refine(
+        self, lo: float, hi: float, coarse: float, atol: float, rtol: float, spring_only: bool = False
+    ) -> tuple:
         """(rho, below): the smallest eigenvalue in [lo, hi] as a Rayleigh
         quotient rho, never below it, and a shift a test proved definite.
 
         The kernel bisection halves [lo, hi] to coarse + COARSE_REL*|hi|; rho
         of ``vector`` at its lower end is certified when it lies in the
         bracket and the test, or the spring test should ``dpttrf`` reject
-        it, reads "definite" at below = rho - (CERT_REL*|rho| + atol).  Else
-        the spring test bisects [lo, hi] to atol + rtol*|hi|, rho is that of
-        ``shoot`` at its lower end, and the relative width widens tenfold
-        from CERT_REL until a spring test certifies rho, or past CERT_REL_MAX
-        raises SolverError.
+        it, reads "definite" at below = rho - (CERT_REL*|rho| + atol);
+        spring_only, for a pencil within ``dpttrf``'s pivot noise of
+        singular, leaves that reading to the spring test alone.  Else the
+        spring test ``halve``s [lo, hi] to atol + rtol*|hi|, rho is that of
+        ``shoot`` at its lower end, and below takes the relative widths
+        SPRING_WIDTHS in turn until a spring test certifies rho; past the
+        last, SolverError.
         """
         start = lo, hi
         lo, hi = self.bisect(lo, hi, coarse, COARSE_REL)
         rho = self.rayleigh(self.vector(lo))
-        t = CERT_REL * abs(rho) + atol
-        if lo <= rho <= hi and not (self(rho - t) and self.spring(rho - t)):
-            return rho, rho - t
-        lo, hi = start
-        while hi - lo > atol + rtol * abs(hi):
-            mid = 0.5 * (lo + hi)
-            if self.spring(mid):
-                hi = mid
-            else:
-                lo = mid
+        below = rho - (CERT_REL * abs(rho) + atol)
+        if lo <= rho <= hi and not ((spring_only or self(below)) and self.spring(below)):
+            return rho, below
+        lo, _ = kernels.halve(self.spring, *start, atol, rtol)
         rho = self.rayleigh(self.shoot(lo))
-        rel = CERT_REL
-        while rel <= CERT_REL_MAX:
+        for rel in SPRING_WIDTHS:
             below = rho - (rel * abs(rho) + atol)
             if not self.spring(below):
                 return rho, below
-            rel *= 10.0
-        raise SolverError(f"no certificate within {CERT_REL_MAX:g} of the quotient {rho!r}")
+        raise SolverError(f"no certificate within {SPRING_WIDTHS[-1]:g} of the quotient {rho!r}")
 
 
 def _mu_from_forms(forms: Forms, lam: float) -> float:
@@ -492,13 +490,15 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
         if hi > BRACKET_LIMIT:
             raise BracketError(f"no sign change below {BRACKET_LIMIT}")
     # the floor bounds the bracket only for lambda <= 1, so only then is it tested, in
-    # spring form: near lambda = 0 the Neumann pencil is within dpttrf's pivot noise of singular
-    if lo == LAMBDA_FLOOR and pencil.spring(lo):
+    # spring form: near lambda = 0 the Neumann pencil is within dpttrf's pivot noise of
+    # singular, so there the spring test alone also decides the certificate
+    floor = lo == LAMBDA_FLOOR
+    if floor and pencil.spring(lo):
         raise BracketError(
             f"sign predicate already true at lambda = {LAMBDA_FLOOR}: "
             "eigenvalue below the resolvable floor"
         )
-    return (*pencil.refine(lo, hi, 0.0, 0.0, LAMBDA_REL_TOL), pencil)
+    return (*pencil.refine(lo, hi, 0.0, 0.0, LAMBDA_REL_TOL, spring_only=floor), pencil)
 
 
 def _eigenpair(forms: Forms, lam: float, below: float, found: _Pencil, nodes: np.ndarray) -> EigenPair:

@@ -1,8 +1,9 @@
 """Tridiagonal pencil kernels used by the eigen-solver.
 
 The LDL^T factorization (LAPACK ``dpttrf`` through scipy), the
-definiteness test built on it, the smallest-eigenvalue bisection and the
-spring-form test live in ``_kernels_py``; this module re-exports them.  The
+definiteness test built on it, the smallest-eigenvalue bisection, the
+halving rule it shares with the spring-form bisection and the spring-form
+test live in ``_kernels_py``; this module re-exports them.  The
 solver brackets lambda and mu by the bisection, which returns its bracket,
 and calls the kernels through this module's attributes, where the
 benchmark's tracer wraps the test and the bisection by name.
@@ -15,6 +16,6 @@ report are part of the package's public output.
 
 from __future__ import annotations
 
-from ._kernels_py import ldlt, pencil_inertia, smallest_pencil_eigenvalue, springs  # noqa: F401
+from ._kernels_py import halve, ldlt, pencil_inertia, smallest_pencil_eigenvalue, springs  # noqa: F401
 
 BACKEND = "pure"

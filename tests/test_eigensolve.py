@@ -736,8 +736,9 @@ class TestCertifiedRefinement:
         calls = _count_calls(monkeypatch)
         pair = principal_eigenvalue(m, p, Boundary.neumann(), disc)
         assert pair.lam == 0.3963913544520687 and pair.probes == 11
-        # the floor's spring test, then lambda's coarse bracket and its certificate
-        assert (calls["springs"], calls["smallest_pencil_eigenvalue"]) == (1, 1)
+        # the floor's spring test, then lambda's coarse bracket and its
+        # certificate, which, the floor being tested, is a spring test too
+        assert (calls["springs"], calls["smallest_pencil_eigenvalue"]) == (2, 1)
         kq, bq, _ = forms.quadratics(pair.phi)
         assert pair.lam == pytest.approx(kq / bq, rel=1e-12)
 
@@ -839,13 +840,37 @@ class TestCertifiedRefinement:
         assert 0.0 <= (pair.lam - exact) / exact <= 20.0 / n**2
         assert np.min(pair.phi) > 0.0
 
-    @pytest.mark.parametrize("cut, widths", [(3e-6, [1e-8, 1e-7, 1e-6, 1e-5]), (3e-4, None)], ids=str)
-    def test_spring_certificate_widens_tenfold_then_raises(self, monkeypatch, cut, widths):
+    @pytest.mark.parametrize("seed, exact", [(0, 0.0028657924517641576), (2, 0.0015370778715527009)])
+    def test_floor_tested_lambda_is_certified_in_spring_form(self, seed, exact):
+        # at alpha*(1 - 1e-4) and n = 2000 dpttrf reads K - (rho - t)B as
+        # definite with the coarse quotient rho 4e-6 relative above the grid
+        # eigenvalue (e n^2 = 17.5 and 18.2); a lambda below 1 is certified
+        # by the spring test alone, which the returned quotient passes, and
+        # its error is the P1 error that n = 800 and 8000 show
+        from drifteig import kernels
+        from drifteig.eigensolve import CERT_REL
+
+        n = 2000
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(seed))
+        p = ModelParams(alpha_star(m) * (1.0 - 1e-4), 1.0, 0.4)
+        disc = make_discretization(n, m)
+        forms = assemble(m, p, Boundary.neumann(), disc)
+        pair = principal_eigenvalue(m, p, Boundary.neumann(), disc)
+        below = pair.lam - CERT_REL * pair.lam
+        assert kernels.springs(-forms.ke, below * forms.weight * forms.h, 0.0) is not None
+        assert 0.0 <= (pair.lam - exact) / exact <= 2.5 / n**2
+
+    @pytest.mark.parametrize(
+        "cut, tried, raises",
+        [(3e-6, 4, False), (3e-5, 5, False), (3e-4, 5, True)],
+        ids=str,
+    )
+    def test_spring_certificate_widens_then_raises(self, monkeypatch, cut, tried, raises):
         # with the spring test made to read "not definite" from
         # lam (1 - cut) up, the spring bisection ends there, and the
-        # certificate's shift below the Rayleigh quotient widens tenfold
-        # from CERT_REL until it passes; past CERT_REL_MAX the solve raises
-        # rather than return a bisection's end or midpoint
+        # certificate's shift below the Rayleigh quotient takes the widths
+        # SPRING_WIDTHS in turn until one passes; past the last, 1e-4, the
+        # solve raises rather than return a bisection's end or midpoint
         from drifteig import eigensolve
 
         m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
@@ -859,15 +884,17 @@ class TestCertifiedRefinement:
             return None if sigma >= lam * (1.0 - cut) else ratios(pencil, sigma)
 
         monkeypatch.setattr(eigensolve._Pencil, "_ratios", cut_off)
-        if widths is None:
-            with pytest.raises(eigensolve.SolverError, match="no certificate within 0.0001"):
+        assert eigensolve.SPRING_WIDTHS == (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+        if raises:
+            with pytest.raises(eigensolve.SolverError, match="no certificate within 0.0001") as exc:
                 principal_lambda(m, p, Boundary.neumann(), disc)
-            return
-        got = principal_lambda(m, p, Boundary.neumann(), disc)
-        assert got == pytest.approx(lam, rel=1e-9)
+            got = float(str(exc.value).rsplit(" ", 1)[1])  # the quotient it could not certify
+        else:
+            got = principal_lambda(m, p, Boundary.neumann(), disc)
+            assert got == pytest.approx(lam, rel=1e-9)
         # the last shifts tried are the certificate's, below got
-        tried = [(got - s) / got for s in shifts[-len(widths):]]
-        assert tried == pytest.approx(widths, rel=1e-6)
+        widths = [(got - s) / got for s in shifts[-tried:]]
+        assert widths == pytest.approx(eigensolve.SPRING_WIDTHS[:tried], rel=1e-6)
 
     @pytest.mark.parametrize(
         "bc", [Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()], ids=str
