@@ -21,9 +21,10 @@ pencils from their element data, where ``dpttrf`` cannot: near a singular
 pencil, as under Neumann conditions near alpha*, the rounding of the
 assembled diagonal is the size of its pivots.  Its pivots are those of a
 relatively robust representation (Dhillon & Parlett, Linear Algebra Appl.
-387, 2004), in which no two large terms cancel, and their ratios to the
-springs give the vector that solves every row but the last (Parlett &
-Dhillon, Linear Algebra Appl. 267, 1997).
+387, 2004), in which no two large terms cancel; with the springs they are
+LDL^T factors that ``dpttrs`` solves with as it does ``dpttrf``'s, and
+their ratios to the springs give the vector that solves every row but the
+last (Parlett & Dhillon, Linear Algebra Appl. 267, 1997).
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def halve(above, lo, hi, atol, rtol):
 
 
 def springs(ph, load, beta):
-    """x_{j+1} / x_j = d_j / s_j when K - G is positive definite, else None.
+    """(d, s): the LDL^T pivots and the springs of K - G when it is positive
+    definite, else None.
 
     K is the stiffness form, with ph_j = p_j / h_j on element j and beta at
     both ends, and G the form of the element loads, load_j times the P1
@@ -118,9 +120,10 @@ def springs(ph, load, beta):
     of its nodes carries -load_j / 2.  The LDL^T pivots are
     d_j = s_j + r_j from r_0 = beta - load_0 / 2, with
     r_{j+1} = s_j r_j / d_j - (load_j + load_{j+1}) / 2 (no load_n), and
-    the last pivot is r_n + beta.  beta = inf eliminates both end nodes
-    (Dirichlet): r_0 is infinite, and s_j r_j / d_j is s_j there.  A NaN
-    anywhere reads not definite.
+    the last pivot is r_n + beta; L's subdiagonal is -s_j / d_j, and
+    x_{j+1} / x_j = d_j / s_j solves every row but the last.  beta = inf
+    eliminates both end nodes (Dirichlet): r_0 is infinite, and
+    s_j r_j / d_j is s_j there.  A NaN anywhere reads not definite.
     """
     s = ph + load / 6.0
     c = (0.5 * load).tolist() + [0.0]
@@ -132,4 +135,5 @@ def springs(ph, load, beta):
             return None
         pivots.append(d)
         r = (sj if r == math.inf else sj * r / d) - c[j] - c[j + 1]
-    return np.array(pivots) / s if r + beta > 0.0 else None
+    pivots.append(r + beta)
+    return (np.array(pivots), s) if pivots[-1] > 0.0 else None

@@ -20,7 +20,7 @@ mu(lambda), the smallest eigenvalue of (K - lambda*B, M0), is concave,
 vanishes at principal eigenvalues and has the sign of that test; it takes
 the same rule on its own pencil, from the bracket [-max(lambda*weight),
 Rayleigh quotient of the ones vector].  The lambda bracket starts at
-[LAMBDA_FLOOR, 1] and doubles its upper end until the test reads "not
+[LAMBDA_FLOOR, 1] and quadruples its upper end until the test reads "not
 definite"; only a lambda <= 1 tests the floor.  ``_Pencil`` holds either
 pencil with two sign tests: the LDL^T factorization (LAPACK ``dpttrf``),
 and the spring form of ``kernels.springs``, whose pivots keep their
@@ -31,10 +31,11 @@ probe CERT_REL below rho certifies it, made in spring form should
 ``dpttrf`` reject the shift or the floor have been tested.  Failing that,
 the spring test bisects the bracket again by ``kernels.halve``, the vector
 of its pivots gives rho, and the certificate takes SPRING_WIDTHS in turn.
-The eigenfunction is ``vector`` on (K - lambda*B, M0), or the spring vector
-at the certified shift should that fail.  ``_zero_regime`` validates the
-weight and detects the Neumann zero regime; ``eigen_cov`` runs the same core
-on the drift-free forms of the change of variable.
+Either test keeps the LDL^T factors of the shift it certified, and the
+eigenfunction is one solve with them against B times rho's vector.
+``_zero_regime`` validates the weight and detects the Neumann zero regime;
+``eigen_cov`` runs the same core on the drift-free forms of the change of
+variable.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .weights import Boundary, DriftEigError, ModelParams, PiecewiseWeight, exp_
 
 LAMBDA_REL_TOL = 1e-10
 LAMBDA_FLOOR = 1e-8  # smallest eigenvalue the bracket resolves
-MU_ATOL = 1e-8  # mu's bisection floor and certificate slack; also pads the eigenfunction's shift
+MU_ATOL = 1e-8  # mu's bisection floor and certificate slack
 MU_RTOL = 1e-12
 BRACKET_LIMIT = 1e8
 COARSE_REL = 1.0 / 64.0  # relative bracket width handed to the Rayleigh refinement
@@ -89,23 +90,21 @@ def _merge_nodes(n: int, breakpoints: Sequence[float], length: float) -> np.ndar
 
     Uniform nodes closer than a quarter cell to a breakpoint are dropped, so
     the mesh stays quasi-uniform and no near-degenerate element appears.
-    Only the uniform node nearest each breakpoint, b n / length rounded,
-    can lie that close; it and its two neighbours are tested.  The kept
-    nodes lie more than a quarter cell from every breakpoint, so inserting
-    the sorted, deduplicated breakpoints among them gives the sorted union.
+    Only the two uniform nodes either side of a breakpoint can lie that
+    close, so the union is the sorted, deduplicated breakpoints with the
+    uniform nodes between each two of them, less those two where close.
     """
     # coinciding breakpoints merge; eigen_cov raises before its y-breakpoints can coincide here
     bp = sorted(set(map(float, breakpoints)))
     base = np.linspace(0.0, length, n + 1)
     quarter = 0.25 * length / n
-    keep = np.ones(n + 1, dtype=bool)
-    for b in bp:
-        j = round(b * n / length)
-        for i in range(max(j - 1, 0), min(j + 1, n) + 1):
-            if abs(base[i] - b) <= quarter:
-                keep[i] = False
-    kept = base[keep]
-    return np.insert(kept, np.searchsorted(kept, bp), bp)
+    pieces, start = [], 0
+    for b, k in zip(bp, np.searchsorted(base, bp).tolist()):  # base[k - 1] < b <= base[k]
+        stop = k - 1 if k > 0 and b - base[k - 1] <= quarter else k
+        pieces += [base[start:stop], [b]]
+        start = k + 1 if k <= n and base[k] - b <= quarter else k
+    pieces.append(base[start:])
+    return np.concatenate(pieces)
 
 
 def make_discretization(n: int, m: PiecewiseWeight) -> Discretization:
@@ -160,18 +159,20 @@ class Forms:
         full[1:-1] = v
         return full
 
-    def quadratics(self, v_full: np.ndarray) -> tuple:
-        """(v'Kv, v'Bv, v'M0v) evaluated element by element."""
+    def energy(self, v_full: np.ndarray) -> float:
+        """v'Kv evaluated element by element, a sum of non-negative terms."""
         dv = np.diff(v_full)
         kq = float(np.sum(self.diffusion * dv * dv / self.h))
         if not self.dirichlet and self.beta > 0.0:
             kq += self.beta * (v_full[0] ** 2 + v_full[-1] ** 2)
+        return kq
+
+    def quadratics(self, v_full: np.ndarray) -> tuple:
+        """(v'Kv, v'Bv, v'M0v) evaluated element by element."""
         cell = self.h3 * (
             v_full[:-1] ** 2 + v_full[:-1] * v_full[1:] + v_full[1:] ** 2
         )
-        bq = float(np.sum(self.weight * cell))
-        mq = float(np.sum(cell))
-        return kq, bq, mq
+        return self.energy(v_full), float(np.sum(self.weight * cell)), float(np.sum(cell))
 
 
 def _element_values(nodes: np.ndarray, breakpoints, values) -> tuple:
@@ -201,23 +202,16 @@ def _assemble_on_nodes(
     weight: np.ndarray,
     beta: float,
 ) -> Forms:
-    n1 = nodes.size
+    def node_sums(q):  # each node's two element terms, zero past the ends
+        q = np.concatenate(([0.0], q, [0.0]))
+        return np.add(q[:-1], q[1:])
+
     kq = diffusion / h
-    kd = np.zeros(n1)
-    kd[:-1] = kq
-    kd[1:] += kq
-
+    kd = node_sums(kq)
     wh = weight * h
-    bq = wh / 3.0
-    bd = np.zeros(n1)
-    bd[:-1] = bq
-    bd[1:] += bq
-
+    bd = node_sums(wh / 3.0)
     h3 = h / 3.0
-    md = np.zeros(n1)
-    md[:-1] = h3
-    md[1:] += h3
-
+    md = node_sums(h3)
     dirichlet = math.isinf(beta)
     if not dirichlet and beta > 0.0:
         kd[0] += beta
@@ -238,15 +232,18 @@ def assemble(
 
 def _tri_mv(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = d * x
-    y[:-1] += e * x[1:]
-    y[1:] += e * x[:-1]
+    t = e * x[1:]
+    y[:-1] += t
+    y[1:] += np.multiply(e, x[:-1], out=t)
     return y
 
 
 @dataclass
 class EigenPair:
     """Converged eigenvalue with its positive discrete eigenfunction,
-    normalized to int m e^{alpha m} phi^2 = 1 in the x variable.
+    normalized to int m e^{alpha m} phi^2 = 1 in the x variable, as
+    phi'K phi / lam = 1 (a sum of non-negative terms; int m e^{alpha m}
+    phi^2 vanishes as alpha -> alpha*).
 
     The solver returns a lam, a Rayleigh quotient, only once a definiteness
     test has passed at lam - t, t one of SPRING_WIDTHS relative (CERT_REL
@@ -255,7 +252,7 @@ class EigenPair:
     and ``springs`` calls) that located and certified lam, 0 for a pair built
     outside the solver; a lam above 1 makes none at LAMBDA_FLOOR.  residual
     is ||Kx - lam Bx|| / (||Kx|| + |lam| ||Bx||) on the assembled forms.  Its
-    rounding floor is about 1e-10 at n = 2000 (6.6e-11 on the CLI's default
+    rounding floor is about 1e-10 at n = 2000 (9.4e-11 on the CLI's default
     ``eig``), so it cannot show an error in lam below that.
     """
 
@@ -304,8 +301,9 @@ class _Pencil:
     i.e. sigma is at or above its smallest eigenvalue; ``spring`` is the
     same test in spring form.  calls counts the tests, one ``pencil_inertia``
     or ``springs`` call each.  kept is (shift, LDL^T factors or None) of the
-    last shift a test proved definite or ``vector`` factored, which
-    ``vector`` uses rather than factor it again.
+    last shift a test of either form proved definite or ``vector`` factored:
+    ``vector`` uses them rather than factor it again, and after ``refine``
+    they are those of the test that certified its answer.
     """
 
     def __init__(self, forms: Forms, lam: float | None = None):
@@ -330,12 +328,18 @@ class _Pencil:
         return flag >= 1
 
     def _ratios(self, sigma: float):
+        """``kernels.springs``' (pivots, springs) of A - sigma*C, or None."""
         return kernels.springs(-self.forms.ke, self.load(sigma), self.forms.beta)
 
     def spring(self, sigma: float) -> bool:
-        """The sign test in spring form."""
+        """The sign test in spring form; a definite shift's pivots are kept
+        as ``dpttrf``'s (d, e) over the unknowns."""
         self.calls += 1
-        return self._ratios(sigma) is None
+        found = self._ratios(sigma)
+        if found is not None:
+            d, s = found
+            self.kept = (sigma, self.forms.reduced(d, -s / d[:-1]))
+        return found is None
 
     def bisect(self, lo: float, hi: float, atol: float, rtol: float) -> tuple:
         """[lo, hi] halved to atol + rtol*|hi| by the kernel bisection."""
@@ -357,9 +361,10 @@ class _Pencil:
         shift, which solves every row of (A - sigma*C) x = 0 but the last;
         None if sigma is not definite.  Not a test.  x is built from the
         ratios' logarithms and signs, so no product of them overflows."""
-        ratios = self._ratios(sigma)
-        if ratios is None:
+        found = self._ratios(sigma)
+        if found is None:
             return None
+        ratios = found[0][:-1] / found[1]
         if self.forms.dirichlet:  # the end nodes are not unknowns
             ratios = ratios[1:-1]
         logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratios)))))
@@ -397,7 +402,7 @@ class _Pencil:
             last = math.nan
             for step in range(REFINE_STEPS):
                 y, info = dpttrs(d, e, rhs)
-                nrm, den = float(np.max(np.abs(y))), float(y @ rhs)
+                nrm, den = max(float(y.max()), -float(y.min())), float(y @ rhs)
                 if info != 0 or not math.isfinite(nrm) or nrm == 0.0 or den <= 0.0:
                     return None
                 gap, x = float(x @ rhs) / den, y / nrm
@@ -412,8 +417,9 @@ class _Pencil:
     def refine(
         self, lo: float, hi: float, coarse: float, atol: float, rtol: float, spring_only: bool = False
     ) -> tuple:
-        """(rho, below): the smallest eigenvalue in [lo, hi] as a Rayleigh
-        quotient rho, never below it, and a shift a test proved definite.
+        """(rho, x): the smallest eigenvalue in [lo, hi] as the Rayleigh
+        quotient rho of x, never below it, with kept the factors of a shift
+        below that a test proved definite.
 
         The kernel bisection halves [lo, hi] to coarse + COARSE_REL*|hi|; rho
         of ``vector`` at its lower end is certified when it lies in the
@@ -428,16 +434,18 @@ class _Pencil:
         """
         start = lo, hi
         lo, hi = self.bisect(lo, hi, coarse, COARSE_REL)
-        rho = self.rayleigh(self.vector(lo))
+        x = self.vector(lo)
+        rho = self.rayleigh(x)
         below = rho - (CERT_REL * abs(rho) + atol)
         if lo <= rho <= hi and not ((spring_only or self(below)) and self.spring(below)):
-            return rho, below
+            return rho, x
         lo, _ = kernels.halve(self.spring, *start, atol, rtol)
-        rho = self.rayleigh(self.shoot(lo))
+        x = self.shoot(lo)
+        rho = self.rayleigh(x)
         for rel in SPRING_WIDTHS:
             below = rho - (rel * abs(rho) + atol)
             if not self.spring(below):
-                return rho, below
+                return rho, x
         raise SolverError(f"no certificate within {SPRING_WIDTHS[-1]:g} of the quotient {rho!r}")
 
 
@@ -480,13 +488,13 @@ def mu_curve(
 
 
 def _bracket_and_bisect(forms: Forms) -> tuple:
-    """(lambda, below) of the (K, B) pencil's ``refine``, and the pencil,
-    whose calls count the definiteness tests made."""
+    """(lambda, x) of the (K, B) pencil's ``refine``, and the pencil, whose
+    calls count the definiteness tests made."""
     pencil = _Pencil(forms)
     lo, hi = LAMBDA_FLOOR, 1.0
     while not pencil(hi):
         lo = hi
-        hi *= 2.0
+        hi *= 4.0
         if hi > BRACKET_LIMIT:
             raise BracketError(f"no sign change below {BRACKET_LIMIT}")
     # the floor bounds the bracket only for lambda <= 1, so only then is it tested, in
@@ -501,29 +509,28 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
     return (*pencil.refine(lo, hi, 0.0, 0.0, LAMBDA_REL_TOL, spring_only=floor), pencil)
 
 
-def _eigenpair(forms: Forms, lam: float, below: float, found: _Pencil, nodes: np.ndarray) -> EigenPair:
-    """Positive eigenfunction of the eigenvalue lam that the (K, B) pencil
-    ``found`` certified above below.
+def _eigenpair(lam: float, x: np.ndarray, found: _Pencil, nodes: np.ndarray) -> EigenPair:
+    """Positive eigenfunction of the eigenvalue lam, the Rayleigh quotient
+    of x, that the (K, B) pencil ``found`` certified on its forms.
 
-    The vector of mu(lam) = 0 is the ``vector`` of the pencil
-    (K - lam*B, M0) at sigma = -((lam - below) max(weight) + MU_ATOL), which
-    is definite: B <= max(weight) M0 and lambda_1 > below.  The shift sets
-    the rate, not the vector.  Should ``vector`` fail (pivot rounding, or a
-    high-contrast weight putting sigma too far below mu = 0 to converge),
-    ``found.shoot(below)``, as close to lambda_1 as the certificate, does.
-    The vector is scaled to unit weighted mass under ``forms``, which is
-    int m e^{alpha m} phi^2 = 1 in either variable, and returned on
-    ``nodes`` (the x-variable nodes: those of ``forms`` unless the solve
-    ran in another variable) with the relative residual of the pencil and
-    the sign tests that found lam.
+    It is one step of inverse iteration from x: the solve of S y = B x with
+    ``found.kept``, the LDL^T factors of the test, ``dpttrf``'s or the
+    spring pivots, that proved S = K - below*B definite, below within the
+    certificate's width of lambda_1, so y's other components shrink by
+    (lambda_1 - below) / (lambda_k - below).  For one unknown x is the
+    ones vector, exact.  The vector is scaled to unit weighted mass under
+    those forms, which is int m e^{alpha m} phi^2 = 1 in either variable,
+    taken as its elementwise energy over lam, and returned on ``nodes``
+    (the x-variable nodes: those of the forms unless the solve ran in
+    another variable) with the relative residual of the pencil and the
+    sign tests that found lam.
     """
-    pencil = _Pencil(forms, lam)
-    sigma = -((lam - below) * float(np.max(forms.weight)) + MU_ATOL)
-    x = pencil.vector(sigma)
-    if x is None:
-        x = found.shoot(below)
-    if x is None:
-        raise SolverError("inverse iteration for the eigenfunction broke down")
+    forms = found.forms
+    kd, ke, bd, be, _, _ = forms.interior()
+    if x.size > 1:  # dpttrs rejects the empty off-diagonal of a 1x1 pencil
+        x, info = lapack()[1](*found.kept[1], _tri_mv(bd, be, x))
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise SolverError("the eigenfunction's solve broke down")
     if x.sum() < 0.0:
         x = -x
     phi = forms.embed(x)
@@ -531,11 +538,10 @@ def _eigenpair(forms: Forms, lam: float, below: float, found: _Pencil, nodes: np
     # underflow to zero when the eigenfunction decays over many e-foldings
     if np.min(phi[1:-1]) < -1e-10 * np.max(phi):
         raise SolverError("recovered eigenfunction is not positive")
-    quad = float(np.dot(phi, _tri_mv(forms.bd, forms.be, phi)))
-    if quad <= 0.0:
-        raise SolverError("weighted norm of eigenfunction not positive")
+    quad = forms.energy(phi) / lam
+    if not 0.0 < quad < math.inf:
+        raise SolverError("the eigenfunction's energy is not positive and finite")
     x = x / math.sqrt(quad)
-    kd, ke, bd, be, _, _ = forms.interior()
     kx = _tri_mv(kd, ke, x)
     bx = _tri_mv(bd, be, x)
     scale = np.linalg.norm(kx) + abs(lam) * np.linalg.norm(bx)
@@ -565,7 +571,7 @@ def principal_eigenvalue(
     if _zero_regime(m, params, bc):
         return ZeroRegime()
     forms = assemble(m, params, bc, disc)
-    return _eigenpair(forms, *_bracket_and_bisect(forms), forms.nodes)
+    return _eigenpair(*_bracket_and_bisect(forms), forms.nodes)
 
 
 def principal_lambda(
@@ -611,4 +617,4 @@ def eigen_cov(
     forms = _assemble_on_nodes(ynodes, h, np.ones_like(v), weight, bc.beta)
     # c is affine on each element (the y-nodes hold m~'s breakpoints) and
     # m~ e^{2 alpha m~} dy = m e^{alpha m} dx, so these forms give the x norm
-    return _eigenpair(forms, *_bracket_and_bisect(forms), cov.y_to_x(ynodes))
+    return _eigenpair(*_bracket_and_bisect(forms), cov.y_to_x(ynodes))

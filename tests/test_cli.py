@@ -61,7 +61,7 @@ class TestEig:
         for argv in (["--config", str(cfg)], ["--xi", "0.1", "--delta", "0.3"]):
             assert cli.main(["eig", *argv, "--out", str(tmp_path / "o")]) == 0
             lams.append(float(capsys.readouterr().out.split("lambda=")[1]))
-        assert lams == [10.546258833995697, 10.546258833995697]
+        assert lams == [10.546258833995696, 10.546258833995696]
 
     def test_solver_error_exit_code(self, tmp_path, capsys):
         wf = _weight_file(tmp_path, [0.0, 1.0], [-0.5])

@@ -331,17 +331,20 @@ class TestPrincipalEigenvalue:
             make_discretization(1, ONE)
 
     def test_eigenfunction_breakdown_raises(self, params, monkeypatch):
-        # lambda's refinement starts from factors its probes made; the
-        # eigenfunction's shift is factored anew and fails here, and so does
-        # the spring vector it falls back to
-        from drifteig import kernels
+        # with every dpttrs solve failing, the refinement's inverse iteration
+        # fails too and the spring test alone finds and certifies lambda; the
+        # eigenfunction's one solve then fails, and the solve raises
+        from drifteig import _kernels_py
         from drifteig.eigensolve import SolverError
 
-        monkeypatch.setattr(kernels, "ldlt", lambda *args: None)
-        monkeypatch.setattr(kernels, "springs", lambda *args: None)
         m = BangBangInterval(0.1, 0.3, params).weight()
+        disc = make_discretization(200, m)
+        lam = principal_lambda(m, params, Boundary.robin(1.0), disc)
+        _kernels_py.lapack()  # bind LAPACK's before replacing dpttrs
+        monkeypatch.setattr(_kernels_py, "dpttrs", lambda d, e, b: (b, 1))
+        assert principal_lambda(m, params, Boundary.robin(1.0), disc) == pytest.approx(lam, rel=1e-9)
         with pytest.raises(SolverError, match="broke down"):
-            principal_eigenvalue(m, params, Boundary.robin(1.0), make_discretization(200, m))
+            principal_eigenvalue(m, params, Boundary.robin(1.0), disc)
 
     def test_matches_transcendental_root(self, params):
         w = BangBangInterval(0.0, 0.3, params).weight()
@@ -573,23 +576,24 @@ class TestCertifiedRefinement:
     )
     def test_probe_count_at_n_2000(self, params, rng, monkeypatch, bc):
         # a full bisection to LAMBDA_REL_TOL makes about 40 probes; the
-        # refinement of a lambda above 1 needs the doubling bracket (about
-        # log2 lambda probes), the kernel's bisection to 1/64 (6) and the
-        # certificate (2); the refinement reuses the factors of the probe at
-        # the bracket's lower end, so the one factorization of the solver's
-        # own gives the eigenfunction
+        # refinement of a lambda above 1 needs the quadrupling bracket
+        # (about log4 lambda probes), the kernel's bisection to 1/64 (6 or
+        # 7) and the certificate; the refinement reuses the factors of the
+        # probe at the bracket's lower end, and the eigenfunction those of
+        # the certificate, so LAPACK factors once per probe and no more
+        from drifteig import _kernels_py
+
+        _kernels_py.lapack()
+        factored, dpttrf = [], _kernels_py.dpttrf
+        monkeypatch.setattr(_kernels_py, "dpttrf", lambda *a, **k: factored.append(1) or dpttrf(*a, **k))
         calls = _count_calls(monkeypatch)
-        m = BangBangInterval(0.1, 0.3, params).weight()
-        principal_eigenvalue(m, params, bc, make_discretization(2000, m))
-        assert calls["pencil_inertia"] <= 19
-        assert calls["smallest_pencil_eigenvalue"] == 1
-        assert calls["dpttrf"] == 1
-        calls.update(pencil_inertia=0, smallest_pencil_eigenvalue=0, dpttrf=0)
-        m = random_admissible(params, rng)
-        lam = principal_eigenvalue(m, params, bc, make_discretization(2000, m)).lam
-        assert calls["pencil_inertia"] <= 11 + math.log2(lam)
-        assert calls["smallest_pencil_eigenvalue"] == 1
-        assert calls["dpttrf"] == 1
+        for m in (BangBangInterval(0.1, 0.3, params).weight(), random_admissible(params, rng)):
+            calls.update(pencil_inertia=0, smallest_pencil_eigenvalue=0)
+            factored.clear()
+            pair = principal_eigenvalue(m, params, bc, make_discretization(2000, m))
+            assert pair.lam > 1.0 and calls["pencil_inertia"] <= 11 + math.log(pair.lam, 4)
+            assert calls["smallest_pencil_eigenvalue"] == 1
+            assert len(factored) == pair.probes
 
     @pytest.mark.parametrize(
         "n, bc",
@@ -656,11 +660,11 @@ class TestCertifiedRefinement:
     @pytest.mark.parametrize(
         "solve, bc, lam, probes",
         [
-            (principal_eigenvalue, Boundary.neumann(), 5.1227949047175745, 11),
-            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995697, 12),
+            (principal_eigenvalue, Boundary.neumann(), 5.122794904717575, 12),
+            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995696, 11),
             (principal_eigenvalue, Boundary.robin(10.0), 20.675249992344682, 13),
-            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 13),
-            (eigen_cov, Boundary.robin(1.0), 10.546261858421303, 12),
+            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 12),
+            (eigen_cov, Boundary.robin(1.0), 10.546261858421307, 11),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
@@ -688,12 +692,59 @@ class TestCertifiedRefinement:
         v = vec[:, 0] * (vec[:, 0] @ pair.phi) / (vec[:, 0] @ vec[:, 0])
         assert np.max(np.abs(v - pair.phi)) <= 1e-9 * np.max(np.abs(pair.phi))
 
+    @pytest.mark.parametrize("n", [800, 2000, 8000])
+    def test_eigenfunction_just_above_the_floor(self, n):
+        # seed 6 at alpha*(1 - 1e-10): the weighted mass int m e^{alpha m}
+        # phi^2 is of order lambda, a sum whose terms cancel; phi has unit
+        # weighted mass, phi'K phi = lambda, to the rounding of those sums.
+        # The exact root, 1.448877482576622e-08, is above LAMBDA_FLOOR, but
+        # one ulp of alpha moves it by 1.23e-6 relative, more than the P1
+        # error at n = 8000 (which reads e = -1.2e-7 against it).  The root
+        # of the coefficients e^{alpha v} and v e^{alpha v} rounded as
+        # assemble rounds them, 3.0e-7 lower, is the one the grid converges
+        # to, by the sweep of NEAR_ALPHA_STAR_EXACT
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(6))
+        p = ModelParams(alpha_star(m) * (1.0 - 1e-10), 1.0, 0.4)
+        disc = make_discretization(n, m)
+        pair = principal_eigenvalue(m, p, Boundary.neumann(), disc)
+        exact = 1.448877046158444e-08
+        assert 0.0 <= (pair.lam - exact) / exact <= 20.0 / n**2
+        assert np.min(pair.phi) > 0.0
+        kq, bq, _ = assemble(m, p, Boundary.neumann(), disc).quadratics(pair.phi)
+        assert bq == pytest.approx(1.0, rel=1e-5)
+        assert kq / pair.lam == pytest.approx(1.0, rel=1e-5)
+
+    def test_eigen_cov_dirichlet_edge_matches_dense(self):
+        # a thin piece of weight 5 e^15 in y: the eigenfunction of the
+        # y-forms is the dense eigenvector of mu = 0 to rounding
+        from drifteig.eigensolve import _assemble_on_nodes, _element_values, _merge_nodes
+        from drifteig.optimize import delta_star
+        from drifteig.rearrange import change_of_variable_forward
+
+        p = ModelParams(1.5, 5.0, 0.2)
+        m = BangBangInterval(0.0, delta_star(p), p).weight()
+        n = 500
+        pair = eigen_cov(m, p, Boundary.dirichlet(), make_discretization(n, m))
+        cov, mt = change_of_variable_forward(m, p.alpha)
+        ynodes = _merge_nodes(n, mt.breakpoints, cov.total)
+        h, v = _element_values(ynodes, mt.breakpoints, mt.values)
+        forms = _assemble_on_nodes(ynodes, h, np.ones_like(v), v * np.exp(2.0 * p.alpha * v), math.inf)
+        kd, ke, bd, be, md, me = forms.interior()
+        _, vec = scipy.linalg.eigh(
+            _dense(kd - pair.lam * bd, ke - pair.lam * be), _dense(md, me), subset_by_index=[0, 0]
+        )
+        phi = pair.phi[1:-1]
+        v = vec[:, 0] * (vec[:, 0] @ phi) / (vec[:, 0] @ vec[:, 0])
+        assert np.max(np.abs(v - phi)) <= 1e-9 * np.max(phi)
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 10.0])
-    def test_eigenfunction_falls_back_to_shoot(self, monkeypatch, beta):
-        # should ``vector`` fail at the eigenfunction's shift, the solver's one
-        # factorization here, the spring vector of K - below*B, within the
-        # certificate's width of lambda_1, is still that of mu = 0
-        from drifteig import kernels
+    def test_eigenfunction_is_the_certificates_solve(self, monkeypatch, beta):
+        # the eigenfunction is one dpttrs solve with the factors of the test
+        # that certified lambda: lambda < 1 tests the floor, so that is the
+        # spring test of K - lam (1 - CERT_REL) B, whose pivots are the
+        # factors; phi is the eigenvector of mu = 0 on a high-contrast weight
+        from drifteig import _kernels_py, kernels
+        from drifteig.eigensolve import CERT_REL
         from drifteig.optimize import delta_star
 
         p = ModelParams(1.5, 5.0, 0.2)
@@ -701,15 +752,16 @@ class TestCertifiedRefinement:
         m = BangBangInterval(0.5 * (1.0 - delta), delta, p).weight()
         bc = Boundary.robin(beta)
         disc = make_discretization(800, m)
-        shifts = []
-
-        def failing(*args):
-            shifts.append(args[-1])
-
-        monkeypatch.setattr(kernels, "ldlt", failing)
+        _kernels_py.lapack()
+        solved, dpttrs = [], _kernels_py.dpttrs
+        monkeypatch.setattr(_kernels_py, "dpttrs", lambda d, e, b: solved.append(d) or dpttrs(d, e, b))
+        calls = _count_calls(monkeypatch)
         pair = principal_eigenvalue(m, p, bc, disc)
-        assert len(shifts) == 1 and shifts[0] < 0.0
+        assert (calls["dpttrf"], calls["springs"]) == (0, 2)  # the floor's and the certificate's
         forms = assemble(m, p, bc, disc)
+        below = pair.lam - CERT_REL * pair.lam
+        pivots = kernels.springs(-forms.ke, below * forms.weight * forms.h, beta)[0]
+        assert solved[-1].tobytes() == pivots.tobytes()
         assert np.min(pair.phi) > 0.0
         assert forms.quadratics(pair.phi)[1] == pytest.approx(1.0, rel=1e-12)
         kd, ke, bd, be, md, me = forms.interior()
@@ -746,15 +798,14 @@ class TestCertifiedRefinement:
         "bc, lam, residual",
         [
             # the floor misfires here, which a lambda above 1 no longer tests
-            (Boundary.neumann(), 5.122792017486486, 1.279319893314052e-09),
-            (Boundary.dirichlet(), 26.60173305664583, 3.02206054857992e-10),
+            (Boundary.neumann(), 5.122792017486487, 1.4175522589954936e-09),
+            (Boundary.dirichlet(), 26.60173305664583, 2.715228208430418e-10),
         ],
         ids=str,
     )
     def test_eigenpair_bits_at_n_8000(self, params, bc, lam, residual):
-        # lambda and its eigenfunction's residual to the last bit, recorded
-        # from a solver that tested the floor first and factored each
-        # refinement's shift anew: reusing a probe's factors moves no bit
+        # lambda and its eigenfunction's residual to the last bit: a change
+        # to the bracket, the refinement or the eigenfunction's solve shows
         m = BangBangInterval(0.1, 0.3, params).weight()
         pair = principal_eigenvalue(m, params, bc, make_discretization(8000, m))
         assert (pair.lam, pair.residual) == (lam, residual)

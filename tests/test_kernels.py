@@ -170,6 +170,27 @@ def test_springs_agree_with_ldlt_away_from_eigenvalues(params, rng, bc):
 
 
 @pytest.mark.parametrize("bc", BOUNDARIES, ids=str)
+def test_springs_are_ldlt_factors(params, rng, bc):
+    # the pivots d and the subdiagonal -s/d over the unknowns are LDL^T
+    # factors of A - sigma*C: dpttrs solves with them as with dpttrf's
+    _, dpttrs = _kernels_py.lapack()
+    checked = 0
+    for forms, arrays, load in _spring_pencils(params, rng, bc):
+        for sigma in np.linspace(-40.0, 120.0, 33):
+            found = _kernels_py.springs(-forms.ke, load(sigma), forms.beta)
+            if found is None:
+                continue
+            checked += 1
+            d, s = found
+            s_mat = _dense(*arrays[:2]) - sigma * _dense(*arrays[2:])
+            b = np.linspace(1.0, 2.0, s_mat.shape[0])
+            y, info = dpttrs(*forms.reduced(d, -s / d[:-1]), b)
+            assert info == 0
+            assert np.allclose(y, np.linalg.solve(s_mat, b), rtol=1e-8, atol=0.0)
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("bc", BOUNDARIES, ids=str)
 def test_springs_vector_solves_every_row_but_the_last(params, rng, bc):
     # x_0 = 1 and x_{j+1} = x_j d_j / s_j over the unknowns (the Dirichlet
     # ends are none) solve (A - sigma*C) x = 0 to rounding, but for the
@@ -177,10 +198,11 @@ def test_springs_vector_solves_every_row_but_the_last(params, rng, bc):
     checked = 0
     for forms, arrays, load in _spring_pencils(params, rng, bc):
         for sigma in np.linspace(-40.0, 120.0, 33):
-            ratios = _kernels_py.springs(-forms.ke, load(sigma), forms.beta)
-            if ratios is None:
+            found = _kernels_py.springs(-forms.ke, load(sigma), forms.beta)
+            if found is None:
                 continue
             checked += 1
+            ratios = found[0][:-1] / found[1]
             if forms.dirichlet:
                 ratios = ratios[1:-1]
             x = np.cumprod(np.concatenate(([1.0], ratios)))
