@@ -22,9 +22,10 @@ pencil, as under Neumann conditions near alpha*, the rounding of the
 assembled diagonal is the size of its pivots.  Its pivots are those of a
 relatively robust representation (Dhillon & Parlett, Linear Algebra Appl.
 387, 2004), in which no two large terms cancel; with the springs they are
-LDL^T factors that ``dpttrs`` solves with as it does ``dpttrf``'s, and
-their ratios to the springs give the vector that solves every row but the
-last (Parlett & Dhillon, Linear Algebra Appl. 267, 1997).
+LDL^T factors that ``dpttrs`` solves with as it does ``dpttrf``'s, which is
+how the solver takes every vector from them.  Their ratios to the springs
+give the vector that solves every row but the last (Parlett & Dhillon,
+Linear Algebra Appl. 267, 1997); the solver does not use it.
 """
 
 from __future__ import annotations

@@ -25,14 +25,16 @@ definite"; only a lambda <= 1 tests the floor.  ``_Pencil`` holds either
 pencil with two sign tests: the LDL^T factorization (LAPACK ``dpttrf``),
 and the spring form of ``kernels.springs``, whose pivots keep their
 relative accuracy where ``dpttrf``'s are rounding noise, as near alpha*
-under Neumann conditions.  The kernel bisection on the first locates the
+under Neumann conditions.  Either test keeps the LDL^T factors of a
+definite shift, and every vector is a ``dpttrs`` solve with kept factors
+(``_Pencil.solve``).  The kernel bisection on the first test locates the
 root to 1/64 relative, inverse iteration at its lower end gives rho, and a
 probe CERT_REL below rho certifies it, made in spring form should
 ``dpttrf`` reject the shift or the floor have been tested.  Failing that,
-the spring test bisects the bracket again by ``kernels.halve``, the vector
-of its pivots gives rho, and the certificate takes SPRING_WIDTHS in turn.
-Either test keeps the LDL^T factors of the shift it certified, and the
-eigenfunction is one solve with them against B times rho's vector.
+the spring test bisects the bracket again by ``kernels.halve``, one solve
+with its pivots at the lower end against M0 times the ones vector gives
+rho, and the certificate takes SPRING_WIDTHS in turn.  The eigenfunction
+is one solve with the certificate's factors against B times rho's vector.
 ``_zero_regime`` validates the weight and detects the Neumann zero regime;
 ``eigen_cov`` runs the same core on the drift-free forms of the change of
 variable.
@@ -248,12 +250,18 @@ class EigenPair:
     The solver returns a lam, a Rayleigh quotient, only once a definiteness
     test has passed at lam - t, t one of SPRING_WIDTHS relative (CERT_REL
     when ``dpttrf`` passes), so the grid's eigenvalue lies in (lam - t, lam]
-    up to that test's rounding.  probes counts the tests (``pencil_inertia``
-    and ``springs`` calls) that located and certified lam, 0 for a pair built
-    outside the solver; a lam above 1 makes none at LAMBDA_FLOOR.  residual
-    is ||Kx - lam Bx|| / (||Kx|| + |lam| ||Bx||) on the assembled forms.  Its
-    rounding floor is about 1e-10 at n = 2000 (9.4e-11 on the CLI's default
-    ``eig``), so it cannot show an error in lam below that.
+    up to that test's rounding.  That holds for the forms as assembled: the
+    error against the exact root also carries the rounding of the
+    coefficients e^{alpha v} and v e^{alpha v}, which just above
+    LAMBDA_FLOOR outweighs the P1 error, so there lam can lie below the
+    exact root (by 7.4e-8 relative for one random weight at
+    alpha*(1 - 1e-10), n = 8000).  probes counts the tests
+    (``pencil_inertia`` and ``springs`` calls) that located and certified
+    lam, 0 for a pair built outside the solver; a lam above 1 makes none at
+    LAMBDA_FLOOR.  residual is ||Kx - lam Bx|| / (||Kx|| + |lam| ||Bx||) on
+    the assembled forms.  Its rounding floor is about 1e-10 at n = 2000
+    (9.4e-11 on the CLI's default ``eig``), so it cannot show an error in
+    lam below that.
     """
 
     lam: float
@@ -290,8 +298,8 @@ def _zero_regime(m: PiecewiseWeight, params: ModelParams, bc: Boundary) -> bool:
 
 class _Pencil:
     """The pencil (K, B), or (K - lam*B, M0) for a given lam, over the
-    unknowns of ``forms``: its sign tests, bisection, inverse iteration and
-    Rayleigh refinement.
+    unknowns of ``forms``: its sign tests, bisection, solve, inverse
+    iteration and Rayleigh refinement.
 
     arrays is (A diagonal, A superdiagonal, C diagonal, C superdiagonal) of
     the pencil (A, C); quotient maps the elementwise quadratics (v'Kv, v'Bv,
@@ -301,9 +309,10 @@ class _Pencil:
     i.e. sigma is at or above its smallest eigenvalue; ``spring`` is the
     same test in spring form.  calls counts the tests, one ``pencil_inertia``
     or ``springs`` call each.  kept is (shift, LDL^T factors or None) of the
-    last shift a test of either form proved definite or ``vector`` factored:
-    ``vector`` uses them rather than factor it again, and after ``refine``
-    they are those of the test that certified its answer.
+    last shift a test of either form proved definite or ``vector`` factored,
+    and ``solve`` solves with them: ``vector`` uses them rather than factor
+    its shift again, and after ``refine`` they are those of the test that
+    certified its answer.
     """
 
     def __init__(self, forms: Forms, lam: float | None = None):
@@ -317,6 +326,7 @@ class _Pencil:
             self.quotient = lambda kq, bq, mq: (kq - lam * bq) / mq
             self.load = lambda sigma: (lam * forms.weight + sigma) * forms.h
         self.forms = forms
+        self.m0_ones = _tri_mv(md, me, np.ones(md.size))  # M0 times the ones vector
         self.calls = 0
         self.kept = (math.nan, None)
 
@@ -327,15 +337,11 @@ class _Pencil:
             self.kept = (sigma, factors)
         return flag >= 1
 
-    def _ratios(self, sigma: float):
-        """``kernels.springs``' (pivots, springs) of A - sigma*C, or None."""
-        return kernels.springs(-self.forms.ke, self.load(sigma), self.forms.beta)
-
     def spring(self, sigma: float) -> bool:
         """The sign test in spring form; a definite shift's pivots are kept
         as ``dpttrf``'s (d, e) over the unknowns."""
         self.calls += 1
-        found = self._ratios(sigma)
+        found = kernels.springs(-self.forms.ke, self.load(sigma), self.forms.beta)
         if found is not None:
             d, s = found
             self.kept = (sigma, self.forms.reduced(d, -s / d[:-1]))
@@ -356,27 +362,22 @@ class _Pencil:
         forms = self.forms
         return math.nan if x is None else float(self.quotient(*forms.quadratics(forms.embed(x))))
 
-    def shoot(self, sigma: float):
-        """x, unit max norm: the vector of the spring pivots at a definite
-        shift, which solves every row of (A - sigma*C) x = 0 but the last;
-        None if sigma is not definite.  Not a test.  x is built from the
-        ratios' logarithms and signs, so no product of them overflows."""
-        found = self._ratios(sigma)
-        if found is None:
-            return None
-        ratios = found[0][:-1] / found[1]
-        if self.forms.dirichlet:  # the end nodes are not unknowns
-            ratios = ratios[1:-1]
-        logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratios)))))
-        signs = np.concatenate(([1.0], np.cumprod(np.sign(ratios))))
-        return signs * np.exp(logs - np.max(logs))
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """y solving S y = rhs, S the kept shift's matrix, by ``dpttrs`` with
+        its LDL^T factors; all NaN if the solve fails.  The one ``dpttrs``
+        call of the solver; for one unknown it is a division."""
+        d, e = self.kept[1]
+        if d.size == 1:  # dpttrs rejects the empty off-diagonal of a 1x1 pencil
+            return rhs / d
+        y, info = lapack()[1](d, e, rhs)
+        return y if info == 0 else np.full_like(rhs, math.nan)
 
     def vector(self, shift: float):
         """x: inverse iteration at a definite shift, or None.
 
         The LDL^T factorization of S = A - shift*C (LAPACK ``dpttrf``, or
         the kept factors of a test at that shift) is itself the definiteness
-        test; each step solves S y = C x with it (``dpttrs``).
+        test; each step solves S y = C x with it (``solve``).
         The first right-hand side is M0 times the ones vector, which is positive,
         so its component along the positive eigenvector is positive (the ones
         vector itself is the lambda = 0 eigenvector under Neumann conditions).
@@ -384,35 +385,28 @@ class _Pencil:
         S^-1 (y'Cx > 0 as S is positive definite); once two in a row agree to
         REFINE_TOL times their distance to the shift, the last iterate x, scaled
         to unit max norm over the unknowns, is returned; ``rayleigh`` gives
-        its elementwise quotient.  For one unknown the ones vector is exact.
-        A failed factorization or solve, or no agreement within REFINE_STEPS
-        solves, gives None.
+        its elementwise quotient.  A failed factorization or solve, or no
+        agreement within REFINE_STEPS solves, gives None.
         """
+        if self.kept[0] != shift:
+            self.kept = (shift, kernels.ldlt(*self.arrays, shift))
+        if self.kept[1] is None:
+            return None
         _, _, cd, ce = self.arrays
         x = np.ones(cd.size)
-        if cd.size > 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
-            if self.kept[0] != shift:
-                self.kept = (shift, kernels.ldlt(*self.arrays, shift))
-            if self.kept[1] is None:
+        rhs = self.m0_ones
+        last = math.nan
+        for step in range(REFINE_STEPS):
+            y = self.solve(rhs)
+            nrm, den = max(float(y.max()), -float(y.min())), float(y @ rhs)
+            if not math.isfinite(nrm) or nrm == 0.0 or den <= 0.0:
                 return None
-            d, e = self.kept[1]
-            dpttrs = lapack()[1]
-            _, _, _, _, md, me = self.forms.interior()
-            rhs = _tri_mv(md, me, x)
-            last = math.nan
-            for step in range(REFINE_STEPS):
-                y, info = dpttrs(d, e, rhs)
-                nrm, den = max(float(y.max()), -float(y.min())), float(y @ rhs)
-                if info != 0 or not math.isfinite(nrm) or nrm == 0.0 or den <= 0.0:
-                    return None
-                gap, x = float(x @ rhs) / den, y / nrm
-                if abs(shift + gap - last) <= REFINE_TOL * abs(gap):
-                    break
-                last = shift + gap if step else math.nan  # the first rhs is M0 x, not C x
-                rhs = _tri_mv(cd, ce, x)
-            else:
-                return None
-        return x
+            gap, x = float(x @ rhs) / den, y / nrm
+            if abs(shift + gap - last) <= REFINE_TOL * abs(gap):
+                return x
+            last = shift + gap if step else math.nan  # the first rhs is M0 x, not C x
+            rhs = _tri_mv(cd, ce, x)
+        return None
 
     def refine(
         self, lo: float, hi: float, coarse: float, atol: float, rtol: float, spring_only: bool = False
@@ -427,10 +421,14 @@ class _Pencil:
         it, reads "definite" at below = rho - (CERT_REL*|rho| + atol);
         spring_only, for a pencil within ``dpttrf``'s pivot noise of
         singular, leaves that reading to the spring test alone.  Else the
-        spring test ``halve``s [lo, hi] to atol + rtol*|hi|, rho is that of
-        ``shoot`` at its lower end, and below takes the relative widths
+        spring test ``halve``s [lo, hi] to atol + rtol*|hi|, x is one
+        ``solve`` against M0 times the ones vector with the spring pivots at
+        its lower end (from one more spring test should none have moved
+        lo), scaled to unit max norm, and below takes the relative widths
         SPRING_WIDTHS in turn until a spring test certifies rho; past the
-        last, SolverError.
+        last, or for no definite lo, SolverError.  ``vector`` does not serve
+        there: its agreement test, relative to the shift's gap, passes only
+        on equality that close to the eigenvalue.
         """
         start = lo, hi
         lo, hi = self.bisect(lo, hi, coarse, COARSE_REL)
@@ -440,7 +438,10 @@ class _Pencil:
         if lo <= rho <= hi and not ((spring_only or self(below)) and self.spring(below)):
             return rho, x
         lo, _ = kernels.halve(self.spring, *start, atol, rtol)
-        x = self.shoot(lo)
+        x = None
+        if lo != start[0] or not self.spring(lo):  # kept holds the spring pivots at lo
+            x = self.solve(self.m0_ones)
+            x /= max(float(x.max()), -float(x.min()))
         rho = self.rayleigh(x)
         for rel in SPRING_WIDTHS:
             below = rho - (rel * abs(rho) + atol)
@@ -513,24 +514,22 @@ def _eigenpair(lam: float, x: np.ndarray, found: _Pencil, nodes: np.ndarray) -> 
     """Positive eigenfunction of the eigenvalue lam, the Rayleigh quotient
     of x, that the (K, B) pencil ``found`` certified on its forms.
 
-    It is one step of inverse iteration from x: the solve of S y = B x with
-    ``found.kept``, the LDL^T factors of the test, ``dpttrf``'s or the
+    It is one step of inverse iteration from x: ``found.solve`` of
+    S y = B x, with the LDL^T factors of the test, ``dpttrf``'s or the
     spring pivots, that proved S = K - below*B definite, below within the
     certificate's width of lambda_1, so y's other components shrink by
-    (lambda_1 - below) / (lambda_k - below).  For one unknown x is the
-    ones vector, exact.  The vector is scaled to unit weighted mass under
-    those forms, which is int m e^{alpha m} phi^2 = 1 in either variable,
-    taken as its elementwise energy over lam, and returned on ``nodes``
-    (the x-variable nodes: those of the forms unless the solve ran in
-    another variable) with the relative residual of the pencil and the
-    sign tests that found lam.
+    (lambda_1 - below) / (lambda_k - below).  The vector is scaled to unit
+    weighted mass under those forms, which is int m e^{alpha m} phi^2 = 1
+    in either variable, taken as its elementwise energy over lam, and
+    returned on ``nodes`` (the x-variable nodes: those of the forms unless
+    the solve ran in another variable) with the relative residual of the
+    pencil and the sign tests that found lam.
     """
     forms = found.forms
     kd, ke, bd, be, _, _ = forms.interior()
-    if x.size > 1:  # dpttrs rejects the empty off-diagonal of a 1x1 pencil
-        x, info = lapack()[1](*found.kept[1], _tri_mv(bd, be, x))
-        if info != 0 or not np.all(np.isfinite(x)):
-            raise SolverError("the eigenfunction's solve broke down")
+    x = found.solve(_tri_mv(bd, be, x))
+    if not np.all(np.isfinite(x)):
+        raise SolverError("the eigenfunction's solve broke down")
     if x.sum() < 0.0:
         x = -x
     phi = forms.embed(x)

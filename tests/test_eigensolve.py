@@ -283,9 +283,10 @@ class TestMuCurve:
         [
             (Boundary.robin(1.0), 2000, 5.0, 1.6713389826916316, 1),
             (Boundary.robin(1.0), 2000, 20.0, -4.834241374139949, 1),
-            # dpttrf rejects the certificate's shift, and the spring test
-            # certifies the same Rayleigh quotient
-            (Boundary.neumann(), 8000, 1e-8, 2.0669070131322794e-09, 1),
+            # dpttrf rejects the certificate's shift and so does the spring
+            # test, which then bisects the bracket again: mu is the quotient
+            # of the solve with its pivots at the lower end
+            (Boundary.neumann(), 8000, 1e-8, 2.066906992805163e-09, 1),
         ],
         ids=str,
     )
@@ -308,13 +309,17 @@ class TestPrincipalEigenvalue:
             assert pair.lam == pytest.approx(PI2, rel=1e-3)
 
     def test_one_unknown_dirichlet(self):
-        # n = 2 leaves one interior node: K = 4 e^{0.1}, B = e^{0.1} / 6
+        # n = 2 leaves one interior node: K = 4 e^{0.1}, B = e^{0.1} / 6 and
+        # M0 = 1 / 3, so every pencil is 1x1 and its solve a division
         m = PiecewiseWeight((0.0, 1.0), (0.5,))
         p = ModelParams(0.2, 1.0, 0.4)
         disc = make_discretization(2, m)
         bc = Boundary.dirichlet()
         assert principal_eigenvalue(m, p, bc, disc).lam == pytest.approx(24.0, rel=1e-9)
         assert principal_lambda(m, p, bc, disc) == pytest.approx(24.0, rel=1e-9)
+        assert eigen_cov(m, p, bc, disc).lam == pytest.approx(24.0, rel=1e-9)
+        # mu(10) = (4 - 10 / 6) e^{0.1} / (1 / 3)
+        assert mu_of_lambda(m, p, bc, disc, 10.0) == pytest.approx(7.0 * math.exp(0.1), rel=1e-12)
 
     def test_neumann_constant_kappa_zero_regime(self, params):
         disc = make_discretization(100, ONE)
@@ -332,18 +337,18 @@ class TestPrincipalEigenvalue:
 
     def test_eigenfunction_breakdown_raises(self, params, monkeypatch):
         # with every dpttrs solve failing, the refinement's inverse iteration
-        # fails too and the spring test alone finds and certifies lambda; the
-        # eigenfunction's one solve then fails, and the solve raises
+        # fails, and so does the spring path's one solve: no vector gives a
+        # quotient, and both solves raise rather than return
         from drifteig import _kernels_py
         from drifteig.eigensolve import SolverError
 
         m = BangBangInterval(0.1, 0.3, params).weight()
         disc = make_discretization(200, m)
-        lam = principal_lambda(m, params, Boundary.robin(1.0), disc)
         _kernels_py.lapack()  # bind LAPACK's before replacing dpttrs
         monkeypatch.setattr(_kernels_py, "dpttrs", lambda d, e, b: (b, 1))
-        assert principal_lambda(m, params, Boundary.robin(1.0), disc) == pytest.approx(lam, rel=1e-9)
-        with pytest.raises(SolverError, match="broke down"):
+        with pytest.raises(SolverError, match="no certificate"):
+            principal_lambda(m, params, Boundary.robin(1.0), disc)
+        with pytest.raises(SolverError, match="no certificate"):
             principal_eigenvalue(m, params, Boundary.robin(1.0), disc)
 
     def test_matches_transcendental_root(self, params):
@@ -630,12 +635,13 @@ class TestCertifiedRefinement:
     def test_near_alpha_star_lambda_bits(self, monkeypatch):
         # within pivot noise of singular dpttrf's test is not monotone and
         # certifies no Rayleigh quotient; the spring test bisects the bracket
-        # again and certifies the quotient of its vector, to the last bit
+        # again and certifies the quotient of the solve with its pivots at
+        # the lower end, to the last bit
         m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
         a_star = alpha_star(m)
         disc = make_discretization(2000, m)
-        expected = {1e-4: 0.0012898934048398182, 1e-6: 1.289791242672466e-05,
-                    1e-8: 1.289790238567486e-07}
+        expected = {1e-4: 0.0012898934048412882, 1e-6: 1.2897912425503611e-05,
+                    1e-8: 1.2897902278477492e-07}
         calls = _count_calls(monkeypatch)
         for eps, lam in expected.items():
             p = ModelParams(a_star * (1.0 - eps), 1.0, 0.4)
@@ -643,14 +649,47 @@ class TestCertifiedRefinement:
             assert principal_lambda(m, p, Boundary.neumann(), disc) == lam
             assert calls["springs"] > 40
 
+    def test_spring_quotient_is_one_solve_with_the_spring_pivots(self, monkeypatch):
+        # near alpha* the spring path gives lambda: its vector is one dpttrs
+        # solve of M0 times the ones vector with the spring pivots at the
+        # spring bisection's lower end, and the solver factors nothing itself
+        from drifteig import _kernels_py, kernels
+        from drifteig.eigensolve import _tri_mv
+
+        m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
+        p = ModelParams(alpha_star(m) * (1.0 - 1e-6), 1.0, 0.4)
+        disc = make_discretization(2000, m)
+        _kernels_py.lapack()
+        solved, dpttrs = [], _kernels_py.dpttrs
+
+        def recorded(d, e, b):
+            y, info = dpttrs(d, e, b)
+            solved.append((d.copy(), e.copy(), b.copy(), y))
+            return y, info
+
+        monkeypatch.setattr(_kernels_py, "dpttrs", recorded)
+        calls = _count_calls(monkeypatch)
+        ends, halve = [], kernels.halve  # the kernel bisection halves through _kernels_py's own
+        monkeypatch.setattr(kernels, "halve", lambda *args: ends.append(halve(*args)) or ends[-1])
+        lam = principal_lambda(m, p, Boundary.neumann(), disc)
+        assert calls["dpttrf"] == 0 and len(ends) == 1
+        forms = assemble(m, p, Boundary.neumann(), disc)
+        d, s = kernels.springs(-forms.ke, ends[0][0] * forms.weight * forms.h, 0.0)
+        pd, pe, rhs, y = solved[-1]
+        assert pd.tobytes() == d.tobytes() and pe.tobytes() == (-s / d[:-1]).tobytes()
+        _, _, _, _, md, me = forms.interior()
+        assert rhs.tobytes() == _tri_mv(md, me, np.ones(md.size)).tobytes()
+        kq, bq, _ = forms.quadratics(y / max(y.max(), -y.min()))
+        assert kq / bq == lam
+
     def test_spring_lambda_gives_the_eigenfunction(self):
-        # the eigenfunction's shift lies (lambda - below) max(weight) + MU_ATOL
-        # below mu = 0, with lambda - below the spring certificate's width
+        # the eigenfunction is one more solve with the spring pivots that
+        # certified lambda, the certificate's width below it
         m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
         p = ModelParams(alpha_star(m) * (1.0 - 1e-4), 1.0, 0.4)
         disc = make_discretization(2000, m)
         pair = principal_eigenvalue(m, p, Boundary.neumann(), disc)
-        assert pair.lam == 0.0012898934048398182
+        assert pair.lam == 0.0012898934048412882
         assert np.min(pair.phi) > 0.0
         kq, bq, _ = assemble(m, p, Boundary.neumann(), disc).quadratics(pair.phi)
         # unit weighted mass, a sum whose terms cancel near alpha*
@@ -699,7 +738,7 @@ class TestCertifiedRefinement:
         # weighted mass, phi'K phi = lambda, to the rounding of those sums.
         # The exact root, 1.448877482576622e-08, is above LAMBDA_FLOOR, but
         # one ulp of alpha moves it by 1.23e-6 relative, more than the P1
-        # error at n = 8000 (which reads e = -1.2e-7 against it).  The root
+        # error at n = 8000 (which reads e = -7.4e-8 against it).  The root
         # of the coefficients e^{alpha v} and v e^{alpha v} rounded as
         # assemble rounds them, 3.0e-7 lower, is the one the grid converges
         # to, by the sweep of NEAR_ALPHA_STAR_EXACT
@@ -927,14 +966,17 @@ class TestCertifiedRefinement:
         m = random_admissible(ModelParams(0.2, 1.0, 0.4), np.random.default_rng(5))
         p = ModelParams(alpha_star(m) * (1.0 - 1e-6), 1.0, 0.4)
         disc = make_discretization(2000, m)
-        lam = 1.289791242672466e-05  # the unmodified solve's, from test_near_alpha_star_lambda_bits
-        shifts, ratios = [], eigensolve._Pencil._ratios
+        lam = 1.2897912425503611e-05  # the unmodified solve's, from test_near_alpha_star_lambda_bits
+        forms = assemble(m, p, Boundary.neumann(), disc)
+        wh = forms.weight * forms.h  # the lambda pencil's load is sigma * wh
+        shifts, springs = [], eigensolve.kernels.springs
 
-        def cut_off(pencil, sigma):
+        def cut_off(ph, load, beta):
+            sigma = float(load @ wh) / float(wh @ wh)
             shifts.append(sigma)
-            return None if sigma >= lam * (1.0 - cut) else ratios(pencil, sigma)
+            return None if sigma >= lam * (1.0 - cut) else springs(ph, load, beta)
 
-        monkeypatch.setattr(eigensolve._Pencil, "_ratios", cut_off)
+        monkeypatch.setattr(eigensolve.kernels, "springs", cut_off)
         assert eigensolve.SPRING_WIDTHS == (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
         if raises:
             with pytest.raises(eigensolve.SolverError, match="no certificate within 0.0001") as exc:
