@@ -9,7 +9,8 @@ solver's coarse bisection, for lambda and mu alike, halves a bracket on the
 test and returns it with the factors at its lower end, so the inverse
 iteration that follows does not factor that shift again; its name stays
 because the benchmark's tracer wraps it.  Its halving rule is ``halve``,
-which the solver's spring-form bisection calls too.  The solver reaches
+which the solver's spring-form bisection and its sweep of the exact
+problem (``riccati``) call too.  The solver reaches
 the kernels through ``kernels``.  The cost per workload of the test and the
 bisection is in the benchmark's ``kernels.*`` metrics (``perfbench/run.py
 --trace 1``).  ``lapack`` imports ``scipy.linalg`` on the first
@@ -48,19 +49,22 @@ def lapack():
 def ldlt(ad, ae, bd, be, sigma):
     """(d, e): ``dpttrf``'s factors of A - sigma*B, None if not positive definite.
 
-    For one unknown d is the 1x1 pencil itself and e is empty.
+    For one unknown d is the 1x1 pencil itself and e is empty.  ``dpttrf``
+    stops at a pivot <= 0 but passes a NaN one, which every later pivot
+    inherits, so a NaN last pivot, from a NaN shift or entry, also reads
+    not definite.
     """
     # ad + (-sigma)*bd is ad - sigma*bd bit for bit, built in one buffer
     d = np.multiply(bd, -sigma)
     d += ad
     if d.size == 1:  # dpttrf rejects the empty off-diagonal of a 1x1 pencil
-        return None if d[0] <= 0.0 else (d, ae)
+        return (d, ae) if d[0] > 0.0 else None
     e = np.multiply(be, -sigma)
     e += ae
     if dpttrf is None:
         lapack()
     d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-    return None if info != 0 else (d, e)
+    return (d, e) if info == 0 and d[-1] > 0.0 else None
 
 
 def pencil_inertia(ad, ae, bd, be, sigma):

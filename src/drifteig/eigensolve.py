@@ -19,22 +19,30 @@ SPRING_WIDTHS relative, and otherwise the solve raises a typed error.
 mu(lambda), the smallest eigenvalue of (K - lambda*B, M0), is concave,
 vanishes at principal eigenvalues and has the sign of that test; it takes
 the same rule on its own pencil, from the bracket [-max(lambda*weight),
-Rayleigh quotient of the ones vector].  The lambda bracket starts at
-[LAMBDA_FLOOR, 1] and quadruples its upper end until the test reads "not
-definite"; only a lambda <= 1 tests the floor.  ``_Pencil`` holds either
-pencil with two sign tests: the LDL^T factorization (LAPACK ``dpttrf``),
-and the spring form of ``kernels.springs``, whose pivots keep their
-relative accuracy where ``dpttrf``'s are rounding noise, as near alpha*
-under Neumann conditions.  Either test keeps the LDL^T factors of a
-definite shift, and every vector is a ``dpttrs`` solve with kept factors
-(``_Pencil.solve``).  The kernel bisection on the first test locates the
-root to 1/64 relative, inverse iteration at its lower end gives rho, and a
-probe CERT_REL below rho certifies it, made in spring form should
-``dpttrf`` reject the shift or the floor have been tested.  Failing that,
-the spring test bisects the bracket again by ``kernels.halve``, one solve
-with its pivots at the lower end against M0 times the ones vector gives
-rho, and the certificate takes SPRING_WIDTHS in turn.  The eigenfunction
-is one solve with the certificate's factors against B times rho's vector.
+Rayleigh quotient of the ones vector].  Both brackets come from the exact
+problem the forms discretize: ``Forms.pieces`` gives its pieces, the runs
+of equal element data, and ``riccati.definite`` its sign test, a sweep of
+O(1) per piece, which ``kernels.halve`` turns into a bracket that the
+grid's test confirms.  The exact eigenvalue lies at or below the grid's.
+When the sweep reads lambda above 1 it quadruples [1, 4] and halves to
+COARSE_REL / 2; otherwise the bracket is [LAMBDA_FLOOR, 1], and only then
+is the floor tested.  Either way the grid's test quadruples the upper end
+until it reads "not definite".  mu's sweep halves its bracket to half the
+coarse width.  ``_Pencil`` holds either pencil with two sign tests: the
+LDL^T factorization (LAPACK ``dpttrf``), and the spring form of
+``kernels.springs``, whose pivots keep their relative accuracy where
+``dpttrf``'s are rounding noise, as near alpha* under Neumann conditions.
+Either test keeps the LDL^T factors of a definite shift, and every vector
+is a ``dpttrs`` solve with kept factors (``_Pencil.solve``).  The kernel
+bisection on the first test locates the root to 1/64 relative, with nothing
+to halve in a confirmed sweep bracket, inverse iteration at its lower end
+gives rho, and a probe CERT_REL below rho certifies it, made in spring form
+should ``dpttrf`` reject the shift or the floor have been tested.  Failing
+that, the spring test bisects the bracket again by ``kernels.halve``, one
+solve with its pivots at the lower end against M0 times the ones vector
+gives rho, and the certificate takes SPRING_WIDTHS in turn; for mu it
+bisects the bracket as it was before the sweep.  The eigenfunction is one
+solve with the certificate's factors against B times rho's vector.
 ``_zero_regime`` validates the weight and detects the Neumann zero regime;
 ``eigen_cov`` runs the same core on the drift-free forms of the change of
 variable.
@@ -44,11 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, riccati
 from ._kernels_py import lapack
 from .weights import Boundary, DriftEigError, ModelParams, PiecewiseWeight, exp_mass
 
@@ -175,6 +184,17 @@ class Forms:
             v_full[:-1] ** 2 + v_full[:-1] * v_full[1:] + v_full[1:] ** 2
         )
         return self.energy(v_full), float(np.sum(self.weight * cell)), float(np.sum(cell))
+
+    @cached_property
+    def pieces(self) -> tuple:
+        """(length, diffusion, weight) of each run of equal element data:
+        the pieces of the exact problem these forms discretize, as
+        ``riccati.definite`` takes them."""
+        p, w = self.diffusion, self.weight
+        ends = np.flatnonzero((p[1:] != p[:-1]) | (w[1:] != w[:-1])) + 1
+        ends = np.concatenate(([0], ends, [p.size]))
+        lengths = np.diff(self.nodes[ends]).tolist()
+        return tuple(zip(lengths, p[ends[:-1]].tolist(), w[ends[:-1]].tolist()))
 
 
 def _element_values(nodes: np.ndarray, breakpoints, values) -> tuple:
@@ -409,7 +429,14 @@ class _Pencil:
         return None
 
     def refine(
-        self, lo: float, hi: float, coarse: float, atol: float, rtol: float, spring_only: bool = False
+        self,
+        lo: float,
+        hi: float,
+        coarse: float,
+        atol: float,
+        rtol: float,
+        spring_only: bool = False,
+        start: tuple | None = None,
     ) -> tuple:
         """(rho, x): the smallest eigenvalue in [lo, hi] as the Rayleigh
         quotient rho of x, never below it, with kept the factors of a shift
@@ -421,16 +448,18 @@ class _Pencil:
         it, reads "definite" at below = rho - (CERT_REL*|rho| + atol);
         spring_only, for a pencil within ``dpttrf``'s pivot noise of
         singular, leaves that reading to the spring test alone.  Else the
-        spring test ``halve``s [lo, hi] to atol + rtol*|hi|, x is one
-        ``solve`` against M0 times the ones vector with the spring pivots at
-        its lower end (from one more spring test should none have moved
-        lo), scaled to unit max norm, and below takes the relative widths
-        SPRING_WIDTHS in turn until a spring test certifies rho; past the
-        last, or for no definite lo, SolverError.  ``vector`` does not serve
-        there: its agreement test, relative to the shift's gap, passes only
-        on equality that close to the eigenvalue.
+        spring test ``halve``s start ([lo, hi] unless given) to
+        atol + rtol*|hi|, x is one ``solve`` against M0 times the ones
+        vector with the spring pivots at its lower end (from one more
+        spring test should none have moved lo), scaled to unit max norm,
+        and below takes the relative widths SPRING_WIDTHS in turn until a
+        spring test certifies rho; past the last, or for no definite lo,
+        SolverError.  ``vector`` does not serve there: its agreement test,
+        relative to the shift's gap, passes only on equality that close to
+        the eigenvalue.  mu's start is its bracket before the sweep halved
+        it, so the spring path takes no end that only ``dpttrf`` confirmed.
         """
-        start = lo, hi
+        start = start or (lo, hi)
         lo, hi = self.bisect(lo, hi, coarse, COARSE_REL)
         x = self.vector(lo)
         rho = self.rayleigh(x)
@@ -450,11 +479,29 @@ class _Pencil:
         raise SolverError(f"no certificate within {SPRING_WIDTHS[-1]:g} of the quotient {rho!r}")
 
 
+def _sweep(forms: Forms, lam: float | None = None):
+    """The exact problem's sign test on the forms' pieces, in the form
+    ``kernels.halve`` takes: true when the pencil (K, B), or
+    (K - lam*B, M0) for a given lam, is not definite at the shift."""
+    pieces, beta = forms.pieces, forms.beta
+    if lam is None:
+        return lambda sigma: not riccati.definite(pieces, beta, sigma)
+    return lambda sigma: not riccati.definite(pieces, beta, lam, sigma)
+
+
 def _mu_from_forms(forms: Forms, lam: float) -> float:
-    """mu(lam); ValueError for a non-finite bracket."""
+    """mu(lam); ValueError for a non-finite bracket.
+
+    The sweep halves the bracket [-max(lam*weight), Rayleigh quotient of the
+    ones vector], widened by a slack, to half the coarse width; the grid's
+    test confirms its ends, lower first, and an end it rejects gives way to
+    the bracket's own.  ``refine`` takes the result with the same coarse
+    width, so a confirmed bracket needs no grid bisection.
+    """
     # K is positive semidefinite and B sums the element weights times M0's
     # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
-    # any vector, here the ones vector, bounds mu from above
+    # any vector, here the ones vector, bounds mu from above.  Both bounds
+    # hold for the exact problem too, whose mu is at or below the grid's
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         pencil = _Pencil(forms, lam)
         lo = -float(np.max(lam * forms.weight))
@@ -463,7 +510,16 @@ def _mu_from_forms(forms: Forms, lam: float) -> float:
         lo, hi = lo - slack, hi + slack
     if not (math.isfinite(lam) and math.isfinite(hi - lo)):
         raise ValueError(f"mu at lambda = {lam}: bracket [{lo}, {hi}] is not finite")
-    return pencil.refine(lo, hi, (hi - lo) * MU_COARSE_SHARE, MU_ATOL, MU_RTOL)[0]
+    coarse = (hi - lo) * MU_COARSE_SHARE
+    start = lo, hi
+    inner = kernels.halve(_sweep(forms, lam), lo, hi, 0.5 * coarse, 0.5 * COARSE_REL)
+    if pencil(inner[0]):
+        hi = inner[0]
+    elif pencil(inner[1]):
+        lo, hi = inner
+    else:
+        lo = inner[1]
+    return pencil.refine(lo, hi, coarse, MU_ATOL, MU_RTOL, start=start)[0]
 
 
 def mu_of_lambda(
@@ -488,16 +544,42 @@ def mu_curve(
     return [MuCurvePoint(float(l), _mu_from_forms(forms, float(l))) for l in lams]
 
 
-def _bracket_and_bisect(forms: Forms) -> tuple:
-    """(lambda, x) of the (K, B) pencil's ``refine``, and the pencil, whose
-    calls count the definiteness tests made."""
-    pencil = _Pencil(forms)
-    lo, hi = LAMBDA_FLOOR, 1.0
-    while not pencil(hi):
-        lo = hi
-        hi *= 4.0
+def _quadruple(above, lo: float, hi: float) -> tuple:
+    """[lo, hi] with hi quadrupled, and lo the last end passed, until
+    above(hi); BracketError past BRACKET_LIMIT."""
+    while not above(hi):
+        lo, hi = hi, 4.0 * hi
         if hi > BRACKET_LIMIT:
             raise BracketError(f"no sign change below {BRACKET_LIMIT}")
+    return lo, hi
+
+
+def _lambda_bracket(forms: Forms) -> tuple:
+    """[LAMBDA_FLOOR, 1], unless the sweep reads the exact lambda above 1:
+    then the sweep's bracket, quadrupled from [1, 4] and halved by
+    ``kernels.halve`` to COARSE_REL / 2."""
+    sweep = _sweep(forms)
+    if sweep(1.0):
+        return LAMBDA_FLOOR, 1.0
+    return kernels.halve(sweep, *_quadruple(sweep, 1.0, 4.0), 0.0, 0.5 * COARSE_REL)
+
+
+def _bracket_and_bisect(forms: Forms) -> tuple:
+    """(lambda, x) of the (K, B) pencil's ``refine``, and the pencil, whose
+    calls count the grid's definiteness tests.
+
+    The grid's test confirms ``_lambda_bracket``: a lower end above the
+    floor is quartered while the test reads "not definite" there, and the
+    upper end quadrupled until it does.  A confirmed sweep bracket so takes
+    three grid tests in all, the certificate's included, as ``refine``'s
+    bisection has nothing to halve; [LAMBDA_FLOOR, 1] takes the grid's
+    quadrupling and bisection as before the sweep.
+    """
+    pencil = _Pencil(forms)
+    lo, hi = _lambda_bracket(forms)
+    while lo > LAMBDA_FLOOR and pencil(lo):  # the grid's lambda lies below the exact one
+        lo = max(0.25 * lo, LAMBDA_FLOOR)
+    lo, hi = _quadruple(pencil, lo, hi)
     # the floor bounds the bracket only for lambda <= 1, so only then is it tested, in
     # spring form: near lambda = 0 the Neumann pencil is within dpttrf's pivot noise of
     # singular, so there the spring test alone also decides the certificate
@@ -602,10 +684,21 @@ def eigen_cov(
     and mapping back must reproduce principal_eigenvalue up to
     discretization error.
     """
-    from .rearrange import change_of_variable_forward
-
     if _zero_regime(m, params, bc):
         return ZeroRegime()
+    forms, xnodes = _cov_forms(m, params, bc, disc)
+    # c is affine on each element (the y-nodes hold m~'s breakpoints) and
+    # m~ e^{2 alpha m~} dy = m e^{alpha m} dx, so these forms give the x norm
+    return _eigenpair(*_bracket_and_bisect(forms), xnodes)
+
+
+def _cov_forms(
+    m: PiecewiseWeight, params: ModelParams, bc: Boundary, disc: Discretization
+) -> tuple:
+    """(forms, x-nodes): the drift-free forms of the change of variable on
+    y-nodes, and those nodes mapped back to x."""
+    from .rearrange import change_of_variable_forward
+
     cov, mt = change_of_variable_forward(m, params.alpha)
     lost = np.flatnonzero(np.diff(mt.breakpoints) == 0.0)
     if lost.size:  # e^{-alpha v} dx under half an ulp of y: the piece's weight is lost
@@ -613,7 +706,4 @@ def eigen_cov(
     ynodes = _merge_nodes(disc.n, mt.breakpoints, cov.total)
     h, v = _element_values(ynodes, mt.breakpoints, mt.values)
     weight = v * np.exp(2.0 * params.alpha * v)
-    forms = _assemble_on_nodes(ynodes, h, np.ones_like(v), weight, bc.beta)
-    # c is affine on each element (the y-nodes hold m~'s breakpoints) and
-    # m~ e^{2 alpha m~} dy = m e^{alpha m} dx, so these forms give the x norm
-    return _eigenpair(*_bracket_and_bisect(forms), cov.y_to_x(ynodes))
+    return _assemble_on_nodes(ynodes, h, np.ones_like(v), weight, bc.beta), cov.y_to_x(ynodes)

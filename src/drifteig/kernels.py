@@ -4,9 +4,11 @@ The LDL^T factorization (LAPACK ``dpttrf`` through scipy), the
 definiteness test built on it, the smallest-eigenvalue bisection, the
 halving rule it shares with the spring-form bisection and the spring-form
 test live in ``_kernels_py``; this module re-exports them.  The
-solver brackets lambda and mu by the bisection, which returns its bracket,
-and calls the kernels through this module's attributes, where the
-benchmark's tracer wraps the test and the bisection by name.
+solver halves ``riccati``'s sweep of the exact problem by ``halve`` and
+confirms the bracket with the test; the bisection, which returns its
+bracket, halves what the sweep did not.  It calls the kernels through this
+module's attributes, where the benchmark's tracer wraps the test and the
+bisection by name.
 
 ``BACKEND`` names the kernel implementation.  Nothing in the package is
 compiled, so it is always ``"pure"``; it stays because

@@ -580,12 +580,12 @@ class TestCertifiedRefinement:
         ids=str,
     )
     def test_probe_count_at_n_2000(self, params, rng, monkeypatch, bc):
-        # a full bisection to LAMBDA_REL_TOL makes about 40 probes; the
-        # refinement of a lambda above 1 needs the quadrupling bracket
-        # (about log4 lambda probes), the kernel's bisection to 1/64 (6 or
-        # 7) and the certificate; the refinement reuses the factors of the
-        # probe at the bracket's lower end, and the eigenfunction those of
-        # the certificate, so LAPACK factors once per probe and no more
+        # a lambda above 1 takes three grid tests: the sweep brackets it to
+        # 1/128, the grid's test confirms the bracket's two ends, the
+        # kernel's bisection to 1/64 has nothing to halve, and one test
+        # certifies; the refinement reuses the factors of the test at the
+        # bracket's lower end, and the eigenfunction those of the
+        # certificate, so LAPACK factors once per test and no more
         from drifteig import _kernels_py
 
         _kernels_py.lapack()
@@ -596,7 +596,7 @@ class TestCertifiedRefinement:
             calls.update(pencil_inertia=0, smallest_pencil_eigenvalue=0)
             factored.clear()
             pair = principal_eigenvalue(m, params, bc, make_discretization(2000, m))
-            assert pair.lam > 1.0 and calls["pencil_inertia"] <= 11 + math.log(pair.lam, 4)
+            assert pair.lam > 1.0 and calls["pencil_inertia"] == pair.probes <= 3
             assert calls["smallest_pencil_eigenvalue"] == 1
             assert len(factored) == pair.probes
 
@@ -699,17 +699,19 @@ class TestCertifiedRefinement:
     @pytest.mark.parametrize(
         "solve, bc, lam, probes",
         [
-            (principal_eigenvalue, Boundary.neumann(), 5.122794904717575, 12),
-            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995696, 11),
-            (principal_eigenvalue, Boundary.robin(10.0), 20.675249992344682, 13),
-            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 12),
-            (eigen_cov, Boundary.robin(1.0), 10.546261858421307, 11),
+            (principal_eigenvalue, Boundary.neumann(), 5.122794904717575, 3),
+            (principal_eigenvalue, Boundary.robin(1.0), 10.546258833995697, 3),
+            (principal_eigenvalue, Boundary.robin(10.0), 20.675249992344682, 3),
+            (principal_eigenvalue, Boundary.dirichlet(), 26.60175430686269, 3),
+            (eigen_cov, Boundary.robin(1.0), 10.546261858421305, 3),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
     def test_certified_lambda_bits(self, params, solve, bc, lam, probes):
         # certified eigenvalues to the last bit, with the tests that found
-        # them: a change to the bisection or the refinement shows here
+        # them: a change to the bracket, the bisection or the refinement
+        # shows here; each lambda > 1 takes the grid's tests at the sweep
+        # bracket's two ends and the certificate's
         m = BangBangInterval(0.1, 0.3, params).weight()
         pair = solve(m, params, bc, make_discretization(2000, m))
         assert (pair.lam, pair.probes) == (lam, probes)
@@ -756,19 +758,14 @@ class TestCertifiedRefinement:
     def test_eigen_cov_dirichlet_edge_matches_dense(self):
         # a thin piece of weight 5 e^15 in y: the eigenfunction of the
         # y-forms is the dense eigenvector of mu = 0 to rounding
-        from drifteig.eigensolve import _assemble_on_nodes, _element_values, _merge_nodes
+        from drifteig.eigensolve import _cov_forms
         from drifteig.optimize import delta_star
-        from drifteig.rearrange import change_of_variable_forward
 
         p = ModelParams(1.5, 5.0, 0.2)
         m = BangBangInterval(0.0, delta_star(p), p).weight()
-        n = 500
-        pair = eigen_cov(m, p, Boundary.dirichlet(), make_discretization(n, m))
-        cov, mt = change_of_variable_forward(m, p.alpha)
-        ynodes = _merge_nodes(n, mt.breakpoints, cov.total)
-        h, v = _element_values(ynodes, mt.breakpoints, mt.values)
-        forms = _assemble_on_nodes(ynodes, h, np.ones_like(v), v * np.exp(2.0 * p.alpha * v), math.inf)
-        kd, ke, bd, be, md, me = forms.interior()
+        disc = make_discretization(500, m)
+        pair = eigen_cov(m, p, Boundary.dirichlet(), disc)
+        kd, ke, bd, be, md, me = _cov_forms(m, p, Boundary.dirichlet(), disc)[0].interior()
         _, vec = scipy.linalg.eigh(
             _dense(kd - pair.lam * bd, ke - pair.lam * be), _dense(md, me), subset_by_index=[0, 0]
         )
@@ -837,7 +834,7 @@ class TestCertifiedRefinement:
         "bc, lam, residual",
         [
             # the floor misfires here, which a lambda above 1 no longer tests
-            (Boundary.neumann(), 5.122792017486487, 1.4175522589954936e-09),
+            (Boundary.neumann(), 5.122792017486489, 1.3907481223411656e-09),
             (Boundary.dirichlet(), 26.60173305664583, 2.715228208430418e-10),
         ],
         ids=str,
@@ -853,9 +850,10 @@ class TestCertifiedRefinement:
         "bc", [Boundary.neumann(), Boundary.robin(1.0), Boundary.dirichlet()], ids=str
     )
     def test_lambda_above_one_makes_no_floor_probe(self, params, monkeypatch, bc):
-        # the bracket starts at 1, and a lambda above it never tests the floor
+        # the sweep reads the exact lambda above 1, so the grid's first test
+        # is at the lower end of the sweep's bracket, and none at the floor
         from drifteig import _kernels_py, kernels
-        from drifteig.eigensolve import LAMBDA_FLOOR
+        from drifteig.eigensolve import LAMBDA_FLOOR, _lambda_bracket
 
         shifts = []
         probe = _kernels_py.pencil_inertia
@@ -867,8 +865,10 @@ class TestCertifiedRefinement:
         monkeypatch.setattr(_kernels_py, "pencil_inertia", counted)
         monkeypatch.setattr(kernels, "pencil_inertia", counted)
         m = BangBangInterval(0.1, 0.3, params).weight()
-        pair = principal_eigenvalue(m, params, bc, make_discretization(8000, m))
-        assert pair.lam > 1.0 and shifts[0] == 1.0
+        disc = make_discretization(8000, m)
+        pair = principal_eigenvalue(m, params, bc, disc)
+        lo, hi = _lambda_bracket(assemble(m, params, bc, disc))
+        assert pair.lam > 1.0 and shifts[:2] == [lo, hi] and lo > 1.0
         assert LAMBDA_FLOOR not in shifts
 
     def test_no_shift_is_factored_twice(self, params, rng, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from drifteig import Boundary, _kernels_py, make_discretization, random_admissible
+from drifteig import Boundary, _kernels_py, make_discretization, random_admissible, riccati
 from drifteig.eigensolve import assemble
 
 BOUNDARIES = [Boundary.neumann(), Boundary.robin(1.0), Boundary.robin(10.0), Boundary.dirichlet()]
@@ -124,6 +124,22 @@ def test_one_by_one_pencil(sigma, expected):
         assert factors is None
     else:
         assert factors[0].tolist() == [4.0 - 2.0 * sigma] and factors[1].size == 0
+
+
+@pytest.mark.parametrize("bc", BOUNDARIES, ids=str)
+def test_nan_shift_reads_not_definite(params, rng, bc):
+    # dpttrf passes a NaN pivot, so the factorization's test checks its last
+    # pivot, which every NaN reaches; the spring test and the sweep compare
+    # theirs to zero, which a NaN fails
+    nan = math.nan
+    for forms, arrays, load in _spring_pencils(params, rng, bc):
+        assert _kernels_py.pencil_inertia(*arrays, nan) == (1, False, None)
+        ad, ae, cd, ce = arrays
+        assert _kernels_py.pencil_inertia(ad[:1], ae[:0], cd[:1], ce[:0], nan) == (1, False, None)
+        assert _kernels_py.springs(-forms.ke, load(nan), forms.beta) is None
+        assert not riccati.definite(forms.pieces, forms.beta, nan)
+        assert not riccati.definite(forms.pieces, forms.beta, 7.5, nan)
+        assert riccati.definite(forms.pieces, forms.beta, 1e-3)
 
 
 def test_bisection_that_never_moves_lo_returns_no_factors():
