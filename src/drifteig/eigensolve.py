@@ -24,14 +24,18 @@ problem the forms discretize: ``Forms.pieces`` gives its pieces, the runs
 of equal element data, and ``riccati.definite`` its sign test, a sweep of
 O(1) per piece, which ``kernels.halve`` turns into a bracket that the
 grid's test confirms.  The exact eigenvalue lies at or below the grid's.
-When the sweep reads lambda above 1 it quadruples [1, 4] and halves to
+The sweep serves forms with at least SWEEP_ELEMENTS elements per piece
+(``_swept``); on forms with more pieces it would cost more than the grid
+tests it saves, and the brackets are those of the grid alone.  When the
+sweep reads lambda above 1 it quadruples [1, 4] and halves to
 COARSE_REL / 2; otherwise the bracket is [LAMBDA_FLOOR, 1], and only then
-is the floor tested.  Either way the grid's test quadruples the upper end
-until it reads "not definite".  mu's sweep halves its bracket to half the
-coarse width.  ``_Pencil`` holds either pencil with two sign tests: the
-LDL^T factorization (LAPACK ``dpttrf``), and the spring form of
-``kernels.springs``, whose pivots keep their relative accuracy where
-``dpttrf``'s are rounding noise, as near alpha* under Neumann conditions.
+is the floor tested.  Either way the grid's test quadruples the upper end,
+at most to BRACKET_LIMIT, until it reads "not definite".  mu's sweep
+halves its bracket to half the coarse width.  ``_Pencil`` holds either
+pencil with two sign tests: the LDL^T factorization (LAPACK ``dpttrf``),
+and the spring form of ``kernels.springs``, whose pivots keep their
+relative accuracy where ``dpttrf``'s are rounding noise, as near alpha*
+under Neumann conditions.
 Either test keeps the LDL^T factors of a definite shift, and every vector
 is a ``dpttrs`` solve with kept factors (``_Pencil.solve``).  The kernel
 bisection on the first test locates the root to 1/64 relative, with nothing
@@ -66,6 +70,10 @@ LAMBDA_FLOOR = 1e-8  # smallest eigenvalue the bracket resolves
 MU_ATOL = 1e-8  # mu's bisection floor and certificate slack
 MU_RTOL = 1e-12
 BRACKET_LIMIT = 1e8
+# the sweep brackets only forms with at least this many elements per piece: one sweep
+# test crosses a piece in the time the grid's test takes for about 35 elements, and
+# breaks even near 40 elements per piece
+SWEEP_ELEMENTS = 64
 COARSE_REL = 1.0 / 64.0  # relative bracket width handed to the Rayleigh refinement
 MU_COARSE_SHARE = 2.0 ** -12  # mu's coarse bracket: also this share of its start
 REFINE_STEPS = 8  # most inverse-iteration solves at the bracket's lower end
@@ -186,13 +194,19 @@ class Forms:
         return self.energy(v_full), float(np.sum(self.weight * cell)), float(np.sum(cell))
 
     @cached_property
+    def runs(self) -> np.ndarray:
+        """The first element of each run of equal element data, and then
+        the element count."""
+        p, w = self.diffusion, self.weight
+        ends = np.flatnonzero((p[1:] != p[:-1]) | (w[1:] != w[:-1])) + 1
+        return np.concatenate(([0], ends, [p.size]))
+
+    @cached_property
     def pieces(self) -> tuple:
         """(length, diffusion, weight) of each run of equal element data:
         the pieces of the exact problem these forms discretize, as
         ``riccati.definite`` takes them."""
-        p, w = self.diffusion, self.weight
-        ends = np.flatnonzero((p[1:] != p[:-1]) | (w[1:] != w[:-1])) + 1
-        ends = np.concatenate(([0], ends, [p.size]))
+        ends, p, w = self.runs, self.diffusion, self.weight
         lengths = np.diff(self.nodes[ends]).tolist()
         return tuple(zip(lengths, p[ends[:-1]].tolist(), w[ends[:-1]].tolist()))
 
@@ -479,6 +493,14 @@ class _Pencil:
         raise SolverError(f"no certificate within {SPRING_WIDTHS[-1]:g} of the quotient {rho!r}")
 
 
+def _swept(forms: Forms) -> bool:
+    """Whether the sweep brackets the forms' eigenvalues: when they have at
+    least SWEEP_ELEMENTS elements per piece.  A bracket takes about as many
+    sweep tests as the grid tests it saves, so with fewer the grid's own
+    quadrupling and bisection cost less."""
+    return (forms.runs.size - 1) * SWEEP_ELEMENTS <= forms.h.size
+
+
 def _sweep(forms: Forms, lam: float | None = None):
     """The exact problem's sign test on the forms' pieces, in the form
     ``kernels.halve`` takes: true when the pencil (K, B), or
@@ -496,7 +518,9 @@ def _mu_from_forms(forms: Forms, lam: float) -> float:
     ones vector], widened by a slack, to half the coarse width; the grid's
     test confirms its ends, lower first, and an end it rejects gives way to
     the bracket's own.  ``refine`` takes the result with the same coarse
-    width, so a confirmed bracket needs no grid bisection.
+    width, so a confirmed bracket needs no grid bisection.  Forms with too
+    many pieces for the sweep (``_swept``) hand ``refine`` the bracket
+    itself.
     """
     # K is positive semidefinite and B sums the element weights times M0's
     # element blocks, so mu >= -max(lam * weight); the Rayleigh quotient of
@@ -512,13 +536,14 @@ def _mu_from_forms(forms: Forms, lam: float) -> float:
         raise ValueError(f"mu at lambda = {lam}: bracket [{lo}, {hi}] is not finite")
     coarse = (hi - lo) * MU_COARSE_SHARE
     start = lo, hi
-    inner = kernels.halve(_sweep(forms, lam), lo, hi, 0.5 * coarse, 0.5 * COARSE_REL)
-    if pencil(inner[0]):
-        hi = inner[0]
-    elif pencil(inner[1]):
-        lo, hi = inner
-    else:
-        lo = inner[1]
+    if _swept(forms):
+        inner = kernels.halve(_sweep(forms, lam), lo, hi, 0.5 * coarse, 0.5 * COARSE_REL)
+        if pencil(inner[0]):
+            hi = inner[0]
+        elif pencil(inner[1]):
+            lo, hi = inner
+        else:
+            lo = inner[1]
     return pencil.refine(lo, hi, coarse, MU_ATOL, MU_RTOL, start=start)[0]
 
 
@@ -545,19 +570,22 @@ def mu_curve(
 
 
 def _quadruple(above, lo: float, hi: float) -> tuple:
-    """[lo, hi] with hi quadrupled, and lo the last end passed, until
-    above(hi); BracketError past BRACKET_LIMIT."""
+    """[lo, hi] with hi quadrupled, capped at BRACKET_LIMIT, and lo the
+    last end passed, until above(hi); BracketError once BRACKET_LIMIT
+    itself is not above."""
     while not above(hi):
-        lo, hi = hi, 4.0 * hi
-        if hi > BRACKET_LIMIT:
+        if hi >= BRACKET_LIMIT:
             raise BracketError(f"no sign change below {BRACKET_LIMIT}")
+        lo, hi = hi, min(4.0 * hi, BRACKET_LIMIT)
     return lo, hi
 
 
 def _lambda_bracket(forms: Forms) -> tuple:
-    """[LAMBDA_FLOOR, 1], unless the sweep reads the exact lambda above 1:
-    then the sweep's bracket, quadrupled from [1, 4] and halved by
-    ``kernels.halve`` to COARSE_REL / 2."""
+    """[LAMBDA_FLOOR, 1], unless the sweep (``_swept``) reads the exact
+    lambda above 1: then the sweep's bracket, quadrupled from [1, 4] and
+    halved by ``kernels.halve`` to COARSE_REL / 2."""
+    if not _swept(forms):
+        return LAMBDA_FLOOR, 1.0
     sweep = _sweep(forms)
     if sweep(1.0):
         return LAMBDA_FLOOR, 1.0
@@ -573,11 +601,13 @@ def _bracket_and_bisect(forms: Forms) -> tuple:
     upper end quadrupled until it does.  A confirmed sweep bracket so takes
     three grid tests in all, the certificate's included, as ``refine``'s
     bisection has nothing to halve; [LAMBDA_FLOOR, 1] takes the grid's
-    quadrupling and bisection as before the sweep.
+    quadrupling and bisection alone.
     """
     pencil = _Pencil(forms)
     lo, hi = _lambda_bracket(forms)
-    while lo > LAMBDA_FLOOR and pencil(lo):  # the grid's lambda lies below the exact one
+    # the grid's lambda lies at or above the exact one, so the grid rejects the sweep's
+    # lower end only where rounding in either test moved a sign change past it
+    while lo > LAMBDA_FLOOR and pencil(lo):
         lo = max(0.25 * lo, LAMBDA_FLOOR)
     lo, hi = _quadruple(pencil, lo, hi)
     # the floor bounds the bracket only for lambda <= 1, so only then is it tested, in

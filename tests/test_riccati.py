@@ -137,3 +137,55 @@ def test_an_end_the_grid_rejects_moves(params, monkeypatch, offset):
     assert pair.lam == pytest.approx(lam, rel=1e-14) and pair.probes > 3
     assert mu_of_lambda(m, params, bc, disc, 7.5) == pytest.approx(mu, rel=0.0, abs=1e-12)
     assert springs == []
+
+
+def test_quadrupling_tests_the_limit_before_it_gives_up():
+    # from powers of 4 the last step is capped at BRACKET_LIMIT; from any
+    # other end too, so no lambda at or below the limit goes untested
+    from drifteig.eigensolve import BRACKET_LIMIT, BracketError
+
+    assert _quadruple(lambda s: s > 9e7, 1.0, 4.0) == (4.0**13, BRACKET_LIMIT)
+    shifts = []
+    with pytest.raises(BracketError, match="no sign change below"):
+        _quadruple(lambda s: shifts.append(s) or False, 1e7, 3e7)
+    assert shifts == [3e7, BRACKET_LIMIT]
+
+
+def test_grid_lambda_near_the_limit_above_the_sweeps_bracket(monkeypatch):
+    # a grid lambda of 6e7 above the sweep's bracket [2.7e7, 3e7]: 4 times
+    # the upper end passes the limit, and the grid's test at the limit
+    # itself still brackets it
+    from drifteig import PiecewiseWeight, eigensolve
+
+    p = ModelParams(0.2, 1.0, 0.4)
+    m = PiecewiseWeight((0.0, 0.3, 0.6, 1.0), (0.0, 8e-8, 0.0))
+    bc, disc = Boundary.robin(1.0), make_discretization(200, m)
+    lam = principal_eigenvalue(m, p, bc, disc).lam
+    assert 5e7 < lam < 4.0**13
+    monkeypatch.setattr(eigensolve, "_lambda_bracket", lambda forms: (0.45 * lam, 0.5 * lam))
+    assert principal_eigenvalue(m, p, bc, disc).lam == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", BOUNDARIES, ids=str)
+def test_forms_with_many_pieces_skip_the_sweep(params, monkeypatch, bc):
+    # 40 pieces on about 540 elements: the sweep would cost more than the
+    # grid tests it saves, so lambda and mu take the grid's own brackets,
+    # and agree with the swept answers to rounding
+    from drifteig import PiecewiseWeight, eigensolve, mu_of_lambda
+
+    values = [params.kappa if i % 8 == 3 else -1.0 + 0.01 * i for i in range(40)]
+    m = PiecewiseWeight(tuple(np.linspace(0.0, 1.0, 41)), tuple(values))
+    disc = make_discretization(500, m)
+    forms = assemble(m, params, bc, disc)
+    assert not eigensolve._swept(forms) and len(forms.pieces) == 40
+    monkeypatch.setattr(eigensolve, "SWEEP_ELEMENTS", 1)
+    swept = principal_eigenvalue(m, params, bc, disc), mu_of_lambda(m, params, bc, disc, 7.5)
+    monkeypatch.undo()
+
+    def no_sweep(*args):
+        raise AssertionError("sweep called")
+
+    monkeypatch.setattr(riccati, "definite", no_sweep)
+    pair = principal_eigenvalue(m, params, bc, disc)
+    assert pair.lam == pytest.approx(swept[0].lam, rel=1e-14) and pair.probes > swept[0].probes
+    assert mu_of_lambda(m, params, bc, disc, 7.5) == pytest.approx(swept[1], rel=0.0, abs=1e-12)
